@@ -14,9 +14,11 @@ from .graphs import Graph, complete_multipartite, cycle, explicit, path, star, w
 from .domination import (
     DominationOutcome,
     check_permutation,
+    final_set_counts,
     gamma,
     gamma_batch_path,
     is_independent_dominating,
+    orders_with_size,
     run_online_domination,
 )
 from .expectation import (

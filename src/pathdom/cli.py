@@ -164,7 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="include up to K witness orders (brute only)")
     p.add_argument("--cap", type=int, default=extremal.DEFAULT_BRUTE_CAP)
     p.add_argument("--force", action="store_true", help="override the brute cap")
-    p.add_argument("--workers", type=int, default=_default_workers())
 
     p = sub.add_parser("series", parents=[common], help="EGF count table")
     p.add_argument("--order", type=int, default=series.DEFAULT_ORDER)
@@ -188,12 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common], help="cross-validation suite")
     p.add_argument("--depth", choices=("quick", "full"), default="quick")
-    p.add_argument("--workers", type=int, default=_default_workers())
-    p.add_argument(
-        "--n11",
-        action="store_true",
-        help="also recount the worst case at n=11 exhaustively (slow)",
-    )
 
     return parser
 
@@ -239,6 +232,8 @@ def _expect_value(args: argparse.Namespace) -> tuple[str, Fraction]:
     if family == "path":
         if args.n is None:
             raise ValueError("--family path requires --n")
+        if args.n < 1:
+            raise ValueError("a path needs at least 1 vertex")
         if args.method == "closed-form":
             return "closed-form", expectation.expected_gamma_path_closed_form(args.n)
         return "recurrence", expectation.expected_gamma_path(args.n)
@@ -288,6 +283,8 @@ def _cmd_expect(args: argparse.Namespace) -> int:
 
 def _extremal_reports(args: argparse.Namespace) -> list[extremal.ExtremalReport]:
     n, kind = args.n, args.bound
+    if args.witnesses < 0:
+        raise ValueError("--witnesses must be nonnegative")
     size = (
         extremal.max_dominating_size(n)
         if kind == "worst"
@@ -307,7 +304,6 @@ def _extremal_reports(args: argparse.Namespace) -> list[extremal.ExtremalReport]
                     kind,
                     cap=args.cap,
                     force=args.force,
-                    workers=args.workers,
                     witness_cap=args.witnesses,
                 )
             )
@@ -399,7 +395,6 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         samples=args.samples,
         seed=args.seed,
         workers=args.workers,
-        normalization=args.normalization,
         budget=args.budget,
     )
     hist = montecarlo.sample_gamma(config)
@@ -434,9 +429,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    results = verification.run_verification(
-        depth=args.depth, workers=args.workers, extended=args.n11
-    )
+    results = verification.run_verification(depth=args.depth)
     if args.format == "json":
         docs = [
             {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
@@ -469,6 +462,12 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors and 0 for --help/--version
         code = exc.code if isinstance(exc.code, int) else EXIT_INVALID
         return EXIT_OK if code == 0 else EXIT_INVALID
+    # Exact results run past the interpreter's int-to-string limit (4300
+    # digits by default, where the interpreter has one), e.g. the expected
+    # size at n = 4000; lift it while the command runs.
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         started = time.perf_counter()
         code = _HANDLERS[args.command](args)
@@ -487,6 +486,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 def entry() -> None:

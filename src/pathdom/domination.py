@@ -5,12 +5,19 @@ a revealed vertex joins the dominating set exactly when none of its
 neighbors is already in the set (a member dominates itself and all its
 neighbors).  The final set is therefore always an independent dominating
 set, and its size depends only on the graph and the revelation order.
+
+The rule lives here in three forms: the scalar simulator
+run_online_domination, the reference the tests hold the others to; the
+exhaustive engine (final_set_counts, orders_with_size), which covers all
+n! orders by merging reveal prefixes; and the vectorized path evaluator
+gamma_batch_path.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -112,3 +119,114 @@ def gamma_batch_path(n: int, perms: np.ndarray) -> np.ndarray:
         mask[pos[fresh]] = True
         sizes += fresh
     return sizes
+
+
+# ---------------------------------------------------------------------------
+# Exhaustive engine
+# ---------------------------------------------------------------------------
+#
+# After a prefix of a revelation order, the rest of the run depends only on
+# the pair of vertex bitmasks (revealed, chosen), bit v-1 standing for
+# vertex v, so prefixes that reach the same pair are merged into one state.
+# Each vertex is unrevealed, chosen, or revealed and dominated, so a graph
+# has at most 3^n states against n! orders.
+
+
+def _neighbor_masks(graph: Graph) -> list[int]:
+    """Bitmask of the neighbors of each vertex, indexed by vertex - 1."""
+    return [sum(1 << (u - 1) for u in graph.adj[v]) for v in graph.vertices]
+
+
+_State = tuple[int, int]  # (revealed, chosen) vertex bitmasks
+
+
+def _reveals(
+    state: _State, neighbor_masks: list[int], full: int
+) -> Iterator[tuple[int, _State]]:
+    """(vertex, next state) for each unrevealed vertex, in ascending order.
+
+    The revealed vertex is chosen exactly when no neighbor is chosen yet,
+    the rule of run_online_domination.
+    """
+    revealed, chosen = state
+    unrevealed = full ^ revealed
+    while unrevealed:
+        bit = unrevealed & -unrevealed
+        unrevealed ^= bit
+        v = bit.bit_length()
+        if neighbor_masks[v - 1] & chosen:
+            yield v, (revealed | bit, chosen)
+        else:
+            yield v, (revealed | bit, chosen | bit)
+
+
+def final_set_counts(graph: Graph) -> dict[frozenset[int], int]:
+    """Number of revelation orders that end in each final dominating set.
+
+    A forward pass over reveal prefixes: after k steps every state holds the
+    number of length-k prefixes that reach it.  The counts sum to n!.
+    """
+    masks = _neighbor_masks(graph)
+    full = (1 << graph.n) - 1
+    layer: dict[_State, int] = {(0, 0): 1}
+    for _ in graph.vertices:
+        following: defaultdict[_State, int] = defaultdict(int)
+        for state, count in layer.items():
+            for _, after in _reveals(state, masks, full):
+                following[after] += count
+        layer = following
+    return {
+        frozenset(v for v in graph.vertices if chosen >> (v - 1) & 1): count
+        for (_, chosen), count in layer.items()
+    }
+
+
+def _reachable_sizes(
+    state: _State, neighbor_masks: list[int], full: int, memo: dict[_State, int]
+) -> int:
+    """Bitmask with bit s set when a final set of size s is reachable."""
+    revealed, chosen = state
+    if revealed == full:
+        return 1 << chosen.bit_count()
+    sizes = memo.get(state)
+    if sizes is None:
+        sizes = 0
+        for _, after in _reveals(state, neighbor_masks, full):
+            sizes |= _reachable_sizes(after, neighbor_masks, full, memo)
+        memo[state] = sizes
+    return sizes
+
+
+def orders_with_size(
+    graph: Graph, size: int, limit: int | None = None
+) -> list[tuple[int, ...]]:
+    """Revelation orders whose final dominating set has `size` vertices.
+
+    Orders come in lexicographic order, the order of itertools.permutations,
+    and at most `limit` of them when a limit is given.  A depth-first walk
+    over reveal prefixes enters a state only when a final set of that size
+    is reachable from it, so every branch it takes ends in a listed order.
+    """
+    if limit is not None and limit < 0:
+        raise ValueError("limit must be nonnegative")
+    masks = _neighbor_masks(graph)
+    full = (1 << graph.n) - 1
+    sizes_from: dict[_State, int] = {}
+    wanted = 1 << size
+    orders: list[tuple[int, ...]] = []
+    prefix: list[int] = []
+    # One iterator over the remaining reveals per state on the current path.
+    stack = [_reveals((0, 0), masks, full)]
+    while stack and len(orders) != limit:
+        for v, after in stack[-1]:
+            if _reachable_sizes(after, masks, full, sizes_from) & wanted:
+                prefix.append(v)
+                stack.append(_reveals(after, masks, full))
+                break
+        else:  # no reveal left to try from this state
+            if len(prefix) == graph.n:
+                orders.append(tuple(prefix))
+            stack.pop()
+            if prefix:
+                prefix.pop()
+    return orders

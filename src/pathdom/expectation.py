@@ -15,11 +15,11 @@ multipartite expectations reduce to the path case or to direct weighting.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from typing import Sequence
 
+from .domination import final_set_counts
 from .errors import DEFAULT_BRUTE_CAP, check_brute_cap
 from .graphs import Graph
 
@@ -155,19 +155,6 @@ def bruteforce_expected_gamma(
     """
     n = graph.n
     check_brute_cap(n, cap, force, "exhaustive expectation")
-    adj = graph.adj
-    in_set = bytearray(n + 1)
-    total = 0
-    for perm in itertools.permutations(range(1, n + 1)):
-        size = 0
-        for v in perm:
-            for u in adj[v]:
-                if in_set[u]:
-                    break
-            else:
-                in_set[v] = 1
-                size += 1
-        total += size
-        for v in perm:
-            in_set[v] = 0
+    final_sets = final_set_counts(graph)
+    total = sum(len(chosen) * count for chosen, count in final_sets.items())
     return Fraction(total, math.factorial(n))

@@ -7,26 +7,27 @@ generating function in the series module), best-case orders two ways
 (exhaustive simulation and residue-class closed formulas); every route
 cross-checks the others.
 
-The exhaustive census walks all n! orders once and tallies everything the
-rest of the package needs from brute force: the full size distribution,
-the realized worst-case sets with multiplicities, and capped witness
-lists.  Orders are processed in lexicographic order, partitioned into
-independent slabs by first revealed vertex, so worker count never changes
-the merged result.
+The exhaustive census covers all n! orders through the state-merging
+engine of the domination module and tallies everything the rest of the
+package needs from brute force: the full size distribution, the realized
+worst-case sets with multiplicities, and capped witness lists taken in
+lexicographic order.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
-from .domination import check_permutation, is_independent_dominating
+from .domination import (
+    check_permutation,
+    final_set_counts,
+    is_independent_dominating,
+    orders_with_size,
+)
 from .errors import DEFAULT_BRUTE_CAP, check_brute_cap
 from .graphs import path
 
@@ -152,81 +153,33 @@ class PathCensus:
         return {size: c for size, c in enumerate(self.size_counts) if c}
 
 
-def _census_block(
-    args: tuple[int, tuple[int, ...], int],
-) -> tuple[list[int], dict[bytes, int], list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """Census over the lexicographic slab of orders starting with `firsts`."""
-    n, firsts, witness_cap = args
-    worst = (n + 1) // 2
-    best = (n + 2) // 3
-    size_counts = [0] * (worst + 1)
-    worst_sets: Counter[bytes] = Counter()
-    worst_wit: list[tuple[int, ...]] = []
-    best_wit: list[tuple[int, ...]] = []
-    # One sentinel byte on each side; v-1 / v+1 never go out of range.
-    mask = bytearray(n + 2)
-    permutations = itertools.permutations
-    for first in firsts:
-        rest_pool = [v for v in range(1, n + 1) if v != first]
-        for rest in permutations(rest_pool):
-            mask[first] = 1  # the first reveal always joins the set
-            size = 1
-            for v in rest:
-                if not (mask[v - 1] or mask[v + 1]):
-                    mask[v] = 1
-                    size += 1
-            size_counts[size] += 1
-            if size == worst:
-                worst_sets[bytes(mask)] += 1
-                if len(worst_wit) < witness_cap:
-                    worst_wit.append((first,) + rest)
-            if size == best and len(best_wit) < witness_cap:
-                best_wit.append((first,) + rest)
-            mask[first] = 0
-            for v in rest:
-                mask[v] = 0
-    return size_counts, dict(worst_sets), worst_wit, best_wit
-
-
 def path_census(
     n: int,
     *,
     cap: int = DEFAULT_BRUTE_CAP,
     force: bool = False,
-    workers: int = 1,
     witness_cap: int = DEFAULT_WITNESS_CAP,
 ) -> PathCensus:
     """Simulate every one of the n! revelation orders of the n-path."""
     if n < 1:
         raise ValueError("n must be positive")
     check_brute_cap(n, cap, force, "exhaustive census")
-    blocks = [(n, (first,), witness_cap) for first in range(1, n + 1)]
-    if workers > 1 and n >= 8:
-        with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
-            results = list(pool.map(_census_block, blocks))
-    else:
-        results = [_census_block(block) for block in blocks]
-
-    size_counts = [0] * (max_dominating_size(n) + 1)
-    mask_counts: Counter[bytes] = Counter()
-    worst_wit: list[tuple[int, ...]] = []
-    best_wit: list[tuple[int, ...]] = []
-    for counts, sets, ww, bw in results:
-        for size, c in enumerate(counts):
-            size_counts[size] += c
-        mask_counts.update(sets)
-        worst_wit.extend(ww)
-        best_wit.extend(bw)
-    worst_set_counts = {
-        frozenset(v for v in range(1, n + 1) if key[v]): c
-        for key, c in mask_counts.items()
-    }
+    graph = path(n)
+    final_sets = final_set_counts(graph)
+    worst, best = max_dominating_size(n), min_dominating_size(n)
+    size_counts = [0] * (worst + 1)
+    for vertex_set, count in final_sets.items():
+        size_counts[len(vertex_set)] += count
     return PathCensus(
         n=n,
         size_counts=tuple(size_counts),
-        worst_set_counts=worst_set_counts,
-        worst_witnesses=tuple(worst_wit[:witness_cap]),
-        best_witnesses=tuple(best_wit[:witness_cap]),
+        worst_set_counts={
+            vertex_set: count
+            for vertex_set, count in final_sets.items()
+            if len(vertex_set) == worst
+        },
+        worst_witnesses=tuple(orders_with_size(graph, worst, witness_cap)),
+        best_witnesses=tuple(orders_with_size(graph, best, witness_cap)),
     )
 
 
@@ -260,17 +213,12 @@ def count_extremal_bruteforce(
     *,
     cap: int = DEFAULT_BRUTE_CAP,
     force: bool = False,
-    workers: int = 1,
     witness_cap: int = DEFAULT_WITNESS_CAP,
-    census: PathCensus | None = None,
 ) -> ExtremalReport:
     """Count extremal orders by running the procedure on every permutation."""
     if bound_kind not in ("worst", "best"):
         raise ValueError("bound_kind must be 'worst' or 'best'")
-    if census is None or census.n != n:
-        census = path_census(
-            n, cap=cap, force=force, workers=workers, witness_cap=witness_cap
-        )
+    census = path_census(n, cap=cap, force=force, witness_cap=witness_cap)
     if bound_kind == "worst":
         size, count, wit = census.worst_size, census.worst_count, census.worst_witnesses
     else:
@@ -281,7 +229,7 @@ def count_extremal_bruteforce(
         extremal_size=size,
         count=count,
         method="brute_force",
-        witnesses=wit[:witness_cap],
+        witnesses=wit,
     )
 
 
@@ -300,37 +248,18 @@ def extremal_permutations(
     else:
         raise ValueError("bound_kind must be 'worst' or 'best'")
     check_brute_cap(n, cap, force, "extremal order enumeration")
-    out = []
-    mask = bytearray(n + 2)
-    for perm in itertools.permutations(range(1, n + 1)):
-        size = 0
-        for v in perm:
-            if not (mask[v - 1] or mask[v + 1]):
-                mask[v] = 1
-                size += 1
-        if size == target:
-            out.append(perm)
-        for v in perm:
-            mask[v] = 0
-    return out
+    return orders_with_size(path(n), target)
 
 
 def count_odd_configuration_bruteforce(
-    n: int,
-    *,
-    cap: int = DEFAULT_BRUTE_CAP,
-    force: bool = False,
-    workers: int = 1,
-    census: PathCensus | None = None,
+    n: int, *, cap: int = DEFAULT_BRUTE_CAP, force: bool = False
 ) -> int:
     """Count orders whose final dominating set is exactly the odd vertices.
 
     The odd set always has size ceil(n/2), so the census worst-set tally
     already contains this count.
     """
-    if census is None or census.n != n:
-        census = path_census(n, cap=cap, force=force, workers=workers)
-    return census.odd_configuration_count
+    return path_census(n, cap=cap, force=force).odd_configuration_count
 
 
 # ---------------------------------------------------------------------------
@@ -338,31 +267,25 @@ def count_odd_configuration_bruteforce(
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def worst_case_count_recurrence(n: int) -> int:
     """Number of worst-case orders, by recurrence on the first revealed vertex.
 
     Seeds: 1 at n = 0 and n = 1.  For odd n only odd split points
     contribute (both remaining segments must have odd length); for even n
-    every split point does.
+    every split point does.  The table is built bottom-up, so any n runs
+    without deep recursion.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n <= 1:
-        return 1
     comb = math.comb
-    rec = worst_case_count_recurrence
-    total = 2 * (n - 1) * rec(n - 2)
-    if n % 2:
+    counts = [1, 1]
+    for m in range(2, n + 1):
+        splits = range(3, m - 1, 2) if m % 2 else range(2, m)
         inner = sum(
-            comb(n - 3, i - 2) * rec(i - 2) * rec(n - i - 1)
-            for i in range(3, n - 1, 2)
+            comb(m - 3, i - 2) * counts[i - 2] * counts[m - i - 1] for i in splits
         )
-    else:
-        inner = sum(
-            comb(n - 3, i - 2) * rec(i - 2) * rec(n - i - 1) for i in range(2, n)
-        )
-    return total + (n - 1) * (n - 2) * inner
+        counts.append(2 * (m - 1) * counts[m - 2] + (m - 1) * (m - 2) * inner)
+    return counts[n]
 
 
 def best_case_count_formula(n: int) -> int:

@@ -6,8 +6,8 @@ histograms are merged by plain addition.  The chunk layout depends only
 on (samples), never on the worker count, so a run is a pure function of
 (n, samples, seed) however the chunks are scheduled.
 
-Each sampled permutation is uniform over all n! orders: every row is an
-independent backward pairwise-swap shuffle driven by the chunk stream.
+Each sampled permutation is uniform over all n! orders: every row of the
+chunk is shuffled independently by Generator.permuted on the chunk stream.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ class SampleConfig:
     samples: int
     seed: int
     workers: int = 1
-    normalization: str = "none"
     budget: int = DEFAULT_BUDGET
 
     def __post_init__(self):
@@ -46,8 +45,6 @@ class SampleConfig:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         if self.workers < 1:
             raise ValueError("workers must be positive")
-        if self.normalization not in NORMALIZATION_MODES:
-            raise ValueError(f"normalization must be one of {NORMALIZATION_MODES}")
 
 
 @dataclass(frozen=True)

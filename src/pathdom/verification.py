@@ -44,70 +44,45 @@ class CheckResult:
         return f"{'PASS' if self.passed else 'FAIL'}  {self.name}: {self.detail}"
 
 
-class CensusCache:
-    """Shares exhaustive censuses between checks; n = 10 is the expensive one."""
-
-    def __init__(self, workers: int = 1):
-        self.workers = workers
-        self._store: dict[int, extremal.PathCensus] = {}
-
-    def get(self, n: int, force: bool = False) -> extremal.PathCensus:
-        if n not in self._store:
-            self._store[n] = extremal.path_census(
-                n, force=force, workers=self.workers
-            )
-        return self._store[n]
-
-
 def _fail(name: str, detail: str) -> CheckResult:
     return CheckResult(name=name, passed=False, detail=detail)
 
 
-def check_worst_case_counts(
-    cache: CensusCache, brute_max: int = 10, extended_n: int | None = None
-) -> CheckResult:
-    """Exhaustive count == recurrence == EGF == reference, n = 1..10 (11 opt-in)."""
+def check_worst_case_counts(brute_max: int = 11) -> CheckResult:
+    """Exhaustive count == recurrence == EGF == reference, n = 1..11."""
     name = "worst-case-counts"
-    top = max(10, extended_n or 0)
-    egf = series.worst_case_counts_egf(top)
-    for n in range(1, 11):
-        expected = WORST_CASE_COUNTS[n]
+    egf = series.worst_case_counts_egf(max(WORST_CASE_COUNTS))
+    for n, expected in WORST_CASE_COUNTS.items():
         rec = extremal.worst_case_count_recurrence(n)
         if rec != expected:
             return _fail(name, f"n={n}: recurrence={rec}, reference={expected}")
         if egf[n] != expected:
             return _fail(name, f"n={n}: egf={egf[n]}, reference={expected}")
     for n in range(1, brute_max + 1):
-        brute = cache.get(n).worst_count
+        brute = extremal.path_census(n).worst_count
         if brute != WORST_CASE_COUNTS[n]:
             return _fail(
                 name, f"n={n}: brute={brute}, reference={WORST_CASE_COUNTS[n]}"
             )
-    detail = f"brute(n<={brute_max}) = recurrence = EGF = reference (n<=10)"
-    if extended_n:
-        brute = cache.get(extended_n, force=True).worst_count
-        rec = extremal.worst_case_count_recurrence(extended_n)
-        expected = WORST_CASE_COUNTS[extended_n]
-        if not brute == rec == egf[extended_n] == expected:
-            return _fail(
-                name,
-                f"n={extended_n}: brute={brute}, recurrence={rec}, "
-                f"egf={egf[extended_n]}, reference={expected}",
-            )
-        detail += f"; extended n={extended_n} agrees"
-    return CheckResult(name=name, passed=True, detail=detail)
+    return CheckResult(
+        name=name,
+        passed=True,
+        detail=f"brute(n<={brute_max}) = recurrence = EGF = reference (n<=11)",
+    )
 
 
-def check_best_case_counts(cache: CensusCache, brute_max: int = 10) -> CheckResult:
+def check_best_case_counts(brute_max: int = 11) -> CheckResult:
     """Exhaustive count == reference, with closed formulas where applicable."""
     name = "best-case-counts"
     for n in range(1, brute_max + 1):
-        brute = cache.get(n).best_count
+        brute = extremal.path_census(n).best_count
         if brute != BEST_CASE_COUNTS[n]:
             return _fail(
                 name, f"n={n}: brute={brute}, reference={BEST_CASE_COUNTS[n]}"
             )
-    formula_ns = [n for n in range(1, 11) if extremal.best_case_formula_applicable(n)]
+    formula_ns = [
+        n for n in BEST_CASE_COUNTS if extremal.best_case_formula_applicable(n)
+    ]
     for n in formula_ns:
         value = extremal.best_case_count_formula(n)
         if value != BEST_CASE_COUNTS[n]:
@@ -124,13 +99,11 @@ def check_best_case_counts(cache: CensusCache, brute_max: int = 10) -> CheckResu
     )
 
 
-def check_expectation_oracle(
-    cache: CensusCache, brute_max: int = 9, closed_max: int = 200
-) -> CheckResult:
+def check_expectation_oracle(brute_max: int = 11, closed_max: int = 200) -> CheckResult:
     """Recurrence expectation == brute-force average == closed form (exact)."""
     name = "expectation-oracle"
     for n in range(1, brute_max + 1):
-        brute = cache.get(n).expectation
+        brute = extremal.path_census(n).expectation
         rec = expectation.expected_gamma_path(n)
         if brute != rec:
             return _fail(name, f"n={n}: brute={brute}, recurrence={rec}")
@@ -309,9 +282,7 @@ def check_inverse_bijection(odd_max: int = 9) -> CheckResult:
     )
 
 
-def check_convolution(
-    cache: CensusCache, even_max: int = 60, brute_max: int = 10
-) -> CheckResult:
+def check_convolution(even_max: int = 60, brute_max: int = 11) -> CheckResult:
     """EGF convolution identity (even n) and odd-configuration counts vs brute force."""
     name = "convolution-identity"
     odd_config = series.odd_configuration_counts_egf(even_max)
@@ -324,7 +295,7 @@ def check_convolution(
         if worst[n] != convolved:
             return _fail(name, f"n={n}: egf={worst[n]}, convolution={convolved}")
     for n in range(1, brute_max + 1):
-        brute = cache.get(n).odd_configuration_count
+        brute = extremal.path_census(n).odd_configuration_count
         if brute != odd_config[n]:
             return _fail(
                 name, f"n={n}: brute odd-config count={brute}, egf={odd_config[n]}"
@@ -403,22 +374,16 @@ def check_caro_wei(max_n: int = 200) -> CheckResult:
     )
 
 
-def run_verification(
-    depth: str = "quick", workers: int = 1, extended: bool = False
-) -> list[CheckResult]:
+def run_verification(depth: str = "quick") -> list[CheckResult]:
     """Run every check; quick depth trims the brute-force ranges to stay fast."""
     if depth not in ("quick", "full"):
         raise ValueError("depth must be 'quick' or 'full'")
     quick = depth == "quick"
-    cache = CensusCache(workers=workers)
+    brute_max = 8 if quick else 11
     return [
-        check_worst_case_counts(
-            cache,
-            brute_max=8 if quick else 10,
-            extended_n=11 if extended else None,
-        ),
-        check_best_case_counts(cache, brute_max=8 if quick else 10),
-        check_expectation_oracle(cache, brute_max=8 if quick else 9, closed_max=200),
+        check_worst_case_counts(brute_max),
+        check_best_case_counts(brute_max),
+        check_expectation_oracle(brute_max, closed_max=200),
         check_asymptotic_constant(),
         check_family_formulas(
             cycle_max=8 if quick else 9,
@@ -428,9 +393,7 @@ def run_verification(
         ),
         check_structural_sets(subset_max=12 if quick else 14),
         check_inverse_bijection(odd_max=7 if quick else 9),
-        check_convolution(
-            cache, even_max=32 if quick else 60, brute_max=8 if quick else 10
-        ),
+        check_convolution(even_max=32 if quick else 60, brute_max=brute_max),
         check_montecarlo(
             n=300 if quick else 2000, samples=5000 if quick else 40_000
         ),

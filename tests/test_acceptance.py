@@ -2,28 +2,13 @@
 
 Each test runs one cross-validation criterion at full strength and prints
 its PASS/FAIL line (visible with pytest -s, or in the failure report).
-
-Environment knobs:
-    PATHDOM_ACCEPT_CAP      exhaustive-count ceiling (default 10)
-    PATHDOM_ACCEPT_N11      set to 1 to also recount n=11 exhaustively
-    PATHDOM_ACCEPT_WORKERS  processes for the exhaustive censuses (default 1)
+Worst-case, best-case and odd-configuration counts are recounted
+exhaustively through n = 11.
 """
-
-import os
-
-import pytest
 
 from pathdom import verification as V
 
-
-def _env_int(name: str, default: int) -> int:
-    try:
-        return int(os.environ.get(name, str(default)))
-    except ValueError:
-        return default
-
-
-CAP = _env_int("PATHDOM_ACCEPT_CAP", 10)
+BRUTE_MAX = 11
 
 
 def _report(result: V.CheckResult) -> None:
@@ -31,24 +16,16 @@ def _report(result: V.CheckResult) -> None:
     assert result.passed, result.detail
 
 
-def test_criterion_01_worst_case_tables(census_cache):
-    _report(V.check_worst_case_counts(census_cache, brute_max=CAP))
+def test_criterion_01_worst_case_tables():
+    _report(V.check_worst_case_counts(brute_max=BRUTE_MAX))
 
 
-def test_criterion_01_worst_case_n11(census_cache):
-    if os.environ.get("PATHDOM_ACCEPT_N11") != "1":
-        pytest.skip("set PATHDOM_ACCEPT_N11=1 to recount n=11 exhaustively")
-    _report(V.check_worst_case_counts(census_cache, brute_max=CAP, extended_n=11))
+def test_criterion_02_best_case_tables():
+    _report(V.check_best_case_counts(brute_max=BRUTE_MAX))
 
 
-def test_criterion_02_best_case_tables(census_cache):
-    _report(V.check_best_case_counts(census_cache, brute_max=CAP))
-
-
-def test_criterion_03_expectation_oracle(census_cache):
-    _report(
-        V.check_expectation_oracle(census_cache, brute_max=min(CAP, 9), closed_max=200)
-    )
+def test_criterion_03_expectation_oracle():
+    _report(V.check_expectation_oracle(brute_max=BRUTE_MAX, closed_max=200))
 
 
 def test_criterion_04_asymptotic_constant():
@@ -71,8 +48,8 @@ def test_criterion_07_inverse_bijection():
     _report(V.check_inverse_bijection(odd_max=9))
 
 
-def test_criterion_08_convolution_identity(census_cache):
-    _report(V.check_convolution(census_cache, even_max=60, brute_max=CAP))
+def test_criterion_08_convolution_identity():
+    _report(V.check_convolution(even_max=60, brute_max=BRUTE_MAX))
 
 
 def test_criterion_09_monte_carlo():

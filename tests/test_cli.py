@@ -1,6 +1,9 @@
 """CLI contract checks: exit codes, formats, round-trips."""
 
 import json
+import sys
+
+import pytest
 
 from pathdom.cli import main
 
@@ -67,6 +70,37 @@ class TestExpect:
         code, _, err = run(capsys, "expect", "--family", "path")
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    @pytest.mark.parametrize("method", ["recurrence", "closed-form"])
+    def test_nonpositive_path_length_is_invalid_input(self, capsys, n, method):
+        code, out, err = run(
+            capsys, "expect", "--family", "path", "--n", n, "--method", method
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"),
+        reason="the interpreter has no int-to-string digit limit",
+    )
+    def test_values_past_the_int_digit_limit(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        # The n = 400 expectation has 749-digit terms, past a 640-digit limit.
+        sys.set_int_max_str_digits(640)
+        try:
+            rec_code, rec_out, _ = run(capsys, "expect", "--family", "path", "--n", "400")
+            closed_code, closed_out, _ = run(
+                capsys,
+                "expect", "--family", "path", "--n", "400", "--method", "closed-form",
+            )
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert rec_code == closed_code == 0
+        assert rec_out == closed_out
+        assert len(rec_out.split("/")[0]) > 640
 
 
 class TestExtremal:

@@ -7,21 +7,27 @@ Core claims:
     - Outcomes are deterministic and respect the path's mirror symmetry.
     - Path sizes always land in [ceil(n/3), ceil(n/2)].
     - The vectorized path evaluator agrees with the scalar engine.
+    - The exhaustive engine agrees with a plain loop over every order.
 """
 
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathdom import (
     check_permutation,
     complete_multipartite,
     cycle,
     explicit,
+    final_set_counts,
     gamma,
     gamma_batch_path,
     is_independent_dominating,
+    orders_with_size,
     path,
     run_online_domination,
     star,
@@ -180,3 +186,47 @@ class TestGammaBatch:
     def test_shape_validated(self):
         with pytest.raises(ValueError):
             gamma_batch_path(4, np.array([[1, 2, 3]]))
+
+
+def _loop_census(graph):
+    """The arbiter: final-set counts and per-size order lists from n! runs."""
+    final_sets = Counter()
+    by_size = {size: [] for size in range(graph.n + 1)}
+    for perm in itertools.permutations(range(1, graph.n + 1)):
+        outcome = run_online_domination(graph, perm)
+        final_sets[outcome.chosen_set] += 1
+        by_size[outcome.size].append(perm)
+    return dict(final_sets), by_size
+
+
+def _assert_engine_matches_loop(graph):
+    final_sets, by_size = _loop_census(graph)
+    assert final_set_counts(graph) == final_sets
+    for size, orders in by_size.items():
+        assert orders_with_size(graph, size) == orders
+
+
+@st.composite
+def _explicit_graphs(draw):
+    n = draw(st.integers(min_value=1, max_value=7))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return explicit(n, edges)
+
+
+class TestExhaustiveEngine:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_loop_on_paths(self, n):
+        _assert_engine_matches_loop(path(n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_explicit_graphs())
+    def test_matches_loop_on_random_graphs(self, graph):
+        _assert_engine_matches_loop(graph)
+
+    def test_limit_keeps_the_first_orders(self):
+        _, by_size = _loop_census(path(7))
+        assert orders_with_size(path(7), 4, limit=5) == by_size[4][:5]
+        assert orders_with_size(path(7), 4, limit=0) == []
+        with pytest.raises(ValueError):
+            orders_with_size(path(7), 4, limit=-1)

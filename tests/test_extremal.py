@@ -7,7 +7,10 @@ recurrence, the EGF and the closed formulas):
     best:  1, 2, 2, 24, 64, 80, 3408, 9856, 13440, 1377792, 4139520
 """
 
+import inspect
 import itertools
+import math
+import sys
 
 import pytest
 
@@ -50,8 +53,8 @@ class TestBounds:
         assert min_dominating_size(n) == expected
 
     @pytest.mark.parametrize("n", range(1, 8))
-    def test_bounds_are_attained(self, n, census_cache):
-        dist = census_cache.get(n).distribution()
+    def test_bounds_are_attained(self, n):
+        dist = path_census(n).distribution()
         assert min(dist) == min_dominating_size(n)
         assert max(dist) == max_dominating_size(n)
 
@@ -89,33 +92,33 @@ class TestMaximalSets:
             independent_dominating_sets_bruteforce(19)
 
     @pytest.mark.parametrize("n", range(1, 9))
-    def test_realized_worst_sets_match_construction(self, n, census_cache):
-        census = census_cache.get(n)
+    def test_realized_worst_sets_match_construction(self, n):
+        census = path_census(n)
         assert set(census.worst_set_counts) == set(
             maximal_independent_dominating_sets(n)
         )
 
 
 class TestBruteForceCounts:
-    def test_length_three_witnesses(self, census_cache):
-        report = count_extremal_bruteforce(3, "worst", census=census_cache.get(3))
+    def test_length_three_witnesses(self):
+        report = count_extremal_bruteforce(3, "worst")
         assert report.count == 4
         assert set(report.witnesses) == {
             (1, 2, 3), (1, 3, 2), (3, 1, 2), (3, 2, 1),
         }
 
     @pytest.mark.parametrize("n", range(1, 9))
-    def test_worst_counts(self, n, census_cache):
-        assert census_cache.get(n).worst_count == WORST_CASE_COUNTS[n]
+    def test_worst_counts(self, n):
+        assert path_census(n).worst_count == WORST_CASE_COUNTS[n]
 
     @pytest.mark.parametrize("n", range(1, 9))
-    def test_best_counts(self, n, census_cache):
-        assert census_cache.get(n).best_count == BEST_CASE_COUNTS[n]
+    def test_best_counts(self, n):
+        assert path_census(n).best_count == BEST_CASE_COUNTS[n]
 
-    def test_report_invariants(self, census_cache):
+    def test_report_invariants(self):
         g = path(6)
         for kind, size in (("worst", 3), ("best", 2)):
-            report = count_extremal_bruteforce(6, kind, census=census_cache.get(6))
+            report = count_extremal_bruteforce(6, kind)
             assert report.extremal_size == size
             assert report.method == "brute_force"
             for witness in report.witnesses:
@@ -125,20 +128,9 @@ class TestBruteForceCounts:
         with pytest.raises(ResourceLimitError, match="force"):
             path_census(12)
 
-    def test_witness_cap_respected(self, census_cache):
-        report = count_extremal_bruteforce(
-            7, "worst", census=path_census(7, witness_cap=5)
-        )
+    def test_witness_cap_respected(self):
+        report = count_extremal_bruteforce(7, "worst", witness_cap=5)
         assert len(report.witnesses) == 5
-
-    def test_workers_do_not_change_result(self):
-        solo = path_census(6)
-        duo = path_census(6, workers=2)
-        # workers only engage at n >= 8; force the comparison there too
-        big_solo = path_census(8)
-        big_duo = path_census(8, workers=2)
-        assert solo == duo
-        assert big_solo == big_duo
 
 
 class TestRecurrence:
@@ -154,6 +146,16 @@ class TestRecurrence:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             worst_case_count_recurrence(-1)
+
+    def test_large_n_needs_no_deep_recursion(self):
+        limit = sys.getrecursionlimit()
+        # Room for the frames already on the stack, far fewer than n / 2.
+        sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+        try:
+            value = worst_case_count_recurrence(300)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert 0 < value < math.factorial(300)
 
 
 class TestBestCaseFormula:
@@ -230,15 +232,13 @@ class TestPermutationPredicates:
 
 class TestOddConfiguration:
     @pytest.mark.parametrize("n,count", [(2, 1), (3, 4), (4, 9)])
-    def test_small_counts(self, n, count, census_cache):
-        assert (
-            count_odd_configuration_bruteforce(n, census=census_cache.get(n)) == count
-        )
+    def test_small_counts(self, n, count):
+        assert count_odd_configuration_bruteforce(n) == count
 
     @pytest.mark.parametrize("n", [1, 3, 5, 7])
-    def test_odd_length_equals_worst_count(self, n, census_cache):
+    def test_odd_length_equals_worst_count(self, n):
         # odd n has a unique worst-case set, the odd vertices
-        census = census_cache.get(n)
+        census = path_census(n)
         assert census.odd_configuration_count == worst_case_count_recurrence(n)
 
 

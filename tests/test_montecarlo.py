@@ -4,7 +4,13 @@ import math
 
 import pytest
 
-from pathdom import SampleConfig, expected_gamma_path, normalize, sample_gamma
+from pathdom import (
+    SampleConfig,
+    expected_gamma_path,
+    normalize,
+    path_census,
+    sample_gamma,
+)
 from pathdom.errors import ResourceLimitError
 
 
@@ -47,8 +53,8 @@ def test_support_within_bounds(n):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
-def test_frequencies_match_exact_distribution(n, census_cache):
-    census = census_cache.get(n)
+def test_frequencies_match_exact_distribution(n):
+    census = path_census(n)
     hist = sample_gamma(SampleConfig(n=n, samples=100_000, seed=99))
     for size, count in census.distribution().items():
         p = count / census.total
@@ -91,7 +97,6 @@ class TestConfigValidation:
             {"n": 5, "samples": 10, "seed": -1},
             {"n": 5, "samples": 10, "seed": 2**64},
             {"n": 5, "samples": 10, "seed": 1, "workers": 0},
-            {"n": 5, "samples": 10, "seed": 1, "normalization": "weird"},
         ],
     )
     def test_bad_configs_rejected(self, kwargs):

@@ -10,6 +10,7 @@ from pathdom import (
     convolution_identity_holds,
     cosh_series,
     odd_configuration_counts_egf,
+    path_census,
     sinh_series,
     worst_case_counts_egf,
     worst_case_count_recurrence,
@@ -104,9 +105,9 @@ class TestCounts:
         assert counts[4] == 9
 
     @pytest.mark.parametrize("n", range(1, 9))
-    def test_odd_configuration_matches_bruteforce(self, n, census_cache):
+    def test_odd_configuration_matches_bruteforce(self, n):
         counts = odd_configuration_counts_egf(8)
-        assert counts[n] == census_cache.get(n).odd_configuration_count
+        assert counts[n] == path_census(n).odd_configuration_count
 
     def test_worst_case_small(self):
         counts = worst_case_counts_egf(8)
