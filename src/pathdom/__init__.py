@@ -58,11 +58,8 @@ from .extremal import (
 )
 from .series import (
     DEFAULT_ORDER,
-    PowerSeries,
     convolution_identity_holds,
-    cosh_series,
     odd_configuration_counts_egf,
-    sinh_series,
     worst_case_counts_egf,
 )
 from .montecarlo import Histogram, SampleConfig, normalize, sample_gamma

@@ -150,7 +150,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--float", dest="as_float", action="store_true")
     p.add_argument("--cap", type=int, default=extremal.DEFAULT_BRUTE_CAP)
-    p.add_argument("--force", action="store_true")
+    p.add_argument(
+        "--force", action="store_true", help="override the brute and path-size caps"
+    )
 
     p = sub.add_parser("extremal", parents=[common], help="count extremal orders")
     p.add_argument("--n", type=int, required=True)
@@ -163,10 +165,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witnesses", type=int, default=0, metavar="K",
                    help="include up to K witness orders (brute only)")
     p.add_argument("--cap", type=int, default=extremal.DEFAULT_BRUTE_CAP)
-    p.add_argument("--force", action="store_true", help="override the brute cap")
+    p.add_argument(
+        "--force", action="store_true", help="override the brute and count caps"
+    )
 
     p = sub.add_parser("series", parents=[common], help="EGF count table")
     p.add_argument("--order", type=int, default=series.DEFAULT_ORDER)
+    p.add_argument("--force", action="store_true", help="override the order cap")
 
     p = sub.add_parser("sample", parents=[common], help="Monte Carlo sampling")
     p.add_argument("--n", type=int, required=True)
@@ -235,12 +240,14 @@ def _expect_value(args: argparse.Namespace) -> tuple[str, Fraction]:
         if args.n < 1:
             raise ValueError("a path needs at least 1 vertex")
         if args.method == "closed-form":
-            return "closed-form", expectation.expected_gamma_path_closed_form(args.n)
-        return "recurrence", expectation.expected_gamma_path(args.n)
+            return "closed-form", expectation.expected_gamma_path_closed_form(
+                args.n, force=args.force
+            )
+        return "recurrence", expectation.expected_gamma_path(args.n, force=args.force)
     if family == "cycle":
         if args.n is None:
             raise ValueError("--family cycle requires --n")
-        return "formula", expectation.expected_gamma_cycle(args.n)
+        return "formula", expectation.expected_gamma_cycle(args.n, force=args.force)
     if family == "star":
         if args.leaves is None:
             raise ValueError("--family star requires --leaves")
@@ -250,7 +257,7 @@ def _expect_value(args: argparse.Namespace) -> tuple[str, Fraction]:
             raise ValueError("--family wheel requires --spokes")
         label = "formula-as-printed" if args.as_printed else "formula"
         return label, expectation.expected_gamma_wheel(
-            args.spokes, as_printed=args.as_printed
+            args.spokes, as_printed=args.as_printed, force=args.force
         )
     if family == "multipartite":
         if not args.parts:
@@ -313,7 +320,7 @@ def _extremal_reports(args: argparse.Namespace) -> list[extremal.ExtremalReport]
             reports.append(
                 extremal.ExtremalReport(
                     n=n, bound_kind=kind, extremal_size=size,
-                    count=extremal.worst_case_count_recurrence(n),
+                    count=extremal.worst_case_count_recurrence(n, force=args.force),
                     method="recurrence",
                 )
             )
@@ -323,7 +330,7 @@ def _extremal_reports(args: argparse.Namespace) -> list[extremal.ExtremalReport]
             reports.append(
                 extremal.ExtremalReport(
                     n=n, bound_kind=kind, extremal_size=size,
-                    count=series.worst_case_counts_egf(n)[n],
+                    count=series.worst_case_counts_egf(n, force=args.force)[n],
                     method="egf",
                 )
             )
@@ -374,8 +381,8 @@ def _cmd_extremal(args: argparse.Namespace) -> int:
 def _cmd_series(args: argparse.Namespace) -> int:
     if args.order < 0:
         raise ValueError("--order must be nonnegative")
-    odd_config = series.odd_configuration_counts_egf(args.order)
-    worst = series.worst_case_counts_egf(args.order)
+    odd_config = series.odd_configuration_counts_egf(args.order, force=args.force)
+    worst = series.worst_case_counts_egf(args.order, force=args.force)
     if args.format == "json":
         docs = [
             {"n": n, "odd_config": str(d), "worst_case": str(f)}

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
-# Exhaustive routes are refused above this many vertices unless forced.  The
-# state-merging engine in pathdom.domination visits at most 3^n states
-# (177147 at n = 11); the permutation-pattern enumerations in
-# pathdom.extremal still walk all n! orders.
+# The exhaustive engine in pathdom.domination is refused above this many
+# vertices unless forced; it visits at most 3^n states (177147 at n = 11).
 DEFAULT_BRUTE_CAP = 11
+
+# The big-integer exact routes are refused above these sizes unless forced.
+# The worst-case count recurrence and the integer EGFs take a few seconds at
+# n = 1000; the path closed form takes about 10 s at n = 20000.
+EXACT_COUNT_CAP = 1000
+EXACT_PATH_CAP = 20000
 
 
 class ResourceLimitError(RuntimeError):
@@ -17,9 +21,9 @@ class ConsistencyError(RuntimeError):
     """Two internal computation routes disagree; always a bug, never an input error."""
 
 
-def check_brute_cap(n: int, cap: int, force: bool, what: str) -> None:
+def check_cap(n: int, cap: int, force: bool, what: str) -> None:
     if n > cap and not force:
         raise ResourceLimitError(
-            f"{what} at n={n} exceeds the brute-force cap of {cap}; "
+            f"{what} at n={n} exceeds its cap of {cap}; "
             f"pass force=True (CLI: --force) to run it anyway"
         )

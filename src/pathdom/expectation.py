@@ -1,10 +1,13 @@
 """Exact expected dominating-set sizes, family by family.
 
 Everything here is exact rational arithmetic unless a function name says
-float.  The path expectation is computed two independent ways:
+float.  The path expectation is computed two independent ways, each in
+integers over a common denominator of n! with one reduction at the end:
 
-* a memoized recurrence on the first revealed vertex,
+* the recurrence on the first revealed vertex,
       E(n) = 1 + (2/n) * sum_{i=1}^{n-2} E(i),       E(n) = 0 for n <= 0,
+  carried as F(m) = m! E(m) and Q(m) = m! sum_{i<=m} E(i), which obey
+      F(m) = m! + 2(m-1) Q(m-2),    Q(m) = m Q(m-1) + F(m);
 * a closed form extracted from the ordinary generating function,
       E(n) = -(1/2) * sum_{j=0}^{n} (n+1-j) (-2)^j / j!  +  (n+1)/2.
 
@@ -20,24 +23,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from .domination import final_set_counts
-from .errors import DEFAULT_BRUTE_CAP, check_brute_cap
+from .errors import DEFAULT_BRUTE_CAP, EXACT_PATH_CAP, check_cap
 from .graphs import Graph
 
-# Memoized recurrence table; index n, with a running prefix sum so that
-# extending to N costs O(N) rational operations in total.
-_values: list[Fraction] = [Fraction(0), Fraction(1)]
-_prefix: list[Fraction] = [Fraction(0), Fraction(1)]
 
-
-def _extend(n: int) -> None:
-    while len(_values) <= n:
-        m = len(_values)
-        val = 1 + 2 * _prefix[m - 2] / m
-        _values.append(val)
-        _prefix.append(_prefix[-1] + val)
-
-
-def expected_gamma_path(n: int) -> Fraction:
+def expected_gamma_path(n: int, *, force: bool = False) -> Fraction:
     """Expected dominating-set size on the n-vertex path, by recurrence.
 
     Returns 0 for n <= 0 (the empty-path convention used by the derived
@@ -45,11 +35,17 @@ def expected_gamma_path(n: int) -> Fraction:
     """
     if n <= 0:
         return Fraction(0)
-    _extend(n)
-    return _values[n]
+    check_cap(n, EXACT_PATH_CAP, force, "path expectation recurrence")
+    # Running values at m = 1: m!, F(m), Q(m-1), Q(m).
+    factorial, scaled, prefix_before, prefix = 1, 1, 0, 1
+    for m in range(2, n + 1):
+        factorial *= m
+        scaled = factorial + 2 * (m - 1) * prefix_before
+        prefix_before, prefix = prefix, m * prefix + scaled
+    return Fraction(scaled, factorial)
 
 
-def expected_gamma_path_closed_form(n: int) -> Fraction:
+def expected_gamma_path_closed_form(n: int, *, force: bool = False) -> Fraction:
     """Expected dominating-set size on the n-vertex path, by closed form.
 
     Evaluates the full alternating sum over a common denominator of n!,
@@ -58,6 +54,7 @@ def expected_gamma_path_closed_form(n: int) -> Fraction:
     """
     if n < 1:
         raise ValueError("closed form requires n >= 1")
+    check_cap(n, EXACT_PATH_CAP, force, "path expectation closed form")
     n_fact = math.factorial(n)
     falling = n_fact  # n!/j! for the current j
     sign_pow = 1  # (-2)^j
@@ -89,11 +86,11 @@ def expected_gamma_limit() -> float:
     return 0.5 - 0.5 * math.exp(-2.0)
 
 
-def expected_gamma_cycle(n: int) -> Fraction:
+def expected_gamma_cycle(n: int, *, force: bool = False) -> Fraction:
     """Cycle on n >= 3 vertices: the first pick always reduces to a path."""
     if n < 3:
         raise ValueError("cycle expectation requires n >= 3")
-    return 1 + expected_gamma_path(n - 3)
+    return 1 + expected_gamma_path(n - 3, force=force)
 
 
 def expected_gamma_star(leaves: int) -> Fraction:
@@ -107,7 +104,9 @@ def expected_gamma_star(leaves: int) -> Fraction:
     return Fraction(leaves * leaves + 1, leaves + 1)
 
 
-def expected_gamma_wheel(spokes: int, as_printed: bool = False) -> Fraction:
+def expected_gamma_wheel(
+    spokes: int, as_printed: bool = False, *, force: bool = False
+) -> Fraction:
     """Wheel with n >= 3 spokes.
 
     Default form: (1 + n * (1 + E(P_{n-3}))) / (n + 1), validated against
@@ -118,7 +117,7 @@ def expected_gamma_wheel(spokes: int, as_printed: bool = False) -> Fraction:
     """
     if spokes < 3:
         raise ValueError("wheel expectation requires at least 3 spokes")
-    rim_rest = expected_gamma_path(spokes - 3)
+    rim_rest = expected_gamma_path(spokes - 3, force=force)
     if as_printed:
         return Fraction(1, spokes + 1) + Fraction(spokes, spokes + 1) * rim_rest
     return (1 + spokes * (1 + rim_rest)) / Fraction(spokes + 1)
@@ -154,7 +153,7 @@ def bruteforce_expected_gamma(
     The independent oracle for every family formula above.
     """
     n = graph.n
-    check_brute_cap(n, cap, force, "exhaustive expectation")
+    check_cap(n, cap, force, "exhaustive expectation")
     final_sets = final_set_counts(graph)
     total = sum(len(chosen) * count for chosen, count in final_sets.items())
     return Fraction(total, math.factorial(n))

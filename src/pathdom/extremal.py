@@ -28,11 +28,14 @@ from .domination import (
     is_independent_dominating,
     orders_with_size,
 )
-from .errors import DEFAULT_BRUTE_CAP, check_brute_cap
+from .errors import DEFAULT_BRUTE_CAP, EXACT_COUNT_CAP, check_cap
 from .graphs import path
 
 DEFAULT_WITNESS_CAP = 100
 SUBSET_SEARCH_CAP = 18
+# The permutation-pattern enumerations below scan all n! orders one by one
+# (about 3 s at n = 10, 40 s at n = 11).
+PERMUTATION_SCAN_CAP = 10
 
 
 def max_dominating_size(n: int) -> int:
@@ -82,7 +85,7 @@ def independent_dominating_sets_bruteforce(
     """Exhaustive 2^n subset search for independent dominating sets of the n-path."""
     if n < 1:
         raise ValueError("n must be positive")
-    check_brute_cap(n, cap, force, "exhaustive subset search")
+    check_cap(n, cap, force, "exhaustive subset search")
     graph = path(n)
     found = []
     for bits in range(1, 1 << n):
@@ -163,7 +166,7 @@ def path_census(
     """Simulate every one of the n! revelation orders of the n-path."""
     if n < 1:
         raise ValueError("n must be positive")
-    check_brute_cap(n, cap, force, "exhaustive census")
+    check_cap(n, cap, force, "exhaustive census")
     graph = path(n)
     final_sets = final_set_counts(graph)
     worst, best = max_dominating_size(n), min_dominating_size(n)
@@ -247,7 +250,7 @@ def extremal_permutations(
         target = min_dominating_size(n)
     else:
         raise ValueError("bound_kind must be 'worst' or 'best'")
-    check_brute_cap(n, cap, force, "extremal order enumeration")
+    check_cap(n, cap, force, "extremal order enumeration")
     return orders_with_size(path(n), target)
 
 
@@ -267,23 +270,29 @@ def count_odd_configuration_bruteforce(
 # ---------------------------------------------------------------------------
 
 
-def worst_case_count_recurrence(n: int) -> int:
+def worst_case_count_recurrence(n: int, *, force: bool = False) -> int:
     """Number of worst-case orders, by recurrence on the first revealed vertex.
 
     Seeds: 1 at n = 0 and n = 1.  For odd n only odd split points
     contribute (both remaining segments must have odd length); for even n
-    every split point does.  The table is built bottom-up, so any n runs
-    without deep recursion.
+    every split point does.  Split points i and m + 1 - i give equal
+    terms, so only the lower half is summed.  The table is built
+    bottom-up, so any n runs without deep recursion.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    comb = math.comb
+    check_cap(n, EXACT_COUNT_CAP, force, "worst-case count recurrence")
     counts = [1, 1]
+    row = [1]  # row m - 3 of Pascal's triangle
     for m in range(2, n + 1):
-        splits = range(3, m - 1, 2) if m % 2 else range(2, m)
-        inner = sum(
-            comb(m - 3, i - 2) * counts[i - 2] * counts[m - i - 1] for i in splits
-        )
+        if m > 3:
+            row = [1, *map(int.__add__, row, row[1:]), 1]
+        middle = (m + 1) // 2
+        splits = range(3, middle + 1, 2) if m % 2 else range(2, middle + 1)
+        terms = [row[i - 2] * counts[i - 2] * counts[m - i - 1] for i in splits]
+        inner = 2 * sum(terms)
+        if m % 4 == 1:  # the middle split (m + 1) / 2 is odd: count it once
+            inner -= terms[-1]
         counts.append(2 * (m - 1) * counts[m - 2] + (m - 1) * (m - 2) * inner)
     return counts[n]
 
@@ -406,26 +415,26 @@ def _filtered_permutations(
 
 
 def weakly_alternating_permutations(
-    n: int, *, cap: int = DEFAULT_BRUTE_CAP, force: bool = False
+    n: int, *, cap: int = PERMUTATION_SCAN_CAP, force: bool = False
 ) -> list[tuple[int, ...]]:
     if n < 1:
         raise ValueError("n must be positive")
-    check_brute_cap(n, cap, force, "weak-alternation enumeration")
+    check_cap(n, cap, force, "weak-alternation enumeration")
     return _filtered_permutations(n, is_weakly_alternating)
 
 
 def count_weakly_alternating(
-    n: int, *, cap: int = DEFAULT_BRUTE_CAP, force: bool = False
+    n: int, *, cap: int = PERMUTATION_SCAN_CAP, force: bool = False
 ) -> int:
     """Count weakly alternating orders by explicit enumeration."""
     return len(weakly_alternating_permutations(n, cap=cap, force=force))
 
 
 def count_no_even_local_maxima(
-    n: int, *, cap: int = DEFAULT_BRUTE_CAP, force: bool = False
+    n: int, *, cap: int = PERMUTATION_SCAN_CAP, force: bool = False
 ) -> int:
     """Count orders with no strict local maximum in any even position."""
     if n < 1:
         raise ValueError("n must be positive")
-    check_brute_cap(n, cap, force, "local-maxima enumeration")
+    check_cap(n, cap, force, "local-maxima enumeration")
     return len(_filtered_permutations(n, has_no_even_local_maxima))

@@ -1,199 +1,110 @@
-"""Truncated power series over exact rationals, and the counting EGFs.
+"""Counting EGFs for the extremal orders on the path, in integer arithmetic.
 
-A series is a plain coefficient vector (index k holds the x^k
-coefficient) with all arithmetic cut off at a fixed order.  On top of the
-generic engine sit the exponential generating functions for the extremal
-counts on the path:
+Every exponential generating function here is held as its sequence of
+n!-scaled coefficients, so a count is read off directly and all
+arithmetic stays in integers.  With D(x) = cosh(x) - x sinh(x):
 
 * odd_configuration_counts_egf: the number of orders whose final set is
-  exactly the odd vertices, with odd part sinh(x) / (cosh(x) - x sinh(x))
-  and even part 1 / (cosh(x) - x sinh(x));
+  exactly the odd vertices, with odd part sinh(x) / D(x) and even part
+  1 / D(x);
 * worst_case_counts_egf: the number of worst-case orders, whose EGF is
   the odd part above plus the square of the even part.
 
-Counts are recovered as n! times a coefficient; extraction asserts that
-each scaled coefficient is a nonnegative integer, and worst-case
-coefficients must additionally lie in [0, 1] since n! of them counts a
+Scaled by k!, D has coefficient 1 - k at even k and 0 at odd k, and sinh
+has 1 at odd k.  The product of two EGFs is the binomial convolution of
+their sequences, c_k = sum_j C(k, j) a_j b_(k-j), and the reciprocal of
+one with constant term 1 follows from e_k = -sum_(j>=1) C(k, j) a_j e_(k-j);
+zero coefficients are skipped, so the odd/even structure halves the work.
+The counts are checked on the way out: an odd-configuration count must be
+nonnegative, and a worst-case count must lie in [0, n!] since it counts a
 subset of all n! orders.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Union
+from typing import Iterator, Sequence
 
-from .errors import ConsistencyError
+from .errors import EXACT_COUNT_CAP, ConsistencyError, check_cap
 
 DEFAULT_ORDER = 64
 
-Scalar = Union[int, Fraction]
+
+def _binomial_rows(count: int) -> Iterator[list[int]]:
+    """Rows 0 .. count-1 of Pascal's triangle, each built from the last."""
+    row = [1]
+    for _ in range(count):
+        yield row
+        row = [1, *map(int.__add__, row, row[1:]), 1]
 
 
-class PowerSeries:
-    """Power series truncated at a fixed order, with Fraction coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coefficients: Iterable[Scalar], order: int | None = None):
-        coeffs = [Fraction(c) for c in coefficients]
-        if order is not None:
-            if order < 0:
-                raise ValueError("order must be nonnegative")
-            del coeffs[order + 1 :]
-            coeffs.extend([Fraction(0)] * (order + 1 - len(coeffs)))
-        if not coeffs:
-            raise ValueError("a series needs at least its constant coefficient")
-        self.coeffs = tuple(coeffs)
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, k: int) -> Fraction:
-        if not 0 <= k <= self.order:
-            raise IndexError(f"coefficient index {k} beyond order {self.order}")
-        return self.coeffs[k]
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PowerSeries) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        head = ", ".join(str(c) for c in self.coeffs[:5])
-        tail = ", ..." if self.order >= 5 else ""
-        return f"PowerSeries([{head}{tail}], order={self.order})"
-
-    def __add__(self, other: PowerSeries) -> PowerSeries:
-        a, b = _align(self, other)
-        return PowerSeries([x + y for x, y in zip(a.coeffs, b.coeffs)])
-
-    def __sub__(self, other: PowerSeries) -> PowerSeries:
-        a, b = _align(self, other)
-        return PowerSeries([x - y for x, y in zip(a.coeffs, b.coeffs)])
-
-    def __neg__(self) -> PowerSeries:
-        return PowerSeries([-c for c in self.coeffs])
-
-    def __mul__(self, other: PowerSeries | Scalar) -> PowerSeries:
-        if isinstance(other, (int, Fraction)):
-            return PowerSeries([c * other for c in self.coeffs])
-        a, b = _align(self, other)
-        top = a.order
-        out = [Fraction(0)] * (top + 1)
-        for i, ci in enumerate(a.coeffs):
-            if not ci:
-                continue
-            for j in range(top + 1 - i):
-                cj = b.coeffs[j]
-                if cj:
-                    out[i + j] += ci * cj
-        return PowerSeries(out)
-
-    __rmul__ = __mul__
-
-    def reciprocal(self) -> PowerSeries:
-        """Multiplicative inverse up to the truncation order."""
-        a = self.coeffs
-        if a[0] == 0:
-            raise ZeroDivisionError(
-                "series with zero constant term has no reciprocal"
-            )
-        out = [Fraction(0)] * len(a)
-        out[0] = Fraction(1) / a[0]
-        for k in range(1, len(a)):
-            acc = Fraction(0)
-            for j in range(1, k + 1):
-                if a[j]:
-                    acc += a[j] * out[k - j]
-            out[k] = -acc * out[0]
-        return PowerSeries(out)
-
-    def shifted(self, places: int = 1) -> PowerSeries:
-        """Multiply by x^places, keeping the same order."""
-        if places < 0:
-            raise ValueError("shift must be nonnegative")
-        return PowerSeries([0] * places + list(self.coeffs), order=self.order)
-
-    def truncated(self, order: int) -> PowerSeries:
-        return PowerSeries(self.coeffs, order=order)
+def _egf_product(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Scaled coefficients of A(x) B(x), up to the shorter of the two orders."""
+    return [
+        sum(c * x * y for c, x, y in zip(row, a, b[k::-1]) if x and y)
+        for k, row in enumerate(_binomial_rows(min(len(a), len(b))))
+    ]
 
 
-def _align(a: PowerSeries, b: PowerSeries) -> tuple[PowerSeries, PowerSeries]:
-    order = min(a.order, b.order)
-    if a.order != order:
-        a = a.truncated(order)
-    if b.order != order:
-        b = b.truncated(order)
-    return a, b
+def _egf_reciprocal(a: Sequence[int]) -> list[int]:
+    """Scaled coefficients of 1 / A(x), to the same order.
 
-
-def cosh_series(order: int) -> PowerSeries:
-    """sum x^(2k) / (2k)! truncated at the given order."""
-    return PowerSeries(
-        [Fraction(1, math.factorial(k)) if k % 2 == 0 else 0 for k in range(order + 1)]
-    )
-
-
-def sinh_series(order: int) -> PowerSeries:
-    """sum x^(2k+1) / (2k+1)! truncated at the given order."""
-    return PowerSeries(
-        [Fraction(1, math.factorial(k)) if k % 2 else 0 for k in range(order + 1)]
-    )
-
-
-@lru_cache(maxsize=None)
-def _egf_pieces(order: int) -> tuple[PowerSeries, PowerSeries]:
-    """Odd and even EGF parts: sinh/(cosh - x sinh) and 1/(cosh - x sinh)."""
-    sinh = sinh_series(order)
-    denominator = cosh_series(order) - sinh.shifted()
-    even_part = denominator.reciprocal()
-    return sinh * even_part, even_part
-
-
-def _extract_counts(series: PowerSeries, what: str) -> tuple[int, ...]:
-    counts = []
-    factorial = 1
-    for k, coeff in enumerate(series.coeffs):
-        if k:
-            factorial *= k
-        scaled = coeff * factorial
-        if scaled.denominator != 1 or scaled < 0:
-            raise ConsistencyError(
-                f"{what}: {k}! * [x^{k}] = {scaled} is not a nonnegative integer"
-            )
-        counts.append(int(scaled))
-    return tuple(counts)
-
-
-@lru_cache(maxsize=None)
-def odd_configuration_counts_egf(order: int) -> tuple[int, ...]:
-    """Counts of orders selecting exactly the odd vertices, for n = 0..order.
-
-    Odd n comes from the odd EGF part, even n from the even part; the
-    parts are genuinely odd/even series, so their sum separates cleanly.
+    The result is integral exactly when the constant term is 1 or -1,
+    which is its own inverse.
     """
-    odd_part, even_part = _egf_pieces(order)
-    return _extract_counts(odd_part + even_part, "odd-configuration EGF")
+    if a[0] not in (1, -1):
+        raise ValueError("an integer reciprocal needs a constant term of 1 or -1")
+    out: list[int] = []
+    for k, row in enumerate(_binomial_rows(len(a))):
+        acc = sum(c * x * y for c, x, y in zip(row[1:], a[1:], out[::-1]) if x and y)
+        out.append(a[0] * ((k == 0) - acc))
+    return out
+
+
+def _check_counts(odd_config: Sequence[int], worst: Sequence[int]) -> None:
+    factorial = 1
+    for n, (odd_count, worst_count) in enumerate(zip(odd_config, worst)):
+        if n:
+            factorial *= n
+        if odd_count < 0:
+            raise ConsistencyError(f"odd-configuration EGF: count at n={n} is negative")
+        if not 0 <= worst_count <= factorial:
+            raise ConsistencyError(
+                f"worst-case EGF: count at n={n} lies outside [0, n!]"
+            )
 
 
 @lru_cache(maxsize=None)
-def worst_case_counts_egf(order: int) -> tuple[int, ...]:
+def _egf_counts(order: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Odd-configuration and worst-case counts for n = 0..order."""
+    denominator = [0 if k % 2 else 1 - k for k in range(order + 1)]
+    sinh = [k % 2 for k in range(order + 1)]
+    even_part = _egf_reciprocal(denominator)
+    odd_part = _egf_product(sinh, even_part)
+    # The parts are genuinely odd/even sequences, so their sum separates.
+    odd_config = [o + e for o, e in zip(odd_part, even_part)]
+    worst = [o + s for o, s in zip(odd_part, _egf_product(even_part, even_part))]
+    _check_counts(odd_config, worst)
+    return tuple(odd_config), tuple(worst)
+
+
+def _check_order(order: int, force: bool) -> None:
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    check_cap(order, EXACT_COUNT_CAP, force, "EGF count table")
+
+
+def odd_configuration_counts_egf(order: int, *, force: bool = False) -> tuple[int, ...]:
+    """Counts of orders selecting exactly the odd vertices, for n = 0..order."""
+    _check_order(order, force)
+    return _egf_counts(order)[0]
+
+
+def worst_case_counts_egf(order: int, *, force: bool = False) -> tuple[int, ...]:
     """Worst-case order counts for n = 0..order, from the combined EGF."""
-    odd_part, even_part = _egf_pieces(order)
-    combined = odd_part + even_part * even_part
-    factorial = 1
-    for k, coeff in enumerate(combined.coeffs):
-        if k:
-            factorial *= k
-        if not 0 <= coeff <= 1:
-            raise ConsistencyError(
-                f"worst-case EGF: [x^{k}] = {coeff} is not a probability"
-            )
-    return _extract_counts(combined, "worst-case EGF")
+    _check_order(order, force)
+    return _egf_counts(order)[1]
 
 
 def convolution_identity_holds(n: int, order: int | None = None) -> bool:

@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
+from pathdom import expectation, extremal, series
 from pathdom.cli import main
+from pathdom.errors import EXACT_COUNT_CAP, EXACT_PATH_CAP
 
 
 def run(capsys, *argv):
@@ -164,6 +166,42 @@ class TestSeries:
         assert rows[1] == "0,1,1"
         assert rows[4] == "3,4,4"
         assert rows[8] == "7,1632,1632"
+
+
+EXACT_ROUTES = [
+    (series, "EXACT_COUNT_CAP", ["series", "--order", "{n}"]),
+    (extremal, "EXACT_COUNT_CAP",
+     ["extremal", "--n", "{n}", "--bound", "worst", "--method", "recurrence"]),
+    (series, "EXACT_COUNT_CAP",
+     ["extremal", "--n", "{n}", "--bound", "worst", "--method", "egf"]),
+    (expectation, "EXACT_PATH_CAP", ["expect", "--family", "path", "--n", "{n}"]),
+    (expectation, "EXACT_PATH_CAP",
+     ["expect", "--family", "path", "--n", "{n}", "--method", "closed-form"]),
+]
+
+
+class TestExactCaps:
+    @pytest.mark.parametrize("module,cap_name,argv", EXACT_ROUTES)
+    def test_refusal_above_the_cap(self, capsys, module, cap_name, argv):
+        cap = {"EXACT_COUNT_CAP": EXACT_COUNT_CAP, "EXACT_PATH_CAP": EXACT_PATH_CAP}
+        assert getattr(module, cap_name) == cap[cap_name]
+        args = [a.format(n=cap[cap_name] + 1) for a in argv]
+        code, out, err = run(capsys, *args)
+        assert code == 3
+        assert out == ""
+        assert "--force" in err
+
+    @pytest.mark.parametrize("module,cap_name,argv", EXACT_ROUTES)
+    def test_force_runs_past_the_cap(self, capsys, monkeypatch, module, cap_name, argv):
+        args = [a.format(n=9) for a in argv]
+        _, expected, _ = run(capsys, *args)
+        monkeypatch.setattr(module, cap_name, 8)
+        code, out, _ = run(capsys, *args)
+        assert code == 3
+        assert out == ""
+        code, out, _ = run(capsys, *args, "--force")
+        assert code == 0
+        assert out == expected
 
 
 class TestSimulate:

@@ -9,6 +9,8 @@ small values below were computed by exhaustive simulation.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathdom import (
     bruteforce_expected_gamma,
@@ -28,7 +30,7 @@ from pathdom import (
     star,
     wheel,
 )
-from pathdom.errors import ResourceLimitError
+from pathdom.errors import EXACT_PATH_CAP, ResourceLimitError
 
 
 class TestPathRecurrence:
@@ -74,6 +76,11 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("n", list(range(1, 30)) + [64, 100])
     def test_equals_recurrence(self, n):
+        assert expected_gamma_path_closed_form(n) == expected_gamma_path(n)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(min_value=1, max_value=3000))
+    def test_equals_recurrence_at_random_n(self, n):
         assert expected_gamma_path_closed_form(n) == expected_gamma_path(n)
 
     def test_float_track_agrees(self):
@@ -177,6 +184,19 @@ class TestFamilies:
     def test_bruteforce_cap(self):
         with pytest.raises(ResourceLimitError):
             bruteforce_expected_gamma(path(12))
+
+    @pytest.mark.parametrize(
+        "route", [expected_gamma_path, expected_gamma_path_closed_form]
+    )
+    def test_path_size_cap(self, route):
+        with pytest.raises(ResourceLimitError, match="force"):
+            route(EXACT_PATH_CAP + 1)
+
+    def test_cycle_and_wheel_inherit_the_path_cap(self):
+        with pytest.raises(ResourceLimitError):
+            expected_gamma_cycle(EXACT_PATH_CAP + 4)
+        with pytest.raises(ResourceLimitError):
+            expected_gamma_wheel(EXACT_PATH_CAP + 4)
 
 
 class TestCaroWei:

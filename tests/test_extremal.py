@@ -39,7 +39,8 @@ from pathdom import (
     weakly_alternating_permutations,
     worst_case_count_recurrence,
 )
-from pathdom.errors import ResourceLimitError
+from pathdom.errors import EXACT_COUNT_CAP, ResourceLimitError
+from pathdom.extremal import PERMUTATION_SCAN_CAP
 from pathdom.verification import BEST_CASE_COUNTS, WORST_CASE_COUNTS
 
 
@@ -157,6 +158,22 @@ class TestRecurrence:
             sys.setrecursionlimit(limit)
         assert 0 < value < math.factorial(300)
 
+    def test_half_sum_matches_the_full_split_sum(self):
+        # Every split point summed, without pairing i with m + 1 - i.
+        counts = [1, 1]
+        for m in range(2, 60):
+            splits = range(3, m - 1, 2) if m % 2 else range(2, m)
+            inner = sum(
+                math.comb(m - 3, i - 2) * counts[i - 2] * counts[m - i - 1]
+                for i in splits
+            )
+            counts.append(2 * (m - 1) * counts[m - 2] + (m - 1) * (m - 2) * inner)
+        assert [worst_case_count_recurrence(n) for n in range(60)] == counts
+
+    def test_cap(self):
+        with pytest.raises(ResourceLimitError, match="force"):
+            worst_case_count_recurrence(EXACT_COUNT_CAP + 1)
+
 
 class TestBestCaseFormula:
     @pytest.mark.parametrize(
@@ -206,6 +223,21 @@ class TestPermutationPredicates:
     @pytest.mark.parametrize("n,count", [(3, 4), (5, 56)])
     def test_no_even_maxima_counts(self, n, count):
         assert count_no_even_local_maxima(n) == count
+
+    @pytest.mark.parametrize(
+        "scan", [weakly_alternating_permutations, count_weakly_alternating,
+                 count_no_even_local_maxima]
+    )
+    def test_scans_have_their_own_cap(self, scan):
+        assert PERMUTATION_SCAN_CAP == 10
+        with pytest.raises(ResourceLimitError, match="force"):
+            scan(11)
+
+    def test_forced_scan_runs_past_its_cap(self):
+        assert count_weakly_alternating(5, cap=4, force=True) == 56
+        assert count_no_even_local_maxima(5, cap=4, force=True) == 56
+        with pytest.raises(ResourceLimitError):
+            count_no_even_local_maxima(5, cap=4)
 
     def test_inverse_and_complement(self):
         assert inverse((2, 3, 1)) == (3, 1, 2)

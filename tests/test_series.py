@@ -1,98 +1,104 @@
-"""Truncated-series engine and EGF count checks."""
+"""Integer EGF sequences and count checks."""
 
+import math
 import random
-from fractions import Fraction
 
 import pytest
 
 from pathdom import (
-    PowerSeries,
     convolution_identity_holds,
-    cosh_series,
     odd_configuration_counts_egf,
     path_census,
-    sinh_series,
     worst_case_counts_egf,
     worst_case_count_recurrence,
 )
-from pathdom.errors import ConsistencyError
-from pathdom.series import _extract_counts
+from pathdom.errors import EXACT_COUNT_CAP, ConsistencyError, ResourceLimitError
+from pathdom.series import _check_counts, _egf_product, _egf_reciprocal
 from pathdom.verification import WORST_CASE_COUNTS
+
+# n!-scaled coefficients of sinh and cosh up to x^8.
+SINH = [k % 2 for k in range(9)]
+COSH = [1 - k % 2 for k in range(9)]
 
 
 class TestArithmetic:
     def test_mul(self):
-        one_plus = PowerSeries([1, 1], order=2)
-        one_minus = PowerSeries([1, -1], order=2)
-        assert one_plus * one_minus == PowerSeries([1, 0, -1])
-
-    def test_add(self):
-        assert PowerSeries([0, 1], order=2) + PowerSeries([0, 0, 1]) == PowerSeries(
-            [0, 1, 1]
-        )
-
-    def test_scalar_and_neg(self):
-        s = PowerSeries([1, 2], order=1)
-        assert 3 * s == PowerSeries([3, 6])
-        assert -s == PowerSeries([-1, -2])
+        # (1 + x)(1 - x) = 1 - x^2, and 2! * (-1) = -2
+        assert _egf_product([1, 1, 0], [1, -1, 0]) == [1, 0, -2]
 
     def test_mixed_orders_truncate_to_min(self):
-        a = PowerSeries([1, 1, 1, 1])
-        b = PowerSeries([1, 1])
-        assert (a * b).order == 1
+        assert len(_egf_product([1, 1, 1, 1], [1, 1])) == 2
 
     def test_sinh_squared_coefficient(self):
-        sinh = sinh_series(4)
-        assert (sinh * sinh)[2] == 1
+        # sinh(x)^2 = x^2 + ..., scaled by 2!
+        assert _egf_product(SINH, SINH)[2] == 2
 
-    def test_getitem_bounds(self):
-        with pytest.raises(IndexError):
-            PowerSeries([1, 2])[5]
+    def test_exponentials_multiply(self):
+        # e^x * e^x = e^(2x): the binomial convolution gives 2^k
+        assert _egf_product([1] * 9, [1] * 9) == [2**k for k in range(9)]
 
 
 class TestReciprocal:
     def test_geometric_series(self):
-        geom = PowerSeries([1, -1], order=6).reciprocal()
-        assert geom == PowerSeries([1] * 7)
+        # 1 / (1 - x) = sum x^k, so its n!-scaled coefficients are k!
+        geom = _egf_reciprocal([1, -1, 0, 0, 0, 0, 0])
+        assert geom == [math.factorial(k) for k in range(7)]
 
     def test_denominator_second_coefficient(self):
-        order = 6
-        denominator = cosh_series(order) - sinh_series(order).shifted()
-        assert denominator[2] == Fraction(-1, 2)
-        assert denominator[4] == Fraction(-1, 8)
-        assert denominator.reciprocal()[2] == Fraction(1, 2)
+        # cosh(x) - x sinh(x), scaled: multiplying by x sends a_(k-1) to k a_(k-1)
+        denominator = [COSH[k] - k * SINH[k - 1] if k else COSH[0] for k in range(9)]
+        assert denominator == [0 if k % 2 else 1 - k for k in range(9)]
+        assert denominator[2] == -1  # 2! * (-1/2)
+        assert denominator[4] == -3  # 4! * (-1/8)
+        assert _egf_reciprocal(denominator)[2] == 1  # 2! * (1/2)
 
     def test_involution(self):
-        s = PowerSeries([1, 1, Fraction(1, 2)], order=8)
-        assert s.reciprocal().reciprocal() == s
+        s = [1, 1, 1, 3, -2, 0, 5, 7, 1]
+        assert _egf_reciprocal(_egf_reciprocal(s)) == s
 
     def test_zero_constant_term_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            PowerSeries([0, 1, 2]).reciprocal()
+        with pytest.raises(ValueError):
+            _egf_reciprocal([0, 1, 2])
+
+    def test_non_unit_constant_term_rejected(self):
+        with pytest.raises(ValueError):
+            _egf_reciprocal([2, 1, 2])
 
     def test_random_series_invert_to_one(self):
         rng = random.Random(20240907)
-        one = PowerSeries([1], order=12)
+        one = [1] + [0] * 12
         for _ in range(20):
-            coeffs = [Fraction(rng.randint(1, 9))] + [
-                Fraction(rng.randint(-8, 8), rng.randint(1, 6)) for _ in range(12)
-            ]
-            s = PowerSeries(coeffs)
-            assert s * s.reciprocal() == one
+            s = [rng.choice((1, -1))] + [rng.randint(-9, 9) for _ in range(12)]
+            assert _egf_product(s, _egf_reciprocal(s)) == one
 
 
-class TestHyperbolicSeries:
-    def test_cosh_coefficients(self):
-        cosh = cosh_series(6)
-        assert cosh[0] == 1
-        assert cosh[1] == 0
-        assert cosh[4] == Fraction(1, 24)
+class TestIntegerRecurrences:
+    """The EGF sequences written out as the recurrences they solve."""
 
-    def test_sinh_coefficients(self):
-        sinh = sinh_series(6)
-        assert sinh[0] == 0
-        assert sinh[1] == 1
-        assert sinh[3] == Fraction(1, 6)
+    ORDER = 40
+
+    def test_even_part_recurrence(self):
+        # e_0 = 1, e_k = sum over even j >= 2 of C(k, j) (j - 1) e_(k-j), 0 at odd k
+        even = [1]
+        for k in range(1, self.ORDER + 1):
+            even.append(
+                sum(math.comb(k, j) * (j - 1) * even[k - j] for j in range(2, k + 1, 2))
+            )
+        odd_config = odd_configuration_counts_egf(self.ORDER)
+        for k in range(0, self.ORDER + 1, 2):
+            assert odd_config[k] == even[k]
+        assert all(even[k] == 0 for k in range(1, self.ORDER + 1, 2))
+
+    def test_odd_part_and_square(self):
+        odd_config = odd_configuration_counts_egf(self.ORDER)
+        even = [c if k % 2 == 0 else 0 for k, c in enumerate(odd_config)]
+        worst = worst_case_counts_egf(self.ORDER)
+        for k in range(self.ORDER + 1):
+            odd = sum(math.comb(k, j) * even[k - j] for j in range(1, k + 1, 2))
+            square = sum(math.comb(k, j) * even[j] * even[k - j] for j in range(k + 1))
+            assert odd == (odd_config[k] if k % 2 else 0)
+            assert worst[k] == odd + square
+            assert square == 0 or k % 2 == 0
 
 
 class TestCounts:
@@ -124,11 +130,33 @@ class TestCounts:
         for n in range(61):
             assert counts[n] == worst_case_count_recurrence(n)
 
-    def test_integrality_guard_fires(self):
-        with pytest.raises(ConsistencyError):
-            _extract_counts(PowerSeries([Fraction(1, 3)], order=2), "doctored")
-        with pytest.raises(ConsistencyError):
-            _extract_counts(PowerSeries([-1], order=1), "doctored")
+    def test_matches_recurrence_through_order_200(self):
+        counts = worst_case_counts_egf(200)
+        assert list(counts) == [worst_case_count_recurrence(n) for n in range(201)]
+
+    def test_guard_accepts_the_real_counts(self):
+        _check_counts(odd_configuration_counts_egf(12), worst_case_counts_egf(12))
+
+    def test_negative_count_guard_fires(self):
+        with pytest.raises(ConsistencyError, match="n=2"):
+            _check_counts([1, 1, -1], [1, 1, 1])
+
+    def test_worst_count_above_factorial_guard_fires(self):
+        # 3 orders of length 2 cannot exist: there are only 2! = 2
+        with pytest.raises(ConsistencyError, match="n=2"):
+            _check_counts([1, 1, 1], [1, 1, 3])
+        with pytest.raises(ConsistencyError, match="n=1"):
+            _check_counts([1, 1, 1], [1, -1, 1])
+
+    def test_order_cap(self):
+        with pytest.raises(ResourceLimitError, match="force"):
+            worst_case_counts_egf(EXACT_COUNT_CAP + 1)
+        with pytest.raises(ResourceLimitError, match="force"):
+            odd_configuration_counts_egf(EXACT_COUNT_CAP + 1)
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError):
+            worst_case_counts_egf(-1)
 
 
 class TestConvolution:
