@@ -493,6 +493,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except Exception as exc:  # last resort: no traceback leaves the CLI
+        print(f"error: unexpected {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     finally:
         if digit_limit is not None:
             sys.set_int_max_str_digits(digit_limit)

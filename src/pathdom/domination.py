@@ -10,18 +10,20 @@ The rule lives here in three forms: the scalar simulator
 run_online_domination, the reference the tests hold the others to; the
 exhaustive engine (final_set_counts, orders_with_size), which covers all
 n! orders by merging reveal prefixes; and the vectorized path evaluator
-gamma_batch_path.
+gamma_batch_path, which takes reveal times.
 """
 
 from __future__ import annotations
 
+import numbers
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .graphs import Graph
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -55,7 +57,7 @@ def check_permutation(perm: Sequence[int], n: int | None = None) -> None:
         raise ValueError("a permutation must have length at least 1")
     seen = bytearray(m + 1)
     for v in perm:
-        if not isinstance(v, (int, np.integer)) or not 1 <= v <= m or seen[v]:
+        if not isinstance(v, numbers.Integral) or not 1 <= v <= m or seen[v]:
             raise ValueError(f"not a permutation of 1..{m}: {tuple(perm)}")
         seen[v] = 1
 
@@ -97,28 +99,32 @@ def is_independent_dominating(graph: Graph, vertex_set: Iterable[int]) -> bool:
     return True
 
 
-def gamma_batch_path(n: int, perms: np.ndarray) -> np.ndarray:
+def gamma_batch_path(n: int, times: np.ndarray) -> np.ndarray:
     """Vectorized gamma over many revelation orders of the n-vertex path.
 
-    perms must be an integer array of shape (k, n) whose rows are
-    permutations of 1..n (not re-validated here).  Returns the k
-    dominating-set sizes; row i matches gamma(path(n), perms[i]).
+    Row i of times, shape (k, n), reveals vertex v at time times[i, v-1]:
+    reveal times, not orders, so the inverse of an order or any keys with
+    no tie between neighbours (not re-validated here).  Returns the k sizes;
+    row i matches gamma(path(n), order) for the order sorting its times.
+
+    A neighbour revealed earlier is settled by its far side alone, so a
+    scan from each end gives every vertex's status against that side, and
+    the vertex is chosen when both sides allow it.
     """
-    perms = np.asarray(perms, dtype=np.int64)
-    if perms.ndim != 2 or perms.shape[1] != n:
-        raise ValueError(f"expected shape (k, {n}), got {perms.shape}")
-    k = perms.shape[0]
-    # Row-major masks with one sentinel column on each side, so v-1 and v+1
-    # never need boundary checks.
-    mask = np.zeros(k * (n + 2), dtype=bool)
-    row_offset = np.arange(k, dtype=np.int64) * (n + 2)
-    sizes = np.zeros(k, dtype=np.int64)
-    for i in range(n):
-        pos = row_offset + perms[:, i]
-        fresh = ~(mask[pos - 1] | mask[pos + 1])
-        mask[pos[fresh]] = True
-        sizes += fresh
-    return sizes
+    import numpy as np
+
+    times = np.asarray(times)
+    if times.ndim != 2 or times.shape[1] != n:
+        raise ValueError(f"expected shape (k, {n}), got {times.shape}")
+    t = np.ascontiguousarray(times.T)  # vertex-major: one row per vertex
+    later = t[1:] > t[:-1]  # later[v]: row v+1 is revealed after row v
+    left = np.ones(t.shape, dtype=bool)
+    for v in range(1, n):
+        left[v] = ~(later[v - 1] & left[v - 1])
+    right = np.ones(t.shape, dtype=bool)
+    for v in range(n - 2, -1, -1):
+        right[v] = ~(~later[v] & right[v + 1])
+    return np.count_nonzero(left & right, axis=0)
 
 
 # ---------------------------------------------------------------------------

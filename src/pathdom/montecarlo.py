@@ -6,8 +6,10 @@ histograms are merged by plain addition.  The chunk layout depends only
 on (samples), never on the worker count, so a run is a pure function of
 (n, samples, seed) however the chunks are scheduled.
 
-Each sampled permutation is uniform over all n! orders: every row of the
-chunk is shuffled independently by Generator.permuted on the chunk stream.
+A sample is one i.i.d. uniform 64-bit key per vertex, its reveal time.  A
+tie between neighbours extends the column by fresh 64-bit words until it
+breaks, as comparing i.i.d. uniform reals bit by bit would, so the neighbour
+comparisons, which alone fix the size on the path, follow a uniform order.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ from __future__ import annotations
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import expectation
 from .domination import gamma_batch_path
@@ -82,14 +82,34 @@ class Histogram:
         }
 
 
+def _untie_neighbours(keys, rng):
+    """Break every tie between neighbours in keys of shape (n, samples), in place.
+
+    Each tied column draws the next 64 bits of each vertex's uniform real and
+    becomes the dense rank of its (key, word) pairs, until no tie remains.
+    """
+    import numpy as np
+
+    while True:
+        tied = np.flatnonzero((keys[1:] == keys[:-1]).any(axis=0))
+        if not tied.size:
+            return keys
+        block = keys[:, tied]
+        words = rng.integers(0, 2**64, size=block.shape, dtype=np.uint64)
+        pairs = np.stack([block.ravel(), words.ravel()], axis=1)
+        _, ranks = np.unique(pairs, axis=0, return_inverse=True)
+        keys[:, tied] = ranks.reshape(block.shape)
+
+
 def _chunk_histogram(args: tuple[int, int, int, int]) -> Counter:
+    import numpy as np
+
     n, seed, chunk_index, count = args
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,))
     )
-    rows = np.tile(np.arange(1, n + 1, dtype=np.int64), (count, 1))
-    perms = rng.permuted(rows, axis=1)
-    sizes = gamma_batch_path(n, perms)
+    keys = rng.integers(0, 2**64, size=(n, count), dtype=np.uint64)
+    sizes = gamma_batch_path(n, _untie_neighbours(keys, rng).T)
     values, counts = np.unique(sizes, return_counts=True)
     return Counter({int(v): int(c) for v, c in zip(values, counts)})
 

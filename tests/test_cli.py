@@ -1,11 +1,14 @@
 """CLI contract checks: exit codes, formats, round-trips."""
 
 import json
+import os
+import subprocess
 import sys
 
 import pytest
 
-from pathdom import expectation, extremal, series
+import pathdom
+from pathdom import cli, expectation, extremal, series
 from pathdom.cli import main
 from pathdom.errors import EXACT_COUNT_CAP, EXACT_PATH_CAP
 
@@ -296,3 +299,46 @@ class TestUsageErrors:
     def test_help_exits_zero(self, capsys):
         code, _, _ = run(capsys, "--help")
         assert code == 0
+
+
+class TestUnexpectedErrors:
+    def test_last_resort_handler(self, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli._HANDLERS, "series", broken)
+        code, out, err = run(capsys, "series", "--order", "5")
+        assert code == 1
+        assert out == ""
+        assert err == "error: unexpected RuntimeError: boom\n"
+
+    def test_keyboard_interrupt_propagates(self, monkeypatch):
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setitem(cli._HANDLERS, "series", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["series", "--order", "5"])
+
+
+def test_exact_commands_leave_numpy_unloaded():
+    # Only the sampler needs numpy; importing the package, --version, series,
+    # expect and extremal never load it.
+    src = os.path.dirname(os.path.dirname(pathdom.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    commands = [
+        ["--version"],
+        ["series", "--order", "6"],
+        ["expect", "--family", "path", "--n", "6"],
+        ["extremal", "--n", "6", "--bound", "worst", "--method", "all"],
+    ]
+    probe = (
+        "import sys, pathdom.cli as cli\n"
+        f"for argv in {commands!r}:\n"
+        "    assert cli.main(argv) == 0\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.splitlines()[-1] == "False"

@@ -123,7 +123,7 @@ class TestRunOnline:
         with pytest.raises(ValueError):
             run_online_domination(path(4), (1, 2, 3))
 
-    @pytest.mark.parametrize("bad", [(1, 1, 3), (0, 1, 2), (1, 2, 4), ()])
+    @pytest.mark.parametrize("bad", [(1, 1, 3), (0, 1, 2), (1, 2, 4), (), (1.0, 2.0)])
     def test_non_bijection_rejected(self, bad):
         with pytest.raises(ValueError):
             check_permutation(bad)
@@ -175,13 +175,23 @@ class TestIsIndependentDominating:
 
 
 class TestGammaBatch:
-    @pytest.mark.parametrize("n", [1, 2, 4, 6])
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_scalar_engine_exhaustively(self, n):
-        perms = np.array(list(itertools.permutations(range(1, n + 1))))
-        sizes = gamma_batch_path(n, perms)
+        orders = np.array(list(itertools.permutations(range(1, n + 1))))
+        sizes = gamma_batch_path(n, np.argsort(orders, axis=1))  # reveal times
         g = path(n)
-        for row, size in zip(perms, sizes):
-            assert size == gamma(g, tuple(int(v) for v in row))
+        for order, size in zip(orders, sizes):
+            assert size == gamma(g, tuple(order))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=40).flatmap(
+        lambda n: st.lists(st.permutations(range(1, n + 1)), min_size=1, max_size=8)
+    ))
+    def test_matches_scalar_engine_on_random_orders(self, orders):
+        n = len(orders[0])
+        times = np.argsort(np.array(orders), axis=1)
+        sizes = gamma_batch_path(n, times)
+        assert list(sizes) == [gamma(path(n), order) for order in orders]
 
     def test_shape_validated(self):
         with pytest.raises(ValueError):

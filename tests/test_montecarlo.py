@@ -1,7 +1,10 @@
 """Sampler checks: determinism, support, and agreement with exact counts."""
 
+import itertools
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from pathdom import (
@@ -12,6 +15,7 @@ from pathdom import (
     sample_gamma,
 )
 from pathdom.errors import ResourceLimitError
+from pathdom.montecarlo import _untie_neighbours
 
 
 def test_two_path_is_degenerate():
@@ -61,6 +65,36 @@ def test_frequencies_match_exact_distribution(n):
         se = math.sqrt(p * (1 - p) / hist.total)
         emp = hist.bins.get(size, 0) / hist.total
         assert abs(emp - p) <= 5 * se
+
+
+def _up_down_law(n):
+    """Exact law of (vertex v+1 revealed after vertex v, for each v) over all n! orders."""
+    patterns = Counter(
+        tuple(a < b for a, b in zip(times, times[1:]))
+        for times in itertools.permutations(range(n))
+    )
+    return {pattern: count / math.factorial(n) for pattern, count in patterns.items()}
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("alphabet", [1, 2])
+def test_untie_neighbours_is_exact(n, alphabet):
+    # Keys from {0} or {0, 1} tie often, so nearly every column is extended.
+    samples = 20_000
+    rng = np.random.default_rng(2024)
+    keys = rng.integers(0, alphabet, size=(n, samples), dtype=np.uint64)
+    untied = _untie_neighbours(keys.copy(), rng)
+    strict = keys[1:] != keys[:-1]
+    assert np.array_equal(
+        (untied[1:] > untied[:-1])[strict], (keys[1:] > keys[:-1])[strict]
+    )
+    assert (untied[1:] != untied[:-1]).all()
+    seen = Counter(map(tuple, (untied[1:] > untied[:-1]).T.tolist()))
+    law = _up_down_law(n)
+    assert set(seen) <= set(law)
+    for pattern, p in law.items():
+        se = math.sqrt(p * (1 - p) / samples)
+        assert abs(seen[pattern] / samples - p) <= 5 * se
 
 
 class TestNormalize:
