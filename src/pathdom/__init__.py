@@ -41,8 +41,6 @@ from .extremal import (
     complement,
     count_extremal_bruteforce,
     count_no_even_local_maxima,
-    count_odd_configuration_bruteforce,
-    count_weakly_alternating,
     extremal_permutations,
     has_no_even_local_maxima,
     independent_dominating_sets_bruteforce,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -26,13 +25,6 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_VERIFY_FAILED = 2
 EXIT_RESOURCE = 3
-
-
-def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("PATHDOM_WORKERS", "1")))
-    except ValueError:
-        return 1
 
 
 def _rational(value: Fraction) -> str:
@@ -149,7 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit the degree-based lower bound for the graph instead",
     )
     p.add_argument("--float", dest="as_float", action="store_true")
-    p.add_argument("--cap", type=int, default=extremal.DEFAULT_BRUTE_CAP)
     p.add_argument(
         "--force", action="store_true", help="override the brute and path-size caps"
     )
@@ -164,7 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--witnesses", type=int, default=0, metavar="K",
                    help="include up to K witness orders (brute only)")
-    p.add_argument("--cap", type=int, default=extremal.DEFAULT_BRUTE_CAP)
     p.add_argument(
         "--force", action="store_true", help="override the brute and count caps"
     )
@@ -177,13 +167,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument(
         "--normalization",
         choices=montecarlo.NORMALIZATION_MODES,
         default="none",
     )
-    p.add_argument("--budget", type=int, default=montecarlo.DEFAULT_BUDGET)
+    p.add_argument(
+        "--force", action="store_true", help="override the sampling budget"
+    )
     p.add_argument(
         "--plot-data",
         action="store_true",
@@ -230,9 +222,7 @@ def _expect_value(args: argparse.Namespace) -> tuple[str, Fraction]:
         return "caro_wei", expectation.caro_wei_bound(_graph_from_args(args))
     if args.method == "brute":
         graph = _graph_from_args(args)
-        return "brute", expectation.bruteforce_expected_gamma(
-            graph, cap=args.cap, force=args.force
-        )
+        return "brute", expectation.bruteforce_expected_gamma(graph, force=args.force)
     family = args.family
     if family == "path":
         if args.n is None:
@@ -289,7 +279,7 @@ def _cmd_expect(args: argparse.Namespace) -> int:
 
 
 def _extremal_reports(args: argparse.Namespace) -> list[extremal.ExtremalReport]:
-    n, kind = args.n, args.bound
+    n, kind, force = args.n, args.bound, args.force
     if args.witnesses < 0:
         raise ValueError("--witnesses must be nonnegative")
     size = (
@@ -297,53 +287,30 @@ def _extremal_reports(args: argparse.Namespace) -> list[extremal.ExtremalReport]
         if kind == "worst"
         else extremal.min_dominating_size(n)
     )
-    methods = (
-        ["brute", "recurrence", "egf"]
-        if kind == "worst"
-        else ["brute", "formula"]
-    ) if args.method == "all" else [args.method]
+    routes = {  # method -> (the bound it counts, a thunk giving its count)
+        "recurrence": (
+            "worst", lambda: extremal.worst_case_count_recurrence(n, force=force)
+        ),
+        "egf": ("worst", lambda: series.worst_case_counts_egf(n, force=force)[n]),
+        "formula": ("best", lambda: extremal.best_case_count_formula(n)),
+    }
+    if args.method == "all":
+        methods = ["brute", *(m for m, (bound, _) in routes.items() if bound == kind)]
+    else:
+        methods = [args.method]
     reports = []
     for method in methods:
         if method == "brute":
-            reports.append(
-                extremal.count_extremal_bruteforce(
-                    n,
-                    kind,
-                    cap=args.cap,
-                    force=args.force,
-                    witness_cap=args.witnesses,
-                )
-            )
-        elif method == "recurrence":
-            if kind != "worst":
-                raise ValueError("--method recurrence applies to --bound worst only")
-            reports.append(
-                extremal.ExtremalReport(
-                    n=n, bound_kind=kind, extremal_size=size,
-                    count=extremal.worst_case_count_recurrence(n, force=args.force),
-                    method="recurrence",
-                )
-            )
-        elif method == "egf":
-            if kind != "worst":
-                raise ValueError("--method egf applies to --bound worst only")
-            reports.append(
-                extremal.ExtremalReport(
-                    n=n, bound_kind=kind, extremal_size=size,
-                    count=series.worst_case_counts_egf(n, force=args.force)[n],
-                    method="egf",
-                )
-            )
-        else:
-            if kind != "best":
-                raise ValueError("--method formula applies to --bound best only")
-            reports.append(
-                extremal.ExtremalReport(
-                    n=n, bound_kind=kind, extremal_size=size,
-                    count=extremal.best_case_count_formula(n),
-                    method="formula",
-                )
-            )
+            reports.append(extremal.count_extremal_bruteforce(
+                n, kind, force=force, witness_cap=args.witnesses
+            ))
+            continue
+        bound, count = routes[method]
+        if bound != kind:
+            raise ValueError(f"--method {method} applies to --bound {bound} only")
+        reports.append(extremal.ExtremalReport(
+            n=n, bound_kind=kind, extremal_size=size, count=count(), method=method
+        ))
     return reports
 
 
@@ -397,12 +364,14 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
+    if args.normalization != "none" and not args.plot_data and args.format != "json":
+        raise ValueError("--normalization needs --plot-data or --format json")
     config = montecarlo.SampleConfig(
         n=args.n,
         samples=args.samples,
         seed=args.seed,
         workers=args.workers,
-        budget=args.budget,
+        force=args.force,
     )
     hist = montecarlo.sample_gamma(config)
     meta = hist.to_json_dict()

@@ -21,9 +21,14 @@ class ConsistencyError(RuntimeError):
     """Two internal computation routes disagree; always a bug, never an input error."""
 
 
-def check_cap(n: int, cap: int, force: bool, what: str) -> None:
-    if n > cap and not force:
+def check_cap(size: int, cap: int, force: bool, what: str, measure: str = "n") -> None:
+    """Refuse `what` when `size`, the value of `measure`, exceeds `cap`, unless forced.
+
+    Callers pass a module constant as `cap`, read when they are called, and
+    `force` is the one override.
+    """
+    if size > cap and not force:
         raise ResourceLimitError(
-            f"{what} at n={n} exceeds its cap of {cap}; "
+            f"{what} at {measure} = {size} exceeds its cap of {cap}; "
             f"pass force=True (CLI: --force) to run it anyway"
         )

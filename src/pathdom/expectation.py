@@ -145,15 +145,12 @@ def caro_wei_bound(graph: Graph) -> Fraction:
     )
 
 
-def bruteforce_expected_gamma(
-    graph: Graph, *, cap: int = DEFAULT_BRUTE_CAP, force: bool = False
-) -> Fraction:
+def bruteforce_expected_gamma(graph: Graph, *, force: bool = False) -> Fraction:
     """Average dominating-set size over all n! revelation orders, simulated.
 
     The independent oracle for every family formula above.
     """
-    n = graph.n
-    check_cap(n, cap, force, "exhaustive expectation")
+    check_cap(graph.n, DEFAULT_BRUTE_CAP, force, "exhaustive expectation")
     final_sets = final_set_counts(graph)
     total = sum(len(chosen) * count for chosen, count in final_sets.items())
-    return Fraction(total, math.factorial(n))
+    return Fraction(total, math.factorial(graph.n))

@@ -9,9 +9,9 @@ cross-checks the others.
 
 The exhaustive census covers all n! orders through the state-merging
 engine of the domination module and tallies everything the rest of the
-package needs from brute force: the full size distribution, the realized
-worst-case sets with multiplicities, and capped witness lists taken in
-lexicographic order.
+package needs from brute force: the full size distribution and the
+realized worst-case sets with multiplicities.  Witness orders, taken in
+lexicographic order, are walked only when a count asks for them.
 """
 
 from __future__ import annotations
@@ -76,16 +76,12 @@ def maximal_independent_dominating_sets(n: int) -> list[frozenset[int]]:
 
 
 def independent_dominating_sets_bruteforce(
-    n: int,
-    size: int | None = None,
-    *,
-    cap: int = SUBSET_SEARCH_CAP,
-    force: bool = False,
+    n: int, size: int | None = None, *, force: bool = False
 ) -> list[frozenset[int]]:
     """Exhaustive 2^n subset search for independent dominating sets of the n-path."""
     if n < 1:
         raise ValueError("n must be positive")
-    check_cap(n, cap, force, "exhaustive subset search")
+    check_cap(n, SUBSET_SEARCH_CAP, force, "exhaustive subset search")
     graph = path(n)
     found = []
     for bits in range(1, 1 << n):
@@ -119,8 +115,6 @@ class PathCensus:
     n: int
     size_counts: tuple[int, ...]  # index = dominating-set size
     worst_set_counts: dict[frozenset[int], int]  # realized worst-case sets
-    worst_witnesses: tuple[tuple[int, ...], ...]
-    best_witnesses: tuple[tuple[int, ...], ...]
 
     @property
     def total(self) -> int:
@@ -156,20 +150,13 @@ class PathCensus:
         return {size: c for size, c in enumerate(self.size_counts) if c}
 
 
-def path_census(
-    n: int,
-    *,
-    cap: int = DEFAULT_BRUTE_CAP,
-    force: bool = False,
-    witness_cap: int = DEFAULT_WITNESS_CAP,
-) -> PathCensus:
+def path_census(n: int, *, force: bool = False) -> PathCensus:
     """Simulate every one of the n! revelation orders of the n-path."""
     if n < 1:
         raise ValueError("n must be positive")
-    check_cap(n, cap, force, "exhaustive census")
-    graph = path(n)
-    final_sets = final_set_counts(graph)
-    worst, best = max_dominating_size(n), min_dominating_size(n)
+    check_cap(n, DEFAULT_BRUTE_CAP, force, "exhaustive census")
+    final_sets = final_set_counts(path(n))
+    worst = max_dominating_size(n)
     size_counts = [0] * (worst + 1)
     for vertex_set, count in final_sets.items():
         size_counts[len(vertex_set)] += count
@@ -181,8 +168,6 @@ def path_census(
             for vertex_set, count in final_sets.items()
             if len(vertex_set) == worst
         },
-        worst_witnesses=tuple(orders_with_size(graph, worst, witness_cap)),
-        best_witnesses=tuple(orders_with_size(graph, best, witness_cap)),
     )
 
 
@@ -214,34 +199,30 @@ def count_extremal_bruteforce(
     n: int,
     bound_kind: str,
     *,
-    cap: int = DEFAULT_BRUTE_CAP,
     force: bool = False,
     witness_cap: int = DEFAULT_WITNESS_CAP,
 ) -> ExtremalReport:
-    """Count extremal orders by running the procedure on every permutation."""
+    """Count extremal orders by running the procedure on every permutation.
+
+    The first `witness_cap` extremal orders, in lexicographic order, come
+    along as witnesses.
+    """
     if bound_kind not in ("worst", "best"):
         raise ValueError("bound_kind must be 'worst' or 'best'")
-    census = path_census(n, cap=cap, force=force, witness_cap=witness_cap)
-    if bound_kind == "worst":
-        size, count, wit = census.worst_size, census.worst_count, census.worst_witnesses
-    else:
-        size, count, wit = census.best_size, census.best_count, census.best_witnesses
+    census = path_census(n, force=force)
+    size = census.worst_size if bound_kind == "worst" else census.best_size
     return ExtremalReport(
         n=n,
         bound_kind=bound_kind,
         extremal_size=size,
-        count=count,
+        count=census.size_counts[size],
         method="brute_force",
-        witnesses=wit,
+        witnesses=tuple(orders_with_size(path(n), size, witness_cap)),
     )
 
 
 def extremal_permutations(
-    n: int,
-    bound_kind: str,
-    *,
-    cap: int = DEFAULT_BRUTE_CAP,
-    force: bool = False,
+    n: int, bound_kind: str, *, force: bool = False
 ) -> list[tuple[int, ...]]:
     """Materialize every worst- or best-case order (memory scales with the count)."""
     if bound_kind == "worst":
@@ -250,19 +231,8 @@ def extremal_permutations(
         target = min_dominating_size(n)
     else:
         raise ValueError("bound_kind must be 'worst' or 'best'")
-    check_cap(n, cap, force, "extremal order enumeration")
+    check_cap(n, DEFAULT_BRUTE_CAP, force, "extremal order enumeration")
     return orders_with_size(path(n), target)
-
-
-def count_odd_configuration_bruteforce(
-    n: int, *, cap: int = DEFAULT_BRUTE_CAP, force: bool = False
-) -> int:
-    """Count orders whose final dominating set is exactly the odd vertices.
-
-    The odd set always has size ceil(n/2), so the census worst-set tally
-    already contains this count.
-    """
-    return path_census(n, cap=cap, force=force).odd_configuration_count
 
 
 # ---------------------------------------------------------------------------
@@ -415,26 +385,17 @@ def _filtered_permutations(
 
 
 def weakly_alternating_permutations(
-    n: int, *, cap: int = PERMUTATION_SCAN_CAP, force: bool = False
+    n: int, *, force: bool = False
 ) -> list[tuple[int, ...]]:
     if n < 1:
         raise ValueError("n must be positive")
-    check_cap(n, cap, force, "weak-alternation enumeration")
+    check_cap(n, PERMUTATION_SCAN_CAP, force, "weak-alternation enumeration")
     return _filtered_permutations(n, is_weakly_alternating)
 
 
-def count_weakly_alternating(
-    n: int, *, cap: int = PERMUTATION_SCAN_CAP, force: bool = False
-) -> int:
-    """Count weakly alternating orders by explicit enumeration."""
-    return len(weakly_alternating_permutations(n, cap=cap, force=force))
-
-
-def count_no_even_local_maxima(
-    n: int, *, cap: int = PERMUTATION_SCAN_CAP, force: bool = False
-) -> int:
+def count_no_even_local_maxima(n: int, *, force: bool = False) -> int:
     """Count orders with no strict local maximum in any even position."""
     if n < 1:
         raise ValueError("n must be positive")
-    check_cap(n, cap, force, "local-maxima enumeration")
+    check_cap(n, PERMUTATION_SCAN_CAP, force, "local-maxima enumeration")
     return len(_filtered_permutations(n, has_no_even_local_maxima))

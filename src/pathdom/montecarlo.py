@@ -15,16 +15,15 @@ comparisons, which alone fix the size on the path, follow a uniform order.
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import expectation
 from .domination import gamma_batch_path
-from .errors import ConsistencyError, ResourceLimitError
+from .errors import ConsistencyError, check_cap
 from .extremal import max_dominating_size, min_dominating_size
 
 CHUNK_SIZE = 4096
-DEFAULT_BUDGET = 500_000_000  # n * samples guard
+SAMPLE_BUDGET = 500_000_000  # cap on n * samples
 NORMALIZATION_MODES = ("none", "per_vertex", "centered")
 
 
@@ -34,7 +33,7 @@ class SampleConfig:
     samples: int
     seed: int
     workers: int = 1
-    budget: int = DEFAULT_BUDGET
+    force: bool = False
 
     def __post_init__(self):
         if self.n < 1:
@@ -116,12 +115,10 @@ def _chunk_histogram(args: tuple[int, int, int, int]) -> Counter:
 
 def sample_gamma(config: SampleConfig) -> Histogram:
     """Histogram of the size over uniform random revelation orders."""
-    cost = config.n * config.samples
-    if cost > config.budget:
-        raise ResourceLimitError(
-            f"n * samples = {cost} exceeds the sampling budget of {config.budget}; "
-            f"raise SampleConfig.budget (CLI: --budget) to run this"
-        )
+    check_cap(
+        config.n * config.samples, SAMPLE_BUDGET, config.force, "sampling budget",
+        measure="n * samples",
+    )
     jobs = []
     produced = 0
     while produced < config.samples:
@@ -129,6 +126,9 @@ def sample_gamma(config: SampleConfig) -> Histogram:
         jobs.append((config.n, config.seed, len(jobs), count))
         produced += count
     if config.workers > 1 and len(jobs) > 1:
+        # Imported here so that commands without a pool never load it.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             parts = list(pool.map(_chunk_histogram, jobs))
     else:

@@ -285,15 +285,10 @@ def check_inverse_bijection(odd_max: int = 9) -> CheckResult:
 def check_convolution(even_max: int = 60, brute_max: int = 11) -> CheckResult:
     """EGF convolution identity (even n) and odd-configuration counts vs brute force."""
     name = "convolution-identity"
-    odd_config = series.odd_configuration_counts_egf(even_max)
-    worst = series.worst_case_counts_egf(even_max)
     for n in range(2, even_max + 1, 2):
-        convolved = sum(
-            math.comb(n, 2 * i) * odd_config[2 * i] * odd_config[n - 2 * i]
-            for i in range(n // 2 + 1)
-        )
-        if worst[n] != convolved:
-            return _fail(name, f"n={n}: egf={worst[n]}, convolution={convolved}")
+        if not series.convolution_identity_holds(n, order=even_max):
+            return _fail(name, f"n={n}: worst-case EGF count != convolution")
+    odd_config = series.odd_configuration_counts_egf(even_max)
     for n in range(1, brute_max + 1):
         brute = extremal.path_census(n).odd_configuration_count
         if brute != odd_config[n]:

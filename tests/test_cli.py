@@ -1,14 +1,19 @@
 """CLI contract checks: exit codes, formats, round-trips."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pathdom
-from pathdom import cli, expectation, extremal, series
+from pathdom import cli, expectation, extremal, montecarlo, series
 from pathdom.cli import main
 from pathdom.errors import EXACT_COUNT_CAP, EXACT_PATH_CAP
 
@@ -158,6 +163,13 @@ class TestExtremal:
             capsys, "extremal", "--n", "6", "--bound", "best", "--method", "egf"
         )
         assert code == 1
+        assert err == "error: --method egf applies to --bound worst only\n"
+        # A bad n is reported before a bad method.
+        code, _, err = run(
+            capsys, "extremal", "--n", "0", "--bound", "worst", "--method", "formula"
+        )
+        assert code == 1
+        assert err == "error: n must be positive\n"
 
 
 class TestSeries:
@@ -275,6 +287,28 @@ class TestSample:
             capsys, "sample", "--n", "100000", "--samples", "100000", "--seed", "0"
         )
         assert code == 3
+        assert "n * samples = 10000000000" in err
+        assert str(montecarlo.SAMPLE_BUDGET) in err
+        assert "--force" in err
+
+    def test_force_runs_past_the_budget(self, capsys, monkeypatch):
+        argv = ["sample", "--n", "10", "--samples", "30", "--seed", "4"]
+        _, expected, _ = run(capsys, *argv)
+        monkeypatch.setattr(montecarlo, "SAMPLE_BUDGET", 299)
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        code, out, _ = run(capsys, *argv, "--force")
+        assert (code, out) == (0, expected)
+
+    @pytest.mark.parametrize("mode", ["per_vertex", "centered"])
+    def test_normalization_needs_plot_data_or_json(self, capsys, mode):
+        code, out, err = run(
+            capsys, "sample", "--n", "20", "--samples", "100", "--seed", "1",
+            "--normalization", mode,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: --normalization")
 
 
 class TestVerify:
@@ -322,8 +356,9 @@ class TestUnexpectedErrors:
 
 
 def test_exact_commands_leave_numpy_unloaded():
-    # Only the sampler needs numpy; importing the package, --version, series,
-    # expect and extremal never load it.
+    # Only the sampler needs numpy, and only a sampler with more than one
+    # worker needs the process pool; importing the package, --version,
+    # series, expect and extremal load neither.
     src = os.path.dirname(os.path.dirname(pathdom.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     commands = [
@@ -332,13 +367,64 @@ def test_exact_commands_leave_numpy_unloaded():
         ["expect", "--family", "path", "--n", "6"],
         ["extremal", "--n", "6", "--bound", "worst", "--method", "all"],
     ]
+    sample = ["sample", "--n", "10", "--samples", "8", "--workers", "1"]
     probe = (
         "import sys, pathdom.cli as cli\n"
+        "pool = 'concurrent.futures.process'\n"
         f"for argv in {commands!r}:\n"
         "    assert cli.main(argv) == 0\n"
-        "print('numpy' in sys.modules)\n"
+        "print('probe', 'numpy' in sys.modules, pool in sys.modules)\n"
+        f"assert cli.main({sample!r}) == 0\n"
+        "print('probe', pool in sys.modules)\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout.splitlines()[-1] == "False"
+    probes = [line for line in result.stdout.splitlines() if line.startswith("probe")]
+    assert probes == ["probe False False", "probe False"]
+
+
+def _json_out(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return json.loads(out.getvalue())
+
+
+class TestJsonRoundTrips:
+    """Parsed CLI JSON equals the library value it reports."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=1, max_value=300),
+           st.sampled_from(["recurrence", "closed-form"]))
+    def test_expect(self, n, method):
+        doc = _json_out(
+            "expect", "--family", "path", "--n", str(n), "--method", method,
+            "--format", "json",
+        )
+        assert Fraction(doc["value"]) == expectation.expected_gamma_path(n)
+        assert doc["float"] == float(expectation.expected_gamma_path(n))
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(min_value=0, max_value=80))
+    def test_series(self, order):
+        docs = _json_out("series", "--order", str(order), "--format", "json")
+        assert [d["n"] for d in docs] == list(range(order + 1))
+        assert tuple(int(d["odd_config"]) for d in docs) == (
+            series.odd_configuration_counts_egf(order)
+        )
+        assert tuple(int(d["worst_case"]) for d in docs) == (
+            series.worst_case_counts_egf(order)
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=1, max_value=9), st.sampled_from(["worst", "best"]),
+           st.integers(min_value=0, max_value=4))
+    def test_extremal(self, n, bound, witnesses):
+        doc = _json_out(
+            "extremal", "--n", str(n), "--bound", bound, "--witnesses",
+            str(witnesses), "--format", "json",
+        )
+        report = extremal.count_extremal_bruteforce(n, bound, witness_cap=witnesses)
+        assert doc == report.to_json_dict(include_witnesses=witnesses > 0)
+        assert int(doc["count"]) == report.count

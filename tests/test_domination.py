@@ -35,6 +35,20 @@ from pathdom import (
 )
 
 
+@st.composite
+def _explicit_graphs(draw):
+    n = draw(st.integers(min_value=1, max_value=7))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return explicit(n, edges)
+
+
+def _assert_outcome_is_independent_dominating(graph, order):
+    outcome = run_online_domination(graph, order)
+    assert is_independent_dominating(graph, outcome.chosen_set)
+    assert outcome.size == len(outcome.chosen_set)
+
+
 class TestGraphFamilies:
     def test_path_edges(self):
         g = path(4)
@@ -140,9 +154,13 @@ class TestRunOnline:
     )
     def test_every_outcome_is_independent_dominating(self, graph):
         for perm in itertools.permutations(range(1, graph.n + 1)):
-            outcome = run_online_domination(graph, perm)
-            assert is_independent_dominating(graph, outcome.chosen_set)
-            assert outcome.size == len(outcome.chosen_set)
+            _assert_outcome_is_independent_dominating(graph, perm)
+
+    @given(_explicit_graphs().flatmap(
+        lambda g: st.tuples(st.just(g), st.permutations(range(1, g.n + 1)))
+    ))
+    def test_every_outcome_is_independent_dominating_on_random_graphs(self, case):
+        _assert_outcome_is_independent_dominating(*case)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_mirror_symmetry_on_paths(self, n):
@@ -214,14 +232,6 @@ def _assert_engine_matches_loop(graph):
     assert final_set_counts(graph) == final_sets
     for size, orders in by_size.items():
         assert orders_with_size(graph, size) == orders
-
-
-@st.composite
-def _explicit_graphs(draw):
-    n = draw(st.integers(min_value=1, max_value=7))
-    pairs = list(itertools.combinations(range(1, n + 1), 2))
-    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    return explicit(n, edges)
 
 
 class TestExhaustiveEngine:

@@ -20,8 +20,7 @@ from pathdom import (
     complement,
     count_extremal_bruteforce,
     count_no_even_local_maxima,
-    count_odd_configuration_bruteforce,
-    count_weakly_alternating,
+    extremal,
     extremal_permutations,
     gamma,
     has_no_even_local_maxima,
@@ -213,7 +212,7 @@ class TestPermutationPredicates:
 
     @pytest.mark.parametrize("n,count", [(1, 1), (3, 4), (5, 56), (7, 1632)])
     def test_weakly_alternating_counts(self, n, count):
-        assert count_weakly_alternating(n) == count
+        assert len(weakly_alternating_permutations(n)) == count
 
     def test_weakly_alternating_set_n3(self):
         assert set(weakly_alternating_permutations(3)) == {
@@ -225,19 +224,19 @@ class TestPermutationPredicates:
         assert count_no_even_local_maxima(n) == count
 
     @pytest.mark.parametrize(
-        "scan", [weakly_alternating_permutations, count_weakly_alternating,
-                 count_no_even_local_maxima]
+        "scan", [weakly_alternating_permutations, count_no_even_local_maxima]
     )
     def test_scans_have_their_own_cap(self, scan):
         assert PERMUTATION_SCAN_CAP == 10
         with pytest.raises(ResourceLimitError, match="force"):
             scan(11)
 
-    def test_forced_scan_runs_past_its_cap(self):
-        assert count_weakly_alternating(5, cap=4, force=True) == 56
-        assert count_no_even_local_maxima(5, cap=4, force=True) == 56
+    def test_forced_scan_runs_past_its_cap(self, monkeypatch):
+        monkeypatch.setattr(extremal, "PERMUTATION_SCAN_CAP", 4)
+        assert len(weakly_alternating_permutations(5, force=True)) == 56
+        assert count_no_even_local_maxima(5, force=True) == 56
         with pytest.raises(ResourceLimitError):
-            count_no_even_local_maxima(5, cap=4)
+            count_no_even_local_maxima(5)
 
     def test_inverse_and_complement(self):
         assert inverse((2, 3, 1)) == (3, 1, 2)
@@ -265,7 +264,7 @@ class TestPermutationPredicates:
 class TestOddConfiguration:
     @pytest.mark.parametrize("n,count", [(2, 1), (3, 4), (4, 9)])
     def test_small_counts(self, n, count):
-        assert count_odd_configuration_bruteforce(n) == count
+        assert path_census(n).odd_configuration_count == count
 
     @pytest.mark.parametrize("n", [1, 3, 5, 7])
     def test_odd_length_equals_worst_count(self, n):

@@ -1,0 +1,65 @@
+"""The one resource-guard policy.
+
+Every guarded library function checks its size against a module constant
+read when it is called, and `force=True` is the only way past it.
+"""
+
+import pytest
+
+from pathdom import expectation, extremal, montecarlo, path, series
+from pathdom.errors import ResourceLimitError
+from pathdom.montecarlo import SampleConfig
+
+# (module, cap constant, size that the lowered cap refuses, call(size, force))
+GUARDS = {
+    "path_census": (extremal, "DEFAULT_BRUTE_CAP", 5,
+                    lambda n, force: extremal.path_census(n, force=force)),
+    "count_extremal_bruteforce": (
+        extremal, "DEFAULT_BRUTE_CAP", 5,
+        lambda n, force: extremal.count_extremal_bruteforce(n, "best", force=force)),
+    "extremal_permutations": (
+        extremal, "DEFAULT_BRUTE_CAP", 5,
+        lambda n, force: extremal.extremal_permutations(n, "worst", force=force)),
+    "independent_dominating_sets_bruteforce": (
+        extremal, "SUBSET_SEARCH_CAP", 5,
+        lambda n, force: extremal.independent_dominating_sets_bruteforce(
+            n, force=force)),
+    "weakly_alternating_permutations": (
+        extremal, "PERMUTATION_SCAN_CAP", 5,
+        lambda n, force: extremal.weakly_alternating_permutations(n, force=force)),
+    "count_no_even_local_maxima": (
+        extremal, "PERMUTATION_SCAN_CAP", 5,
+        lambda n, force: extremal.count_no_even_local_maxima(n, force=force)),
+    "bruteforce_expected_gamma": (
+        expectation, "DEFAULT_BRUTE_CAP", 5,
+        lambda n, force: expectation.bruteforce_expected_gamma(path(n), force=force)),
+    "worst_case_count_recurrence": (
+        extremal, "EXACT_COUNT_CAP", 5,
+        lambda n, force: extremal.worst_case_count_recurrence(n, force=force)),
+    "worst_case_counts_egf": (
+        series, "EXACT_COUNT_CAP", 5,
+        lambda n, force: series.worst_case_counts_egf(n, force=force)),
+    "odd_configuration_counts_egf": (
+        series, "EXACT_COUNT_CAP", 5,
+        lambda n, force: series.odd_configuration_counts_egf(n, force=force)),
+    "expected_gamma_path": (
+        expectation, "EXACT_PATH_CAP", 5,
+        lambda n, force: expectation.expected_gamma_path(n, force=force)),
+    "expected_gamma_path_closed_form": (
+        expectation, "EXACT_PATH_CAP", 5,
+        lambda n, force: expectation.expected_gamma_path_closed_form(n, force=force)),
+    "sample_gamma": (
+        montecarlo, "SAMPLE_BUDGET", 10 * 8,
+        lambda cost, force: montecarlo.sample_gamma(
+            SampleConfig(n=10, samples=cost // 10, seed=3, force=force))),
+}
+
+
+@pytest.mark.parametrize("name", GUARDS)
+def test_module_cap_read_at_call_time_and_forced(name, monkeypatch):
+    module, cap_name, size, call = GUARDS[name]
+    expected = call(size, False)
+    monkeypatch.setattr(module, cap_name, size - 1)
+    with pytest.raises(ResourceLimitError, match="force"):
+        call(size, False)
+    assert call(size, True) == expected

@@ -10,6 +10,7 @@ import pytest
 from pathdom import (
     SampleConfig,
     expected_gamma_path,
+    montecarlo,
     normalize,
     path_census,
     sample_gamma,
@@ -141,8 +142,11 @@ class TestConfigValidation:
         with pytest.raises(ResourceLimitError, match="budget"):
             sample_gamma(SampleConfig(n=10**6, samples=10**6, seed=0))
 
-    def test_budget_overridable(self):
-        hist = sample_gamma(SampleConfig(n=10, samples=20, seed=0, budget=200))
+    def test_budget_overridable(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "SAMPLE_BUDGET", 199)
+        with pytest.raises(ResourceLimitError, match="n \\* samples = 200"):
+            sample_gamma(SampleConfig(n=10, samples=20, seed=0))
+        hist = sample_gamma(SampleConfig(n=10, samples=20, seed=0, force=True))
         assert hist.total == 20
 
 
