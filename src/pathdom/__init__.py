@@ -41,6 +41,7 @@ from .extremal import (
     complement,
     count_extremal_bruteforce,
     count_no_even_local_maxima,
+    count_weakly_alternating,
     extremal_permutations,
     has_no_even_local_maxima,
     independent_dominating_sets_bruteforce,

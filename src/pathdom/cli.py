@@ -60,37 +60,33 @@ def _parse_edges(raw: str) -> list[tuple[int, int]]:
     return edges
 
 
+_FAMILIES = {  # family -> (the arguments it requires, its graph from them)
+    "path": (("n",), lambda a: graphs.path(a.n)),
+    "cycle": (("n",), lambda a: graphs.cycle(a.n)),
+    "star": (("leaves",), lambda a: graphs.star(a.leaves)),
+    "wheel": (("spokes",), lambda a: graphs.wheel(a.spokes)),
+    "multipartite": (("parts",), lambda a: graphs.complete_multipartite(
+        _parse_int_list(a.parts, "part sizes"))),
+    "explicit": (("n", "edges"), lambda a: graphs.explicit(a.n, _parse_edges(a.edges))),
+}
+
+
+def _require_family_args(args: argparse.Namespace) -> None:
+    required = _FAMILIES[args.family][0]
+    if any(getattr(args, name) in (None, "") for name in required):
+        flags = " and ".join(f"--{name}" for name in required)
+        raise ValueError(f"--family {args.family} requires {flags}")
+
+
 def _graph_from_args(args: argparse.Namespace) -> graphs.Graph:
-    family = args.family
-    if family == "path":
-        if args.n is None:
-            raise ValueError("--family path requires --n")
-        return graphs.path(args.n)
-    if family == "cycle":
-        if args.n is None:
-            raise ValueError("--family cycle requires --n")
-        return graphs.cycle(args.n)
-    if family == "star":
-        if args.leaves is None:
-            raise ValueError("--family star requires --leaves")
-        return graphs.star(args.leaves)
-    if family == "wheel":
-        if args.spokes is None:
-            raise ValueError("--family wheel requires --spokes")
-        return graphs.wheel(args.spokes)
-    if family == "multipartite":
-        if not args.parts:
-            raise ValueError("--family multipartite requires --parts")
-        return graphs.complete_multipartite(_parse_int_list(args.parts, "part sizes"))
-    if args.n is None or not args.edges:
-        raise ValueError("--family explicit requires --n and --edges")
-    return graphs.explicit(args.n, _parse_edges(args.edges))
+    _require_family_args(args)
+    return _FAMILIES[args.family][1](args)
 
 
 def _add_family_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--family",
-        choices=("path", "cycle", "star", "wheel", "multipartite", "explicit"),
+        choices=tuple(_FAMILIES),
         default="path",
     )
     parser.add_argument("--n", type=int, help="vertex count (path/cycle/explicit)")
@@ -224,9 +220,10 @@ def _expect_value(args: argparse.Namespace) -> tuple[str, Fraction]:
         graph = _graph_from_args(args)
         return "brute", expectation.bruteforce_expected_gamma(graph, force=args.force)
     family = args.family
+    if family == "explicit":
+        raise ValueError("expect supports explicit graphs only with --method brute")
+    _require_family_args(args)
     if family == "path":
-        if args.n is None:
-            raise ValueError("--family path requires --n")
         if args.n < 1:
             raise ValueError("a path needs at least 1 vertex")
         if args.method == "closed-form":
@@ -235,26 +232,16 @@ def _expect_value(args: argparse.Namespace) -> tuple[str, Fraction]:
             )
         return "recurrence", expectation.expected_gamma_path(args.n, force=args.force)
     if family == "cycle":
-        if args.n is None:
-            raise ValueError("--family cycle requires --n")
         return "formula", expectation.expected_gamma_cycle(args.n, force=args.force)
     if family == "star":
-        if args.leaves is None:
-            raise ValueError("--family star requires --leaves")
         return "formula", expectation.expected_gamma_star(args.leaves)
     if family == "wheel":
-        if args.spokes is None:
-            raise ValueError("--family wheel requires --spokes")
         label = "formula-as-printed" if args.as_printed else "formula"
         return label, expectation.expected_gamma_wheel(
             args.spokes, as_printed=args.as_printed, force=args.force
         )
-    if family == "multipartite":
-        if not args.parts:
-            raise ValueError("--family multipartite requires --parts")
-        sizes = _parse_int_list(args.parts, "part sizes")
-        return "formula", expectation.expected_gamma_complete_multipartite(sizes)
-    raise ValueError("expect supports explicit graphs only with --method brute")
+    sizes = _parse_int_list(args.parts, "part sizes")
+    return "formula", expectation.expected_gamma_complete_multipartite(sizes)
 
 
 def _cmd_expect(args: argparse.Namespace) -> int:

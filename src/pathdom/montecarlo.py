@@ -14,6 +14,7 @@ comparisons, which alone fix the size on the path, follow a uniform order.
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from dataclasses import dataclass
 
@@ -129,7 +130,8 @@ def sample_gamma(config: SampleConfig) -> Histogram:
         # Imported here so that commands without a pool never load it.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        workers = min(config.workers, len(jobs), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_chunk_histogram, jobs))
     else:
         parts = [_chunk_histogram(job) for job in jobs]

@@ -44,6 +44,10 @@ class CheckResult:
         return f"{'PASS' if self.passed else 'FAIL'}  {self.name}: {self.detail}"
 
 
+def _pass(name: str, detail: str) -> CheckResult:
+    return CheckResult(name=name, passed=True, detail=detail)
+
+
 def _fail(name: str, detail: str) -> CheckResult:
     return CheckResult(name=name, passed=False, detail=detail)
 
@@ -64,11 +68,7 @@ def check_worst_case_counts(brute_max: int = 11) -> CheckResult:
             return _fail(
                 name, f"n={n}: brute={brute}, reference={WORST_CASE_COUNTS[n]}"
             )
-    return CheckResult(
-        name=name,
-        passed=True,
-        detail=f"brute(n<={brute_max}) = recurrence = EGF = reference (n<=11)",
-    )
+    return _pass(name, f"brute(n<={brute_max}) = recurrence = EGF = reference (n<=11)")
 
 
 def check_best_case_counts(brute_max: int = 11) -> CheckResult:
@@ -89,19 +89,17 @@ def check_best_case_counts(brute_max: int = 11) -> CheckResult:
             return _fail(
                 name, f"n={n}: formula={value}, reference={BEST_CASE_COUNTS[n]}"
             )
-    return CheckResult(
-        name=name,
-        passed=True,
-        detail=(
-            f"brute(n<={brute_max}) = reference; formula agrees on n in "
-            f"{formula_ns}"
-        ),
+    return _pass(
+        name,
+        f"brute(n<={brute_max}) = reference; formula agrees on n in "
+        f"{formula_ns}",
     )
 
 
-def check_expectation_oracle(brute_max: int = 11, closed_max: int = 200) -> CheckResult:
+def check_expectation_oracle(brute_max: int = 11) -> CheckResult:
     """Recurrence expectation == brute-force average == closed form (exact)."""
     name = "expectation-oracle"
+    closed_max = 200
     for n in range(1, brute_max + 1):
         brute = extremal.path_census(n).expectation
         rec = expectation.expected_gamma_path(n)
@@ -112,19 +110,17 @@ def check_expectation_oracle(brute_max: int = 11, closed_max: int = 200) -> Chec
         closed = expectation.expected_gamma_path_closed_form(n)
         if rec != closed:
             return _fail(name, f"n={n}: recurrence={rec}, closed form={closed}")
-    return CheckResult(
-        name=name,
-        passed=True,
-        detail=(
-            f"recurrence = brute average (n<={brute_max}) and "
-            f"= closed form (n<={closed_max})"
-        ),
+    return _pass(
+        name,
+        f"recurrence = brute average (n<={brute_max}) and "
+        f"= closed form (n<={closed_max})",
     )
 
 
-def check_asymptotic_constant(n_large: int = 10_000, tol: float = 1e-3) -> CheckResult:
+def check_asymptotic_constant() -> CheckResult:
     """Per-vertex expectation approaches (e^2 - 1)/(2 e^2) = 0.4323..."""
     name = "asymptotic-constant"
+    n_large, tol = 10_000, 1e-3
     limit = expectation.expected_gamma_limit()
     if limit != 0.5 - 0.5 * math.exp(-2.0):
         return _fail(name, f"limit {limit!r} breaks the algebraic identity")
@@ -136,10 +132,8 @@ def check_asymptotic_constant(n_large: int = 10_000, tol: float = 1e-3) -> Check
         return _fail(
             name, f"|E(n)/n - limit| = {gap:.2e} at n={n_large}, tolerance {tol}"
         )
-    return CheckResult(
-        name=name,
-        passed=True,
-        detail=f"limit=0.4323..., |E({n_large})/{n_large} - limit| = {gap:.2e} < {tol}",
+    return _pass(
+        name, f"limit=0.4323..., |E({n_large})/{n_large} - limit| = {gap:.2e} < {tol}"
     )
 
 
@@ -202,22 +196,18 @@ def check_family_formulas(
                     name, f"multipartite {parts}: formula={formula}, brute={brute}"
                 )
             instances += 1
-    return CheckResult(
-        name=name,
-        passed=True,
-        detail=(
-            f"cycle(3..{cycle_max}), star(1..{star_max}), wheel(3..{wheel_spoke_max}) "
-            f"and {instances} multipartite instances match brute force; uncorrected "
-            f"wheel form diverges at every tested size {printed_divergences}"
-        ),
+    return _pass(
+        name,
+        f"cycle(3..{cycle_max}), star(1..{star_max}), wheel(3..{wheel_spoke_max}) "
+        f"and {instances} multipartite instances match brute force; uncorrected "
+        f"wheel form diverges at every tested size {printed_divergences}",
     )
 
 
-def check_structural_sets(
-    subset_max: int = 14, realization_max: int = 12
-) -> CheckResult:
+def check_structural_sets(subset_max: int = 14) -> CheckResult:
     """Maximal independent dominating sets: construction == exhaustive search."""
     name = "structural-sets"
+    realization_max = 12
     for n in range(1, subset_max + 1):
         constructed = set(extremal.maximal_independent_dominating_sets(n))
         expected_count = n // 2 + 1 if n % 2 == 0 else 1
@@ -246,39 +236,48 @@ def check_structural_sets(
     }
     if worst3 != {(1, 2, 3), (1, 3, 2), (3, 1, 2), (3, 2, 1)}:
         return _fail(name, f"worst-case orders of length 3 are {sorted(worst3)}")
-    return CheckResult(
-        name=name,
-        passed=True,
-        detail=(
-            f"counts and families match exhaustive search (n<={subset_max}), all "
-            f"sets realized (n<={realization_max}), length-3 worst set exact"
-        ),
+    return _pass(
+        name,
+        f"counts and families match exhaustive search (n<={subset_max}), all "
+        f"sets realized (n<={realization_max}), length-3 worst set exact",
     )
 
 
 def check_inverse_bijection(odd_max: int = 9) -> CheckResult:
-    """Worst-case orders map onto weakly alternating ones by inversion (odd n)."""
+    """Worst-case orders map onto weakly alternating ones by inversion (odd n).
+
+    Inversion and complementation are injective, so when every image lies in
+    a pattern class counted as large as the worst-case set, it fills it.
+    """
     name = "inverse-bijection"
-    for n in range(1, odd_max + 1, 2):
-        worst = extremal.extremal_permutations(n, "worst")
-        alternating = set(extremal.weakly_alternating_permutations(n))
-        inverted = {extremal.inverse(perm) for perm in worst}
-        if inverted != alternating:
-            return _fail(name, f"n={n}: inverse image of worst set != weak-peak set")
-        no_max_count = extremal.count_no_even_local_maxima(n)
-        if no_max_count != len(alternating):
-            return _fail(
-                name,
-                f"n={n}: {no_max_count} orders without even local maxima, "
-                f"{len(alternating)} weakly alternating",
-            )
-        complemented = {extremal.complement(perm) for perm in alternating}
-        if not all(extremal.has_no_even_local_maxima(p) for p in complemented):
-            return _fail(name, f"n={n}: complement map leaves an even local maximum")
-    return CheckResult(
-        name=name,
-        passed=True,
-        detail=f"inversion and complementation bijections verified for odd n <= {odd_max}",
+    count_max = 60
+    odd_config = series.odd_configuration_counts_egf(count_max)
+    for n in range(1, count_max + 1):
+        counts = {
+            "weakly alternating": extremal.count_weakly_alternating(n),
+            "without even local maxima": extremal.count_no_even_local_maxima(n),
+            "odd-configuration EGF": odd_config[n],
+        }
+        if n % 2 and n <= odd_max:
+            worst = extremal.extremal_permutations(n, "worst")
+            counts["worst-case"] = len(worst)
+            for order in worst:
+                image = extremal.inverse(order)
+                if not extremal.is_weakly_alternating(image):
+                    return _fail(
+                        name, f"n={n}: inverse of {order} is not weakly alternating"
+                    )
+                if not extremal.has_no_even_local_maxima(extremal.complement(image)):
+                    return _fail(
+                        name, f"n={n}: complement of {image} has an even local maximum"
+                    )
+        if min(counts.values()) != max(counts.values()):
+            return _fail(name, f"n={n}: counts differ: {counts}")
+    return _pass(
+        name,
+        f"inversion and complementation bijections verified for odd n <= "
+        f"{odd_max}; both pattern counts = odd-configuration EGF for n <= "
+        f"{count_max}",
     )
 
 
@@ -295,24 +294,17 @@ def check_convolution(even_max: int = 60, brute_max: int = 11) -> CheckResult:
             return _fail(
                 name, f"n={n}: brute odd-config count={brute}, egf={odd_config[n]}"
             )
-    return CheckResult(
-        name=name,
-        passed=True,
-        detail=(
-            f"identity holds for even n <= {even_max}; EGF counts match brute "
-            f"force for n <= {brute_max}"
-        ),
+    return _pass(
+        name,
+        f"identity holds for even n <= {even_max}; EGF counts match brute "
+        f"force for n <= {brute_max}",
     )
 
 
-def check_montecarlo(
-    n: int = 2000,
-    samples: int = 40_000,
-    seed: int = MONTE_CARLO_SEED,
-    worker_check: bool = True,
-) -> CheckResult:
+def check_montecarlo(n: int = 2000, samples: int = 40_000) -> CheckResult:
     """Support bounds, mean convergence, and worker-count determinism."""
     name = "monte-carlo"
+    seed = MONTE_CARLO_SEED
     hist = montecarlo.sample_gamma(
         montecarlo.SampleConfig(n=n, samples=samples, seed=seed)
     )
@@ -329,26 +321,22 @@ def check_montecarlo(
             name,
             f"|sample mean - exact mean| = {gap:.4f} exceeds 5 SE = {bound:.4f}",
         )
-    if worker_check:
-        again = montecarlo.sample_gamma(
-            montecarlo.SampleConfig(n=n, samples=samples, seed=seed, workers=2)
-        )
-        if again.bins != hist.bins:
-            return _fail(name, "histogram changed with worker count")
-    return CheckResult(
-        name=name,
-        passed=True,
-        detail=(
-            f"n={n}, samples={samples}: support in [{lo}, {hi}], "
-            f"|mean - exact| = {gap:.4f} <= {bound:.4f}"
-            + (", worker-independent" if worker_check else "")
-        ),
+    again = montecarlo.sample_gamma(
+        montecarlo.SampleConfig(n=n, samples=samples, seed=seed, workers=2)
+    )
+    if again.bins != hist.bins:
+        return _fail(name, "histogram changed with worker count")
+    return _pass(
+        name,
+        f"n={n}, samples={samples}: support in [{lo}, {hi}], "
+        f"|mean - exact| = {gap:.4f} <= {bound:.4f}, worker-independent",
     )
 
 
-def check_caro_wei(max_n: int = 200) -> CheckResult:
+def check_caro_wei() -> CheckResult:
     """Degree bound equals (n+1)/3 on paths (n >= 2) and stays below the expectation."""
     name = "caro-wei"
+    max_n = 200
     single = expectation.caro_wei_bound(graphs.path(1))
     if single != 1:
         return _fail(name, f"path(1) bound is {single}, expected 1")
@@ -359,13 +347,10 @@ def check_caro_wei(max_n: int = 200) -> CheckResult:
     for n in range(1, max_n + 1):
         if expectation.expected_gamma_path(n) < Fraction(n + 1, 3):
             return _fail(name, f"n={n}: expectation below (n+1)/3")
-    return CheckResult(
-        name=name,
-        passed=True,
-        detail=(
-            f"bound = (n+1)/3 for 2 <= n <= {max_n} (path(1) gives 1) and "
-            f"expectation >= (n+1)/3 for n <= {max_n}"
-        ),
+    return _pass(
+        name,
+        f"bound = (n+1)/3 for 2 <= n <= {max_n} (path(1) gives 1) and "
+        f"expectation >= (n+1)/3 for n <= {max_n}",
     )
 
 
@@ -378,7 +363,7 @@ def run_verification(depth: str = "quick") -> list[CheckResult]:
     return [
         check_worst_case_counts(brute_max),
         check_best_case_counts(brute_max),
-        check_expectation_oracle(brute_max, closed_max=200),
+        check_expectation_oracle(brute_max),
         check_asymptotic_constant(),
         check_family_formulas(
             cycle_max=8 if quick else 9,
@@ -392,5 +377,5 @@ def run_verification(depth: str = "quick") -> list[CheckResult]:
         check_montecarlo(
             n=300 if quick else 2000, samples=5000 if quick else 40_000
         ),
-        check_caro_wei(max_n=200),
+        check_caro_wei(),
     ]

@@ -81,6 +81,23 @@ class TestExpect:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "family,flags",
+        [("path", "--n"), ("cycle", "--n"), ("star", "--leaves"),
+         ("wheel", "--spokes"), ("multipartite", "--parts"),
+         ("explicit", "--n and --edges")],
+    )
+    @pytest.mark.parametrize(
+        "route", [["expect"], ["expect", "--caro-wei"], ["simulate", "--order", "1"]]
+    )
+    def test_missing_family_argument_message(self, capsys, family, flags, route):
+        code, out, err = run(capsys, *route, "--family", family)
+        assert (code, out) == (1, "")
+        message = f"--family {family} requires {flags}"
+        if route == ["expect"] and family == "explicit":
+            message = "expect supports explicit graphs only with --method brute"
+        assert err == f"error: {message}\n"
+
     @pytest.mark.parametrize("n", ["0", "-3"])
     @pytest.mark.parametrize("method", ["recurrence", "closed-form"])
     def test_nonpositive_path_length_is_invalid_input(self, capsys, n, method):

@@ -20,6 +20,7 @@ from pathdom import (
     complement,
     count_extremal_bruteforce,
     count_no_even_local_maxima,
+    count_weakly_alternating,
     extremal,
     extremal_permutations,
     gamma,
@@ -40,6 +41,7 @@ from pathdom import (
 )
 from pathdom.errors import EXACT_COUNT_CAP, ResourceLimitError
 from pathdom.extremal import PERMUTATION_SCAN_CAP
+from pathdom.series import odd_configuration_counts_egf
 from pathdom.verification import BEST_CASE_COUNTS, WORST_CASE_COUNTS
 
 
@@ -223,9 +225,7 @@ class TestPermutationPredicates:
     def test_no_even_maxima_counts(self, n, count):
         assert count_no_even_local_maxima(n) == count
 
-    @pytest.mark.parametrize(
-        "scan", [weakly_alternating_permutations, count_no_even_local_maxima]
-    )
+    @pytest.mark.parametrize("scan", [weakly_alternating_permutations])
     def test_scans_have_their_own_cap(self, scan):
         assert PERMUTATION_SCAN_CAP == 10
         with pytest.raises(ResourceLimitError, match="force"):
@@ -234,9 +234,30 @@ class TestPermutationPredicates:
     def test_forced_scan_runs_past_its_cap(self, monkeypatch):
         monkeypatch.setattr(extremal, "PERMUTATION_SCAN_CAP", 4)
         assert len(weakly_alternating_permutations(5, force=True)) == 56
-        assert count_no_even_local_maxima(5, force=True) == 56
         with pytest.raises(ResourceLimitError):
-            count_no_even_local_maxima(5)
+            weakly_alternating_permutations(5)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_pattern_counts_match_the_permutation_scan(self, n):
+        perms = list(itertools.permutations(range(1, n + 1)))
+        assert count_weakly_alternating(n) == sum(map(is_weakly_alternating, perms))
+        assert count_no_even_local_maxima(n) == sum(
+            map(has_no_even_local_maxima, perms)
+        )
+
+    def test_pattern_counts_match_the_odd_configuration_egf(self):
+        # odd-configuration orders are the inverses of weakly alternating ones
+        odd_config = odd_configuration_counts_egf(120)
+        for n in range(1, 121):
+            assert count_weakly_alternating(n) == odd_config[n], n
+            assert count_no_even_local_maxima(n) == odd_config[n], n
+
+    @pytest.mark.parametrize(
+        "count", [count_weakly_alternating, count_no_even_local_maxima]
+    )
+    def test_pattern_counts_reject_empty_orders(self, count):
+        with pytest.raises(ValueError, match="positive"):
+            count(0)
 
     def test_inverse_and_complement(self):
         assert inverse((2, 3, 1)) == (3, 1, 2)

@@ -28,8 +28,11 @@ GUARDS = {
         extremal, "PERMUTATION_SCAN_CAP", 5,
         lambda n, force: extremal.weakly_alternating_permutations(n, force=force)),
     "count_no_even_local_maxima": (
-        extremal, "PERMUTATION_SCAN_CAP", 5,
+        extremal, "EXACT_COUNT_CAP", 5,
         lambda n, force: extremal.count_no_even_local_maxima(n, force=force)),
+    "count_weakly_alternating": (
+        extremal, "EXACT_COUNT_CAP", 5,
+        lambda n, force: extremal.count_weakly_alternating(n, force=force)),
     "bruteforce_expected_gamma": (
         expectation, "DEFAULT_BRUTE_CAP", 5,
         lambda n, force: expectation.bruteforce_expected_gamma(path(n), force=force)),

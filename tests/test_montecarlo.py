@@ -43,6 +43,32 @@ def test_worker_count_does_not_change_output():
     assert base.mean == split.mean
 
 
+def test_pool_never_exceeds_the_jobs_or_the_cores(monkeypatch):
+    import concurrent.futures
+    import os
+
+    started = []
+
+    class SerialPool:  # records the pool size and maps in this process
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    base = sample_gamma(SampleConfig(n=20, samples=9000, seed=5))
+    pooled = sample_gamma(SampleConfig(n=20, samples=9000, seed=5, workers=10_000))
+    assert pooled.bins == base.bins
+    assert started == [min(3, os.cpu_count() or 1)]  # 9000 samples make 3 chunks
+
+
 def test_different_seeds_differ():
     a = sample_gamma(SampleConfig(n=30, samples=5000, seed=1))
     b = sample_gamma(SampleConfig(n=30, samples=5000, seed=2))
