@@ -6,10 +6,12 @@ histograms are merged by plain addition.  The chunk layout depends only
 on (samples), never on the worker count, so a run is a pure function of
 (n, samples, seed) however the chunks are scheduled.
 
-A sample is one i.i.d. uniform 64-bit key per vertex, its reveal time.  A
-tie between neighbours extends the column by fresh 64-bit words until it
-breaks, as comparing i.i.d. uniform reals bit by bit would, so the neighbour
-comparisons, which alone fix the size on the path, follow a uniform order.
+A sample is one i.i.d. uniform 32-bit reveal key per vertex, its reveal
+time.  A tie between neighbours (probability 2^-32 a pair) extends the
+column by fresh 64-bit words until it breaks, as comparing i.i.d. uniform
+reals bit by bit would, so the neighbour comparisons, which alone fix the
+size on the path, follow a uniform order.  gamma_batch_path evaluates each
+chunk in one scan loop over those comparisons, bit-packed across samples.
 """
 
 from __future__ import annotations
@@ -108,7 +110,7 @@ def _chunk_histogram(args: tuple[int, int, int, int]) -> Counter:
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,))
     )
-    keys = rng.integers(0, 2**64, size=(n, count), dtype=np.uint64)
+    keys = rng.integers(0, 2**32, size=(n, count), dtype=np.uint32)
     sizes = gamma_batch_path(n, _untie_neighbours(keys, rng).T)
     values, counts = np.unique(sizes, return_counts=True)
     return Counter({int(v): int(c) for v, c in zip(values, counts)})

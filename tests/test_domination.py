@@ -12,6 +12,7 @@ Core claims:
 
 import itertools
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -137,10 +138,19 @@ class TestRunOnline:
         with pytest.raises(ValueError):
             run_online_domination(path(4), (1, 2, 3))
 
-    @pytest.mark.parametrize("bad", [(1, 1, 3), (0, 1, 2), (1, 2, 4), (), (1.0, 2.0)])
+    @pytest.mark.parametrize(
+        "bad", [(1, 1, 3), (0, 1, 2), (1, 2, 4), (), (1.0, 2.0), ("1",), (Fraction(1),)]
+    )
     def test_non_bijection_rejected(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="permutation"):
             check_permutation(bad)
+
+    @pytest.mark.parametrize(
+        "good",
+        [(2, 1, 3), (True,), (np.int64(2), np.int64(1)), (np.uint32(1), 3, np.uint32(2))],
+    )
+    def test_integer_entries_accepted(self, good):
+        check_permutation(good)
 
     def test_deterministic(self):
         perm = (4, 2, 6, 1, 5, 3)
@@ -202,14 +212,25 @@ class TestGammaBatch:
             assert size == gamma(g, tuple(order))
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(min_value=1, max_value=40).flatmap(
-        lambda n: st.lists(st.permutations(range(1, n + 1)), min_size=1, max_size=8)
-    ))
-    def test_matches_scalar_engine_on_random_orders(self, orders):
-        n = len(orders[0])
-        times = np.argsort(np.array(orders), axis=1)
-        sizes = gamma_batch_path(n, times)
-        assert list(sizes) == [gamma(path(n), order) for order in orders]
+    @given(
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=1, max_value=200),  # whole and partial packed bytes
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_scalar_engine_on_random_orders(self, n, k, seed):
+        orders = np.random.default_rng(seed).permuted(
+            np.tile(np.arange(1, n + 1), (k, 1)), axis=1
+        )
+        sizes = gamma_batch_path(n, np.argsort(orders, axis=1))
+        assert list(sizes) == [gamma(path(n), order) for order in orders.tolist()]
+
+    def test_uint32_reveal_keys(self):
+        n, k = 60, 300
+        keys = np.random.default_rng(5).integers(0, 2**32, size=(k, n), dtype=np.uint32)
+        assert (keys[:, 1:] != keys[:, :-1]).all()  # no neighbour tie
+        orders = np.argsort(keys, axis=1) + 1
+        sizes = gamma_batch_path(n, keys)
+        assert list(sizes) == [gamma(path(n), order) for order in orders.tolist()]
 
     def test_shape_validated(self):
         with pytest.raises(ValueError):

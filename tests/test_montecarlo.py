@@ -94,6 +94,18 @@ def test_frequencies_match_exact_distribution(n):
         assert abs(emp - p) <= 5 * se
 
 
+def test_paper_sample_size_matches_census_law():
+    # The paper's 40000 samples, here at n = 7 where the exact law is known:
+    # ten chunks, the last one partial, catch a bias the mean checks miss.
+    census = path_census(7)
+    hist = sample_gamma(SampleConfig(n=7, samples=40_000, seed=4242))
+    assert set(hist.bins) <= {s for s, c in enumerate(census.size_counts) if c}
+    for size, count in enumerate(census.size_counts):
+        p = count / math.factorial(7)
+        se = math.sqrt(p * (1 - p) / hist.total)
+        assert abs(hist.bins.get(size, 0) / hist.total - p) <= 5 * se
+
+
 def _up_down_law(n):
     """Exact law of (vertex v+1 revealed after vertex v, for each v) over all n! orders."""
     patterns = Counter(
@@ -104,13 +116,18 @@ def _up_down_law(n):
 
 
 @pytest.mark.parametrize("n", [3, 4])
-@pytest.mark.parametrize("alphabet", [1, 2])
-def test_untie_neighbours_is_exact(n, alphabet):
+@pytest.mark.parametrize(
+    "alphabet, dtype",
+    [pytest.param(a, np.uint64, id=str(a)) for a in (1, 2)]
+    + [pytest.param(a, np.uint32, id=f"{a}-uint32") for a in (1, 2)],
+)
+def test_untie_neighbours_is_exact(n, alphabet, dtype):
     # Keys from {0} or {0, 1} tie often, so nearly every column is extended.
     samples = 20_000
     rng = np.random.default_rng(2024)
-    keys = rng.integers(0, alphabet, size=(n, samples), dtype=np.uint64)
+    keys = rng.integers(0, alphabet, size=(n, samples), dtype=dtype)
     untied = _untie_neighbours(keys.copy(), rng)
+    assert untied.dtype == dtype
     strict = keys[1:] != keys[:-1]
     assert np.array_equal(
         (untied[1:] > untied[:-1])[strict], (keys[1:] > keys[:-1])[strict]
