@@ -39,10 +39,10 @@ from .extremal import (
     best_case_count_formula,
     best_case_formula_applicable,
     complement,
-    count_extremal_bruteforce,
     count_no_even_local_maxima,
     count_weakly_alternating,
     extremal_permutations,
+    extremal_size,
     has_no_even_local_maxima,
     independent_dominating_sets_bruteforce,
     inverse,

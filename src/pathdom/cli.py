@@ -269,34 +269,36 @@ def _extremal_reports(args: argparse.Namespace) -> list[extremal.ExtremalReport]
     n, kind, force = args.n, args.bound, args.force
     if args.witnesses < 0:
         raise ValueError("--witnesses must be nonnegative")
-    size = (
-        extremal.max_dominating_size(n)
-        if kind == "worst"
-        else extremal.min_dominating_size(n)
-    )
-    routes = {  # method -> (the bound it counts, a thunk giving its count)
-        "recurrence": (
-            "worst", lambda: extremal.worst_case_count_recurrence(n, force=force)
-        ),
-        "egf": ("worst", lambda: series.worst_case_counts_egf(n, force=force)[n]),
-        "formula": ("best", lambda: extremal.best_case_count_formula(n)),
+    size = extremal.extremal_size(n, kind)
+
+    def brute():
+        census = extremal.path_census(n, force=force)
+        witnesses = extremal.extremal_permutations(n, kind, args.witnesses, force=force)
+        return census.size_counts[size], witnesses
+
+    routes = {  # method -> (label, bounds it counts, applies at n, (count, witnesses))
+        "brute": ("brute_force", ("worst", "best"), True, brute),
+        "recurrence": ("recurrence", ("worst",), True, lambda: (
+            extremal.worst_case_count_recurrence(n, force=force), ())),
+        "egf": ("egf", ("worst",), True, lambda: (
+            series.worst_case_counts_egf(n, force=force)[n], ())),
+        "formula": ("formula", ("best",), extremal.best_case_formula_applicable(n),
+                    lambda: (extremal.best_case_count_formula(n), ())),
     }
     if args.method == "all":
-        methods = ["brute", *(m for m, (bound, _) in routes.items() if bound == kind)]
+        methods = [m for m, (_, bounds, applies, _) in routes.items()
+                   if kind in bounds and applies]
     else:
         methods = [args.method]
     reports = []
     for method in methods:
-        if method == "brute":
-            reports.append(extremal.count_extremal_bruteforce(
-                n, kind, force=force, witness_cap=args.witnesses
-            ))
-            continue
-        bound, count = routes[method]
-        if bound != kind:
-            raise ValueError(f"--method {method} applies to --bound {bound} only")
+        label, bounds, _, route = routes[method]
+        if kind not in bounds:
+            raise ValueError(f"--method {method} applies to --bound {bounds[0]} only")
+        count, witnesses = route()
         reports.append(extremal.ExtremalReport(
-            n=n, bound_kind=kind, extremal_size=size, count=count(), method=method
+            n=n, bound_kind=kind, extremal_size=size, count=count, method=label,
+            witnesses=tuple(witnesses),
         ))
     return reports
 
@@ -304,7 +306,7 @@ def _extremal_reports(args: argparse.Namespace) -> list[extremal.ExtremalReport]
 def _cmd_extremal(args: argparse.Namespace) -> int:
     reports = _extremal_reports(args)
     if args.format == "json":
-        docs = [r.to_json_dict(include_witnesses=args.witnesses > 0) for r in reports]
+        docs = [r.to_json_dict() for r in reports]
         _write(json.dumps(docs[0] if len(docs) == 1 else docs, indent=2) + "\n",
                args.output)
     elif args.format == "csv":

@@ -9,7 +9,8 @@ set, and its size depends only on the graph and the revelation order.
 The rule lives here in three forms: the scalar simulator
 run_online_domination, the reference the tests hold the others to; the
 exhaustive engine (final_set_counts, orders_with_size), which covers all
-n! orders by merging reveal prefixes; and the vectorized path evaluator
+n! orders by merging reveal prefixes and is the package's one brute force
+over orders, guarded by DEFAULT_BRUTE_CAP; and the vectorized path evaluator
 gamma_batch_path, which takes reveal times (such as the sampler's 32-bit
 reveal keys) and runs both end scans of the path in one loop over the
 neighbour comparisons, bit-packed across samples.
@@ -22,6 +23,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
+from .errors import DEFAULT_BRUTE_CAP, check_cap
 from .graphs import Graph
 
 if TYPE_CHECKING:
@@ -33,7 +35,6 @@ class DominationOutcome:
     """Dominating set produced by one run, in insertion order."""
 
     chosen: tuple[int, ...]
-    chosen_mask: tuple[bool, ...]  # index 0 unused
 
     @property
     def size(self) -> int:
@@ -80,9 +81,7 @@ def run_online_domination(graph: Graph, perm: Sequence[int]) -> DominationOutcom
         else:
             in_set[v] = 1
             chosen.append(v)
-    return DominationOutcome(
-        chosen=tuple(chosen), chosen_mask=tuple(bool(b) for b in in_set)
-    )
+    return DominationOutcome(chosen=tuple(chosen))
 
 
 def gamma(graph: Graph, perm: Sequence[int]) -> int:
@@ -146,6 +145,10 @@ def gamma_batch_path(n: int, times: np.ndarray) -> np.ndarray:
 # has at most 3^n states against n! orders.
 
 
+def _check_engine_cap(graph: Graph, force: bool) -> None:
+    check_cap(graph.n, DEFAULT_BRUTE_CAP, force, "exhaustive search over all orders")
+
+
 def _neighbor_masks(graph: Graph) -> list[int]:
     """Bitmask of the neighbors of each vertex, indexed by vertex - 1."""
     return [sum(1 << (u - 1) for u in graph.adj[v]) for v in graph.vertices]
@@ -174,12 +177,13 @@ def _reveals(
             yield v, (revealed | bit, chosen | bit)
 
 
-def final_set_counts(graph: Graph) -> dict[frozenset[int], int]:
+def final_set_counts(graph: Graph, *, force: bool = False) -> dict[frozenset[int], int]:
     """Number of revelation orders that end in each final dominating set.
 
     A forward pass over reveal prefixes: after k steps every state holds the
     number of length-k prefixes that reach it.  The counts sum to n!.
     """
+    _check_engine_cap(graph, force)
     masks = _neighbor_masks(graph)
     full = (1 << graph.n) - 1
     layer: dict[_State, int] = {(0, 0): 1}
@@ -212,7 +216,7 @@ def _reachable_sizes(
 
 
 def orders_with_size(
-    graph: Graph, size: int, limit: int | None = None
+    graph: Graph, size: int, limit: int | None = None, *, force: bool = False
 ) -> list[tuple[int, ...]]:
     """Revelation orders whose final dominating set has `size` vertices.
 
@@ -223,6 +227,7 @@ def orders_with_size(
     """
     if limit is not None and limit < 0:
         raise ValueError("limit must be nonnegative")
+    _check_engine_cap(graph, force)
     masks = _neighbor_masks(graph)
     full = (1 << graph.n) - 1
     sizes_from: dict[_State, int] = {}

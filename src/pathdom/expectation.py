@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .domination import final_set_counts
-from .errors import DEFAULT_BRUTE_CAP, EXACT_PATH_CAP, check_cap
+from .errors import EXACT_PATH_CAP, check_cap
 from .graphs import Graph
 
 
@@ -150,7 +150,6 @@ def bruteforce_expected_gamma(graph: Graph, *, force: bool = False) -> Fraction:
 
     The independent oracle for every family formula above.
     """
-    check_cap(graph.n, DEFAULT_BRUTE_CAP, force, "exhaustive expectation")
-    final_sets = final_set_counts(graph)
+    final_sets = final_set_counts(graph, force=force)
     total = sum(len(chosen) * count for chosen, count in final_sets.items())
     return Fraction(total, math.factorial(graph.n))

@@ -10,8 +10,9 @@ cross-checks the others.
 The exhaustive census covers all n! orders through the state-merging
 engine of the domination module and tallies everything the rest of the
 package needs from brute force: the full size distribution and the
-realized worst-case sets with multiplicities.  Witness orders, taken in
-lexicographic order, are walked only when a count asks for them.
+realized worst-case sets with multiplicities.  extremal_permutations lists
+extremal orders lexicographically, up to an optional limit, through the
+same engine, under its guard; extremal_size maps a bound to its set size.
 
 Inversion maps the worst-case orders of odd n onto the weakly alternating
 permutations, complementation maps those onto the ones with no even local
@@ -34,10 +35,9 @@ from .domination import (
     is_independent_dominating,
     orders_with_size,
 )
-from .errors import DEFAULT_BRUTE_CAP, EXACT_COUNT_CAP, check_cap
+from .errors import EXACT_COUNT_CAP, check_cap
 from .graphs import path
 
-DEFAULT_WITNESS_CAP = 100
 SUBSET_SEARCH_CAP = 18
 # The weak-alternation listing scans all n! orders one by one (about 3 s at
 # n = 10, 40 s at n = 11).
@@ -56,6 +56,14 @@ def min_dominating_size(n: int) -> int:
     if n < 1:
         raise ValueError("n must be positive")
     return (n + 2) // 3
+
+
+def extremal_size(n: int, bound_kind: str) -> int:
+    """Set size at the "worst" or "best" bound on the n-path."""
+    sizes = {"worst": max_dominating_size, "best": min_dominating_size}
+    if bound_kind not in sizes:
+        raise ValueError("bound_kind must be 'worst' or 'best'")
+    return sizes[bound_kind](n)
 
 
 def odd_vertex_set(n: int) -> frozenset[int]:
@@ -158,11 +166,8 @@ class PathCensus:
 
 def path_census(n: int, *, force: bool = False) -> PathCensus:
     """Simulate every one of the n! revelation orders of the n-path."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    check_cap(n, DEFAULT_BRUTE_CAP, force, "exhaustive census")
-    final_sets = final_set_counts(path(n))
-    worst = max_dominating_size(n)
+    worst = max_dominating_size(n)  # refuses n < 1
+    final_sets = final_set_counts(path(n), force=force)
     size_counts = [0] * (worst + 1)
     for vertex_set, count in final_sets.items():
         size_counts[len(vertex_set)] += count
@@ -188,7 +193,7 @@ class ExtremalReport:
     method: str
     witnesses: tuple[tuple[int, ...], ...] = ()
 
-    def to_json_dict(self, include_witnesses: bool = True) -> dict:
+    def to_json_dict(self) -> dict:
         out = {
             "n": self.n,
             "bound_kind": self.bound_kind,
@@ -196,49 +201,19 @@ class ExtremalReport:
             "count": str(self.count),
             "method": self.method,
         }
-        if include_witnesses and self.witnesses:
+        if self.witnesses:
             out["witnesses"] = [list(w) for w in self.witnesses]
         return out
 
 
-def count_extremal_bruteforce(
-    n: int,
-    bound_kind: str,
-    *,
-    force: bool = False,
-    witness_cap: int = DEFAULT_WITNESS_CAP,
-) -> ExtremalReport:
-    """Count extremal orders by running the procedure on every permutation.
-
-    The first `witness_cap` extremal orders, in lexicographic order, come
-    along as witnesses.
-    """
-    if bound_kind not in ("worst", "best"):
-        raise ValueError("bound_kind must be 'worst' or 'best'")
-    census = path_census(n, force=force)
-    size = census.worst_size if bound_kind == "worst" else census.best_size
-    return ExtremalReport(
-        n=n,
-        bound_kind=bound_kind,
-        extremal_size=size,
-        count=census.size_counts[size],
-        method="brute_force",
-        witnesses=tuple(orders_with_size(path(n), size, witness_cap)),
-    )
-
-
 def extremal_permutations(
-    n: int, bound_kind: str, *, force: bool = False
+    n: int, bound_kind: str, limit: int | None = None, *, force: bool = False
 ) -> list[tuple[int, ...]]:
-    """Materialize every worst- or best-case order (memory scales with the count)."""
-    if bound_kind == "worst":
-        target = max_dominating_size(n)
-    elif bound_kind == "best":
-        target = min_dominating_size(n)
-    else:
-        raise ValueError("bound_kind must be 'worst' or 'best'")
-    check_cap(n, DEFAULT_BRUTE_CAP, force, "extremal order enumeration")
-    return orders_with_size(path(n), target)
+    """Worst- or best-case orders in lexicographic order, at most `limit` of them.
+
+    Without a limit every one is materialized, so memory scales with the count.
+    """
+    return orders_with_size(path(n), extremal_size(n, bound_kind), limit, force=force)
 
 
 # ---------------------------------------------------------------------------

@@ -107,7 +107,7 @@ def worst_case_counts_egf(order: int, *, force: bool = False) -> tuple[int, ...]
     return _egf_counts(order)[1]
 
 
-def convolution_identity_holds(n: int, order: int | None = None) -> bool:
+def convolution_identity_holds(n: int) -> bool:
     """Check the even-length worst-case convolution identity.
 
     A worst-case order of even length n splits over a gap position into
@@ -117,12 +117,8 @@ def convolution_identity_holds(n: int, order: int | None = None) -> bool:
     """
     if n < 2 or n % 2:
         raise ValueError("the convolution identity is stated for even n >= 2")
-    if order is None:
-        order = n
-    if order < n:
-        raise ValueError(f"order {order} too small for n={n}")
-    odd_config = odd_configuration_counts_egf(order)
-    worst = worst_case_counts_egf(order)[n]
+    odd_config = odd_configuration_counts_egf(n)
+    worst = worst_case_counts_egf(n)[n]
     convolved = sum(
         math.comb(n, 2 * i) * odd_config[2 * i] * odd_config[n - 2 * i]
         for i in range(n // 2 + 1)

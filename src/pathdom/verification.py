@@ -285,7 +285,7 @@ def check_convolution(even_max: int = 60, brute_max: int = 11) -> CheckResult:
     """EGF convolution identity (even n) and odd-configuration counts vs brute force."""
     name = "convolution-identity"
     for n in range(2, even_max + 1, 2):
-        if not series.convolution_identity_holds(n, order=even_max):
+        if not series.convolution_identity_holds(n):
             return _fail(name, f"n={n}: worst-case EGF count != convolution")
     odd_config = series.odd_configuration_counts_egf(even_max)
     for n in range(1, brute_max + 1):

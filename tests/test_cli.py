@@ -170,6 +170,23 @@ class TestExtremal:
         assert int(doc["count"]) == 640
         assert len(doc["witnesses"]) == 3
 
+    @pytest.mark.parametrize("n,size,count", [(1, 1, 1), (2, 1, 2), (4, 2, 24),
+                                              (7, 3, 3408)])
+    def test_all_skips_the_formula_where_it_does_not_apply(self, capsys, n, size,
+                                                           count):
+        code, out, err = run(
+            capsys, "extremal", "--n", str(n), "--bound", "best", "--method", "all"
+        )
+        assert (code, err) == (0, "")
+        assert out == (
+            f"brute_force: {count} orders of length {n} hit the best-case size {size}\n"
+        )
+        code, out, err = run(
+            capsys, "extremal", "--n", str(n), "--bound", "best", "--method", "formula"
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: closed formula for n % 3 == ")
+
     def test_cap_refusal_exit_code(self, capsys):
         code, _, err = run(capsys, "extremal", "--n", "12", "--bound", "worst")
         assert code == 3
@@ -401,6 +418,20 @@ def test_exact_commands_leave_numpy_unloaded():
     assert probes == ["probe False False", "probe False"]
 
 
+def test_tracer_finds_every_name_it_wraps(tmp_path):
+    # The benchmark's tracer refuses to start when a function it wraps is
+    # gone, so renaming or deleting a traced name fails here, not in a
+    # traced benchmark run.
+    src = os.path.dirname(os.path.dirname(pathdom.__file__))
+    tracer = os.path.join(os.path.dirname(src), "perfbench", "tracer.py")
+    result = subprocess.run(
+        [sys.executable, tracer, str(tmp_path / "spans.json"), "0", "--", "--version"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == f"pathdom {pathdom.__version__}\n"
+
+
 def _json_out(*argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -442,6 +473,11 @@ class TestJsonRoundTrips:
             "extremal", "--n", str(n), "--bound", bound, "--witnesses",
             str(witnesses), "--format", "json",
         )
-        report = extremal.count_extremal_bruteforce(n, bound, witness_cap=witnesses)
-        assert doc == report.to_json_dict(include_witnesses=witnesses > 0)
+        size = extremal.extremal_size(n, bound)
+        report = extremal.ExtremalReport(
+            n=n, bound_kind=bound, extremal_size=size,
+            count=extremal.path_census(n).size_counts[size], method="brute_force",
+            witnesses=tuple(extremal.extremal_permutations(n, bound, witnesses)),
+        )
+        assert doc == report.to_json_dict()
         assert int(doc["count"]) == report.count

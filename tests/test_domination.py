@@ -123,11 +123,6 @@ class TestRunOnline:
         outcome = run_online_domination(path(5), (5, 1, 3, 2, 4))
         assert outcome.chosen == (5, 1, 3)
 
-    def test_chosen_mask_matches_chosen(self):
-        outcome = run_online_domination(path(4), (2, 4, 1, 3))
-        assert outcome.chosen_mask[0] is False
-        assert {v for v in range(1, 5) if outcome.chosen_mask[v]} == outcome.chosen_set
-
     def test_gamma_examples(self):
         assert gamma(path(1), (1,)) == 1
         assert gamma(path(2), (1, 2)) == 1

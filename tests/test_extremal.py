@@ -9,6 +9,7 @@ recurrence, the EGF and the closed formulas):
 
 import inspect
 import itertools
+import json
 import math
 import sys
 
@@ -17,12 +18,13 @@ import pytest
 from pathdom import (
     best_case_count_formula,
     best_case_formula_applicable,
+    cli,
     complement,
-    count_extremal_bruteforce,
     count_no_even_local_maxima,
     count_weakly_alternating,
     extremal,
     extremal_permutations,
+    extremal_size,
     gamma,
     has_no_even_local_maxima,
     independent_dominating_sets_bruteforce,
@@ -46,6 +48,16 @@ from pathdom.verification import BEST_CASE_COUNTS, WORST_CASE_COUNTS
 
 
 class TestBounds:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_extremal_size(self, n):
+        assert extremal_size(n, "worst") == max_dominating_size(n)
+        assert extremal_size(n, "best") == min_dominating_size(n)
+
+    @pytest.mark.parametrize("kind", ["median", "Worst", ""])
+    def test_extremal_size_rejects_other_bounds(self, kind):
+        with pytest.raises(ValueError, match="bound_kind"):
+            extremal_size(6, kind)
+
     @pytest.mark.parametrize("n,expected", [(1, 1), (6, 3), (7, 4), (12, 6)])
     def test_max_size(self, n, expected):
         assert max_dominating_size(n) == expected
@@ -103,9 +115,8 @@ class TestMaximalSets:
 
 class TestBruteForceCounts:
     def test_length_three_witnesses(self):
-        report = count_extremal_bruteforce(3, "worst")
-        assert report.count == 4
-        assert set(report.witnesses) == {
+        assert path_census(3).worst_count == 4
+        assert set(extremal_permutations(3, "worst")) == {
             (1, 2, 3), (1, 3, 2), (3, 1, 2), (3, 2, 1),
         }
 
@@ -117,22 +128,29 @@ class TestBruteForceCounts:
     def test_best_counts(self, n):
         assert path_census(n).best_count == BEST_CASE_COUNTS[n]
 
-    def test_report_invariants(self):
+    def test_report_invariants(self, capsys):
         g = path(6)
         for kind, size in (("worst", 3), ("best", 2)):
-            report = count_extremal_bruteforce(6, kind)
-            assert report.extremal_size == size
-            assert report.method == "brute_force"
-            for witness in report.witnesses:
+            assert extremal_size(6, kind) == size
+            witnesses = extremal_permutations(6, kind, 100)
+            assert len(witnesses) == min(100, path_census(6).size_counts[size])
+            for witness in witnesses:
                 assert gamma(g, witness) == size
+            assert cli.main(["extremal", "--n", "6", "--bound", kind, "--witnesses",
+                             "2", "--format", "json"]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["method"] == "brute_force"
+            assert doc["extremal_size"] == size
+            assert doc["witnesses"] == [list(w) for w in witnesses[:2]]
 
     def test_cap_refusal_names_override(self):
         with pytest.raises(ResourceLimitError, match="force"):
             path_census(12)
 
     def test_witness_cap_respected(self):
-        report = count_extremal_bruteforce(7, "worst", witness_cap=5)
-        assert len(report.witnesses) == 5
+        witnesses = extremal_permutations(7, "worst", 5)
+        assert witnesses == extremal_permutations(7, "worst")[:5]
+        assert extremal_permutations(7, "worst", 0) == []
 
 
 class TestRecurrence:

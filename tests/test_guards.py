@@ -4,21 +4,26 @@ Every guarded library function checks its size against a module constant
 read when it is called, and `force=True` is the only way past it.
 """
 
+import math
+
 import pytest
 
-from pathdom import expectation, extremal, montecarlo, path, series
-from pathdom.errors import ResourceLimitError
+from pathdom import domination, expectation, extremal, montecarlo, path, series
+from pathdom.errors import DEFAULT_BRUTE_CAP, ResourceLimitError
 from pathdom.montecarlo import SampleConfig
 
 # (module, cap constant, size that the lowered cap refuses, call(size, force))
 GUARDS = {
-    "path_census": (extremal, "DEFAULT_BRUTE_CAP", 5,
+    "final_set_counts": (
+        domination, "DEFAULT_BRUTE_CAP", 5,
+        lambda n, force: domination.final_set_counts(path(n), force=force)),
+    "orders_with_size": (
+        domination, "DEFAULT_BRUTE_CAP", 5,
+        lambda n, force: domination.orders_with_size(path(n), 2, force=force)),
+    "path_census": (domination, "DEFAULT_BRUTE_CAP", 5,
                     lambda n, force: extremal.path_census(n, force=force)),
-    "count_extremal_bruteforce": (
-        extremal, "DEFAULT_BRUTE_CAP", 5,
-        lambda n, force: extremal.count_extremal_bruteforce(n, "best", force=force)),
     "extremal_permutations": (
-        extremal, "DEFAULT_BRUTE_CAP", 5,
+        domination, "DEFAULT_BRUTE_CAP", 5,
         lambda n, force: extremal.extremal_permutations(n, "worst", force=force)),
     "independent_dominating_sets_bruteforce": (
         extremal, "SUBSET_SEARCH_CAP", 5,
@@ -34,7 +39,7 @@ GUARDS = {
         extremal, "EXACT_COUNT_CAP", 5,
         lambda n, force: extremal.count_weakly_alternating(n, force=force)),
     "bruteforce_expected_gamma": (
-        expectation, "DEFAULT_BRUTE_CAP", 5,
+        domination, "DEFAULT_BRUTE_CAP", 5,
         lambda n, force: expectation.bruteforce_expected_gamma(path(n), force=force)),
     "worst_case_count_recurrence": (
         extremal, "EXACT_COUNT_CAP", 5,
@@ -66,3 +71,14 @@ def test_module_cap_read_at_call_time_and_forced(name, monkeypatch):
     with pytest.raises(ResourceLimitError, match="force"):
         call(size, False)
     assert call(size, True) == expected
+
+
+def test_exhaustive_engine_guards_itself():
+    graph = path(DEFAULT_BRUTE_CAP + 1)
+    with pytest.raises(ResourceLimitError, match="force"):
+        domination.final_set_counts(graph)
+    with pytest.raises(ResourceLimitError, match="force"):
+        domination.orders_with_size(graph, 6, limit=0)
+    assert domination.orders_with_size(graph, 6, limit=0, force=True) == []
+    counts = domination.final_set_counts(graph, force=True)
+    assert sum(counts.values()) == math.factorial(graph.n)
