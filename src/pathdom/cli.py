@@ -150,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="brute",
     )
     p.add_argument("--witnesses", type=int, default=0, metavar="K",
-                   help="include up to K witness orders (brute only)")
+                   help="include up to K witness orders (--method brute or all)")
     p.add_argument(
         "--force", action="store_true", help="override the brute and count caps"
     )
@@ -214,6 +214,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _expect_value(args: argparse.Namespace) -> tuple[str, Fraction]:
+    if args.as_printed and (args.family != "wheel" or args.method == "brute"
+                            or args.caro_wei):
+        raise ValueError("--as-printed applies to the wheel formula only")
     if args.caro_wei:
         return "caro_wei", expectation.caro_wei_bound(_graph_from_args(args))
     if args.method == "brute":
@@ -270,6 +273,8 @@ def _extremal_reports(args: argparse.Namespace) -> list[extremal.ExtremalReport]
     if args.witnesses < 0:
         raise ValueError("--witnesses must be nonnegative")
     size = extremal.extremal_size(n, kind)
+    if args.witnesses and args.method not in ("brute", "all"):
+        raise ValueError("--witnesses applies to --method brute or all only")
 
     def brute():
         census = extremal.path_census(n, force=force)

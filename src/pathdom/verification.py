@@ -3,9 +3,12 @@
 Every quantity the package can compute more than one way is recomputed by
 every route and compared here: exhaustive simulation against recurrences,
 closed formulas and generating functions, exact expectations against
-brute-force averages, and the sampler against exact distributions.  The
-CLI `verify` subcommand runs these checks; the acceptance test suite runs
-the same functions at full strength.
+brute-force averages, and the sampler against exact distributions.  An
+equality check is a table of `(where, {route: value})` cases that `_agree`
+fails at the first case whose routes split.  Sizes are fixed (exhaustive
+ranges are those of the reference tables) except for the two costly
+checks, the inverse-bijection listing and the Monte Carlo sample.  The CLI
+`verify` subcommand runs these checks, as does the acceptance test suite.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from . import expectation, extremal, graphs, montecarlo, series
 from .domination import run_online_domination
@@ -30,6 +33,9 @@ BEST_CASE_COUNTS = {
     1: 1, 2: 2, 3: 2, 4: 24, 5: 64, 6: 80, 7: 3408, 8: 9856, 9: 13440,
     10: 1377792, 11: 4139520,
 }
+BRUTE_MAX = max(WORST_CASE_COUNTS)  # exhaustive counts run through this n
+
+Case = tuple[str, dict]  # (where, {route: value})
 
 MONTE_CARLO_SEED = 271828
 
@@ -44,75 +50,73 @@ class CheckResult:
         return f"{'PASS' if self.passed else 'FAIL'}  {self.name}: {self.detail}"
 
 
-def _pass(name: str, detail: str) -> CheckResult:
-    return CheckResult(name=name, passed=True, detail=detail)
+def _agree(name: str, cases: Iterable[Case], detail: str) -> CheckResult:
+    """Pass with `detail` when every case's routes give one value; otherwise
+    fail at the first case that splits, listing each route's value."""
+    for where, routes in cases:
+        first, *rest = routes.values()
+        if any(value != first for value in rest):
+            shown = ", ".join(f"{route}={value}" for route, value in routes.items())
+            return CheckResult(name, False, f"{where}: {shown}")
+    return CheckResult(name, True, detail)
 
 
-def _fail(name: str, detail: str) -> CheckResult:
-    return CheckResult(name=name, passed=False, detail=detail)
-
-
-def check_worst_case_counts(brute_max: int = 11) -> CheckResult:
+def check_worst_case_counts() -> CheckResult:
     """Exhaustive count == recurrence == EGF == reference, n = 1..11."""
-    name = "worst-case-counts"
-    egf = series.worst_case_counts_egf(max(WORST_CASE_COUNTS))
-    for n, expected in WORST_CASE_COUNTS.items():
-        rec = extremal.worst_case_count_recurrence(n)
-        if rec != expected:
-            return _fail(name, f"n={n}: recurrence={rec}, reference={expected}")
-        if egf[n] != expected:
-            return _fail(name, f"n={n}: egf={egf[n]}, reference={expected}")
-    for n in range(1, brute_max + 1):
-        brute = extremal.path_census(n).worst_count
-        if brute != WORST_CASE_COUNTS[n]:
-            return _fail(
-                name, f"n={n}: brute={brute}, reference={WORST_CASE_COUNTS[n]}"
-            )
-    return _pass(name, f"brute(n<={brute_max}) = recurrence = EGF = reference (n<=11)")
-
-
-def check_best_case_counts(brute_max: int = 11) -> CheckResult:
-    """Exhaustive count == reference, with closed formulas where applicable."""
-    name = "best-case-counts"
-    for n in range(1, brute_max + 1):
-        brute = extremal.path_census(n).best_count
-        if brute != BEST_CASE_COUNTS[n]:
-            return _fail(
-                name, f"n={n}: brute={brute}, reference={BEST_CASE_COUNTS[n]}"
-            )
-    formula_ns = [
-        n for n in BEST_CASE_COUNTS if extremal.best_case_formula_applicable(n)
-    ]
-    for n in formula_ns:
-        value = extremal.best_case_count_formula(n)
-        if value != BEST_CASE_COUNTS[n]:
-            return _fail(
-                name, f"n={n}: formula={value}, reference={BEST_CASE_COUNTS[n]}"
-            )
-    return _pass(
-        name,
-        f"brute(n<={brute_max}) = reference; formula agrees on n in "
-        f"{formula_ns}",
+    egf = series.worst_case_counts_egf(BRUTE_MAX)
+    cases = (
+        (f"n={n}", {
+            "brute": extremal.path_census(n).worst_count,
+            "recurrence": extremal.worst_case_count_recurrence(n),
+            "egf": egf[n],
+            "reference": reference,
+        })
+        for n, reference in WORST_CASE_COUNTS.items()
+    )
+    return _agree(
+        "worst-case-counts", cases,
+        f"brute(n<={BRUTE_MAX}) = recurrence = EGF = reference (n<={BRUTE_MAX})",
     )
 
 
-def check_expectation_oracle(brute_max: int = 11) -> CheckResult:
+def check_best_case_counts() -> CheckResult:
+    """Exhaustive count == reference, with closed formulas where applicable."""
+    formula_ns = [
+        n for n in BEST_CASE_COUNTS if extremal.best_case_formula_applicable(n)
+    ]
+
+    def cases() -> Iterator[Case]:
+        for n, reference in BEST_CASE_COUNTS.items():
+            routes = {
+                "brute": extremal.path_census(n).best_count, "reference": reference
+            }
+            if n in formula_ns:
+                routes["formula"] = extremal.best_case_count_formula(n)
+            yield f"n={n}", routes
+
+    return _agree(
+        "best-case-counts", cases(),
+        f"brute(n<={BRUTE_MAX}) = reference; formula agrees on n in {formula_ns}",
+    )
+
+
+def check_expectation_oracle() -> CheckResult:
     """Recurrence expectation == brute-force average == closed form (exact)."""
-    name = "expectation-oracle"
     closed_max = 200
-    for n in range(1, brute_max + 1):
-        brute = extremal.path_census(n).expectation
-        rec = expectation.expected_gamma_path(n)
-        if brute != rec:
-            return _fail(name, f"n={n}: brute={brute}, recurrence={rec}")
-    for n in range(1, closed_max + 1):
-        rec = expectation.expected_gamma_path(n)
-        closed = expectation.expected_gamma_path_closed_form(n)
-        if rec != closed:
-            return _fail(name, f"n={n}: recurrence={rec}, closed form={closed}")
-    return _pass(
-        name,
-        f"recurrence = brute average (n<={brute_max}) and "
+
+    def cases() -> Iterator[Case]:
+        for n in range(1, closed_max + 1):
+            routes = {
+                "recurrence": expectation.expected_gamma_path(n),
+                "closed form": expectation.expected_gamma_path_closed_form(n),
+            }
+            if n <= BRUTE_MAX:
+                routes["brute"] = extremal.path_census(n).expectation
+            yield f"n={n}", routes
+
+    return _agree(
+        "expectation-oracle", cases(),
+        f"recurrence = brute average (n<={BRUTE_MAX}) and "
         f"= closed form (n<={closed_max})",
     )
 
@@ -122,18 +126,18 @@ def check_asymptotic_constant() -> CheckResult:
     name = "asymptotic-constant"
     n_large, tol = 10_000, 1e-3
     limit = expectation.expected_gamma_limit()
-    if limit != 0.5 - 0.5 * math.exp(-2.0):
-        return _fail(name, f"limit {limit!r} breaks the algebraic identity")
-    if not f"{limit:.10f}".startswith("0.4323"):
-        return _fail(name, f"limit {limit!r} does not start with 0.4323")
-    per_vertex = expectation.expected_gamma_path_float(n_large) / n_large
-    gap = abs(per_vertex - limit)
+    gap = abs(expectation.expected_gamma_path_float(n_large) / n_large - limit)
     if gap >= tol:
-        return _fail(
-            name, f"|E(n)/n - limit| = {gap:.2e} at n={n_large}, tolerance {tol}"
+        return CheckResult(
+            name, False, f"|E(n)/n - limit| = {gap:.2e} at n={n_large}, tolerance {tol}"
         )
-    return _pass(
-        name, f"limit=0.4323..., |E({n_large})/{n_large} - limit| = {gap:.2e} < {tol}"
+    cases = [
+        ("limit", {"computed": limit, "(1 - e^-2)/2": 0.5 - 0.5 * math.exp(-2.0)}),
+        ("leading digits", {"computed": f"{limit:.10f}"[:6], "expected": "0.4323"}),
+    ]
+    return _agree(
+        name, cases,
+        f"limit=0.4323..., |E({n_large})/{n_large} - limit| = {gap:.2e} < {tol}",
     )
 
 
@@ -147,97 +151,81 @@ def _partitions(total: int, max_part: int | None = None) -> Iterator[tuple[int, 
             yield (part,) + rest
 
 
-def check_family_formulas(
-    cycle_max: int = 9,
-    star_max: int = 7,
-    wheel_spoke_max: int = 6,
-    multipartite_vertex_max: int = 8,
-) -> CheckResult:
-    """Each family formula equals the brute-force average, exactly."""
-    name = "family-formulas"
-    for n in range(3, cycle_max + 1):
-        formula = expectation.expected_gamma_cycle(n)
-        brute = expectation.bruteforce_expected_gamma(graphs.cycle(n))
-        if formula != brute:
-            return _fail(name, f"cycle n={n}: formula={formula}, brute={brute}")
-    for leaves in range(1, star_max + 1):
-        formula = expectation.expected_gamma_star(leaves)
-        brute = expectation.bruteforce_expected_gamma(graphs.star(leaves))
-        if formula != brute:
-            return _fail(name, f"star leaves={leaves}: formula={formula}, brute={brute}")
-    printed_divergences = []
-    for spokes in range(3, wheel_spoke_max + 1):
-        brute = expectation.bruteforce_expected_gamma(graphs.wheel(spokes))
-        corrected = expectation.expected_gamma_wheel(spokes)
-        printed = expectation.expected_gamma_wheel(spokes, as_printed=True)
-        if corrected != brute:
-            return _fail(
-                name, f"wheel spokes={spokes}: corrected={corrected}, brute={brute}"
-            )
-        if printed != brute:
-            printed_divergences.append(spokes)
-    if len(printed_divergences) != wheel_spoke_max - 2:
-        return _fail(
-            name,
-            "uncorrected wheel form unexpectedly matches brute force at "
-            f"spokes not in {printed_divergences}",
-        )
-    instances = 0
-    for total in range(2, multipartite_vertex_max + 1):
-        for parts in _partitions(total):
-            if len(parts) < 2:
-                continue  # a single part has no edges
-            formula = expectation.expected_gamma_complete_multipartite(parts)
-            brute = expectation.bruteforce_expected_gamma(
-                graphs.complete_multipartite(parts)
-            )
-            if formula != brute:
-                return _fail(
-                    name, f"multipartite {parts}: formula={formula}, brute={brute}"
-                )
-            instances += 1
-    return _pass(
-        name,
-        f"cycle(3..{cycle_max}), star(1..{star_max}), wheel(3..{wheel_spoke_max}) "
-        f"and {instances} multipartite instances match brute force; uncorrected "
-        f"wheel form diverges at every tested size {printed_divergences}",
+def check_family_formulas() -> CheckResult:
+    """Each family formula equals the brute-force average, exactly.
+
+    The wheel formula as printed in the paper must differ from it at every
+    tested size.
+    """
+    brute = expectation.bruteforce_expected_gamma
+    spokes_range = range(3, 7)
+    multipartite = [  # a single part has no edges
+        parts for total in range(2, 9) for parts in _partitions(total) if len(parts) > 1
+    ]
+
+    def cases() -> Iterator[Case]:
+        for n in range(3, 10):
+            yield f"cycle n={n}", {
+                "formula": expectation.expected_gamma_cycle(n),
+                "brute": brute(graphs.cycle(n)),
+            }
+        for leaves in range(1, 8):
+            yield f"star leaves={leaves}", {
+                "formula": expectation.expected_gamma_star(leaves),
+                "brute": brute(graphs.star(leaves)),
+            }
+        for spokes in spokes_range:
+            average = brute(graphs.wheel(spokes))
+            printed = expectation.expected_gamma_wheel(spokes, as_printed=True)
+            yield f"wheel spokes={spokes}", {
+                "corrected": expectation.expected_gamma_wheel(spokes),
+                "brute": average,
+            }
+            yield f"wheel spokes={spokes}", {
+                "as printed = brute": printed == average, "expected": False,
+            }
+        for parts in multipartite:
+            yield f"multipartite {parts}", {
+                "formula": expectation.expected_gamma_complete_multipartite(parts),
+                "brute": brute(graphs.complete_multipartite(parts)),
+            }
+
+    return _agree(
+        "family-formulas", cases(),
+        f"cycle(3..9), star(1..7), wheel(3..6) and {len(multipartite)} multipartite "
+        f"instances match brute force; uncorrected wheel form diverges at every "
+        f"tested size {list(spokes_range)}",
     )
 
 
-def check_structural_sets(subset_max: int = 14) -> CheckResult:
+def check_structural_sets() -> CheckResult:
     """Maximal independent dominating sets: construction == exhaustive search."""
-    name = "structural-sets"
-    realization_max = 12
-    for n in range(1, subset_max + 1):
-        constructed = set(extremal.maximal_independent_dominating_sets(n))
-        expected_count = n // 2 + 1 if n % 2 == 0 else 1
-        if len(constructed) != expected_count:
-            return _fail(
-                name, f"n={n}: constructed {len(constructed)} sets, expected {expected_count}"
+    subset_max, realization_max = 14, 12
+
+    def cases() -> Iterator[Case]:
+        for n in range(1, subset_max + 1):
+            constructed = set(extremal.maximal_independent_dominating_sets(n))
+            searched = extremal.independent_dominating_sets_bruteforce(
+                n, size=extremal.max_dominating_size(n)
             )
-        top = extremal.max_dominating_size(n)
-        searched = set(extremal.independent_dominating_sets_bruteforce(n, size=top))
-        if constructed != searched:
-            return _fail(
-                name,
-                f"n={n}: constructed family differs from exhaustive subset search",
-            )
-    for n in range(1, realization_max + 1):
-        graph = graphs.path(n)
-        for vertex_set in extremal.maximal_independent_dominating_sets(n):
-            order = extremal.set_first_order(vertex_set, n)
-            outcome = run_online_domination(graph, order)
-            if outcome.chosen_set != vertex_set:
-                return _fail(
-                    name, f"n={n}: set {sorted(vertex_set)} not realized by {order}"
-                )
-    worst3 = {
-        perm for perm in extremal.extremal_permutations(3, "worst")
-    }
-    if worst3 != {(1, 2, 3), (1, 3, 2), (3, 1, 2), (3, 2, 1)}:
-        return _fail(name, f"worst-case orders of length 3 are {sorted(worst3)}")
-    return _pass(
-        name,
+            expected_count = n // 2 + 1 if n % 2 == 0 else 1
+            yield f"n={n}", {"sets": len(constructed), "expected": expected_count}
+            yield f"n={n}", {"constructed": constructed, "searched": set(searched)}
+        for n in range(1, realization_max + 1):
+            graph = graphs.path(n)
+            for vertex_set in extremal.maximal_independent_dominating_sets(n):
+                order = extremal.set_first_order(vertex_set, n)
+                yield f"n={n}, order {order}", {
+                    "set": sorted(vertex_set),
+                    "realized": sorted(run_online_domination(graph, order).chosen_set),
+                }
+        yield "n=3", {
+            "worst-case orders": set(extremal.extremal_permutations(3, "worst")),
+            "expected": {(1, 2, 3), (1, 3, 2), (3, 1, 2), (3, 2, 1)},
+        }
+
+    return _agree(
+        "structural-sets", cases(),
         f"counts and families match exhaustive search (n<={subset_max}), all "
         f"sets realized (n<={realization_max}), length-3 worst set exact",
     )
@@ -251,131 +239,130 @@ def check_inverse_bijection(odd_max: int = 9) -> CheckResult:
     """
     name = "inverse-bijection"
     count_max = 60
+    worst_counts = {}
+    for n in range(1, odd_max + 1, 2):
+        worst = extremal.extremal_permutations(n, "worst")
+        worst_counts[n] = len(worst)
+        for order in worst:
+            image = extremal.inverse(order)
+            if not extremal.is_weakly_alternating(image):
+                return CheckResult(
+                    name, False, f"n={n}: inverse of {order} is not weakly alternating"
+                )
+            if not extremal.has_no_even_local_maxima(extremal.complement(image)):
+                return CheckResult(
+                    name, False,
+                    f"n={n}: complement of {image} has an even local maximum",
+                )
     odd_config = series.odd_configuration_counts_egf(count_max)
-    for n in range(1, count_max + 1):
-        counts = {
-            "weakly alternating": extremal.count_weakly_alternating(n),
-            "without even local maxima": extremal.count_no_even_local_maxima(n),
-            "odd-configuration EGF": odd_config[n],
-        }
-        if n % 2 and n <= odd_max:
-            worst = extremal.extremal_permutations(n, "worst")
-            counts["worst-case"] = len(worst)
-            for order in worst:
-                image = extremal.inverse(order)
-                if not extremal.is_weakly_alternating(image):
-                    return _fail(
-                        name, f"n={n}: inverse of {order} is not weakly alternating"
-                    )
-                if not extremal.has_no_even_local_maxima(extremal.complement(image)):
-                    return _fail(
-                        name, f"n={n}: complement of {image} has an even local maximum"
-                    )
-        if min(counts.values()) != max(counts.values()):
-            return _fail(name, f"n={n}: counts differ: {counts}")
-    return _pass(
-        name,
+
+    def cases() -> Iterator[Case]:
+        for n in range(1, count_max + 1):
+            counts = {
+                "weakly alternating": extremal.count_weakly_alternating(n),
+                "without even local maxima": extremal.count_no_even_local_maxima(n),
+                "odd-configuration EGF": odd_config[n],
+            }
+            if n in worst_counts:
+                counts["worst-case"] = worst_counts[n]
+            yield f"n={n}", counts
+
+    return _agree(
+        name, cases(),
         f"inversion and complementation bijections verified for odd n <= "
         f"{odd_max}; both pattern counts = odd-configuration EGF for n <= "
         f"{count_max}",
     )
 
 
-def check_convolution(even_max: int = 60, brute_max: int = 11) -> CheckResult:
+def check_convolution() -> CheckResult:
     """EGF convolution identity (even n) and odd-configuration counts vs brute force."""
-    name = "convolution-identity"
-    for n in range(2, even_max + 1, 2):
-        if not series.convolution_identity_holds(n):
-            return _fail(name, f"n={n}: worst-case EGF count != convolution")
+    even_max = 60
     odd_config = series.odd_configuration_counts_egf(even_max)
-    for n in range(1, brute_max + 1):
-        brute = extremal.path_census(n).odd_configuration_count
-        if brute != odd_config[n]:
-            return _fail(
-                name, f"n={n}: brute odd-config count={brute}, egf={odd_config[n]}"
-            )
-    return _pass(
-        name,
+
+    def cases() -> Iterator[Case]:
+        for n in range(2, even_max + 1, 2):
+            yield f"n={n}", {
+                "worst-case EGF = convolution": series.convolution_identity_holds(n),
+                "expected": True,
+            }
+        for n in range(1, BRUTE_MAX + 1):
+            census = extremal.path_census(n)
+            yield f"n={n}", {
+                "brute odd-config count": census.odd_configuration_count,
+                "egf": odd_config[n],
+            }
+
+    return _agree(
+        "convolution-identity", cases(),
         f"identity holds for even n <= {even_max}; EGF counts match brute "
-        f"force for n <= {brute_max}",
+        f"force for n <= {BRUTE_MAX}",
     )
 
 
 def check_montecarlo(n: int = 2000, samples: int = 40_000) -> CheckResult:
-    """Support bounds, mean convergence, and worker-count determinism."""
+    """Support bounds and mean convergence."""
     name = "monte-carlo"
-    seed = MONTE_CARLO_SEED
     hist = montecarlo.sample_gamma(
-        montecarlo.SampleConfig(n=n, samples=samples, seed=seed)
+        montecarlo.SampleConfig(n=n, samples=samples, seed=MONTE_CARLO_SEED)
     )
     lo, hi = extremal.min_dominating_size(n), extremal.max_dominating_size(n)
     if hist.min_gamma < lo or hist.max_gamma > hi:
-        return _fail(
-            name, f"support [{hist.min_gamma}, {hist.max_gamma}] outside [{lo}, {hi}]"
+        return CheckResult(
+            name, False,
+            f"support [{hist.min_gamma}, {hist.max_gamma}] outside [{lo}, {hi}]",
         )
-    exact_mean = expectation.expected_gamma_path_float(n)
     bound = 5 * hist.std_dev / math.sqrt(samples)
-    gap = abs(hist.mean - exact_mean)
+    gap = abs(hist.mean - expectation.expected_gamma_path_float(n))
     if gap > bound:
-        return _fail(
-            name,
+        return CheckResult(
+            name, False,
             f"|sample mean - exact mean| = {gap:.4f} exceeds 5 SE = {bound:.4f}",
         )
-    again = montecarlo.sample_gamma(
-        montecarlo.SampleConfig(n=n, samples=samples, seed=seed, workers=2)
-    )
-    if again.bins != hist.bins:
-        return _fail(name, "histogram changed with worker count")
-    return _pass(
-        name,
+    return CheckResult(
+        name, True,
         f"n={n}, samples={samples}: support in [{lo}, {hi}], "
-        f"|mean - exact| = {gap:.4f} <= {bound:.4f}, worker-independent",
+        f"|mean - exact| = {gap:.4f} <= {bound:.4f}",
     )
 
 
 def check_caro_wei() -> CheckResult:
     """Degree bound equals (n+1)/3 on paths (n >= 2) and stays below the expectation."""
-    name = "caro-wei"
     max_n = 200
-    single = expectation.caro_wei_bound(graphs.path(1))
-    if single != 1:
-        return _fail(name, f"path(1) bound is {single}, expected 1")
-    for n in range(2, max_n + 1):
-        bound = expectation.caro_wei_bound(graphs.path(n))
-        if bound != Fraction(n + 1, 3):
-            return _fail(name, f"n={n}: bound={bound}, expected {Fraction(n + 1, 3)}")
-    for n in range(1, max_n + 1):
-        if expectation.expected_gamma_path(n) < Fraction(n + 1, 3):
-            return _fail(name, f"n={n}: expectation below (n+1)/3")
-    return _pass(
-        name,
+
+    def cases() -> Iterator[Case]:
+        for n in range(1, max_n + 1):
+            third = Fraction(n + 1, 3)
+            yield f"n={n}", {
+                "bound": expectation.caro_wei_bound(graphs.path(n)),
+                "expected": third if n > 1 else 1,
+            }
+            yield f"n={n}", {
+                "expectation >= (n+1)/3": expectation.expected_gamma_path(n) >= third,
+                "expected": True,
+            }
+
+    return _agree(
+        "caro-wei", cases(),
         f"bound = (n+1)/3 for 2 <= n <= {max_n} (path(1) gives 1) and "
         f"expectation >= (n+1)/3 for n <= {max_n}",
     )
 
 
 def run_verification(depth: str = "quick") -> list[CheckResult]:
-    """Run every check; quick depth trims the brute-force ranges to stay fast."""
+    """Run every check; quick depth trims the bijection listing and the sample."""
     if depth not in ("quick", "full"):
         raise ValueError("depth must be 'quick' or 'full'")
     quick = depth == "quick"
-    brute_max = 8 if quick else 11
     return [
-        check_worst_case_counts(brute_max),
-        check_best_case_counts(brute_max),
-        check_expectation_oracle(brute_max),
+        check_worst_case_counts(),
+        check_best_case_counts(),
+        check_expectation_oracle(),
         check_asymptotic_constant(),
-        check_family_formulas(
-            cycle_max=8 if quick else 9,
-            star_max=6 if quick else 7,
-            wheel_spoke_max=5 if quick else 6,
-            multipartite_vertex_max=6 if quick else 8,
-        ),
-        check_structural_sets(subset_max=12 if quick else 14),
+        check_family_formulas(),
+        check_structural_sets(),
         check_inverse_bijection(odd_max=7 if quick else 9),
-        check_convolution(even_max=32 if quick else 60, brute_max=brute_max),
-        check_montecarlo(
-            n=300 if quick else 2000, samples=5000 if quick else 40_000
-        ),
+        check_convolution(),
+        check_montecarlo(n=300 if quick else 2000, samples=5000 if quick else 40_000),
         check_caro_wei(),
     ]

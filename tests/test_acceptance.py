@@ -8,8 +8,6 @@ exhaustively through n = 11.
 
 from pathdom import verification as V
 
-BRUTE_MAX = 11
-
 
 def _report(result: V.CheckResult) -> None:
     print(result.line())
@@ -17,15 +15,15 @@ def _report(result: V.CheckResult) -> None:
 
 
 def test_criterion_01_worst_case_tables():
-    _report(V.check_worst_case_counts(brute_max=BRUTE_MAX))
+    _report(V.check_worst_case_counts())
 
 
 def test_criterion_02_best_case_tables():
-    _report(V.check_best_case_counts(brute_max=BRUTE_MAX))
+    _report(V.check_best_case_counts())
 
 
 def test_criterion_03_expectation_oracle():
-    _report(V.check_expectation_oracle(brute_max=BRUTE_MAX))
+    _report(V.check_expectation_oracle())
 
 
 def test_criterion_04_asymptotic_constant():
@@ -33,15 +31,11 @@ def test_criterion_04_asymptotic_constant():
 
 
 def test_criterion_05_family_formulas():
-    _report(
-        V.check_family_formulas(
-            cycle_max=9, star_max=7, wheel_spoke_max=6, multipartite_vertex_max=8
-        )
-    )
+    _report(V.check_family_formulas())
 
 
 def test_criterion_06_structural_sets():
-    _report(V.check_structural_sets(subset_max=14))
+    _report(V.check_structural_sets())
 
 
 def test_criterion_07_inverse_bijection():
@@ -49,7 +43,7 @@ def test_criterion_07_inverse_bijection():
 
 
 def test_criterion_08_convolution_identity():
-    _report(V.check_convolution(even_max=60, brute_max=BRUTE_MAX))
+    _report(V.check_convolution())
 
 
 def test_criterion_09_monte_carlo():

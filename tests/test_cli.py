@@ -60,6 +60,17 @@ class TestExpect:
         assert corrected.strip() == "9/5"
         assert printed.strip() == "1"
 
+    @pytest.mark.parametrize("route", [
+        ["--family", "path", "--n", "5"],
+        ["--family", "cycle", "--n", "5"],
+        ["--family", "wheel", "--spokes", "4", "--method", "brute"],
+        ["--family", "wheel", "--spokes", "4", "--caro-wei"],
+    ])
+    def test_as_printed_outside_the_wheel_formula_is_refused(self, capsys, route):
+        code, out, err = run(capsys, "expect", *route, "--as-printed")
+        assert (code, out) == (1, "")
+        assert err == "error: --as-printed applies to the wheel formula only\n"
+
     def test_caro_wei(self, capsys):
         code, out, _ = run(
             capsys, "expect", "--family", "path", "--n", "3", "--caro-wei"
@@ -186,6 +197,22 @@ class TestExtremal:
         )
         assert (code, out) == (1, "")
         assert err.startswith("error: closed formula for n % 3 == ")
+
+    @pytest.mark.parametrize("method,bound", [("recurrence", "worst"), ("egf", "worst"),
+                                              ("formula", "best")])
+    def test_witnesses_outside_the_brute_route_are_refused(self, capsys, method, bound):
+        code, out, err = run(
+            capsys, "extremal", "--n", "8", "--bound", bound, "--method", method,
+            "--witnesses", "2",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: --witnesses applies to --method brute or all only\n"
+        code, out, _ = run(
+            capsys, "extremal", "--n", "8", "--bound", bound, "--method", "all",
+            "--witnesses", "2",
+        )
+        assert code == 0
+        assert out.count("  witness ") == 2
 
     def test_cap_refusal_exit_code(self, capsys):
         code, _, err = run(capsys, "extremal", "--n", "12", "--bound", "worst")
