@@ -11,9 +11,11 @@ run_online_domination, the reference the tests hold the others to; the
 exhaustive engine (final_set_counts, orders_with_size), which covers all
 n! orders by merging reveal prefixes and is the package's one brute force
 over orders, guarded by DEFAULT_BRUTE_CAP; and the vectorized path evaluator
-gamma_batch_path, which takes reveal times (such as the sampler's 32-bit
-reveal keys) and runs both end scans of the path in one loop over the
-neighbour comparisons, bit-packed across samples.
+gamma_batch_path.  On the path the final set depends only on the up/down
+word of an order, which vertex of each neighbouring pair is revealed
+later, so gamma_batch_path takes that word (the sampler's comes from its
+reveal keys) and runs both end scans of the path in one loop over it,
+bit-packed across samples.
 """
 
 from __future__ import annotations
@@ -103,13 +105,14 @@ def is_independent_dominating(graph: Graph, vertex_set: Iterable[int]) -> bool:
     return True
 
 
-def gamma_batch_path(n: int, times: np.ndarray) -> np.ndarray:
+def gamma_batch_path(n: int, later: np.ndarray) -> np.ndarray:
     """Vectorized gamma over many revelation orders of the n-vertex path.
 
-    Row i of times, shape (k, n), reveals vertex v at time times[i, v-1]:
-    reveal times, not orders, so the inverse of an order or any keys with
-    no tie between neighbours (not re-validated here).  Returns the k sizes;
-    row i matches gamma(path(n), order) for the order sorting its times.
+    Row i of later, shape (k, n - 1), is the up/down word of an order:
+    later[i, v-1] is true when vertex v+1 is revealed after vertex v, such as
+    times[:, 1:] > times[:, :-1] for reveal times with no tie between
+    neighbours.  Returns the k sizes; row i matches gamma(path(n), order) for
+    any order with that word.  With n = 1 the word is empty and every size is 1.
 
     A neighbour revealed earlier is settled by its far side alone, so a
     scan from each end gives every vertex's status against that side, and
@@ -119,18 +122,17 @@ def gamma_batch_path(n: int, times: np.ndarray) -> np.ndarray:
     """
     import numpy as np
 
-    times = np.asarray(times)
-    if times.ndim != 2 or times.shape[1] != n:
-        raise ValueError(f"expected shape (k, {n}), got {times.shape}")
-    t = np.ascontiguousarray(times.T)  # vertex-major: one row per vertex
-    later = np.packbits(t[1:] > t[:-1], axis=1)  # row v: v+1 revealed after v
-    w = later.shape[1]
-    steps = np.concatenate([later, ~later[::-1]], axis=1)
+    later = np.asarray(later)
+    if later.ndim != 2 or later.shape[1] != n - 1:
+        raise ValueError(f"expected shape (k, {n - 1}), got {later.shape}")
+    packed = np.packbits(later.T, axis=1)  # row v: v+1 revealed after v
+    w = packed.shape[1]
+    steps = np.concatenate([packed, ~packed[::-1]], axis=1)
     scan = np.full((n, 2 * w), 0xFF, dtype=np.uint8)
     for v in range(1, n):
         np.bitwise_and(steps[v - 1], scan[v - 1], out=scan[v])
         np.invert(scan[v], out=scan[v])
-    chosen = np.unpackbits(scan[:, :w] & scan[::-1, w:], axis=1, count=len(times))
+    chosen = np.unpackbits(scan[:, :w] & scan[::-1, w:], axis=1, count=len(later))
     return chosen.sum(axis=0, dtype=np.min_scalar_type(n)).astype(np.intp)  # sizes <= n
 
 

@@ -6,12 +6,15 @@ histograms are merged by plain addition.  The chunk layout depends only
 on (samples), never on the worker count, so a run is a pure function of
 (n, samples, seed) however the chunks are scheduled.
 
-A sample is one i.i.d. uniform 32-bit reveal key per vertex, its reveal
-time.  A tie between neighbours (probability 2^-32 a pair) extends the
-column by fresh 64-bit words until it breaks, as comparing i.i.d. uniform
-reals bit by bit would, so the neighbour comparisons, which alone fix the
-size on the path, follow a uniform order.  gamma_batch_path evaluates each
-chunk in one scan loop over those comparisons, bit-packed across samples.
+On the path the size depends only on the up/down word of a sample: for
+each pair of neighbours, which one is revealed later.  A sample is one
+i.i.d. uniform 16-bit reveal key per vertex, the leading digits of its
+reveal time, split from raw 64-bit generator words in a byte-order
+independent way.  A pair of neighbours with equal keys (probability 2^-16)
+is decided by fresh 64-bit digits of both vertices' reveal times, drawn one
+per vertex per round until they differ, so the word follows a uniform
+order exactly.  gamma_batch_path evaluates each chunk's word in one scan
+loop, bit-packed across samples.
 """
 
 from __future__ import annotations
@@ -84,23 +87,42 @@ class Histogram:
         }
 
 
-def _untie_neighbours(keys, rng):
-    """Break every tie between neighbours in keys of shape (n, samples), in place.
+def _reveal_keys(rng, n: int, count: int):
+    """i.i.d. uniform 16-bit keys of shape (n, count) from ceil(n * count / 4) raw words.
 
-    Each tied column draws the next 64 bits of each vertex's uniform real and
-    becomes the dense rank of its (key, word) pairs, until no tie remains.
+    Key j of word i is (word >> 16 * j) & 0xFFFF on every machine: astype
+    copies nothing on a little-endian one and byte-swaps on a big-endian one.
+    """
+    raw = rng.bit_generator.random_raw(-(-n * count // 4))
+    return raw.astype("<u8", copy=False).view("<u2")[: n * count].reshape(n, count)
+
+
+def _up_down_word(keys, rng):
+    """The up/down word of reveal keys of shape (n, samples), any unsigned dtype.
+
+    Entry [v-1, j] of the (n - 1, samples) result is True when vertex v+1 is
+    revealed after vertex v in sample j.  Keys are the leading digits of i.i.d.
+    uniform reals; a pair with equal keys draws the next 64-bit digit of both
+    vertices (once for a vertex in two such pairs) and repeats until they
+    differ.  A pair still tied at a round was tied at every earlier round, so
+    each vertex's digits come in sequence and the comparison is exact.
     """
     import numpy as np
 
-    while True:
-        tied = np.flatnonzero((keys[1:] == keys[:-1]).any(axis=0))
-        if not tied.size:
-            return keys
-        block = keys[:, tied]
-        words = rng.integers(0, 2**64, size=block.shape, dtype=np.uint64)
-        pairs = np.stack([block.ravel(), words.ravel()], axis=1)
-        _, ranks = np.unique(pairs, axis=0, return_inverse=True)
-        keys[:, tied] = ranks.reshape(block.shape)
+    later = keys[1:] > keys[:-1]
+    columns = np.flatnonzero((keys[1:] == keys[:-1]).any(axis=0))
+    pairs, at = np.nonzero(keys[1:, columns] == keys[:-1, columns])
+    samples = columns[at]
+    count = keys.shape[1]
+    while pairs.size:
+        cells = np.concatenate([pairs, pairs + 1]) * count + np.tile(samples, 2)
+        drawn, where = np.unique(cells, return_inverse=True)
+        digits = rng.bit_generator.random_raw(drawn.size)[where]
+        left, right = digits[: pairs.size], digits[pairs.size :]
+        later[pairs, samples] = right > left
+        tied = right == left
+        pairs, samples = pairs[tied], samples[tied]
+    return later
 
 
 def _chunk_histogram(args: tuple[int, int, int, int]) -> Counter:
@@ -110,8 +132,8 @@ def _chunk_histogram(args: tuple[int, int, int, int]) -> Counter:
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,))
     )
-    keys = rng.integers(0, 2**32, size=(n, count), dtype=np.uint32)
-    sizes = gamma_batch_path(n, _untie_neighbours(keys, rng).T)
+    word = _up_down_word(_reveal_keys(rng, n, count), rng)
+    sizes = gamma_batch_path(n, word.T)
     values, counts = np.unique(sizes, return_counts=True)
     return Counter({int(v): int(c) for v, c in zip(values, counts)})
 

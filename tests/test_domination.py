@@ -197,11 +197,15 @@ class TestIsIndependentDominating:
             is_independent_dominating(path(4), {1, 7})
 
 
+def _up_down_words(times):
+    return times[:, 1:] > times[:, :-1]
+
+
 class TestGammaBatch:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_scalar_engine_exhaustively(self, n):
         orders = np.array(list(itertools.permutations(range(1, n + 1))))
-        sizes = gamma_batch_path(n, np.argsort(orders, axis=1))  # reveal times
+        sizes = gamma_batch_path(n, _up_down_words(np.argsort(orders, axis=1)))
         g = path(n)
         for order, size in zip(orders, sizes):
             assert size == gamma(g, tuple(order))
@@ -216,20 +220,20 @@ class TestGammaBatch:
         orders = np.random.default_rng(seed).permuted(
             np.tile(np.arange(1, n + 1), (k, 1)), axis=1
         )
-        sizes = gamma_batch_path(n, np.argsort(orders, axis=1))
+        sizes = gamma_batch_path(n, _up_down_words(np.argsort(orders, axis=1)))
         assert list(sizes) == [gamma(path(n), order) for order in orders.tolist()]
 
-    def test_uint32_reveal_keys(self):
+    def test_uint16_reveal_keys(self):
         n, k = 60, 300
-        keys = np.random.default_rng(5).integers(0, 2**32, size=(k, n), dtype=np.uint32)
-        assert (keys[:, 1:] != keys[:, :-1]).all()  # no neighbour tie
+        keys = np.random.default_rng(6).integers(0, 2**16, size=(k, n), dtype=np.uint16)
+        assert (keys[:, 1:] != keys[:, :-1]).all()  # no neighbour tie at this seed
         orders = np.argsort(keys, axis=1) + 1
-        sizes = gamma_batch_path(n, keys)
+        sizes = gamma_batch_path(n, _up_down_words(keys))
         assert list(sizes) == [gamma(path(n), order) for order in orders.tolist()]
 
     def test_shape_validated(self):
-        with pytest.raises(ValueError):
-            gamma_batch_path(4, np.array([[1, 2, 3]]))
+        with pytest.raises(ValueError, match=r"\(k, 3\)"):
+            gamma_batch_path(4, np.array([[True, False, True, False]]))
 
 
 def _loop_census(graph):

@@ -16,7 +16,11 @@ from pathdom import (
     sample_gamma,
 )
 from pathdom.errors import ResourceLimitError
-from pathdom.montecarlo import _untie_neighbours
+from pathdom.montecarlo import _reveal_keys, _up_down_word
+
+
+def test_one_vertex_has_an_empty_word():
+    assert sample_gamma(SampleConfig(n=1, samples=5000, seed=5)).bins == {1: 5000}
 
 
 def test_two_path_is_degenerate():
@@ -115,25 +119,32 @@ def _up_down_law(n):
     return {pattern: count / math.factorial(n) for pattern, count in patterns.items()}
 
 
-@pytest.mark.parametrize("n", [3, 4])
+def test_reveal_keys_split_raw_words_arithmetically():
+    n, count = 7, 5  # 35 keys from 9 words, the last one split in part
+    keys = _reveal_keys(np.random.default_rng(31), n, count)
+    raw = np.random.default_rng(31).bit_generator.random_raw(9).tolist()
+    split = [(word >> 16 * j) & 0xFFFF for word in raw for j in range(4)]
+    assert keys.shape == (n, count)
+    assert keys.ravel().tolist() == split[: n * count]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
 @pytest.mark.parametrize(
     "alphabet, dtype",
     [pytest.param(a, np.uint64, id=str(a)) for a in (1, 2)]
-    + [pytest.param(a, np.uint32, id=f"{a}-uint32") for a in (1, 2)],
+    + [pytest.param(a, np.uint16, id=f"{a}-uint16") for a in (1, 2)],
 )
-def test_untie_neighbours_is_exact(n, alphabet, dtype):
-    # Keys from {0} or {0, 1} tie often, so nearly every column is extended.
+def test_up_down_word_is_exact(n, alphabet, dtype):
+    # Keys from {0} or {0, 1} tie often, so nearly every column is refined;
+    # with {0} every vertex sits in two tied pairs.
     samples = 20_000
     rng = np.random.default_rng(2024)
     keys = rng.integers(0, alphabet, size=(n, samples), dtype=dtype)
-    untied = _untie_neighbours(keys.copy(), rng)
-    assert untied.dtype == dtype
+    word = _up_down_word(keys, rng)
+    assert word.shape == (n - 1, samples)
     strict = keys[1:] != keys[:-1]
-    assert np.array_equal(
-        (untied[1:] > untied[:-1])[strict], (keys[1:] > keys[:-1])[strict]
-    )
-    assert (untied[1:] != untied[:-1]).all()
-    seen = Counter(map(tuple, (untied[1:] > untied[:-1]).T.tolist()))
+    assert np.array_equal(word[strict], (keys[1:] > keys[:-1])[strict])
+    seen = Counter(map(tuple, word.T.tolist()))
     law = _up_down_law(n)
     assert set(seen) <= set(law)
     for pattern, p in law.items():
