@@ -50,9 +50,12 @@ from .extremal import (
     max_dominating_size,
     maximal_independent_dominating_sets,
     min_dominating_size,
+    orders_per_word,
     path_census,
     set_first_order,
+    up_down_words,
     weakly_alternating_permutations,
+    word_census,
     worst_case_count_recurrence,
 )
 from .series import (

@@ -11,6 +11,8 @@ failure, 3 resource-guard refusal.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 import time
@@ -123,8 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--method",
         choices=("recurrence", "closed-form", "brute"),
-        default="recurrence",
-        help="path route, or 'brute' to average over all orders of any family",
+        help="path route (default: recurrence), or 'brute' to average over all "
+        "orders of any family",
     )
     p.add_argument(
         "--as-printed",
@@ -217,6 +219,8 @@ def _expect_value(args: argparse.Namespace) -> tuple[str, Fraction]:
     if args.as_printed and (args.family != "wheel" or args.method == "brute"
                             or args.caro_wei):
         raise ValueError("--as-printed applies to the wheel formula only")
+    if args.caro_wei and args.method is not None:
+        raise ValueError("--caro-wei takes no --method: it bounds the graph instead")
     if args.caro_wei:
         return "caro_wei", expectation.caro_wei_bound(_graph_from_args(args))
     if args.method == "brute":
@@ -405,6 +409,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
         ]
         _write(json.dumps(docs, indent=2) + "\n", args.output)
+    elif args.format == "csv":
+        table = io.StringIO()
+        writer = csv.writer(table, lineterminator="\n")
+        writer.writerow(["name", "passed", "detail"])
+        writer.writerows([r.name, int(r.passed), r.detail] for r in results)
+        _write(table.getvalue(), args.output)
     else:
         _write("".join(r.line() + "\n" for r in results), args.output)
     failures = [r for r in results if not r.passed]

@@ -12,6 +12,13 @@ DEFAULT_BRUTE_CAP = 11
 EXACT_COUNT_CAP = 1000
 EXACT_PATH_CAP = 20000
 
+# The up/down-word routes on the path list all 2^(n-1) words, n - 1 bytes
+# each, and are refused above WORD_LIST_CAP (an odd-n sweep through 21 peaks
+# near 94 MB).  The word census also keeps an int64 rank table of n counts
+# per word, so it stops earlier: about 77 MB of RSS at n = 18, 139 MB at 19.
+WORD_LIST_CAP = 21
+WORD_CENSUS_CAP = 18
+
 
 class ResourceLimitError(RuntimeError):
     """A computation would exceed a configured resource budget."""

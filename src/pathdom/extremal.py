@@ -13,6 +13,8 @@ package needs from brute force: the full size distribution and the
 realized worst-case sets with multiplicities.  extremal_permutations lists
 extremal orders lexicographically, up to an optional limit, through the
 same engine, under its guard; extremal_size maps a bound to its set size.
+The word census gets the size distribution from the 2^(n-1) up/down words
+of the path instead, each weighted by its number of orders.
 
 Inversion maps the worst-case orders of odd n onto the weakly alternating
 permutations, complementation maps those onto the ones with no even local
@@ -27,16 +29,20 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .domination import (
     check_permutation,
     final_set_counts,
+    gamma_batch_path,
     is_independent_dominating,
     orders_with_size,
 )
-from .errors import EXACT_COUNT_CAP, check_cap
+from .errors import EXACT_COUNT_CAP, WORD_CENSUS_CAP, WORD_LIST_CAP, check_cap
 from .graphs import path
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SUBSET_SEARCH_CAP = 18
 # The weak-alternation listing scans all n! orders one by one (about 3 s at
@@ -180,6 +186,63 @@ def path_census(n: int, *, force: bool = False) -> PathCensus:
             if len(vertex_set) == worst
         },
     )
+
+
+# ---------------------------------------------------------------------------
+# Up/down-word census
+# ---------------------------------------------------------------------------
+#
+# On the path the final set depends only on the up/down word of an order,
+# so the 2^(n-1) words stand in for the n! orders: gamma_batch_path gives
+# each word's size and the rank recursion its number of orders.
+
+
+def up_down_words(n: int, *, force: bool = False) -> np.ndarray:
+    """Every up/down word of the n-path, shape (2^(n-1), n - 1), in the
+    layout of gamma_batch_path: letter j of word i is bit j of i, true when
+    vertex j + 2 is revealed after vertex j + 1."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    check_cap(n, WORD_LIST_CAP, force, "up/down word listing")
+    import numpy as np
+
+    codes = np.arange(1 << (n - 1), dtype=np.uint32)
+    letters = np.empty((n - 1, codes.size), dtype=bool)  # one row per letter
+    for j, row in enumerate(letters):
+        np.bitwise_and(codes >> j, 1, out=row, casting="unsafe")
+    return letters.T
+
+
+def orders_per_word(words: np.ndarray) -> np.ndarray:
+    """Number of orders with each up/down word, by the rank recursion.
+
+    Column r of the table counts the orders of the prefix so far whose last
+    reveal time has rank r among the prefix; an up letter maps it to prefix
+    sums, a down letter to suffix sums.  int64 is exact while n <= 20;
+    longer words are counted in Python ints.
+    """
+    import numpy as np
+
+    words = np.asarray(words, dtype=bool)
+    k, letters = words.shape
+    ranks = np.ones((k, 1), dtype=np.int64 if letters < 20 else object)
+    for j in range(letters):
+        below = np.zeros((k, j + 2), dtype=ranks.dtype)
+        np.cumsum(ranks, axis=1, out=below[:, 1:])
+        ranks = below[:, -1:] - below  # down: the new time is below the last
+        np.copyto(ranks, below, where=words[:, j, None])
+    return ranks.sum(axis=1)
+
+
+def word_census(n: int, *, force: bool = False) -> tuple[int, ...]:
+    """Number of orders of the n-path per set size, indexed by size like
+    PathCensus.size_counts, summed over the up/down words."""
+    worst = max_dominating_size(n)  # refuses n < 1
+    check_cap(n, WORD_CENSUS_CAP, force, "up/down word census")
+    words = up_down_words(n, force=force)
+    sizes = gamma_batch_path(n, words)
+    counts = orders_per_word(words)
+    return tuple(int(counts[sizes == size].sum()) for size in range(worst + 1))
 
 
 @dataclass(frozen=True)

@@ -1,39 +1,47 @@
 """Cross-validation harness.
 
 Every quantity the package can compute more than one way is recomputed by
-every route and compared here: exhaustive simulation against recurrences,
-closed formulas and generating functions, exact expectations against
-brute-force averages, and the sampler against exact distributions.  An
-equality check is a table of `(where, {route: value})` cases that `_agree`
-fails at the first case whose routes split.  Sizes are fixed (exhaustive
-ranges are those of the reference tables) except for the two costly
-checks, the inverse-bijection listing and the Monte Carlo sample.  The CLI
-`verify` subcommand runs these checks, as does the acceptance test suite.
+every route and compared here: exhaustive simulation and the up/down-word
+census against recurrences, closed formulas and generating functions,
+exact expectations against brute-force averages, and the sampler against
+exact distributions.  An equality check is a table of `(where, {route:
+value})` cases that `_agree` fails at the first case whose routes split.
+Sizes are fixed (exhaustive ranges are those of the reference tables)
+except for the Monte Carlo sample, and each census is computed once per
+process.  The CLI `verify` subcommand runs these checks, as does the
+acceptance test suite.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import expectation, extremal, graphs, montecarlo, series
-from .domination import run_online_domination
+from .domination import gamma_batch_path, run_online_domination
+from .errors import DEFAULT_BRUTE_CAP
 
-# Reference counts for extremal orders on the path, 1 <= n <= 11.  Each
-# entry is recomputed here by independent routes (exhaustive simulation,
-# recurrence / closed formula, generating function); a disagreement with
-# any route fails the corresponding check.
+# Reference counts for extremal orders on the path, 1 <= n <= 16.  Each
+# entry is recomputed here by independent routes (exhaustive simulation
+# through BRUTE_MAX, the up/down-word census, recurrence / closed formula,
+# generating function); a disagreement with any route fails the
+# corresponding check.
 WORST_CASE_COUNTS = {
     1: 1, 2: 2, 3: 4, 4: 24, 5: 56, 6: 640, 7: 1632, 8: 30464, 9: 81664,
-    10: 2251008, 11: 6241280,
+    10: 2251008, 11: 6241280, 12: 238222336, 13: 676506624, 14: 34141233152,
+    15: 98709925888, 16: 6363055718400,
 }
 BEST_CASE_COUNTS = {
     1: 1, 2: 2, 3: 2, 4: 24, 5: 64, 6: 80, 7: 3408, 8: 9856, 9: 13440,
-    10: 1377792, 11: 4139520,
+    10: 1377792, 11: 4139520, 12: 5913600, 13: 1191370752, 14: 3659335680,
+    15: 5381376000, 16: 1878991994880,
 }
-BRUTE_MAX = max(WORST_CASE_COUNTS)  # exhaustive counts run through this n
+BRUTE_MAX = DEFAULT_BRUTE_CAP  # the exhaustive engine counts through this n
+WORD_COUNT_MAX = max(WORST_CASE_COUNTS)  # the word census counts through this n
+BIJECTION_WORD_MAX = 19  # the bijections are checked on the words of odd n <= this
 
 Case = tuple[str, dict]  # (where, {route: value})
 
@@ -61,12 +69,37 @@ def _agree(name: str, cases: Iterable[Case], detail: str) -> CheckResult:
     return CheckResult(name, True, detail)
 
 
+@functools.cache
+def _tally(census: Callable, n: int):
+    return census(n)
+
+
+def _path_census(n: int) -> extremal.PathCensus:
+    """extremal.path_census(n), computed once per process."""
+    return _tally(extremal.path_census, n)
+
+
+def _word_census(n: int) -> tuple[int, ...]:
+    """extremal.word_census(n), computed once per process."""
+    return _tally(extremal.word_census, n)
+
+
+def _census_routes(n: int, size: int) -> dict:
+    """Orders of size `size` by the word census, and by the exhaustive engine
+    where it runs."""
+    routes = {"words": _word_census(n)[size]}
+    if n <= BRUTE_MAX:
+        routes = {"brute": _path_census(n).size_counts[size], **routes}
+    return routes
+
+
 def check_worst_case_counts() -> CheckResult:
-    """Exhaustive count == recurrence == EGF == reference, n = 1..11."""
-    egf = series.worst_case_counts_egf(BRUTE_MAX)
+    """Word census == recurrence == EGF == reference for n <= 16, and the
+    exhaustive count agrees through n = 11."""
+    egf = series.worst_case_counts_egf(WORD_COUNT_MAX)
     cases = (
         (f"n={n}", {
-            "brute": extremal.path_census(n).worst_count,
+            **_census_routes(n, extremal.max_dominating_size(n)),
             "recurrence": extremal.worst_case_count_recurrence(n),
             "egf": egf[n],
             "reference": reference,
@@ -75,12 +108,14 @@ def check_worst_case_counts() -> CheckResult:
     )
     return _agree(
         "worst-case-counts", cases,
-        f"brute(n<={BRUTE_MAX}) = recurrence = EGF = reference (n<={BRUTE_MAX})",
+        f"brute(n<={BRUTE_MAX}) = words = recurrence = EGF = reference "
+        f"(n<={WORD_COUNT_MAX})",
     )
 
 
 def check_best_case_counts() -> CheckResult:
-    """Exhaustive count == reference, with closed formulas where applicable."""
+    """Word census == reference for n <= 16, the exhaustive count through
+    n = 11, and closed formulas where applicable."""
     formula_ns = [
         n for n in BEST_CASE_COUNTS if extremal.best_case_formula_applicable(n)
     ]
@@ -88,7 +123,8 @@ def check_best_case_counts() -> CheckResult:
     def cases() -> Iterator[Case]:
         for n, reference in BEST_CASE_COUNTS.items():
             routes = {
-                "brute": extremal.path_census(n).best_count, "reference": reference
+                **_census_routes(n, extremal.min_dominating_size(n)),
+                "reference": reference,
             }
             if n in formula_ns:
                 routes["formula"] = extremal.best_case_count_formula(n)
@@ -96,7 +132,8 @@ def check_best_case_counts() -> CheckResult:
 
     return _agree(
         "best-case-counts", cases(),
-        f"brute(n<={BRUTE_MAX}) = reference; formula agrees on n in {formula_ns}",
+        f"brute(n<={BRUTE_MAX}) = words = reference (n<={WORD_COUNT_MAX}); "
+        f"formula agrees on n in {formula_ns}",
     )
 
 
@@ -111,7 +148,7 @@ def check_expectation_oracle() -> CheckResult:
                 "closed form": expectation.expected_gamma_path_closed_form(n),
             }
             if n <= BRUTE_MAX:
-                routes["brute"] = extremal.path_census(n).expectation
+                routes["brute"] = _path_census(n).expectation
             yield f"n={n}", routes
 
     return _agree(
@@ -231,47 +268,77 @@ def check_structural_sets() -> CheckResult:
     )
 
 
-def check_inverse_bijection(odd_max: int = 9) -> CheckResult:
+def _every_even_vertex_has(words, earlier: bool):
+    """Word form of the even-position predicates of extremal, applied to
+    reveal times: True for the words in which every even vertex j has a
+    neighbour revealed earlier than j (later, when not `earlier`).
+
+    Letter j - 2 is up when j is revealed after j - 1, and letter j - 1 is
+    up when j + 1 is revealed after j.
+    """
+    import numpy as np
+
+    n = words.shape[1] + 1
+    holds = np.ones(len(words), dtype=bool)
+    for j in range(2, n + 1, 2):
+        left = words[:, j - 2]
+        has = left if earlier else ~left
+        if j < n:
+            right = words[:, j - 1]
+            has = has | (~right if earlier else right)
+        holds &= has
+    return holds
+
+
+def check_inverse_bijection() -> CheckResult:
     """Worst-case orders map onto weakly alternating ones by inversion (odd n).
 
-    Inversion and complementation are injective, so when every image lies in
-    a pattern class counted as large as the worst-case set, it fills it.
+    The inverse of an order is its reveal times, so being worst-case and
+    having a weakly alternating inverse both depend on the up/down word
+    only, and complementation flips every letter.  Each bijection is thus an
+    equality of word sets, checked on every word of every odd n <= 19; the
+    rank recursion over the worst-case words counts the orders behind them.
     """
+    import numpy as np
+
     name = "inverse-bijection"
     count_max = 60
-    worst_counts = {}
-    for n in range(1, odd_max + 1, 2):
-        worst = extremal.extremal_permutations(n, "worst")
-        worst_counts[n] = len(worst)
-        for order in worst:
-            image = extremal.inverse(order)
-            if not extremal.is_weakly_alternating(image):
-                return CheckResult(
-                    name, False, f"n={n}: inverse of {order} is not weakly alternating"
-                )
-            if not extremal.has_no_even_local_maxima(extremal.complement(image)):
-                return CheckResult(
-                    name, False,
-                    f"n={n}: complement of {image} has an even local maximum",
-                )
     odd_config = series.odd_configuration_counts_egf(count_max)
 
     def cases() -> Iterator[Case]:
+        for n in range(1, BIJECTION_WORD_MAX + 1, 2):
+            words = extremal.up_down_words(n)
+            worst = gamma_batch_path(n, words) == extremal.max_dominating_size(n)
+            alternating = _every_even_vertex_has(words, earlier=True)
+            no_even_maximum = _every_even_vertex_has(~words, earlier=False)
+            yield f"n={n}", {
+                "words: worst-case != inverse weakly alternating":
+                    int(np.count_nonzero(worst != alternating)),
+                "words: weakly alternating != complement without even maximum":
+                    int(np.count_nonzero(alternating != no_even_maximum)),
+                "expected": 0,
+            }
+            yield f"n={n}", {
+                "worst-case words": int(np.count_nonzero(worst)),
+                "3^((n-1)/2)": 3 ** (n // 2),
+            }
+            yield f"n={n}", {
+                "worst-case orders by words":
+                    int(extremal.orders_per_word(words[worst]).sum()),
+                "weakly alternating": extremal.count_weakly_alternating(n),
+            }
         for n in range(1, count_max + 1):
-            counts = {
+            yield f"n={n}", {
                 "weakly alternating": extremal.count_weakly_alternating(n),
                 "without even local maxima": extremal.count_no_even_local_maxima(n),
                 "odd-configuration EGF": odd_config[n],
             }
-            if n in worst_counts:
-                counts["worst-case"] = worst_counts[n]
-            yield f"n={n}", counts
 
     return _agree(
         name, cases(),
-        f"inversion and complementation bijections verified for odd n <= "
-        f"{odd_max}; both pattern counts = odd-configuration EGF for n <= "
-        f"{count_max}",
+        f"inversion and complementation bijections verified on every up/down "
+        f"word of odd n <= {BIJECTION_WORD_MAX}; both pattern counts = "
+        f"odd-configuration EGF for n <= {count_max}",
     )
 
 
@@ -287,7 +354,7 @@ def check_convolution() -> CheckResult:
                 "expected": True,
             }
         for n in range(1, BRUTE_MAX + 1):
-            census = extremal.path_census(n)
+            census = _path_census(n)
             yield f"n={n}", {
                 "brute odd-config count": census.odd_configuration_count,
                 "egf": odd_config[n],
@@ -350,7 +417,7 @@ def check_caro_wei() -> CheckResult:
 
 
 def run_verification(depth: str = "quick") -> list[CheckResult]:
-    """Run every check; quick depth trims the bijection listing and the sample."""
+    """Run every check; quick depth trims only the Monte Carlo sample."""
     if depth not in ("quick", "full"):
         raise ValueError("depth must be 'quick' or 'full'")
     quick = depth == "quick"
@@ -361,7 +428,7 @@ def run_verification(depth: str = "quick") -> list[CheckResult]:
         check_asymptotic_constant(),
         check_family_formulas(),
         check_structural_sets(),
-        check_inverse_bijection(odd_max=7 if quick else 9),
+        check_inverse_bijection(),
         check_convolution(),
         check_montecarlo(n=300 if quick else 2000, samples=5000 if quick else 40_000),
         check_caro_wei(),

@@ -1,6 +1,7 @@
 """CLI contract checks: exit codes, formats, round-trips."""
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -77,6 +78,15 @@ class TestExpect:
         )
         assert code == 0
         assert out.strip() == "4/3"
+
+    @pytest.mark.parametrize("method", ["recurrence", "closed-form", "brute"])
+    def test_caro_wei_with_a_method_is_refused(self, capsys, method):
+        code, out, err = run(
+            capsys, "expect", "--family", "path", "--n", "5", "--caro-wei",
+            "--method", method,
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: --caro-wei takes no --method: it bounds the graph instead\n"
 
     def test_brute_method_on_explicit_graph(self, capsys):
         code, out, _ = run(
@@ -379,6 +389,22 @@ class TestVerify:
         lines = out.strip().splitlines()
         assert len(lines) == 10
         assert all(line.startswith("PASS") for line in lines)
+
+    def test_csv_rows(self, capsys, tmp_path):
+        out_path = tmp_path / "v.csv"
+        code, out, _ = run(capsys, "verify", "--depth", "quick", "--format", "csv",
+                           "--output", str(out_path))
+        assert (code, out) == (0, "")
+        with open(out_path, newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[0] == ["name", "passed", "detail"]
+        assert [row[0] for row in rows[1:]] == [
+            "worst-case-counts", "best-case-counts", "expectation-oracle",
+            "asymptotic-constant", "family-formulas", "structural-sets",
+            "inverse-bijection", "convolution-identity", "monte-carlo", "caro-wei",
+        ]
+        assert all(len(row) == 3 and row[1] == "1" for row in rows[1:])
+        assert "formula agrees on n in [3, 5," in rows[2][2]  # a detail with commas
 
 
 class TestUsageErrors:

@@ -7,6 +7,7 @@ Core claims:
     - Outcomes are deterministic and respect the path's mirror symmetry.
     - Path sizes always land in [ceil(n/3), ceil(n/2)].
     - The vectorized path evaluator agrees with the scalar engine.
+    - On the path, orders with one up/down word give one final set.
     - The exhaustive engine agrees with a plain loop over every order.
 """
 
@@ -234,6 +235,37 @@ class TestGammaBatch:
     def test_shape_validated(self):
         with pytest.raises(ValueError, match=r"\(k, 3\)"):
             gamma_batch_path(4, np.array([[True, False, True, False]]))
+
+
+@st.composite
+def _order_with_word(draw, word):
+    """Any order whose reveal times have the given up/down word: each new
+    time is drawn by its rank among the times so far, above the last one's
+    rank for an up letter, at or below it for a down letter."""
+    ranks = [0]
+    for k, up in enumerate(word, start=1):
+        last = ranks[-1]
+        new = draw(st.integers(last + 1, k) if up else st.integers(0, last))
+        ranks = [r + (r >= new) for r in ranks] + [new]
+    return [v for _, v in sorted(zip(ranks, range(1, len(ranks) + 1)))]
+
+
+_orders_sharing_a_word = st.lists(st.booleans(), max_size=15).flatmap(
+    lambda word: st.tuples(st.just(word), _order_with_word(word), _order_with_word(word))
+)
+
+
+class TestUpDownWord:
+    @settings(max_examples=100, deadline=None)
+    @given(_orders_sharing_a_word)
+    def test_orders_with_one_word_give_one_final_set(self, case):
+        word, first, second = case
+        g = path(len(word) + 1)
+        for order in (first, second):
+            times = np.argsort(order)[None, :]
+            assert _up_down_words(times).tolist() == [word]
+        assert (run_online_domination(g, first).chosen_set
+                == run_online_domination(g, second).chosen_set)
 
 
 def _loop_census(graph):

@@ -7,6 +7,7 @@ recurrence, the EGF and the closed formulas):
     best:  1, 2, 2, 24, 64, 80, 3408, 9856, 13440, 1377792, 4139520
 """
 
+import collections
 import inspect
 import itertools
 import json
@@ -34,11 +35,15 @@ from pathdom import (
     max_dominating_size,
     maximal_independent_dominating_sets,
     min_dominating_size,
+    gamma_batch_path,
+    orders_per_word,
     path,
     path_census,
     run_online_domination,
     set_first_order,
+    up_down_words,
     weakly_alternating_permutations,
+    word_census,
     worst_case_count_recurrence,
 )
 from pathdom.errors import EXACT_COUNT_CAP, ResourceLimitError
@@ -151,6 +156,77 @@ class TestBruteForceCounts:
         witnesses = extremal_permutations(7, "worst", 5)
         assert witnesses == extremal_permutations(7, "worst")[:5]
         assert extremal_permutations(7, "worst", 0) == []
+
+
+def _representative_order(word):
+    """Reveal times 1..n with each maximal run of downs reversed, so their
+    word is `word`.  Disjoint reversals make an involution: the times are
+    also the order."""
+    times, start = [], 1
+    for v in range(1, len(word) + 2):
+        if v == len(word) + 1 or word[v - 1]:  # an up letter, or the end, closes a run
+            times.extend(range(v, start - 1, -1))
+            start = v + 1
+    return times
+
+
+def _zigzag(n):
+    """Euler's up/down number E_n, by the Seidel-Entringer triangle."""
+    row = [1]
+    for _ in range(n):
+        new = [0]
+        for x in reversed(row):
+            new.append(new[-1] + x)
+        row = new
+    return row[-1]
+
+
+class TestWordCensus:
+    def test_word_layout(self):
+        assert up_down_words(1).shape == (1, 0)
+        assert up_down_words(4).tolist() == [
+            [bool(i >> j & 1) for j in range(3)] for i in range(8)
+        ]
+
+    @pytest.mark.parametrize("n", range(1, 14))
+    def test_batch_sizes_match_the_scalar_run_on_a_representative_of_each_word(
+        self, n
+    ):
+        words = up_down_words(n).tolist()
+        sizes = gamma_batch_path(n, up_down_words(n)).tolist()
+        g = path(n)
+        for word, size in zip(words, sizes):
+            order = _representative_order(word)
+            assert [b > a for a, b in zip(order, order[1:])] == word
+            assert gamma(g, order) == size
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_orders_per_word_matches_the_permutation_listing(self, n):
+        listed = collections.Counter(
+            tuple(b > a for a, b in zip(times, times[1:]))
+            for times in itertools.permutations(range(n))
+        )
+        words = up_down_words(n)
+        assert dict(zip(map(tuple, words.tolist()), orders_per_word(words).tolist())) \
+            == dict(listed)
+
+    def test_orders_per_word_is_exact_past_int64(self):
+        words = [[True, False] * 12, [False] * 24, [False, True] * 12]
+        counts = orders_per_word(words)
+        assert counts.tolist() == [_zigzag(25), 1, _zigzag(25)]
+        assert _zigzag(25) > 2**63
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_word_census_matches_the_engine(self, n):
+        assert word_census(n) == path_census(n).size_counts
+
+    @pytest.mark.parametrize("n", [12, 14, 16])
+    def test_word_census_covers_every_order(self, n):
+        counts = word_census(n)
+        assert sum(counts) == math.factorial(n)
+        assert counts[max_dominating_size(n)] == worst_case_count_recurrence(n)
+        assert counts[min_dominating_size(n)] == best_case_count_formula(n)
+        assert len(counts) == max_dominating_size(n) + 1
 
 
 class TestRecurrence:

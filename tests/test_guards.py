@@ -22,6 +22,11 @@ GUARDS = {
         lambda n, force: domination.orders_with_size(path(n), 2, force=force)),
     "path_census": (domination, "DEFAULT_BRUTE_CAP", 5,
                     lambda n, force: extremal.path_census(n, force=force)),
+    "word_census": (extremal, "WORD_CENSUS_CAP", 5,
+                    lambda n, force: extremal.word_census(n, force=force)),
+    "up_down_words": (
+        extremal, "WORD_LIST_CAP", 5,
+        lambda n, force: extremal.up_down_words(n, force=force).tolist()),
     "extremal_permutations": (
         domination, "DEFAULT_BRUTE_CAP", 5,
         lambda n, force: extremal.extremal_permutations(n, "worst", force=force)),

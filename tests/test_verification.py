@@ -4,13 +4,13 @@ import pytest
 
 from pathdom import expectation, extremal, series
 from pathdom import verification as V
-from pathdom.errors import DEFAULT_BRUTE_CAP
+from pathdom.errors import DEFAULT_BRUTE_CAP, WORD_CENSUS_CAP, WORD_LIST_CAP
 
 
 def test_passes_and_names_both_ranges():
-    result = V.check_inverse_bijection(odd_max=7)
+    result = V.check_inverse_bijection()
     assert result.passed, result.detail
-    assert "odd n <= 7" in result.detail
+    assert "odd n <= 19" in result.detail
     assert "n <= 60" in result.detail
 
 
@@ -19,7 +19,7 @@ def test_count_off_by_one_fails_at_its_n(monkeypatch):
     monkeypatch.setattr(
         extremal, "count_weakly_alternating", lambda n, **kw: real(n, **kw) + (n == 5)
     )
-    result = V.check_inverse_bijection(odd_max=7)
+    result = V.check_inverse_bijection()
     assert not result.passed
     assert result.detail.startswith("n=5:")
 
@@ -29,16 +29,40 @@ def test_count_off_by_one_beyond_the_worst_range_fails(monkeypatch):
     monkeypatch.setattr(
         extremal, "count_no_even_local_maxima", lambda n, **kw: real(n, **kw) - (n > 43)
     )
-    result = V.check_inverse_bijection(odd_max=7)
+    result = V.check_inverse_bijection()
     assert not result.passed
     assert result.detail.startswith("n=44:")
 
 
-def test_identity_for_inverse_fails_at_its_n(monkeypatch):
-    monkeypatch.setattr(extremal, "inverse", lambda perm: tuple(perm))
-    result = V.check_inverse_bijection(odd_max=7)
+def test_size_flipped_on_one_word_fails_at_its_n(monkeypatch):
+    real = V.gamma_batch_path
+
+    def flipped(n, words):
+        sizes = real(n, words)
+        if n == 15:
+            sizes[0] += 1  # the all-down word, a worst-case word, leaves the worst case
+        return sizes
+
+    monkeypatch.setattr(V, "gamma_batch_path", flipped)
+    result = V.check_inverse_bijection()
     assert not result.passed
-    assert result.detail.startswith("n=3:")
+    assert result.detail.startswith("n=15:"), result.detail
+    assert "inverse weakly alternating=1," in result.detail
+
+
+def test_word_count_off_by_one_fails_at_its_n(monkeypatch):
+    real = extremal.orders_per_word
+
+    def off_by_one(words):
+        counts = real(words)
+        if words.shape[1] == 12:
+            counts[-1] += 1
+        return counts
+
+    monkeypatch.setattr(extremal, "orders_per_word", off_by_one)
+    result = V.check_inverse_bijection()
+    assert not result.passed
+    assert result.detail.startswith("n=13:"), result.detail
 
 
 def _off_by_one_at(n):
@@ -50,6 +74,16 @@ OFF_BY_ONE = [  # check, route's module and name, perturbation, start of the det
                  _off_by_one_at(6), "n=6:", id="worst-case recurrence"),
     pytest.param(V.check_best_case_counts, extremal, "best_case_count_formula",
                  _off_by_one_at(9), "n=9:", id="best-case formula"),
+    pytest.param(V.check_worst_case_counts, extremal, "worst_case_count_recurrence",
+                 _off_by_one_at(14), "n=14:", id="worst-case recurrence past brute"),
+    pytest.param(V.check_best_case_counts, extremal, "best_case_count_formula",
+                 _off_by_one_at(16), "n=16:", id="best-case formula past brute"),
+    pytest.param(V.check_worst_case_counts, extremal, "word_census",
+                 lambda sizes, n: sizes[:-1] + (sizes[-1] + (n == 8),), "n=8:",
+                 id="word census beside brute"),
+    pytest.param(V.check_best_case_counts, extremal, "word_census",
+                 lambda sizes, n: tuple(c + (n == 13) for c in sizes), "n=13:",
+                 id="word census past brute"),
     pytest.param(V.check_expectation_oracle, expectation,
                  "expected_gamma_path_closed_form", _off_by_one_at(150), "n=150:",
                  id="closed-form expectation"),
@@ -77,21 +111,38 @@ def test_route_off_by_one_fails_at_its_case(monkeypatch, check, module, route,
 
 
 def test_reference_tables_cover_the_exhaustive_range():
-    brute_range = list(range(1, DEFAULT_BRUTE_CAP + 1))
-    assert list(V.WORST_CASE_COUNTS) == brute_range
-    assert list(V.BEST_CASE_COUNTS) == brute_range
+    # the word census counts every table entry; the engine the first BRUTE_MAX
+    assert list(V.WORST_CASE_COUNTS) == list(range(1, V.WORD_COUNT_MAX + 1))
+    assert list(V.BEST_CASE_COUNTS) == list(V.WORST_CASE_COUNTS)
+    assert V.BRUTE_MAX == DEFAULT_BRUTE_CAP < V.WORD_COUNT_MAX <= WORD_CENSUS_CAP
+    assert V.BIJECTION_WORD_MAX <= WORD_LIST_CAP
 
 
-def test_depth_changes_only_the_bijection_listing_and_the_sample(monkeypatch):
+def test_depth_changes_only_the_sample(monkeypatch):
     sizes = []
 
-    def trimmed(**kwargs):  # the two costly checks only report the sizes they get
+    def trimmed(**kwargs):  # the costly check only reports the sizes it gets
         sizes.append(kwargs)
         return V.CheckResult("trimmed", True, "")
 
-    monkeypatch.setattr(V, "check_inverse_bijection", trimmed)
     monkeypatch.setattr(V, "check_montecarlo", trimmed)
     quick, full = V.run_verification("quick"), V.run_verification("full")
     assert [r.detail for r in quick] == [r.detail for r in full]
-    assert sizes == [{"odd_max": 7}, {"n": 300, "samples": 5000},
-                     {"odd_max": 9}, {"n": 2000, "samples": 40_000}]
+    assert sizes == [{"n": 300, "samples": 5000}, {"n": 2000, "samples": 40_000}]
+
+
+def test_each_census_is_computed_once(monkeypatch):
+    calls = []
+    for census in ("path_census", "word_census"):
+        real = getattr(extremal, census)
+        monkeypatch.setattr(
+            extremal, census,
+            lambda n, real=real, census=census: calls.append((census, n)) or real(n),
+        )
+    for check in (V.check_worst_case_counts, V.check_best_case_counts,
+                  V.check_expectation_oracle, V.check_convolution):
+        assert check().passed
+    assert sorted(calls) == sorted(
+        [("path_census", n) for n in range(1, V.BRUTE_MAX + 1)]
+        + [("word_census", n) for n in range(1, V.WORD_COUNT_MAX + 1)]
+    )
