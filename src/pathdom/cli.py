@@ -11,7 +11,6 @@ failure, 3 resource-guard refusal.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
@@ -410,6 +409,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         ]
         _write(json.dumps(docs, indent=2) + "\n", args.output)
     elif args.format == "csv":
+        import csv  # only here, so the other commands import no more
+
         table = io.StringIO()
         writer = csv.writer(table, lineterminator="\n")
         writer.writerow(["name", "passed", "detail"])

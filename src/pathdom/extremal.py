@@ -208,8 +208,8 @@ def up_down_words(n: int, *, force: bool = False) -> np.ndarray:
 
     codes = np.arange(1 << (n - 1), dtype=np.uint32)
     letters = np.empty((n - 1, codes.size), dtype=bool)  # one row per letter
-    for j, row in enumerate(letters):
-        np.bitwise_and(codes >> j, 1, out=row, casting="unsafe")
+    for j in range(n - 1):
+        letters[j] = codes >> j & 1
     return letters.T
 
 

@@ -27,6 +27,7 @@ from pathdom import (
     extremal_permutations,
     extremal_size,
     gamma,
+    gamma_batch_path,
     has_no_even_local_maxima,
     independent_dominating_sets_bruteforce,
     inverse,
@@ -35,7 +36,6 @@ from pathdom import (
     max_dominating_size,
     maximal_independent_dominating_sets,
     min_dominating_size,
-    gamma_batch_path,
     orders_per_word,
     path,
     path_census,
