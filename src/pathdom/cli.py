@@ -15,17 +15,23 @@ import io
 import json
 import sys
 import time
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import __version__, expectation, extremal, montecarlo, series, verification
-from . import graphs
-from .domination import run_online_domination
-from .errors import ConsistencyError, ResourceLimitError
+# The library modules are imported by the handlers that run them, so each
+# command loads only what it uses.
+from . import __version__
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .extremal import ExtremalReport
+    from .graphs import Graph
 
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_VERIFY_FAILED = 2
 EXIT_RESOURCE = 3
+NORMALIZATION_MODES = ("none", "per_vertex", "centered")
 
 
 def _rational(value: Fraction) -> str:
@@ -61,14 +67,14 @@ def _parse_edges(raw: str) -> list[tuple[int, int]]:
     return edges
 
 
-_FAMILIES = {  # family -> (the arguments it requires, its graph from them)
-    "path": (("n",), lambda a: graphs.path(a.n)),
-    "cycle": (("n",), lambda a: graphs.cycle(a.n)),
-    "star": (("leaves",), lambda a: graphs.star(a.leaves)),
-    "wheel": (("spokes",), lambda a: graphs.wheel(a.spokes)),
-    "multipartite": (("parts",), lambda a: graphs.complete_multipartite(
+_FAMILIES = {  # family -> (the arguments it requires, its graph from graphs and them)
+    "path": (("n",), lambda g, a: g.path(a.n)),
+    "cycle": (("n",), lambda g, a: g.cycle(a.n)),
+    "star": (("leaves",), lambda g, a: g.star(a.leaves)),
+    "wheel": (("spokes",), lambda g, a: g.wheel(a.spokes)),
+    "multipartite": (("parts",), lambda g, a: g.complete_multipartite(
         _parse_int_list(a.parts, "part sizes"))),
-    "explicit": (("n", "edges"), lambda a: graphs.explicit(a.n, _parse_edges(a.edges))),
+    "explicit": (("n", "edges"), lambda g, a: g.explicit(a.n, _parse_edges(a.edges))),
 }
 
 
@@ -79,9 +85,10 @@ def _require_family_args(args: argparse.Namespace) -> None:
         raise ValueError(f"--family {args.family} requires {flags}")
 
 
-def _graph_from_args(args: argparse.Namespace) -> graphs.Graph:
+def _graph_from_args(args: argparse.Namespace) -> Graph:
+    from . import graphs
     _require_family_args(args)
-    return _FAMILIES[args.family][1](args)
+    return _FAMILIES[args.family][1](graphs, args)
 
 
 def _add_family_args(parser: argparse.ArgumentParser) -> None:
@@ -157,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("series", parents=[common], help="EGF count table")
-    p.add_argument("--order", type=int, default=series.DEFAULT_ORDER)
+    p.add_argument("--order", type=int)  # None: series.DEFAULT_ORDER
     p.add_argument("--force", action="store_true", help="override the order cap")
 
     p = sub.add_parser("sample", parents=[common], help="Monte Carlo sampling")
@@ -167,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1)
     p.add_argument(
         "--normalization",
-        choices=montecarlo.NORMALIZATION_MODES,
+        choices=NORMALIZATION_MODES,
         default="none",
     )
     p.add_argument(
@@ -191,6 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .domination import run_online_domination
     graph = _graph_from_args(args)
     order = _parse_int_list(args.order, "revelation order")
     outcome = run_online_domination(graph, order)
@@ -215,6 +223,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _expect_value(args: argparse.Namespace) -> tuple[str, Fraction]:
+    from . import expectation
     if args.as_printed and (args.family != "wheel" or args.method == "brute"
                             or args.caro_wei):
         raise ValueError("--as-printed applies to the wheel formula only")
@@ -271,25 +280,31 @@ def _cmd_expect(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _extremal_reports(args: argparse.Namespace) -> list[extremal.ExtremalReport]:
+def _extremal_reports(args: argparse.Namespace) -> list[ExtremalReport]:
+    from . import extremal
     n, kind, force = args.n, args.bound, args.force
     if args.witnesses < 0:
         raise ValueError("--witnesses must be nonnegative")
     size = extremal.extremal_size(n, kind)
     if args.witnesses and args.method not in ("brute", "all"):
         raise ValueError("--witnesses applies to --method brute or all only")
+    if args.witnesses and args.format == "csv":
+        raise ValueError("--witnesses has no csv column: use --format text or json")
 
     def brute():
         census = extremal.path_census(n, force=force)
         witnesses = extremal.extremal_permutations(n, kind, args.witnesses, force=force)
         return census.size_counts[size], witnesses
 
+    def egf():
+        from . import series
+        return series.worst_case_counts_egf(n, force=force)[n], ()
+
     routes = {  # method -> (label, bounds it counts, applies at n, (count, witnesses))
         "brute": ("brute_force", ("worst", "best"), True, brute),
         "recurrence": ("recurrence", ("worst",), True, lambda: (
             extremal.worst_case_count_recurrence(n, force=force), ())),
-        "egf": ("egf", ("worst",), True, lambda: (
-            series.worst_case_counts_egf(n, force=force)[n], ())),
+        "egf": ("egf", ("worst",), True, egf),
         "formula": ("formula", ("best",), extremal.best_case_formula_applicable(n),
                     lambda: (extremal.best_case_count_formula(n), ())),
     }
@@ -343,10 +358,12 @@ def _cmd_extremal(args: argparse.Namespace) -> int:
 
 
 def _cmd_series(args: argparse.Namespace) -> int:
-    if args.order < 0:
+    from . import series
+    order = series.DEFAULT_ORDER if args.order is None else args.order
+    if order < 0:
         raise ValueError("--order must be nonnegative")
-    odd_config = series.odd_configuration_counts_egf(args.order, force=args.force)
-    worst = series.worst_case_counts_egf(args.order, force=args.force)
+    odd_config = series.odd_configuration_counts_egf(order, force=args.force)
+    worst = series.worst_case_counts_egf(order, force=args.force)
     if args.format == "json":
         docs = [
             {"n": n, "odd_config": str(d), "worst_case": str(f)}
@@ -361,6 +378,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
+    from . import montecarlo
     if args.normalization != "none" and not args.plot_data and args.format != "json":
         raise ValueError("--normalization needs --plot-data or --format json")
     config = montecarlo.SampleConfig(
@@ -402,6 +420,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from . import verification
     results = verification.run_verification(depth=args.depth)
     if args.format == "json":
         docs = [
@@ -443,6 +462,7 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors and 0 for --help/--version
         code = exc.code if isinstance(exc.code, int) else EXIT_INVALID
         return EXIT_OK if code == 0 else EXIT_INVALID
+    from .errors import ConsistencyError, ResourceLimitError
     # Exact results run past the interpreter's int-to-string limit (4300
     # digits by default, where the interpreter has one), e.g. the expected
     # size at n = 4000; lift it while the command runs.

@@ -9,7 +9,9 @@ integers over a common denominator of n! with one reduction at the end:
   carried as F(m) = m! E(m) and Q(m) = m! sum_{i<=m} E(i), which obey
       F(m) = m! + 2(m-1) Q(m-2),    Q(m) = m Q(m-1) + F(m);
 * a closed form extracted from the ordinary generating function,
-      E(n) = -(1/2) * sum_{j=0}^{n} (n+1-j) (-2)^j / j!  +  (n+1)/2.
+      E(n) = -(1/2) * sum_{j=0}^{n} (n+1-j) (-2)^j / j!  +  (n+1)/2,
+  whose sum, scaled by n!, is evaluated by Horner's rule in n steps of
+  a small-integer multiply and a shift.
 
 The two must agree exactly for every n, and both must match the brute
 force average at small n; the cycle, star, wheel and complete
@@ -55,15 +57,14 @@ def expected_gamma_path_closed_form(n: int, *, force: bool = False) -> Fraction:
     if n < 1:
         raise ValueError("closed form requires n >= 1")
     check_cap(n, EXACT_PATH_CAP, force, "path expectation closed form")
+    # Horner's rule: U_0 = n + 1 and U_j = j U_(j-1) + (n+1-j) (-2)^j give
+    # U_n = sum_(j<=n) (n+1-j) (-2)^j n!/j!, so each step multiplies by a
+    # small int and adds a shifted one; the last step is the j = n term.
+    acc = n + 1
+    for j in range(1, n + 1):
+        term = (n + 1 - j) << j
+        acc = j * acc + (-term if j % 2 else term)
     n_fact = math.factorial(n)
-    falling = n_fact  # n!/j! for the current j
-    sign_pow = 1  # (-2)^j
-    acc = 0
-    for j in range(n + 1):
-        acc += (n + 1 - j) * sign_pow * falling
-        sign_pow *= -2
-        if j < n:
-            falling //= j + 1
     return Fraction((n + 1) * n_fact - acc, 2 * n_fact)
 
 

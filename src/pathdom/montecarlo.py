@@ -30,7 +30,6 @@ from .extremal import max_dominating_size, min_dominating_size
 
 CHUNK_SIZE = 4096
 SAMPLE_BUDGET = 500_000_000  # cap on n * samples
-NORMALIZATION_MODES = ("none", "per_vertex", "centered")
 
 
 @dataclass(frozen=True)

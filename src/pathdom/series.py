@@ -12,54 +12,29 @@ arithmetic stays in integers.  With D(x) = cosh(x) - x sinh(x):
 
 Scaled by k!, D has coefficient 1 - k at even k and 0 at odd k, and sinh
 has 1 at odd k.  The product of two EGFs is the binomial convolution of
-their sequences, c_k = sum_j C(k, j) a_j b_(k-j), and the reciprocal of
-one with constant term 1 follows from e_k = -sum_(j>=1) C(k, j) a_j e_(k-j);
-zero coefficients are skipped, so the odd/even structure halves the work.
-The counts are checked on the way out: an odd-configuration count must be
-nonnegative, and a worst-case count must lie in [0, n!] since it counts a
-subset of all n! orders.
+their sequences, c_k = sum_j C(k, j) a_j b_(k-j), so the three sequences
+solve integer recurrences, all computed in one pass over k:
+
+* the even part 1 / D: e_0 = 1, e_k = sum_(even j>=2) C(k, j) (j-1) e_(k-j);
+* the odd part sinh / D: sum_(odd j) C(k, j) e_(k-j);
+* the square of the even part: sum_j C(k, j) e_j e_(k-j).
+
+The even part and the square are 0 at odd k and the odd part at even k,
+so no zero term is summed.  The counts are checked on the way out: an
+odd-configuration count must be nonnegative, and a worst-case count must
+lie in [0, n!] since it counts a subset of all n! orders.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterator, Sequence
+from operator import add, mul
+from typing import Sequence
 
 from .errors import EXACT_COUNT_CAP, ConsistencyError, check_cap
 
 DEFAULT_ORDER = 64
-
-
-def _binomial_rows(count: int) -> Iterator[list[int]]:
-    """Rows 0 .. count-1 of Pascal's triangle, each built from the last."""
-    row = [1]
-    for _ in range(count):
-        yield row
-        row = [1, *map(int.__add__, row, row[1:]), 1]
-
-
-def _egf_product(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Scaled coefficients of A(x) B(x), up to the shorter of the two orders."""
-    return [
-        sum(c * x * y for c, x, y in zip(row, a, b[k::-1]) if x and y)
-        for k, row in enumerate(_binomial_rows(min(len(a), len(b))))
-    ]
-
-
-def _egf_reciprocal(a: Sequence[int]) -> list[int]:
-    """Scaled coefficients of 1 / A(x), to the same order.
-
-    The result is integral exactly when the constant term is 1 or -1,
-    which is its own inverse.
-    """
-    if a[0] not in (1, -1):
-        raise ValueError("an integer reciprocal needs a constant term of 1 or -1")
-    out: list[int] = []
-    for k, row in enumerate(_binomial_rows(len(a))):
-        acc = sum(c * x * y for c, x, y in zip(row[1:], a[1:], out[::-1]) if x and y)
-        out.append(a[0] * ((k == 0) - acc))
-    return out
 
 
 def _check_counts(odd_config: Sequence[int], worst: Sequence[int]) -> None:
@@ -77,14 +52,32 @@ def _check_counts(odd_config: Sequence[int], worst: Sequence[int]) -> None:
 
 @lru_cache(maxsize=None)
 def _egf_counts(order: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Odd-configuration and worst-case counts for n = 0..order."""
-    denominator = [0 if k % 2 else 1 - k for k in range(order + 1)]
-    sinh = [k % 2 for k in range(order + 1)]
-    even_part = _egf_reciprocal(denominator)
-    odd_part = _egf_product(sinh, even_part)
-    # The parts are genuinely odd/even sequences, so their sum separates.
-    odd_config = [o + e for o, e in zip(odd_part, even_part)]
-    worst = [o + s for o, s in zip(odd_part, _egf_product(even_part, even_part))]
+    """Odd-configuration and worst-case counts for n = 0..order, in one pass.
+
+    Row k of Pascal's triangle is built from row k - 1, and only the terms
+    of the parity that can be nonzero are summed.
+    """
+    even = [1]  # e_0, e_2, e_4, ...: the even part, which is 0 at odd k
+    odd_config, worst = [1], [1]
+    row = [1]
+    for k in range(1, order + 1):
+        row = [1, *map(add, row, row[1:]), 1]
+        if k % 2:
+            # The odd part, sum over odd j of C(k, j) e_(k-j).
+            odd = sum(map(mul, row[1::2], reversed(even)))
+            odd_config.append(odd)
+            worst.append(odd)
+            continue
+        # e_k = sum over even j >= 2 of C(k, j) (j - 1) e_(k-j).
+        even.append(sum(map(mul, row[2::2], map(mul, range(1, k, 2), reversed(even)))))
+        # The square, sum over even j of C(k, j) e_j e_(k-j), whose terms at
+        # j and k - j are equal: twice those below k/2, plus the middle one.
+        half = k // 2
+        square = 2 * sum(map(mul, row[:half:2], map(mul, even, reversed(even))))
+        if half % 2 == 0:
+            square += row[half] * even[half // 2] ** 2
+        odd_config.append(even[-1])
+        worst.append(square)
     _check_counts(odd_config, worst)
     return tuple(odd_config), tuple(worst)
 

@@ -224,6 +224,22 @@ class TestExtremal:
         assert code == 0
         assert out.count("  witness ") == 2
 
+    @pytest.mark.parametrize("method", ["brute", "all"])
+    def test_witnesses_with_csv_are_refused(self, capsys, method):
+        # The csv row has no witness column, so the witnesses would be dropped.
+        code, out, err = run(
+            capsys, "extremal", "--n", "6", "--bound", "worst", "--method", method,
+            "--witnesses", "2", "--format", "csv",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: --witnesses has no csv column: use --format text or json\n"
+        code, out, _ = run(
+            capsys, "extremal", "--n", "6", "--bound", "worst", "--method", method,
+            "--format", "csv",
+        )
+        assert code == 0
+        assert out.startswith("n,bound_kind,extremal_size,count,method\n6,worst,3,")
+
     def test_cap_refusal_exit_code(self, capsys):
         code, _, err = run(capsys, "extremal", "--n", "12", "--bound", "worst")
         assert code == 3
@@ -469,6 +485,78 @@ def test_exact_commands_leave_numpy_unloaded():
     )
     probes = [line for line in result.stdout.splitlines() if line.startswith("probe")]
     assert probes == ["probe False False", "probe False"]
+
+
+def _modules_loaded_by(argv):
+    """The pathdom submodules a fresh interpreter has loaded after one command."""
+    src = os.path.dirname(os.path.dirname(pathdom.__file__))
+    probe = (
+        "import sys, pathdom.cli as cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print('probe', code, *sorted(m for m in sys.modules if m.startswith('pathdom.')))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe, *argv], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    _, code, *modules = result.stdout.splitlines()[-1].split()
+    assert code == "0", result.stderr
+    return {module.removeprefix("pathdom.") for module in modules}
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    (["--version"], {"cli"}),
+    (["series", "--order", "6"], {"cli", "errors", "series"}),
+])
+def test_command_loads_only_the_modules_it_runs(argv, loaded):
+    assert _modules_loaded_by(argv) == loaded
+
+
+@pytest.mark.parametrize("argv,route", [
+    (["expect", "--family", "path", "--n", "6"], "expectation"),
+    (["expect", "--family", "path", "--n", "6", "--method", "closed-form"], "expectation"),
+    (["extremal", "--n", "6", "--bound", "worst", "--method", "recurrence"], "extremal"),
+])
+def test_exact_routes_load_no_sampler_or_verifier(argv, route):
+    loaded = _modules_loaded_by(argv)
+    assert route in loaded
+    assert not {"montecarlo", "verification"} & loaded
+
+
+# Every name the package exported when it imported all of its modules eagerly.
+PUBLIC_NAMES = (
+    "ConsistencyError DEFAULT_ORDER DominationOutcome ExtremalReport Graph Histogram "
+    "PathCensus ResourceLimitError SampleConfig best_case_count_formula "
+    "best_case_formula_applicable bruteforce_expected_gamma caro_wei_bound "
+    "check_permutation complement complete_multipartite convolution_identity_holds "
+    "count_no_even_local_maxima count_weakly_alternating cycle "
+    "expected_gamma_complete_multipartite expected_gamma_cycle expected_gamma_limit "
+    "expected_gamma_path expected_gamma_path_closed_form expected_gamma_path_float "
+    "expected_gamma_star expected_gamma_wheel explicit extremal_permutations "
+    "extremal_size final_set_counts gamma gamma_batch_path has_no_even_local_maxima "
+    "independent_dominating_sets_bruteforce inverse is_independent_dominating "
+    "is_weakly_alternating max_dominating_size maximal_independent_dominating_sets "
+    "min_dominating_size normalize odd_configuration_counts_egf orders_per_word "
+    "orders_with_size path path_census run_online_domination sample_gamma "
+    "set_first_order star up_down_words weakly_alternating_permutations wheel "
+    "word_census worst_case_count_recurrence worst_case_counts_egf"
+).split()
+
+
+def test_every_public_name_resolves_from_the_package():
+    assert len(PUBLIC_NAMES) == 58
+    assert sorted(pathdom.__all__) == sorted(PUBLIC_NAMES)
+    for name in PUBLIC_NAMES:
+        value = getattr(pathdom, name)
+        assert name in dir(pathdom)
+        if hasattr(value, "__module__"):
+            assert getattr(sys.modules[value.__module__], name) is value
+    assert pathdom.DEFAULT_ORDER == series.DEFAULT_ORDER
+    assert "__version__" in vars(pathdom)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        pathdom.no_such_name
+    with pytest.raises(ImportError):
+        from pathdom import no_such_name  # noqa: F401
 
 
 def test_tracer_finds_every_name_it_wraps(tmp_path):

@@ -74,7 +74,8 @@ class TestClosedForm:
         with pytest.raises(ValueError):
             expected_gamma_path_closed_form(0)
 
-    @pytest.mark.parametrize("n", list(range(1, 30)) + [64, 100])
+    # 4000 is the size the exact benchmark runs both routes at.
+    @pytest.mark.parametrize("n", list(range(1, 30)) + [64, 100, 4000])
     def test_equals_recurrence(self, n):
         assert expected_gamma_path_closed_form(n) == expected_gamma_path(n)
 

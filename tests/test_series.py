@@ -13,8 +13,39 @@ from pathdom import (
     worst_case_count_recurrence,
 )
 from pathdom.errors import EXACT_COUNT_CAP, ConsistencyError, ResourceLimitError
-from pathdom.series import _check_counts, _egf_product, _egf_reciprocal
+from pathdom.series import _check_counts
 from pathdom.verification import WORST_CASE_COUNTS
+
+# Generic arithmetic on n!-scaled EGF sequences: binomial convolution and
+# reciprocal, summing every term.  It uses no parity, so it is a route to the
+# counts independent of the one-pass recurrences in pathdom.series.
+
+
+def _binomial_rows(count):
+    row = [1]
+    for _ in range(count):
+        yield row
+        row = [1, *map(int.__add__, row, row[1:]), 1]
+
+
+def _egf_product(a, b):
+    """Scaled coefficients of A(x) B(x), up to the shorter of the two orders."""
+    return [
+        sum(c * x * y for c, x, y in zip(row, a, b[k::-1]))
+        for k, row in enumerate(_binomial_rows(min(len(a), len(b))))
+    ]
+
+
+def _egf_reciprocal(a):
+    """Scaled coefficients of 1 / A(x); integral when the constant term is 1 or -1."""
+    if a[0] not in (1, -1):
+        raise ValueError("an integer reciprocal needs a constant term of 1 or -1")
+    out = []
+    for k, row in enumerate(_binomial_rows(len(a))):
+        acc = sum(c * x * y for c, x, y in zip(row[1:], a[1:], out[::-1]))
+        out.append(a[0] * ((k == 0) - acc))
+    return out
+
 
 # n!-scaled coefficients of sinh and cosh up to x^8.
 SINH = [k % 2 for k in range(9)]
@@ -75,7 +106,7 @@ class TestReciprocal:
 class TestIntegerRecurrences:
     """The EGF sequences written out as the recurrences they solve."""
 
-    ORDER = 40
+    ORDER = 120
 
     def test_even_part_recurrence(self):
         # e_0 = 1, e_k = sum over even j >= 2 of C(k, j) (j - 1) e_(k-j), 0 at odd k
@@ -88,6 +119,16 @@ class TestIntegerRecurrences:
         for k in range(0, self.ORDER + 1, 2):
             assert odd_config[k] == even[k]
         assert all(even[k] == 0 for k in range(1, self.ORDER + 1, 2))
+
+    def test_reciprocal_and_products(self):
+        # even = 1 / D, odd = sinh * even; odd_config = odd + even, worst = odd + even^2
+        denominator = [0 if k % 2 else 1 - k for k in range(self.ORDER + 1)]
+        even = _egf_reciprocal(denominator)
+        odd = _egf_product([k % 2 for k in range(self.ORDER + 1)], even)
+        odd_config = [o + e for o, e in zip(odd, even)]
+        worst = [o + s for o, s in zip(odd, _egf_product(even, even))]
+        assert list(odd_configuration_counts_egf(self.ORDER)) == odd_config
+        assert list(worst_case_counts_egf(self.ORDER)) == worst
 
     def test_odd_part_and_square(self):
         odd_config = odd_configuration_counts_egf(self.ORDER)
@@ -133,6 +174,10 @@ class TestCounts:
     def test_matches_recurrence_through_order_200(self):
         counts = worst_case_counts_egf(200)
         assert list(counts) == [worst_case_count_recurrence(n) for n in range(201)]
+
+    def test_matches_recurrence_at_order_400(self):
+        # The order and n the exact benchmark cross-checks the two routes at.
+        assert worst_case_counts_egf(400)[400] == worst_case_count_recurrence(400)
 
     def test_guard_accepts_the_real_counts(self):
         _check_counts(odd_configuration_counts_egf(12), worst_case_counts_egf(12))
