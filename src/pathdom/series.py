@@ -71,7 +71,8 @@ def _egf_counts(order: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         # e_k = sum over even j >= 2 of C(k, j) (j - 1) e_(k-j).
         even.append(sum(map(mul, row[2::2], map(mul, range(1, k, 2), reversed(even)))))
         # The square, sum over even j of C(k, j) e_j e_(k-j), whose terms at
-        # j and k - j are equal: twice those below k/2, plus the middle one.
+        # j and k - j are equal: twice those with j < k/2, plus the middle
+        # term j = k/2 when k/2 is even.
         half = k // 2
         square = 2 * sum(map(mul, row[:half:2], map(mul, even, reversed(even))))
         if half % 2 == 0:

@@ -544,11 +544,10 @@ PUBLIC_NAMES = (
 
 
 def test_every_public_name_resolves_from_the_package():
-    assert len(PUBLIC_NAMES) == 58
     assert sorted(pathdom.__all__) == sorted(PUBLIC_NAMES)
+    assert set(PUBLIC_NAMES) <= set(dir(pathdom))
     for name in PUBLIC_NAMES:
         value = getattr(pathdom, name)
-        assert name in dir(pathdom)
         if hasattr(value, "__module__"):
             assert getattr(sys.modules[value.__module__], name) is value
     assert pathdom.DEFAULT_ORDER == series.DEFAULT_ORDER
