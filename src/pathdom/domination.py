@@ -31,6 +31,8 @@ from .graphs import Graph
 if TYPE_CHECKING:
     import numpy as np
 
+SIZE_ROWS = 128  # rows of chosen bits unpacked at a time; at most 255 (uint8 sums)
+
 
 @dataclass(frozen=True)
 class DominationOutcome:
@@ -119,21 +121,31 @@ def gamma_batch_path(n: int, later: np.ndarray) -> np.ndarray:
     the vertex is chosen when both sides allow it.  The right scan is the
     left scan of the mirrored path, whose comparisons are the complements
     in reverse, so one loop runs both scans on rows packed 8 samples a byte.
+    A scan step is scan[v] = ~(steps[v-1] & scan[v-1]); odd rows are held
+    complemented, so odd v ANDs with the step and even v ORs with the
+    inverted step, one ufunc call a row, and the odd rows flip once at the
+    end.  The sizes are summed over SIZE_ROWS rows of chosen bits at a time.
     """
     import numpy as np
 
     later = np.asarray(later)
     if later.ndim != 2 or later.shape[1] != n - 1:
         raise ValueError(f"expected shape (k, {n - 1}), got {later.shape}")
+    k = len(later)
     packed = np.packbits(later.T, axis=1)  # row v: v+1 revealed after v
     w = packed.shape[1]
     steps = np.concatenate([packed, ~packed[::-1]], axis=1)
+    np.invert(steps[1::2], out=steps[1::2])  # the steps into even rows
     scan = np.full((n, 2 * w), 0xFF, dtype=np.uint8)
+    combine = (np.bitwise_or, np.bitwise_and)  # into even rows, into odd rows
     for v in range(1, n):
-        np.bitwise_and(steps[v - 1], scan[v - 1], out=scan[v])
-        np.invert(scan[v], out=scan[v])
-    chosen = np.unpackbits(scan[:, :w] & scan[::-1, w:], axis=1, count=len(later))
-    return chosen.sum(axis=0, dtype=np.min_scalar_type(n)).astype(np.intp)  # sizes <= n
+        combine[v & 1](steps[v - 1], scan[v - 1], out=scan[v])
+    np.invert(scan[1::2], out=scan[1::2])
+    sizes = np.zeros(k, dtype=np.intp)
+    for top in range(0, n, SIZE_ROWS):
+        chosen = scan[top : top + SIZE_ROWS, :w] & scan[::-1, w:][top : top + SIZE_ROWS]
+        sizes += np.unpackbits(chosen, axis=1, count=k).sum(axis=0, dtype=np.uint8)
+    return sizes
 
 
 # ---------------------------------------------------------------------------

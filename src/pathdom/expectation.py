@@ -138,10 +138,15 @@ def caro_wei_bound(graph: Graph) -> Fraction:
     """Degree-based lower bound on the expected size: sum_v 1/(1 + deg v).
 
     Each vertex revealed before all of its neighbors necessarily enters
-    the set, and that event has probability 1/(1 + deg v).
+    the set, and that event has probability 1/(1 + deg v).  Vertices of one
+    degree share a term, so the sum has one Fraction per degree.
     """
+    per_degree: dict[int, int] = {}
+    for v in graph.vertices:
+        degree = len(graph.adj[v])
+        per_degree[degree] = per_degree.get(degree, 0) + 1
     return sum(
-        (Fraction(1, 1 + len(graph.adj[v])) for v in graph.vertices),
+        (Fraction(count, 1 + degree) for degree, count in per_degree.items()),
         start=Fraction(0),
     )
 

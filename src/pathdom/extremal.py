@@ -28,7 +28,6 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .domination import (
@@ -42,6 +41,8 @@ from .errors import EXACT_COUNT_CAP, WORD_CENSUS_CAP, WORD_LIST_CAP, check_cap
 from .graphs import path
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     import numpy as np
 
 SUBSET_SEARCH_CAP = 18
@@ -163,6 +164,8 @@ class PathCensus:
 
     @property
     def expectation(self) -> Fraction:
+        from fractions import Fraction  # imported here so that `sample` never loads it
+
         weighted = sum(size * count for size, count in enumerate(self.size_counts))
         return Fraction(weighted, math.factorial(self.n))
 

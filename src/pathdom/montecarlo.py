@@ -13,8 +13,10 @@ reveal time, split from raw 64-bit generator words in a byte-order
 independent way.  A pair of neighbours with equal keys (probability 2^-16)
 is decided by fresh 64-bit digits of both vertices' reveal times, drawn one
 per vertex per round until they differ, so the word follows a uniform
-order exactly.  gamma_batch_path evaluates each chunk's word in one scan
-loop, bit-packed across samples.
+order exactly.  A chunk's keys are drawn and compared SLAB_ROWS vertices
+at a time, so only its (n - 1) x samples boolean word is held whole, and
+gamma_batch_path evaluates that word in one scan loop, bit-packed across
+samples.
 """
 
 from __future__ import annotations
@@ -23,12 +25,12 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 
-from . import expectation
 from .domination import gamma_batch_path
 from .errors import ConsistencyError, check_cap
 from .extremal import max_dominating_size, min_dominating_size
 
 CHUNK_SIZE = 4096
+SLAB_ROWS = 32  # vertices whose keys are held at once; a multiple of 4
 SAMPLE_BUDGET = 500_000_000  # cap on n * samples
 
 
@@ -86,42 +88,49 @@ class Histogram:
         }
 
 
-def _reveal_keys(rng, n: int, count: int):
-    """i.i.d. uniform 16-bit keys of shape (n, count) from ceil(n * count / 4) raw words.
+def _chunk_word(rng, n: int, count: int):
+    """The up/down word of one chunk, from n x count reveal keys drawn a slab at a time.
 
-    Key j of word i is (word >> 16 * j) & 0xFFFF on every machine: astype
-    copies nothing on a little-endian one and byte-swaps on a big-endian one.
-    """
-    raw = rng.bit_generator.random_raw(-(-n * count // 4))
-    return raw.astype("<u8", copy=False).view("<u2")[: n * count].reshape(n, count)
+    Entry [v-1, j] of the (n - 1, count) result is True when vertex v+1 is
+    revealed after vertex v in sample j.  Key j of raw word i is
+    (word >> 16 * j) & 0xFFFF on every machine: astype copies nothing on a
+    little-endian machine and byte-swaps on a big-endian one.  A slab of
+    SLAB_ROWS rows is a whole number of raw words and the last slab takes
+    the ceiling, so the chunk reads ceil(n * count / 4) words in row-major
+    key order whatever the slab height.
 
-
-def _up_down_word(keys, rng):
-    """The up/down word of reveal keys of shape (n, samples), any unsigned dtype.
-
-    Entry [v-1, j] of the (n - 1, samples) result is True when vertex v+1 is
-    revealed after vertex v in sample j.  Keys are the leading digits of i.i.d.
-    uniform reals; a pair with equal keys draws the next 64-bit digit of both
-    vertices (once for a vertex in two such pairs) and repeats until they
-    differ.  A pair still tied at a round was tied at every earlier round, so
-    each vertex's digits come in sequence and the comparison is exact.
+    Keys are the leading digits of i.i.d. uniform reals; a pair with equal
+    keys draws the next 64-bit digit of both vertices (once for a vertex in
+    two such pairs) and repeats until they differ.  A pair still tied at a
+    round was tied at every earlier round, so each vertex's digits come in
+    sequence and the comparison is exact.  Ties are refined after the last
+    key, each round drawing its digits in ascending order of (vertex, sample).
     """
     import numpy as np
 
-    later = keys[1:] > keys[:-1]
-    columns = np.flatnonzero((keys[1:] == keys[:-1]).any(axis=0))
-    pairs, at = np.nonzero(keys[1:, columns] == keys[:-1, columns])
-    samples = columns[at]
-    count = keys.shape[1]
+    word = np.empty((n - 1, count), dtype=bool)
+    ties = []
+    last = None  # the previous slab's last row of keys
+    for top in range(0, n, SLAB_ROWS):
+        rows = min(SLAB_ROWS, n - top)
+        raw = rng.bit_generator.random_raw(-(-rows * count // 4))
+        keys = raw.astype("<u8", copy=False).view("<u2")[: rows * count].reshape(rows, count)
+        if last is not None:
+            np.greater(keys[0], last, out=word[top - 1])
+            ties.append(np.flatnonzero(keys[0] == last) + (top - 1) * count)
+        np.greater(keys[1:], keys[:-1], out=word[top : top + rows - 1])
+        ties.append(np.flatnonzero(keys[1:] == keys[:-1]) + top * count)
+        last = keys[-1].copy()
+    pairs, samples = np.divmod(np.concatenate(ties), count)
     while pairs.size:
         cells = np.concatenate([pairs, pairs + 1]) * count + np.tile(samples, 2)
         drawn, where = np.unique(cells, return_inverse=True)
         digits = rng.bit_generator.random_raw(drawn.size)[where]
         left, right = digits[: pairs.size], digits[pairs.size :]
-        later[pairs, samples] = right > left
+        word[pairs, samples] = right > left
         tied = right == left
         pairs, samples = pairs[tied], samples[tied]
-    return later
+    return word
 
 
 def _chunk_histogram(args: tuple[int, int, int, int]) -> Counter:
@@ -131,7 +140,7 @@ def _chunk_histogram(args: tuple[int, int, int, int]) -> Counter:
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,))
     )
-    word = _up_down_word(_reveal_keys(rng, n, count), rng)
+    word = _chunk_word(rng, n, count)
     sizes = gamma_batch_path(n, word.T)
     values, counts = np.unique(sizes, return_counts=True)
     return Counter({int(v): int(c) for v, c in zip(values, counts)})
@@ -195,6 +204,8 @@ def normalize(hist: Histogram, mode: str) -> list[tuple[float, float]]:
 
 def _exact_mean_float(n: int) -> float:
     # Exact rational mean where affordable, float recurrence beyond.
+    from . import expectation
+
     if n <= 4000:
         return float(expectation.expected_gamma_path_closed_form(n))
     return expectation.expected_gamma_path_float(n)

@@ -507,6 +507,8 @@ def _modules_loaded_by(argv):
 @pytest.mark.parametrize("argv,loaded", [
     (["--version"], {"cli"}),
     (["series", "--order", "6"], {"cli", "errors", "series"}),
+    (["sample", "--n", "20", "--samples", "100", "--seed", "1"],
+     {"cli", "domination", "errors", "extremal", "graphs", "montecarlo"}),
 ])
 def test_command_loads_only_the_modules_it_runs(argv, loaded):
     assert _modules_loaded_by(argv) == loaded

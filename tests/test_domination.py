@@ -35,6 +35,7 @@ from pathdom import (
     star,
     wheel,
 )
+from pathdom.domination import SIZE_ROWS
 
 
 @st.composite
@@ -211,9 +212,10 @@ class TestGammaBatch:
         for order, size in zip(orders, sizes):
             assert size == gamma(g, tuple(order))
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(
-        st.integers(min_value=1, max_value=40),
+        # Odd and even scan rows, and paths past one or two SIZE_ROWS blocks.
+        st.integers(min_value=1, max_value=2 * SIZE_ROWS + 40),
         st.integers(min_value=1, max_value=200),  # whole and partial packed bytes
         st.integers(min_value=0, max_value=2**32 - 1),
     )
@@ -222,7 +224,10 @@ class TestGammaBatch:
             np.tile(np.arange(1, n + 1), (k, 1)), axis=1
         )
         sizes = gamma_batch_path(n, _up_down_words(np.argsort(orders, axis=1)))
-        assert list(sizes) == [gamma(path(n), order) for order in orders.tolist()]
+        g = path(n)
+        assert list(sizes) == [
+            run_online_domination(g, order).size for order in orders.tolist()
+        ]
 
     def test_uint16_reveal_keys(self):
         n, k = 60, 300

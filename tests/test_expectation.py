@@ -206,6 +206,14 @@ class TestCaroWei:
         assert caro_wei_bound(path(1)) == 1
         assert caro_wei_bound(cycle(5)) == Fraction(5, 3)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=5))
+    def test_equals_the_sum_over_vertices(self, parts):
+        # Parts of several sizes give several degree classes.
+        for g in (complete_multipartite(parts), star(sum(parts)), wheel(sum(parts) + 2)):
+            per_vertex = sum(Fraction(1, 1 + len(g.adj[v])) for v in g.vertices)
+            assert caro_wei_bound(g) == per_vertex
+
     @pytest.mark.parametrize("n", range(2, 50))
     def test_path_formula(self, n):
         assert caro_wei_bound(path(n)) == Fraction(n + 1, 3)

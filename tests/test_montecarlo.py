@@ -16,7 +16,7 @@ from pathdom import (
     sample_gamma,
 )
 from pathdom.errors import ResourceLimitError
-from pathdom.montecarlo import _reveal_keys, _up_down_word
+from pathdom.montecarlo import SLAB_ROWS, _chunk_word
 
 
 def test_one_vertex_has_an_empty_word():
@@ -119,6 +119,44 @@ def _up_down_law(n):
     return {pattern: count / math.factorial(n) for pattern, count in patterns.items()}
 
 
+# The whole-chunk route the sampler streamed before: every key of the chunk
+# split at once, then one comparison over the full (n, count) arrays.  The
+# streamed word must equal it draw for draw.
+def _reveal_keys(rng, n, count):
+    raw = rng.bit_generator.random_raw(-(-n * count // 4))
+    return raw.astype("<u8", copy=False).view("<u2")[: n * count].reshape(n, count)
+
+
+def _up_down_word(keys, rng):
+    later = keys[1:] > keys[:-1]
+    columns = np.flatnonzero((keys[1:] == keys[:-1]).any(axis=0))
+    pairs, at = np.nonzero(keys[1:, columns] == keys[:-1, columns])
+    samples = columns[at]
+    count = keys.shape[1]
+    while pairs.size:
+        cells = np.concatenate([pairs, pairs + 1]) * count + np.tile(samples, 2)
+        drawn, where = np.unique(cells, return_inverse=True)
+        digits = rng.bit_generator.random_raw(drawn.size)[where]
+        left, right = digits[: pairs.size], digits[pairs.size :]
+        later[pairs, samples] = right > left
+        tied = right == left
+        pairs, samples = pairs[tied], samples[tied]
+    return later
+
+
+class _BinaryKeys:
+    """A generator whose raw words split into keys of 0 and 1, so about half
+    of all neighbour pairs tie, across slab boundaries too; tie digits are
+    masked alike and take 16 values."""
+
+    def __init__(self, seed):
+        self.bit_generator = self
+        self._raw = np.random.default_rng(seed).bit_generator.random_raw
+
+    def random_raw(self, size):
+        return self._raw(size) & np.uint64(0x0001_0001_0001_0001)
+
+
 def test_reveal_keys_split_raw_words_arithmetically():
     n, count = 7, 5  # 35 keys from 9 words, the last one split in part
     keys = _reveal_keys(np.random.default_rng(31), n, count)
@@ -128,28 +166,69 @@ def test_reveal_keys_split_raw_words_arithmetically():
     assert keys.ravel().tolist() == split[: n * count]
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("count", [1, 3, 5, 4096])
 @pytest.mark.parametrize(
-    "alphabet, dtype",
-    [pytest.param(a, np.uint64, id=str(a)) for a in (1, 2)]
-    + [pytest.param(a, np.uint16, id=f"{a}-uint16") for a in (1, 2)],
+    "n", [1, 2, 3, SLAB_ROWS - 1, SLAB_ROWS, SLAB_ROWS + 1, 2 * SLAB_ROWS + 3]
 )
-def test_up_down_word_is_exact(n, alphabet, dtype):
-    # Keys from {0} or {0, 1} tie often, so nearly every column is refined;
-    # with {0} every vertex sits in two tied pairs.
+@pytest.mark.parametrize("make_rng", [np.random.default_rng, _BinaryKeys],
+                         ids=["pcg64", "binary-keys"])
+def test_streamed_word_equals_the_whole_chunk_route(make_rng, n, count):
+    rng = make_rng(n * 10_000 + count)
+    word = _chunk_word(rng, n, count)
+    reference_rng = make_rng(n * 10_000 + count)
+    reference = _up_down_word(_reveal_keys(reference_rng, n, count), reference_rng)
+    assert word.dtype == bool and word.shape == (n - 1, count)
+    assert np.array_equal(word, reference)
+    # Both routes left the stream at the same point.
+    assert rng.bit_generator.random_raw(4).tolist() == (
+        reference_rng.bit_generator.random_raw(4).tolist())
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("slab", [4, SLAB_ROWS])
+def test_up_down_word_is_exact(monkeypatch, n, slab):
+    # Keys from {0, 1} tie often, so nearly every column is refined; with
+    # slabs of 4 rows, n = 5 and n = 6 put tied pairs across a boundary.
+    monkeypatch.setattr(montecarlo, "SLAB_ROWS", slab)
     samples = 20_000
-    rng = np.random.default_rng(2024)
-    keys = rng.integers(0, alphabet, size=(n, samples), dtype=dtype)
-    word = _up_down_word(keys, rng)
+    word = _chunk_word(_BinaryKeys(2024), n, samples)
     assert word.shape == (n - 1, samples)
-    strict = keys[1:] != keys[:-1]
-    assert np.array_equal(word[strict], (keys[1:] > keys[:-1])[strict])
     seen = Counter(map(tuple, word.T.tolist()))
     law = _up_down_law(n)
     assert set(seen) <= set(law)
     for pattern, p in law.items():
         se = math.sqrt(p * (1 - p) / samples)
         assert abs(seen[pattern] / samples - p) <= 5 * se
+
+
+# Bins of the whole-chunk route at this seed.
+PINNED_BINS = {
+    843: 1, 844: 1, 845: 2, 846: 1, 847: 6, 848: 9, 849: 8, 850: 9, 851: 25,
+    852: 32, 853: 49, 854: 79, 855: 84, 856: 97, 857: 130, 858: 154, 859: 216,
+    860: 248, 861: 247, 862: 293, 863: 326, 864: 328, 865: 340, 866: 320, 867: 329,
+    868: 273, 869: 281, 870: 226, 871: 226, 872: 153, 873: 123, 874: 120, 875: 82,
+    876: 60, 877: 42, 878: 29, 879: 16, 880: 17, 881: 7, 882: 2, 883: 2, 884: 2,
+    885: 1, 886: 2, 888: 1, 890: 1,
+}
+
+
+def test_seeded_histogram_is_pinned():
+    # A change of slab height, scan or tie order that moves one draw shows here.
+    bins = sample_gamma(SampleConfig(n=2000, samples=5000, seed=271828)).bins
+    assert bins == PINNED_BINS
+
+
+def test_chunk_memory_stays_below_three_bytes_a_key():
+    import tracemalloc
+
+    n, samples = 2000, 4096
+    tracemalloc.start()
+    try:
+        sample_gamma(SampleConfig(n=n, samples=samples, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * n * samples
 
 
 class TestNormalize:
