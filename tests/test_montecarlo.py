@@ -119,9 +119,9 @@ def _up_down_law(n):
     return {pattern: count / math.factorial(n) for pattern, count in patterns.items()}
 
 
-# The whole-chunk route the sampler streamed before: every key of the chunk
-# split at once, then one comparison over the full (n, count) arrays.  The
-# streamed word must equal it draw for draw.
+# The whole-chunk reference route: every key of the chunk split at once,
+# then one comparison over the full (n, count) arrays.  The streamed word
+# must equal it draw for draw.
 def _reveal_keys(rng, n, count):
     raw = rng.bit_generator.random_raw(-(-n * count // 4))
     return raw.astype("<u8", copy=False).view("<u2")[: n * count].reshape(n, count)
@@ -184,14 +184,8 @@ def test_streamed_word_equals_the_whole_chunk_route(make_rng, n, count):
         reference_rng.bit_generator.random_raw(4).tolist())
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
-@pytest.mark.parametrize("slab", [4, SLAB_ROWS])
-def test_up_down_word_is_exact(monkeypatch, n, slab):
-    # Keys from {0, 1} tie often, so nearly every column is refined; with
-    # slabs of 4 rows, n = 5 and n = 6 put tied pairs across a boundary.
-    monkeypatch.setattr(montecarlo, "SLAB_ROWS", slab)
-    samples = 20_000
-    word = _chunk_word(_BinaryKeys(2024), n, samples)
+def _assert_follows_up_down_law(word, n):
+    samples = word.shape[1]
     assert word.shape == (n - 1, samples)
     seen = Counter(map(tuple, word.T.tolist()))
     law = _up_down_law(n)
@@ -199,6 +193,33 @@ def test_up_down_word_is_exact(monkeypatch, n, slab):
     for pattern, p in law.items():
         se = math.sqrt(p * (1 - p) / samples)
         assert abs(seen[pattern] / samples - p) <= 5 * se
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize(
+    "alphabet, dtype",
+    [pytest.param(a, np.uint64, id=str(a)) for a in (1, 2)]
+    + [pytest.param(a, np.uint16, id=f"{a}-uint16") for a in (1, 2)],
+)
+def test_up_down_word_is_exact(n, alphabet, dtype):
+    # The whole-chunk route on keys from {0} or {0, 1}, which tie often, so
+    # nearly every column is refined; with {0} every vertex sits in two tied pairs.
+    samples = 20_000
+    rng = np.random.default_rng(2024)
+    keys = rng.integers(0, alphabet, size=(n, samples), dtype=dtype)
+    word = _up_down_word(keys, rng)
+    strict = keys[1:] != keys[:-1]
+    assert np.array_equal(word[strict], (keys[1:] > keys[:-1])[strict])
+    _assert_follows_up_down_law(word, n)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("slab", [4, SLAB_ROWS])
+def test_streamed_word_is_exact(monkeypatch, n, slab):
+    # Keys from {0, 1} tie often, so nearly every column is refined; with
+    # slabs of 4 rows, n = 5 and n = 6 put tied pairs across a boundary.
+    monkeypatch.setattr(montecarlo, "SLAB_ROWS", slab)
+    _assert_follows_up_down_law(_chunk_word(_BinaryKeys(2024), n, 20_000), n)
 
 
 # Bins of the whole-chunk route at this seed.
