@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .domination import final_set_counts
 from .errors import EXACT_PATH_CAP, check_cap
-from .graphs import Graph
+
+if TYPE_CHECKING:
+    from .graphs import Graph
 
 
 def expected_gamma_path(n: int, *, force: bool = False) -> Fraction:
@@ -156,6 +157,8 @@ def bruteforce_expected_gamma(graph: Graph, *, force: bool = False) -> Fraction:
 
     The independent oracle for every family formula above.
     """
+    from .domination import final_set_counts  # here so `expect --family path` never loads it
+
     final_sets = final_set_counts(graph, force=force)
     total = sum(len(chosen) * count for chosen, count in final_sets.items())
     return Fraction(total, math.factorial(graph.n))

@@ -217,24 +217,49 @@ def up_down_words(n: int, *, force: bool = False) -> np.ndarray:
 
 
 def orders_per_word(words: np.ndarray) -> np.ndarray:
-    """Number of orders with each up/down word, by the rank recursion.
+    """Number of orders with each up/down word, by the rank recursion met in
+    the middle.
 
-    Column r of the table counts the orders of the prefix so far whose last
-    reveal time has rank r among the prefix; an up letter maps it to prefix
-    sums, a down letter to suffix sums.  int64 is exact while n <= 20;
-    longer words are counted in Python ints.
+    Entry r of the forward table counts the orders of the prefix so far whose
+    last reveal time has rank r among the prefix; an up letter maps it to sums
+    over the ranks below r, a down letter to sums over the rest.  The count is
+    linear in that table, so the L letters split at h = L // 2: the table F
+    after the first h letters is dotted with a table B run back from ones of
+    length L + 1 by the transposed step (up: sums above r; down: sums up to r).
+    Each table is built once per distinct half, found by its integer code, so
+    k words cost O(k L + 2^ceil(L/2) L^2) rather than O(k L^2).  Every term is
+    at most n!, so int64 is exact while n <= 20; longer words, and the codes
+    of their halves, are counted in Python ints.
     """
     import numpy as np
 
     words = np.asarray(words, dtype=bool)
-    k, letters = words.shape
-    ranks = np.ones((k, 1), dtype=np.int64 if letters < 20 else object)
-    for j in range(letters):
-        below = np.zeros((k, j + 2), dtype=ranks.dtype)
-        np.cumsum(ranks, axis=1, out=below[:, 1:])
-        ranks = below[:, -1:] - below  # down: the new time is below the last
-        np.copyto(ranks, below, where=words[:, j, None])
-    return ranks.sum(axis=1)
+    letters = words.shape[1]
+    dtype = np.int64 if letters < 20 else object
+
+    def distinct(half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        codes = np.zeros(len(half), dtype)
+        for j, column in enumerate(half.T):
+            codes[column] |= 1 << j
+        _, first, which = np.unique(codes, return_index=True, return_inverse=True)
+        return half[first], which
+
+    heads, head_of = distinct(words[:, : letters // 2])
+    tails, tail_of = distinct(words[:, letters // 2 :])
+    ahead = np.ones((len(heads), 1), dtype)
+    for j, up in enumerate(heads.T):
+        below = np.zeros((len(heads), j + 2), dtype)
+        np.cumsum(ahead, axis=1, out=below[:, 1:])
+        ahead = below[:, -1:] - below  # down: the new time is below the last
+        np.copyto(ahead, below, where=up[:, None])
+    behind = np.ones((len(tails), letters + 1), dtype)
+    for up in tails.T[::-1]:
+        upto = np.cumsum(behind, axis=1)
+        behind = upto[:, -1:] - upto[:, :-1]  # up: the next time is above
+        np.copyto(behind, upto[:, :-1], where=~up[:, None])
+    terms = ahead.take(head_of, axis=0)
+    terms *= behind.take(tail_of, axis=0)  # einsum takes object arrays only from numpy 1.25
+    return terms.sum(axis=1)
 
 
 def word_census(n: int, *, force: bool = False) -> tuple[int, ...]:

@@ -507,6 +507,7 @@ def _modules_loaded_by(argv):
 @pytest.mark.parametrize("argv,loaded", [
     (["--version"], {"cli"}),
     (["series", "--order", "6"], {"cli", "errors", "series"}),
+    (["expect", "--family", "path", "--n", "6"], {"cli", "errors", "expectation"}),
     (["sample", "--n", "20", "--samples", "100", "--seed", "1"],
      {"cli", "domination", "errors", "extremal", "graphs", "montecarlo"}),
 ])

@@ -13,8 +13,12 @@ import itertools
 import json
 import math
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pathdom import (
     best_case_count_formula,
@@ -181,6 +185,38 @@ def _zigzag(n):
     return row[-1]
 
 
+def _orders_per_word_by_whole_tables(words):
+    """The rank recursion run over every letter of every word: one (k, j + 2)
+    table per letter, the reference for orders_per_word met in the middle."""
+    words = np.asarray(words, dtype=bool)
+    k, letters = words.shape
+    ranks = np.ones((k, 1), dtype=np.int64 if letters < 20 else object)
+    for j in range(letters):
+        below = np.zeros((k, j + 2), dtype=ranks.dtype)
+        np.cumsum(ranks, axis=1, out=below[:, 1:])
+        ranks = below[:, -1:] - below
+        np.copyto(ranks, below, where=words[:, j, None])
+    return ranks.sum(axis=1)
+
+
+@st.composite
+def _word_arrays(draw):
+    """Up to 60 words of up to 24 letters, each glued from one of a few
+    prefixes and one of a few suffixes, so that words and halves repeat."""
+    letters = draw(st.integers(min_value=0, max_value=24))
+    cut = draw(st.integers(min_value=0, max_value=letters))
+
+    def pieces(size):
+        piece = st.lists(st.booleans(), min_size=size, max_size=size)
+        return draw(st.lists(piece, min_size=1, max_size=4))
+
+    heads, tails = pieces(cut), pieces(letters - cut)
+    pairs = draw(st.lists(
+        st.tuples(st.sampled_from(heads), st.sampled_from(tails)), max_size=60
+    ))
+    return np.array([h + t for h, t in pairs], dtype=bool).reshape(len(pairs), letters)
+
+
 class TestWordCensus:
     def test_word_layout(self):
         assert up_down_words(1).shape == (1, 0)
@@ -215,6 +251,32 @@ class TestWordCensus:
         counts = orders_per_word(words)
         assert counts.tolist() == [_zigzag(25), 1, _zigzag(25)]
         assert _zigzag(25) > 2**63
+
+    @settings(max_examples=150, deadline=None)
+    @given(_word_arrays())
+    @example(np.zeros((0, 0), dtype=bool))
+    @example(np.array([[True], [False], [True]]))
+    @example(np.eye(3, 19, dtype=bool))  # the last int64 length
+    @example(np.eye(3, 20, dtype=bool))  # the first length counted in Python ints
+    def test_orders_per_word_equals_the_whole_table_route(self, words):
+        counts = orders_per_word(words)
+        reference = _orders_per_word_by_whole_tables(words)
+        assert counts.dtype == reference.dtype
+        assert counts.shape == (len(words),)
+        assert counts.tolist() == reference.tolist()
+
+    @pytest.mark.parametrize("n", range(1, 20))
+    def test_orders_over_all_words_sum_to_n_factorial(self, n):
+        assert int(orders_per_word(up_down_words(n)).sum()) == math.factorial(n)
+
+    def test_census_memory_stays_below_8_mib(self):
+        tracemalloc.start()
+        try:
+            word_census(16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_word_census_matches_the_engine(self, n):
