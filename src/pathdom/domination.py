@@ -8,10 +8,11 @@ set, and its size depends only on the graph and the revelation order.
 
 The rule lives here in three forms: the scalar simulator
 run_online_domination, the reference the tests hold the others to; the
-exhaustive engine (final_set_counts, orders_with_size), which covers all
-n! orders by merging reveal prefixes and is the package's one brute force
-over orders, guarded by DEFAULT_BRUTE_CAP; and the vectorized path evaluator
-gamma_batch_path.  On the path the final set depends only on the up/down
+exhaustive engine (final_set_counts, orders_with_size), the package's one
+brute force over all n! orders, guarded by DEFAULT_BRUTE_CAP, which merges
+reveal prefixes by chosen set and number of inert reveals and asks
+_free_vertices which vertices still join; and the vectorized path
+evaluator gamma_batch_path.  On the path the final set depends only on the up/down
 word of an order, which vertex of each neighbouring pair is revealed
 later, so gamma_batch_path takes that word (the sampler's comes from its
 reveal keys) and runs both end scans of the path in one loop over it,
@@ -152,81 +153,69 @@ def gamma_batch_path(n: int, later: np.ndarray) -> np.ndarray:
 # Exhaustive engine
 # ---------------------------------------------------------------------------
 #
-# After a prefix of a revelation order, the rest of the run depends only on
-# the pair of vertex bitmasks (revealed, chosen), bit v-1 standing for
-# vertex v, so prefixes that reach the same pair are merged into one state.
-# Each vertex is unrevealed, chosen, or revealed and dominated, so a graph
-# has at most 3^n states against n! orders.
+# A revealed vertex joins exactly when no neighbour is chosen, and the chosen
+# set C (bit v-1 for vertex v) only grows.  So every vertex outside the closed
+# neighbourhood N[C] is unrevealed, and every one in N[C] \ C is inert: it
+# never joins.  The rest of a run depends only on C and the number d of inert
+# reveals so far.  A free vertex v moves (C, d) to (C | v, d) with weight 1,
+# an inert reveal to (C, d + 1) with weight |N[C]| - |C| - d.  After k reveals
+# d = k - |C|, so a layer is keyed by C alone: at most (independent sets) x
+# (n + 1) states against n! orders.  _free_vertices holds the reveal rule.
 
 
-def _check_engine_cap(graph: Graph, force: bool) -> None:
+def _closed_neighborhoods(graph: Graph, force: bool) -> list[int]:
+    """Bitmask of each vertex and its neighbors, by vertex - 1, behind the guard."""
     check_cap(graph.n, DEFAULT_BRUTE_CAP, force, "exhaustive search over all orders")
+    return [sum(1 << (u - 1) for u in (v, *graph.adj[v])) for v in graph.vertices]
 
 
-def _neighbor_masks(graph: Graph) -> list[int]:
-    """Bitmask of the neighbors of each vertex, indexed by vertex - 1."""
-    return [sum(1 << (u - 1) for u in graph.adj[v]) for v in graph.vertices]
-
-
-_State = tuple[int, int]  # (revealed, chosen) vertex bitmasks
-
-
-def _reveals(
-    state: _State, neighbor_masks: list[int], full: int
-) -> Iterator[tuple[int, _State]]:
-    """(vertex, next state) for each unrevealed vertex, in ascending order.
-
-    The revealed vertex is chosen exactly when no neighbor is chosen yet,
-    the rule of run_online_domination.
-    """
-    revealed, chosen = state
-    unrevealed = full ^ revealed
-    while unrevealed:
-        bit = unrevealed & -unrevealed
-        unrevealed ^= bit
-        v = bit.bit_length()
-        if neighbor_masks[v - 1] & chosen:
-            yield v, (revealed | bit, chosen)
-        else:
-            yield v, (revealed | bit, chosen | bit)
+def _free_vertices(chosen: int, closed: list[int], full: int) -> int:
+    """Bitmask of the vertices outside N[chosen]: those that join when revealed."""
+    covered = 0
+    while chosen:
+        bit = chosen & -chosen
+        chosen ^= bit
+        covered |= closed[bit.bit_length() - 1]
+    return full & ~covered
 
 
 def final_set_counts(graph: Graph, *, force: bool = False) -> dict[frozenset[int], int]:
     """Number of revelation orders that end in each final dominating set.
 
-    A forward pass over reveal prefixes: after k steps every state holds the
-    number of length-k prefixes that reach it.  The counts sum to n!.
+    A forward pass over reveal prefixes: after k steps each chosen set holds
+    the number of length-k prefixes that reach it.  The counts sum to n!.
     """
-    _check_engine_cap(graph, force)
-    masks = _neighbor_masks(graph)
+    closed = _closed_neighborhoods(graph, force)
     full = (1 << graph.n) - 1
-    layer: dict[_State, int] = {(0, 0): 1}
-    for _ in graph.vertices:
-        following: defaultdict[_State, int] = defaultdict(int)
-        for state, count in layer.items():
-            for _, after in _reveals(state, masks, full):
-                following[after] += count
+    layer: dict[int, int] = {0: 1}
+    for hidden in range(graph.n, 0, -1):
+        following: defaultdict[int, int] = defaultdict(int)
+        for chosen, count in layer.items():
+            free = _free_vertices(chosen, closed, full)
+            inert = hidden - free.bit_count()  # |N[C]| - |C| - d, hidden but never joining
+            if inert:
+                following[chosen] += inert * count
+            while free:
+                bit = free & -free
+                free ^= bit
+                following[chosen | bit] += count
         layer = following
     return {
         frozenset(v for v in graph.vertices if chosen >> (v - 1) & 1): count
-        for (_, chosen), count in layer.items()
+        for chosen, count in layer.items()
     }
 
 
-def _reachable_sizes(
-    state: _State, neighbor_masks: list[int], full: int, memo: dict[_State, int]
-) -> int:
-    """Bitmask with bit s set when a final set of size s is reachable."""
-    revealed, chosen = state
-    if revealed == full:
-        return 1 << chosen.bit_count()
-    sizes = memo.get(state)
-    if sizes is None:
-        sizes = 0
-        for _, after in _reveals(state, neighbor_masks, full):
-            sizes |= _reachable_sizes(after, neighbor_masks, full, memo)
-        memo[state] = sizes
-    return sizes
+def _reachable_sizes(chosen: int, closed: list[int], full: int, memo: dict[int, int]) -> int:
+    """Bitmask with bit s set when a final set of size s is reachable from chosen."""
+    if chosen not in memo:  # the recursion reaches larger sets only: no partial entry is read
+        free = _free_vertices(chosen, closed, full)
+        memo[chosen] = 0 if free else 1 << chosen.bit_count()
+        while free:
+            bit = free & -free
+            free ^= bit
+            memo[chosen] |= _reachable_sizes(chosen | bit, closed, full, memo)
+    return memo[chosen]
 
 
 def orders_with_size(
@@ -236,27 +225,40 @@ def orders_with_size(
 
     Orders come in lexicographic order, the order of itertools.permutations,
     and at most `limit` of them when a limit is given.  A depth-first walk
-    over reveal prefixes enters a state only when a final set of that size
-    is reachable from it, so every branch it takes ends in a listed order.
+    over reveal prefixes enters a prefix only when a final set of that size
+    is reachable from its chosen set, so every branch ends in a listed order.
     """
     if limit is not None and limit < 0:
         raise ValueError("limit must be nonnegative")
-    _check_engine_cap(graph, force)
-    masks = _neighbor_masks(graph)
+    closed = _closed_neighborhoods(graph, force)
     full = (1 << graph.n) - 1
-    sizes_from: dict[_State, int] = {}
+    sizes_from: dict[int, int] = {}
+    free_of: dict[int, int] = {}
     wanted = 1 << size
+
+    # (bit, revealed, chosen) for each next reveal, ascending, that keeps `size` reachable
+    def reveals(revealed: int, chosen: int) -> Iterator[tuple[int, int, int]]:
+        if chosen not in free_of:
+            free_of[chosen] = _free_vertices(chosen, closed, full)
+        free, hidden = free_of[chosen], full ^ revealed
+        while hidden:
+            bit = hidden & -hidden
+            hidden ^= bit
+            if not bit & free:  # inert: the chosen set, and what it can reach, stay
+                yield bit, revealed | bit, chosen
+            elif _reachable_sizes(chosen | bit, closed, full, sizes_from) & wanted:
+                yield bit, revealed | bit, chosen | bit
+
     orders: list[tuple[int, ...]] = []
     prefix: list[int] = []
-    # One iterator over the remaining reveals per state on the current path.
-    stack = [_reveals((0, 0), masks, full)]
+    # One iterator over the remaining reveals per prefix on the current path.
+    stack = [reveals(0, 0)]
     while stack and len(orders) != limit:
-        for v, after in stack[-1]:
-            if _reachable_sizes(after, masks, full, sizes_from) & wanted:
-                prefix.append(v)
-                stack.append(_reveals(after, masks, full))
-                break
-        else:  # no reveal left to try from this state
+        for bit, revealed, chosen in stack[-1]:
+            prefix.append(bit.bit_length())
+            stack.append(reveals(revealed, chosen))
+            break
+        else:  # no reveal left to try from this prefix
             if len(prefix) == graph.n:
                 orders.append(tuple(prefix))
             stack.pop()

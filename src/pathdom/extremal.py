@@ -34,7 +34,6 @@ from .domination import (
     check_permutation,
     final_set_counts,
     gamma_batch_path,
-    is_independent_dominating,
     orders_with_size,
 )
 from .errors import EXACT_COUNT_CAP, WORD_CENSUS_CAP, WORD_LIST_CAP, check_cap
@@ -46,6 +45,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 SUBSET_SEARCH_CAP = 18
+WORD_ROWS = 1 << 15  # words gathered at a time by orders_per_word; n <= 16 is one block
 # The weak-alternation listing scans all n! orders one by one (about 3 s at
 # n = 10, 40 s at n = 11).
 PERMUTATION_SCAN_CAP = 10
@@ -99,18 +99,32 @@ def maximal_independent_dominating_sets(n: int) -> list[frozenset[int]]:
 def independent_dominating_sets_bruteforce(
     n: int, size: int | None = None, *, force: bool = False
 ) -> list[frozenset[int]]:
-    """Exhaustive 2^n subset search for independent dominating sets of the n-path."""
+    """Exhaustive 2^n subset search for independent dominating sets of the n-path.
+
+    With bit v-1 for vertex v, a subset is independent when each member's
+    closed-neighbourhood mask meets it in that member alone, and dominating
+    when the members' masks cover every vertex.
+    """
     if n < 1:
         raise ValueError("n must be positive")
     check_cap(n, SUBSET_SEARCH_CAP, force, "exhaustive subset search")
     graph = path(n)
+    closed = [sum(1 << (u - 1) for u in (v, *graph.adj[v])) for v in graph.vertices]
     found = []
     for bits in range(1, 1 << n):
         if size is not None and bits.bit_count() != size:
             continue
-        subset = frozenset(v for v in range(1, n + 1) if bits >> (v - 1) & 1)
-        if is_independent_dominating(graph, subset):
-            found.append(subset)
+        covered, rest = 0, bits
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            mask = closed[bit.bit_length() - 1]
+            if mask & bits != bit:
+                break  # a neighbour is a member too
+            covered |= mask
+        else:
+            if covered == (1 << n) - 1:
+                found.append(frozenset(v for v in graph.vertices if bits >> (v - 1) & 1))
     return found
 
 
@@ -229,7 +243,8 @@ def orders_per_word(words: np.ndarray) -> np.ndarray:
     Each table is built once per distinct half, found by its integer code, so
     k words cost O(k L + 2^ceil(L/2) L^2) rather than O(k L^2).  Every term is
     at most n!, so int64 is exact while n <= 20; longer words, and the codes
-    of their halves, are counted in Python ints.
+    of their halves, are counted in Python ints.  The halves' rows are
+    gathered and dotted WORD_ROWS words at a time.
     """
     import numpy as np
 
@@ -257,9 +272,13 @@ def orders_per_word(words: np.ndarray) -> np.ndarray:
         upto = np.cumsum(behind, axis=1)
         behind = upto[:, -1:] - upto[:, :-1]  # up: the next time is above
         np.copyto(behind, upto[:, :-1], where=~up[:, None])
-    terms = ahead.take(head_of, axis=0)
-    terms *= behind.take(tail_of, axis=0)  # einsum takes object arrays only from numpy 1.25
-    return terms.sum(axis=1)
+    counts = np.empty(len(words), dtype)
+    for top in range(0, len(words), WORD_ROWS):  # einsum takes object arrays only from numpy 1.25
+        rows = slice(top, top + WORD_ROWS)
+        terms = ahead.take(head_of[rows], axis=0)
+        terms *= behind.take(tail_of[rows], axis=0)
+        terms.sum(axis=1, out=counts[rows])
+    return counts
 
 
 def word_census(n: int, *, force: bool = False) -> tuple[int, ...]:

@@ -8,10 +8,12 @@ Core claims:
     - Path sizes always land in [ceil(n/3), ceil(n/2)].
     - The vectorized path evaluator agrees with the scalar engine.
     - On the path, orders with one up/down word give one final set.
-    - The exhaustive engine agrees with a plain loop over every order.
+    - The exhaustive engine agrees with a plain loop over every order, and
+      with the (revealed, chosen) engine it replaced past the loop's reach.
 """
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -35,12 +37,12 @@ from pathdom import (
     star,
     wheel,
 )
-from pathdom.domination import SIZE_ROWS
+from pathdom.domination import SIZE_ROWS, _closed_neighborhoods, _reachable_sizes
 
 
 @st.composite
-def _explicit_graphs(draw):
-    n = draw(st.integers(min_value=1, max_value=7))
+def _explicit_graphs(draw, max_n=7):
+    n = draw(st.integers(min_value=1, max_value=max_n))
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     return explicit(n, edges)
@@ -307,3 +309,51 @@ class TestExhaustiveEngine:
         assert orders_with_size(path(7), 4, limit=0) == []
         with pytest.raises(ValueError):
             orders_with_size(path(7), 4, limit=-1)
+
+
+def _final_set_counts_by_revealed_sets(graph):
+    """The reference: the engine keyed by (revealed, chosen) vertex bitmasks,
+    one state per revealed subset of the dominated vertices (at most 3^n)."""
+    masks = [sum(1 << (u - 1) for u in graph.adj[v]) for v in graph.vertices]
+    layer = Counter({(0, 0): 1})
+    for _ in graph.vertices:
+        following = Counter()
+        for (revealed, chosen), count in layer.items():
+            for v in graph.vertices:
+                bit = 1 << (v - 1)
+                if not revealed & bit:
+                    joins = not masks[v - 1] & chosen
+                    following[revealed | bit, chosen | bit if joins else chosen] += count
+        layer = following
+    return {
+        frozenset(v for v in graph.vertices if chosen >> (v - 1) & 1): count
+        for (_, chosen), count in layer.items()
+    }
+
+
+class TestChosenSetEngine:
+    @settings(max_examples=100, deadline=None)
+    @given(_explicit_graphs(max_n=10))
+    def test_matches_the_revealed_set_engine_on_random_graphs(self, graph):
+        assert final_set_counts(graph) == _final_set_counts_by_revealed_sets(graph)
+
+    @pytest.mark.parametrize(
+        "graph",
+        [path(n) for n in range(1, 12)]
+        + [cycle(n) for n in range(3, 10)]
+        + [star(k) for k in range(1, 8)]
+        + [wheel(k) for k in range(3, 7)]
+        + [complete_multipartite((4, 4))],
+        ids=lambda graph: f"{graph.family}-{graph.n}",
+    )
+    def test_matches_the_revealed_set_engine_on_families(self, graph):
+        counts = final_set_counts(graph)
+        assert counts == _final_set_counts_by_revealed_sets(graph)
+        assert sum(counts.values()) == math.factorial(graph.n)
+
+    def test_reachable_sizes_reads_back_what_it_memoises(self):
+        graph = path(6)
+        closed, full = _closed_neighborhoods(graph, False), (1 << 6) - 1
+        memo = {}
+        assert _reachable_sizes(0, closed, full, memo) == 1 << 2 | 1 << 3
+        assert _reachable_sizes(0, closed, full, dict.fromkeys(memo, 0)) == 0

@@ -265,6 +265,16 @@ class TestWordCensus:
         assert counts.shape == (len(words),)
         assert counts.tolist() == reference.tolist()
 
+    @pytest.mark.parametrize("letters", [8, 20])  # int64 and Python-int counts
+    def test_blocks_of_words_give_the_whole_block_counts(self, monkeypatch, letters):
+        words = np.random.default_rng(letters).random((300, letters)) < 0.5
+        whole = orders_per_word(words)
+        monkeypatch.setattr(extremal, "WORD_ROWS", 7)
+        blocked = orders_per_word(words)
+        assert blocked.dtype == whole.dtype
+        assert blocked.tolist() == whole.tolist()
+        assert whole.tolist() == _orders_per_word_by_whole_tables(words).tolist()
+
     @pytest.mark.parametrize("n", range(1, 20))
     def test_orders_over_all_words_sum_to_n_factorial(self, n):
         assert int(orders_per_word(up_down_words(n)).sum()) == math.factorial(n)
@@ -278,9 +288,24 @@ class TestWordCensus:
             tracemalloc.stop()
         assert peak <= 8 * 2**20
 
+    def test_census_memory_at_18_stays_below_12_mib(self):
+        tracemalloc.start()
+        try:
+            word_census(18)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2**20
+
     @pytest.mark.parametrize("n", range(1, 10))
     def test_word_census_matches_the_engine(self, n):
         assert word_census(n) == path_census(n).size_counts
+
+    @pytest.mark.parametrize("n", [12, 13, 14])
+    def test_engine_past_its_cap_matches_the_word_census_and_the_egf(self, n):
+        census = path_census(n, force=True)
+        assert census.size_counts == word_census(n)
+        assert census.odd_configuration_count == odd_configuration_counts_egf(n)[n]
 
     @pytest.mark.parametrize("n", [12, 14, 16])
     def test_word_census_covers_every_order(self, n):
