@@ -8,15 +8,14 @@ set, and its size depends only on the graph and the revelation order.
 
 The rule lives here in three forms: the scalar simulator
 run_online_domination, the reference the tests hold the others to; the
-exhaustive engine (final_set_counts, orders_with_size), the package's one
-brute force over all n! orders, guarded by DEFAULT_BRUTE_CAP, which merges
-reveal prefixes by chosen set and number of inert reveals and asks
-_free_vertices which vertices still join; and the vectorized path
-evaluator gamma_batch_path.  On the path the final set depends only on the up/down
-word of an order, which vertex of each neighbouring pair is revealed
-later, so gamma_batch_path takes that word (the sampler's comes from its
-reveal keys) and runs both end scans of the path in one loop over it,
-bit-packed across samples.
+exhaustive engine (final_set_counts, orders_with_size), the one brute
+force over orders, guarded by DEFAULT_BRUTE_CAP, which merges prefixes
+by chosen set and inert reveals and asks _free_vertices who joins; and
+the vectorized path evaluator gamma_batch_path.  On the path the final
+set depends only on the up/down word of an order, which vertex of each
+neighbouring pair is revealed later, so gamma_batch_path takes that word
+(the sampler's comes from its reveal keys) and runs both end scans of the
+path in one loop over it, bit-packed across samples.
 """
 
 from __future__ import annotations
@@ -262,6 +261,5 @@ def orders_with_size(
             if len(prefix) == graph.n:
                 orders.append(tuple(prefix))
             stack.pop()
-            if prefix:
-                prefix.pop()
+            del prefix[-1:]  # already empty when the root is done
     return orders
