@@ -17,7 +17,8 @@ _EXPORTS = {name: module for module, names in {
     "errors": "ConsistencyError ResourceLimitError",
     "graphs": "Graph complete_multipartite cycle explicit path star wheel",
     "domination": "DominationOutcome check_permutation final_set_counts gamma "
-    "gamma_batch_path is_independent_dominating orders_with_size run_online_domination",
+    "gamma_batch_path is_independent_dominating max_dominating_size min_dominating_size "
+    "orders_with_size run_online_domination",
     "expectation": "bruteforce_expected_gamma caro_wei_bound "
     "expected_gamma_complete_multipartite expected_gamma_cycle expected_gamma_limit "
     "expected_gamma_path expected_gamma_path_closed_form expected_gamma_path_float "
@@ -26,8 +27,8 @@ _EXPORTS = {name: module for module, names in {
     "best_case_formula_applicable complement count_no_even_local_maxima "
     "count_weakly_alternating extremal_permutations extremal_size "
     "has_no_even_local_maxima independent_dominating_sets_bruteforce inverse "
-    "is_weakly_alternating max_dominating_size maximal_independent_dominating_sets "
-    "min_dominating_size orders_per_word path_census set_first_order up_down_words "
+    "is_weakly_alternating maximal_independent_dominating_sets orders_per_word "
+    "path_census set_first_order up_down_words "
     "weakly_alternating_permutations word_census worst_case_count_recurrence",
     "series": "DEFAULT_ORDER convolution_identity_holds odd_configuration_counts_egf "
     "worst_case_counts_egf",

@@ -67,14 +67,23 @@ def _parse_edges(raw: str) -> list[tuple[int, int]]:
     return edges
 
 
-_FAMILIES = {  # family -> (the arguments it requires, its graph from graphs and them)
-    "path": (("n",), lambda g, a: g.path(a.n)),
-    "cycle": (("n",), lambda g, a: g.cycle(a.n)),
-    "star": (("leaves",), lambda g, a: g.star(a.leaves)),
-    "wheel": (("spokes",), lambda g, a: g.wheel(a.spokes)),
-    "multipartite": (("parts",), lambda g, a: g.complete_multipartite(
-        _parse_int_list(a.parts, "part sizes"))),
-    "explicit": (("n", "edges"), lambda g, a: g.explicit(a.n, _parse_edges(a.edges))),
+def _multipartite_size(raw: str) -> tuple[int, int]:
+    parts = _parse_int_list(raw, "part sizes")
+    return sum(parts), (sum(parts) ** 2 - sum(p * p for p in parts)) // 2
+
+
+_FAMILIES = {  # family -> (the arguments it requires, (vertices, edges) and graph from them)
+    "path": (("n",), lambda a: (a.n, a.n - 1), lambda g, a: g.path(a.n)),
+    "cycle": (("n",), lambda a: (a.n, a.n), lambda g, a: g.cycle(a.n)),
+    "star": (("leaves",), lambda a: (a.leaves + 1, a.leaves),
+             lambda g, a: g.star(a.leaves)),
+    "wheel": (("spokes",), lambda a: (a.spokes + 1, 2 * a.spokes),
+              lambda g, a: g.wheel(a.spokes)),
+    "multipartite": (("parts",), lambda a: _multipartite_size(a.parts),
+                     lambda g, a: g.complete_multipartite(
+                         _parse_int_list(a.parts, "part sizes"))),
+    "explicit": (("n", "edges"), lambda a: (a.n, len(_parse_edges(a.edges))),
+                 lambda g, a: g.explicit(a.n, _parse_edges(a.edges))),
 }
 
 
@@ -85,10 +94,19 @@ def _require_family_args(args: argparse.Namespace) -> None:
         raise ValueError(f"--family {args.family} requires {flags}")
 
 
-def _graph_from_args(args: argparse.Namespace) -> Graph:
-    from . import graphs
+def _graph_size(args: argparse.Namespace) -> tuple[int, int]:
+    """Vertices and edges of the family's graph, from its arguments alone."""
     _require_family_args(args)
-    return _FAMILIES[args.family][1](graphs, args)
+    return _FAMILIES[args.family][1](args)
+
+
+def _graph_from_args(args: argparse.Namespace) -> Graph:
+    """The family's graph, refused past GRAPH_SIZE_CAP before anything is built."""
+    from . import graphs
+    from .errors import GRAPH_SIZE_CAP, check_cap
+    check_cap(sum(_graph_size(args)), GRAPH_SIZE_CAP, args.force,
+              f"{args.family} graph construction", measure="vertices + edges")
+    return _FAMILIES[args.family][2](graphs, args)
 
 
 def _add_family_args(parser: argparse.ArgumentParser) -> None:
@@ -125,6 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", parents=[common], help="run one revelation order")
     _add_family_args(p)
     p.add_argument("--order", required=True, help="revelation order, e.g. 2,1,3")
+    p.add_argument("--force", action="store_true", help="override the graph-size cap")
 
     p = sub.add_parser("expect", parents=[common], help="exact expected set size")
     _add_family_args(p)
@@ -146,7 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--float", dest="as_float", action="store_true")
     p.add_argument(
-        "--force", action="store_true", help="override the brute and path-size caps"
+        "--force", action="store_true",
+        help="override the brute, path-size and graph-size caps",
     )
 
     p = sub.add_parser("extremal", parents=[common], help="count extremal orders")
@@ -198,9 +218,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from .domination import run_online_domination
-    graph = _graph_from_args(args)
+    from .domination import check_permutation, run_online_domination
     order = _parse_int_list(args.order, "revelation order")
+    check_permutation(order, _graph_size(args)[0])  # before the graph is built
+    graph = _graph_from_args(args)
     outcome = run_online_domination(graph, order)
     if args.format == "json":
         doc = {
@@ -306,7 +327,7 @@ def _extremal_reports(args: argparse.Namespace) -> list[ExtremalReport]:
             extremal.worst_case_count_recurrence(n, force=force), ())),
         "egf": ("egf", ("worst",), True, egf),
         "formula": ("formula", ("best",), extremal.best_case_formula_applicable(n),
-                    lambda: (extremal.best_case_count_formula(n), ())),
+                    lambda: (extremal.best_case_count_formula(n, force=force), ())),
     }
     if args.method == "all":
         methods = [m for m, (_, bounds, applies, _) in routes.items()

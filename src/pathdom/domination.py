@@ -26,12 +26,13 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import DEFAULT_BRUTE_CAP, check_cap
-from .graphs import Graph
 
 if TYPE_CHECKING:
     import numpy as np
 
-SIZE_ROWS = 128  # rows of chosen bits unpacked at a time; at most 255 (uint8 sums)
+    from .graphs import Graph
+
+SIZE_ROWS = 128  # rows packed, and chosen rows summed, at a time; at most 255 (uint8 sums)
 
 
 @dataclass(frozen=True)
@@ -93,6 +94,20 @@ def gamma(graph: Graph, perm: Sequence[int]) -> int:
     return run_online_domination(graph, perm).size
 
 
+def max_dominating_size(n: int) -> int:
+    """Largest size any revelation order can force on the n-path: ceil(n/2)."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    return (n + 1) // 2
+
+
+def min_dominating_size(n: int) -> int:
+    """Smallest size any revelation order can reach on the n-path: ceil(n/3)."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    return (n + 2) // 3
+
+
 def is_independent_dominating(graph: Graph, vertex_set: Iterable[int]) -> bool:
     """True iff the set is independent and dominates every vertex."""
     members = set(vertex_set)
@@ -121,10 +136,13 @@ def gamma_batch_path(n: int, later: np.ndarray) -> np.ndarray:
     the vertex is chosen when both sides allow it.  The right scan is the
     left scan of the mirrored path, whose comparisons are the complements
     in reverse, so one loop runs both scans on rows packed 8 samples a byte.
-    A scan step is scan[v] = ~(steps[v-1] & scan[v-1]); odd rows are held
-    complemented, so odd v ANDs with the step and even v ORs with the
-    inverted step, one ufunc call a row, and the odd rows flip once at the
-    end.  The sizes are summed over SIZE_ROWS rows of chosen bits at a time.
+    Both run in one uint8 table t of n rows: row v first holds the step into
+    v, column v-1 of later packed into the left half and the complement of
+    column n-v-1 into the right half, and the scan overwrites it in place.
+    A scan step is t[v] = ~(step & t[v-1]); odd rows are held complemented,
+    so odd v ANDs with the step and even v ORs with the inverted step, one
+    ufunc call a row, and the odd rows flip once at the end.  Letters are
+    packed, and the sizes summed, SIZE_ROWS rows at a time.
     """
     import numpy as np
 
@@ -132,18 +150,23 @@ def gamma_batch_path(n: int, later: np.ndarray) -> np.ndarray:
     if later.ndim != 2 or later.shape[1] != n - 1:
         raise ValueError(f"expected shape (k, {n - 1}), got {later.shape}")
     k = len(later)
-    packed = np.packbits(later.T, axis=1)  # row v: v+1 revealed after v
-    w = packed.shape[1]
-    steps = np.concatenate([packed, ~packed[::-1]], axis=1)
-    np.invert(steps[1::2], out=steps[1::2])  # the steps into even rows
-    scan = np.full((n, 2 * w), 0xFF, dtype=np.uint8)
+    w = -(-k // 8)
+    t = np.empty((n, 2 * w), dtype=np.uint8)
+    t[0] = 0xFF
+    for top in range(1, n, SIZE_ROWS):  # row v: v+1 revealed after v
+        rows = slice(top, top + SIZE_ROWS)
+        t[rows, :w] = np.packbits(later.T[top - 1 : top - 1 + SIZE_ROWS], axis=1)
+    for top in range(1, n, SIZE_ROWS):  # the mirror: row v is ~row n - v
+        mirror = t[n - top : max(n - top - SIZE_ROWS, 0) : -1, :w]
+        np.invert(mirror, out=t[top : top + SIZE_ROWS, w:])
+    np.invert(t[2::2], out=t[2::2])  # the steps into even rows
     combine = (np.bitwise_or, np.bitwise_and)  # into even rows, into odd rows
     for v in range(1, n):
-        combine[v & 1](steps[v - 1], scan[v - 1], out=scan[v])
-    np.invert(scan[1::2], out=scan[1::2])
+        combine[v & 1](t[v], t[v - 1], out=t[v])
+    np.invert(t[1::2], out=t[1::2])
     sizes = np.zeros(k, dtype=np.intp)
     for top in range(0, n, SIZE_ROWS):
-        chosen = scan[top : top + SIZE_ROWS, :w] & scan[::-1, w:][top : top + SIZE_ROWS]
+        chosen = t[top : top + SIZE_ROWS, :w] & t[::-1, w:][top : top + SIZE_ROWS]
         sizes += np.unpackbits(chosen, axis=1, count=k).sum(axis=0, dtype=np.uint8)
     return sizes
 
@@ -162,9 +185,15 @@ def gamma_batch_path(n: int, later: np.ndarray) -> np.ndarray:
 # (n + 1) states against n! orders.  _free_vertices holds the reveal rule.
 
 
+def check_engine_cap(n: int, force: bool) -> None:
+    """Refuse the engine on n vertices past DEFAULT_BRUTE_CAP, unless forced;
+    callers that build the graph themselves check it first."""
+    check_cap(n, DEFAULT_BRUTE_CAP, force, "exhaustive search over all orders")
+
+
 def _closed_neighborhoods(graph: Graph, force: bool) -> list[int]:
     """Bitmask of each vertex and its neighbors, by vertex - 1, behind the guard."""
-    check_cap(graph.n, DEFAULT_BRUTE_CAP, force, "exhaustive search over all orders")
+    check_engine_cap(graph.n, force)
     return [sum(1 << (u - 1) for u in (v, *graph.adj[v])) for v in graph.vertices]
 
 

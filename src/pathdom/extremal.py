@@ -27,22 +27,18 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
-from .domination import (
-    check_permutation,
-    final_set_counts,
-    gamma_batch_path,
-    orders_with_size,
-)
+# domination and graphs are imported by the functions that run them, so the
+# count recurrence and the formulas load neither.
 from .errors import EXACT_COUNT_CAP, WORD_CENSUS_CAP, WORD_LIST_CAP, check_cap
-from .graphs import path
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
     import numpy as np
+
+    from .graphs import Graph
 
 SUBSET_SEARCH_CAP = 18
 WORD_ROWS = 1 << 15  # words gathered at a time by orders_per_word; n <= 16 is one block
@@ -51,26 +47,24 @@ WORD_ROWS = 1 << 15  # words gathered at a time by orders_per_word; n <= 16 is o
 PERMUTATION_SCAN_CAP = 10
 
 
-def max_dominating_size(n: int) -> int:
-    """Largest size any revelation order can force on the n-path: ceil(n/2)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return (n + 1) // 2
+def __getattr__(name: str):
+    # The size bounds live in domination; they are re-exported here on first use.
+    if name in ("max_dominating_size", "min_dominating_size"):
+        from . import domination
 
-
-def min_dominating_size(n: int) -> int:
-    """Smallest size any revelation order can reach on the n-path: ceil(n/3)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return (n + 2) // 3
+        return getattr(domination, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def extremal_size(n: int, bound_kind: str) -> int:
-    """Set size at the "worst" or "best" bound on the n-path."""
-    sizes = {"worst": max_dominating_size, "best": min_dominating_size}
-    if bound_kind not in sizes:
+    """Set size at the "worst" or "best" bound on the n-path: ceil(n/2) or
+    ceil(n/3), the values of max_dominating_size and min_dominating_size,
+    worked out here so that the count routes load no domination."""
+    if bound_kind not in ("worst", "best"):
         raise ValueError("bound_kind must be 'worst' or 'best'")
-    return sizes[bound_kind](n)
+    if n < 1:
+        raise ValueError("n must be positive")
+    return (n + 1) // 2 if bound_kind == "worst" else (n + 2) // 3
 
 
 def odd_vertex_set(n: int) -> frozenset[int]:
@@ -108,6 +102,8 @@ def independent_dominating_sets_bruteforce(
     if n < 1:
         raise ValueError("n must be positive")
     check_cap(n, SUBSET_SEARCH_CAP, force, "exhaustive subset search")
+    from .graphs import path
+
     graph = path(n)
     closed = [sum(1 << (u - 1) for u in (v, *graph.adj[v])) for v in graph.vertices]
     found = []
@@ -143,8 +139,7 @@ def set_first_order(vertex_set: Iterable[int], n: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PathCensus:
+class PathCensus(NamedTuple):
     """Tally of the online procedure over every revelation order of the n-path."""
 
     n: int
@@ -157,11 +152,11 @@ class PathCensus:
 
     @property
     def worst_size(self) -> int:
-        return max_dominating_size(self.n)
+        return extremal_size(self.n, "worst")
 
     @property
     def best_size(self) -> int:
-        return min_dominating_size(self.n)
+        return extremal_size(self.n, "best")
 
     @property
     def worst_count(self) -> int:
@@ -187,10 +182,21 @@ class PathCensus:
         return {size: c for size, c in enumerate(self.size_counts) if c}
 
 
+def _engine_path(n: int, force: bool) -> Graph:
+    """The n-path for the exhaustive engine, refused by its guard before it is built."""
+    from .domination import check_engine_cap
+    from .graphs import path
+
+    check_engine_cap(n, force)
+    return path(n)
+
+
 def path_census(n: int, *, force: bool = False) -> PathCensus:
     """Simulate every one of the n! revelation orders of the n-path."""
-    worst = max_dominating_size(n)  # refuses n < 1
-    final_sets = final_set_counts(path(n), force=force)
+    from .domination import final_set_counts
+
+    worst = extremal_size(n, "worst")  # refuses n < 1
+    final_sets = final_set_counts(_engine_path(n, force), force=force)
     size_counts = [0] * (worst + 1)
     for vertex_set, count in final_sets.items():
         size_counts[len(vertex_set)] += count
@@ -284,7 +290,9 @@ def orders_per_word(words: np.ndarray) -> np.ndarray:
 def word_census(n: int, *, force: bool = False) -> tuple[int, ...]:
     """Number of orders of the n-path per set size, indexed by size like
     PathCensus.size_counts, summed over the up/down words."""
-    worst = max_dominating_size(n)  # refuses n < 1
+    from .domination import gamma_batch_path
+
+    worst = extremal_size(n, "worst")  # refuses n < 1
     check_cap(n, WORD_CENSUS_CAP, force, "up/down word census")
     words = up_down_words(n, force=force)
     sizes = gamma_batch_path(n, words)
@@ -292,8 +300,7 @@ def word_census(n: int, *, force: bool = False) -> tuple[int, ...]:
     return tuple(int(counts[sizes == size].sum()) for size in range(worst + 1))
 
 
-@dataclass(frozen=True)
-class ExtremalReport:
+class ExtremalReport(NamedTuple):
     """Result of one extremal count: how many orders hit the bound, and how."""
 
     n: int
@@ -323,7 +330,10 @@ def extremal_permutations(
 
     Without a limit every one is materialized, so memory scales with the count.
     """
-    return orders_with_size(path(n), extremal_size(n, bound_kind), limit, force=force)
+    from .domination import orders_with_size
+
+    size = extremal_size(n, bound_kind)
+    return orders_with_size(_engine_path(n, force), size, limit, force=force)
 
 
 # ---------------------------------------------------------------------------
@@ -358,15 +368,17 @@ def worst_case_count_recurrence(n: int, *, force: bool = False) -> int:
     return counts[n]
 
 
-def best_case_count_formula(n: int) -> int:
+def best_case_count_formula(n: int, *, force: bool = False) -> int:
     """Number of best-case orders by the residue-class closed formulas.
 
     Applicable for n % 3 == 0 with n >= 3, n % 3 == 2 with n > 2, and
     n % 3 == 1 with n > 7; outside those ranges (n in {1, 2, 4, 7}) only
-    exhaustive counting applies.
+    exhaustive counting applies.  The terms hold factorials of up to n, so
+    the count is guarded like the other big-integer routes.
     """
     if n < 1:
         raise ValueError("n must be positive")
+    check_cap(n, EXACT_COUNT_CAP, force, "best-case count formula")
     comb, fact = math.comb, math.factorial
     residue = n % 3
     if residue == 0:
@@ -416,6 +428,8 @@ def best_case_formula_applicable(n: int) -> bool:
 
 def inverse(perm: Sequence[int]) -> tuple[int, ...]:
     """Inverse permutation: position of each value."""
+    from .domination import check_permutation
+
     check_permutation(perm)
     inv = [0] * len(perm)
     for position, value in enumerate(perm, start=1):
@@ -425,6 +439,8 @@ def inverse(perm: Sequence[int]) -> tuple[int, ...]:
 
 def complement(perm: Sequence[int]) -> tuple[int, ...]:
     """Value complement: each entry v becomes n+1-v."""
+    from .domination import check_permutation
+
     check_permutation(perm)
     n = len(perm)
     return tuple(n + 1 - v for v in perm)

@@ -25,9 +25,8 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 
-from .domination import gamma_batch_path
+from .domination import gamma_batch_path, max_dominating_size, min_dominating_size
 from .errors import ConsistencyError, check_cap
-from .extremal import max_dominating_size, min_dominating_size
 
 CHUNK_SIZE = 4096
 SLAB_ROWS = 32  # vertices whose keys are held at once; a multiple of 4

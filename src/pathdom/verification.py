@@ -21,7 +21,12 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
 from . import expectation, extremal, graphs, montecarlo, series
-from .domination import gamma_batch_path, run_online_domination
+from .domination import (
+    gamma_batch_path,
+    max_dominating_size,
+    min_dominating_size,
+    run_online_domination,
+)
 from .errors import DEFAULT_BRUTE_CAP
 
 # Reference counts for extremal orders on the path, 1 <= n <= 16.  Each
@@ -99,7 +104,7 @@ def check_worst_case_counts() -> CheckResult:
     egf = series.worst_case_counts_egf(WORD_COUNT_MAX)
     cases = (
         (f"n={n}", {
-            **_census_routes(n, extremal.max_dominating_size(n)),
+            **_census_routes(n, max_dominating_size(n)),
             "recurrence": extremal.worst_case_count_recurrence(n),
             "egf": egf[n],
             "reference": reference,
@@ -123,7 +128,7 @@ def check_best_case_counts() -> CheckResult:
     def cases() -> Iterator[Case]:
         for n, reference in BEST_CASE_COUNTS.items():
             routes = {
-                **_census_routes(n, extremal.min_dominating_size(n)),
+                **_census_routes(n, min_dominating_size(n)),
                 "reference": reference,
             }
             if n in formula_ns:
@@ -243,7 +248,7 @@ def check_structural_sets() -> CheckResult:
         for n in range(1, subset_max + 1):
             constructed = set(extremal.maximal_independent_dominating_sets(n))
             searched = extremal.independent_dominating_sets_bruteforce(
-                n, size=extremal.max_dominating_size(n)
+                n, size=max_dominating_size(n)
             )
             expected_count = n // 2 + 1 if n % 2 == 0 else 1
             yield f"n={n}", {"sets": len(constructed), "expected": expected_count}
@@ -308,7 +313,7 @@ def check_inverse_bijection() -> CheckResult:
     def cases() -> Iterator[Case]:
         for n in range(1, BIJECTION_WORD_MAX + 1, 2):
             words = extremal.up_down_words(n)
-            worst = gamma_batch_path(n, words) == extremal.max_dominating_size(n)
+            worst = gamma_batch_path(n, words) == max_dominating_size(n)
             alternating = _every_even_vertex_has(words, earlier=True)
             no_even_maximum = _every_even_vertex_has(~words, earlier=False)
             yield f"n={n}", {
@@ -373,7 +378,7 @@ def check_montecarlo(n: int = 2000, samples: int = 40_000) -> CheckResult:
     hist = montecarlo.sample_gamma(
         montecarlo.SampleConfig(n=n, samples=samples, seed=MONTE_CARLO_SEED)
     )
-    lo, hi = extremal.min_dominating_size(n), extremal.max_dominating_size(n)
+    lo, hi = min_dominating_size(n), max_dominating_size(n)
     if hist.min_gamma < lo or hist.max_gamma > hi:
         return CheckResult(
             name, False,

@@ -509,7 +509,9 @@ def _modules_loaded_by(argv):
     (["series", "--order", "6"], {"cli", "errors", "series"}),
     (["expect", "--family", "path", "--n", "6"], {"cli", "errors", "expectation"}),
     (["sample", "--n", "20", "--samples", "100", "--seed", "1"],
-     {"cli", "domination", "errors", "extremal", "graphs", "montecarlo"}),
+     {"cli", "domination", "errors", "montecarlo"}),
+    (["extremal", "--n", "10", "--bound", "worst", "--method", "recurrence"],
+     {"cli", "errors", "extremal"}),
 ])
 def test_command_loads_only_the_modules_it_runs(argv, loaded):
     assert _modules_loaded_by(argv) == loaded

@@ -205,6 +205,19 @@ def _up_down_words(times):
     return times[:, 1:] > times[:, :-1]
 
 
+def _an_order_with_word(word):
+    """An order whose up/down word is `word`: vertices sorted by the longest run
+    of earlier neighbours leading to them, a depth that rises along each letter."""
+    n = len(word) + 1
+    left, right = [0] * n, [0] * n
+    for v in range(1, n):
+        left[v] = left[v - 1] + 1 if word[v - 1] else 0
+    for v in range(n - 2, -1, -1):
+        right[v] = right[v + 1] + 1 if not word[v] else 0
+    depth = [max(pair) for pair in zip(left, right)]
+    return [v + 1 for v in sorted(range(n), key=depth.__getitem__)]
+
+
 class TestGammaBatch:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_scalar_engine_exhaustively(self, n):
@@ -230,6 +243,26 @@ class TestGammaBatch:
         assert list(sizes) == [
             run_online_domination(g, order).size for order in orders.tolist()
         ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        # Both sides of each SIZE_ROWS block of packed and of summed rows.
+        st.sampled_from([1, 2, 3, 127, 128, 129, 130, 255, 256, 257]),
+        st.integers(min_value=1, max_value=30).filter(lambda k: k % 8),  # partial bytes
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.booleans(),
+    )
+    def test_matches_scalar_engine_on_random_words(self, n, k, seed, transposed):
+        words = np.random.default_rng(seed).random((k, n - 1)) < 0.5
+        later = np.ascontiguousarray(words.T).T if transposed else words
+        g = path(n)
+        expected = []
+        for word in words.tolist():
+            order = _an_order_with_word(word)
+            times = np.argsort(order)[None, :]
+            assert _up_down_words(times)[0].tolist() == word
+            expected.append(run_online_domination(g, order).size)
+        assert gamma_batch_path(n, later).tolist() == expected
 
     def test_uint16_reveal_keys(self):
         n, k = 60, 300

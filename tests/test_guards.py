@@ -43,6 +43,9 @@ GUARDS = {
     "count_weakly_alternating": (
         extremal, "EXACT_COUNT_CAP", 5,
         lambda n, force: extremal.count_weakly_alternating(n, force=force)),
+    "best_case_count_formula": (
+        extremal, "EXACT_COUNT_CAP", 6,
+        lambda n, force: extremal.best_case_count_formula(n, force=force)),
     "bruteforce_expected_gamma": (
         domination, "DEFAULT_BRUTE_CAP", 5,
         lambda n, force: expectation.bruteforce_expected_gamma(path(n), force=force)),
