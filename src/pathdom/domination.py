@@ -13,8 +13,9 @@ force over orders, guarded by DEFAULT_BRUTE_CAP, which merges prefixes
 by chosen set and inert reveals and asks _free_vertices who joins; and
 the vectorized path evaluator gamma_batch_path.  On the path the final
 set depends only on the up/down word of an order, which vertex of each
-neighbouring pair is revealed later, so gamma_batch_path takes that word
-(the sampler's comes from its reveal keys) and runs both end scans of the
+neighbouring pair is revealed later, so gamma_batch_path takes that word,
+as booleans or already packed as a PackedWords (the sampler packs its
+reveal-key comparisons straight into one), and runs both end scans of the
 path in one loop over it, bit-packed across samples.
 """
 
@@ -122,40 +123,76 @@ def is_independent_dominating(graph: Graph, vertex_set: Iterable[int]) -> bool:
     return True
 
 
-def gamma_batch_path(n: int, later: np.ndarray) -> np.ndarray:
+@dataclass(frozen=True)
+class PackedWords:
+    """The up/down words of `count` orders of the n-path, packed as the table
+    gamma_batch_path scans; len() is `count`.
+
+    table has shape (n, 2 * ceil(count / 8)) and dtype uint8, and row 0 is
+    all ones.  For 1 <= v < n, the left half of row v holds letter v of
+    every word, true when vertex v+1 is revealed after vertex v: sample j at
+    bit 7 - j % 8 of byte j // 8, as np.packbits lays it out.  The right
+    half is the evaluator's, and gamma_batch_path overwrites the whole table.
+    """
+
+    table: np.ndarray
+    count: int
+
+    @classmethod
+    def empty(cls, n: int, count: int) -> PackedWords:
+        """A table for `count` words of the n-path, with no letter written yet."""
+        import numpy as np
+
+        table = np.empty((n, 2 * -(-count // 8)), dtype=np.uint8)
+        table[0] = 0xFF
+        return cls(table, count)
+
+    def __len__(self) -> int:
+        return self.count
+
+
+def gamma_batch_path(n: int, later: np.ndarray | PackedWords) -> np.ndarray:
     """Vectorized gamma over many revelation orders of the n-vertex path.
 
     Row i of later, shape (k, n - 1), is the up/down word of an order:
     later[i, v-1] is true when vertex v+1 is revealed after vertex v, such as
     times[:, 1:] > times[:, :-1] for reveal times with no tie between
-    neighbours.  Returns the k sizes; row i matches gamma(path(n), order) for
-    any order with that word.  With n = 1 the word is empty and every size is 1.
+    neighbours.  later may also be a PackedWords of k words, which is then
+    evaluated in its own table.  Returns the k sizes; row i matches
+    gamma(path(n), order) for any order with that word.  With n = 1 the
+    word is empty and every size is 1.
 
     A neighbour revealed earlier is settled by its far side alone, so a
     scan from each end gives every vertex's status against that side, and
     the vertex is chosen when both sides allow it.  The right scan is the
     left scan of the mirrored path, whose comparisons are the complements
     in reverse, so one loop runs both scans on rows packed 8 samples a byte.
-    Both run in one uint8 table t of n rows: row v first holds the step into
-    v, column v-1 of later packed into the left half and the complement of
-    column n-v-1 into the right half, and the scan overwrites it in place.
-    A scan step is t[v] = ~(step & t[v-1]); odd rows are held complemented,
-    so odd v ANDs with the step and even v ORs with the inverted step, one
-    ufunc call a row, and the odd rows flip once at the end.  Letters are
-    packed, and the sizes summed, SIZE_ROWS rows at a time.
+    Both run in one uint8 table t of n rows, the PackedWords layout: row v
+    first holds the step into v, letter v in the left half and the
+    complement of letter n-v in the right half, and the scan overwrites it
+    in place.  A scan step is t[v] = ~(step & t[v-1]); odd rows are held
+    complemented, so odd v ANDs with the step and even v ORs with the
+    inverted step, one ufunc call a row, and the odd rows flip once at the
+    end.  Letters of a boolean word are packed, and the sizes summed,
+    SIZE_ROWS rows at a time.
     """
     import numpy as np
 
-    later = np.asarray(later)
-    if later.ndim != 2 or later.shape[1] != n - 1:
-        raise ValueError(f"expected shape (k, {n - 1}), got {later.shape}")
-    k = len(later)
-    w = -(-k // 8)
-    t = np.empty((n, 2 * w), dtype=np.uint8)
-    t[0] = 0xFF
-    for top in range(1, n, SIZE_ROWS):  # row v: v+1 revealed after v
-        rows = slice(top, top + SIZE_ROWS)
-        t[rows, :w] = np.packbits(later.T[top - 1 : top - 1 + SIZE_ROWS], axis=1)
+    if isinstance(later, PackedWords):
+        t, k = later.table, len(later)
+        w = -(-k // 8)
+        if t.shape != (n, 2 * w):
+            raise ValueError(f"expected a table of shape {(n, 2 * w)}, got {t.shape}")
+    else:
+        later = np.asarray(later)
+        if later.ndim != 2 or later.shape[1] != n - 1:
+            raise ValueError(f"expected shape (k, {n - 1}), got {later.shape}")
+        k = len(later)
+        w = -(-k // 8)
+        t = PackedWords.empty(n, k).table
+        for top in range(1, n, SIZE_ROWS):  # row v: v+1 revealed after v
+            rows = slice(top, top + SIZE_ROWS)
+            t[rows, :w] = np.packbits(later.T[top - 1 : top - 1 + SIZE_ROWS], axis=1)
     for top in range(1, n, SIZE_ROWS):  # the mirror: row v is ~row n - v
         mirror = t[n - top : max(n - top - SIZE_ROWS, 0) : -1, :w]
         np.invert(mirror, out=t[top : top + SIZE_ROWS, w:])

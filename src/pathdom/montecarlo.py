@@ -14,9 +14,10 @@ independent way.  A pair of neighbours with equal keys (probability 2^-16)
 is decided by fresh 64-bit digits of both vertices' reveal times, drawn one
 per vertex per round until they differ, so the word follows a uniform
 order exactly.  A chunk's keys are drawn and compared SLAB_ROWS vertices
-at a time, so only its (n - 1) x samples boolean word is held whole, and
-gamma_batch_path evaluates that word in one scan loop, bit-packed across
-samples.
+at a time, and the comparisons are packed 8 samples a byte straight into
+the table that gamma_batch_path scans in place: the chunk is one
+PackedWords, whose len() is its sample count, and no boolean word of the
+whole chunk is ever built.
 """
 
 from __future__ import annotations
@@ -25,12 +26,12 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 
-from .domination import gamma_batch_path, max_dominating_size, min_dominating_size
+from .domination import PackedWords, gamma_batch_path, max_dominating_size, min_dominating_size
 from .errors import ConsistencyError, check_cap
 
 CHUNK_SIZE = 4096
 SLAB_ROWS = 32  # vertices whose keys are held at once; a multiple of 4
-SAMPLE_BUDGET = 500_000_000  # cap on n * samples
+SAMPLE_BUDGET = 500_000_000  # cap on n * max(samples, CHUNK_SIZE)
 
 
 @dataclass(frozen=True)
@@ -87,16 +88,18 @@ class Histogram:
         }
 
 
-def _chunk_word(rng, n: int, count: int):
-    """The up/down word of one chunk, from n x count reveal keys drawn a slab at a time.
+def _chunk_words(rng, n: int, count: int) -> PackedWords:
+    """The up/down words of one chunk, from n x count reveal keys drawn a slab at a time.
 
-    Entry [v-1, j] of the (n - 1, count) result is True when vertex v+1 is
-    revealed after vertex v in sample j.  Key j of raw word i is
-    (word >> 16 * j) & 0xFFFF on every machine: astype copies nothing on a
-    little-endian machine and byte-swaps on a big-endian one.  A slab of
-    SLAB_ROWS rows is a whole number of raw words and the last slab takes
-    the ceiling, so the chunk reads ceil(n * count / 4) words in row-major
-    key order whatever the slab height.
+    Bit j of letter v in the result is set when vertex v+1 is revealed after
+    vertex v in sample j.  Key j of raw word i is (word >> 16 * j) & 0xFFFF
+    on every machine: astype copies nothing on a little-endian machine and
+    byte-swaps on a big-endian one.  A slab of SLAB_ROWS rows is a whole
+    number of raw words and the last slab takes the ceiling, so the chunk
+    reads ceil(n * count / 4) words in row-major key order whatever the slab
+    height.  A slab's comparisons land in table rows top .. top + rows - 1,
+    the first against the previous slab's last keys, and are packed there
+    from one reused SLAB_ROWS x count buffer.
 
     Keys are the leading digits of i.i.d. uniform reals; a pair with equal
     keys draws the next 64-bit digit of both vertices (once for a vertex in
@@ -104,21 +107,28 @@ def _chunk_word(rng, n: int, count: int):
     round was tied at every earlier round, so each vertex's digits come in
     sequence and the comparison is exact.  Ties are refined after the last
     key, each round drawing its digits in ascending order of (vertex, sample).
+    A tied pair's bit starts clear and is set once, in the round that finds
+    the right vertex later; 8 samples share a byte, so the bits are set
+    unbuffered.
     """
     import numpy as np
 
-    word = np.empty((n - 1, count), dtype=bool)
+    words = PackedWords.empty(n, count)
+    letters = words.table[:, : -(-count // 8)]
+    later = np.empty((SLAB_ROWS, count), dtype=bool)  # one slab's letters, before packing
     ties = []
     last = None  # the previous slab's last row of keys
     for top in range(0, n, SLAB_ROWS):
         rows = min(SLAB_ROWS, n - top)
         raw = rng.bit_generator.random_raw(-(-rows * count // 4))
         keys = raw.astype("<u8", copy=False).view("<u2")[: rows * count].reshape(rows, count)
-        if last is not None:
-            np.greater(keys[0], last, out=word[top - 1])
+        if top:
+            np.greater(keys[0], last, out=later[0])
             ties.append(np.flatnonzero(keys[0] == last) + (top - 1) * count)
-        np.greater(keys[1:], keys[:-1], out=word[top : top + rows - 1])
+        np.greater(keys[1:], keys[:-1], out=later[1:rows])
         ties.append(np.flatnonzero(keys[1:] == keys[:-1]) + top * count)
+        first = 0 if top else 1  # row 0 of the table holds no letter
+        letters[top + first : top + rows] = np.packbits(later[first:rows], axis=1)
         last = keys[-1].copy()
     pairs, samples = np.divmod(np.concatenate(ties), count)
     while pairs.size:
@@ -126,10 +136,12 @@ def _chunk_word(rng, n: int, count: int):
         drawn, where = np.unique(cells, return_inverse=True)
         digits = rng.bit_generator.random_raw(drawn.size)[where]
         left, right = digits[: pairs.size], digits[pairs.size :]
-        word[pairs, samples] = right > left
+        up = right > left
+        bits = (0x80 >> (samples[up] & 7)).astype(np.uint8)
+        np.bitwise_or.at(letters, (pairs[up] + 1, samples[up] >> 3), bits)
         tied = right == left
         pairs, samples = pairs[tied], samples[tied]
-    return word
+    return words
 
 
 def _chunk_histogram(args: tuple[int, int, int, int]) -> Counter:
@@ -139,17 +151,17 @@ def _chunk_histogram(args: tuple[int, int, int, int]) -> Counter:
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,))
     )
-    word = _chunk_word(rng, n, count)
-    sizes = gamma_batch_path(n, word.T)
+    sizes = gamma_batch_path(n, _chunk_words(rng, n, count))
     values, counts = np.unique(sizes, return_counts=True)
     return Counter({int(v): int(c) for v, c in zip(values, counts)})
 
 
 def sample_gamma(config: SampleConfig) -> Histogram:
     """Histogram of the size over uniform random revelation orders."""
+    # A chunk costs n / SLAB_ROWS slab draws and n - 1 scan steps whatever its size.
     check_cap(
-        config.n * config.samples, SAMPLE_BUDGET, config.force, "sampling budget",
-        measure="n * samples",
+        config.n * max(config.samples, CHUNK_SIZE), SAMPLE_BUDGET, config.force,
+        "sampling budget", measure=f"n * max(samples, {CHUNK_SIZE})",
     )
     jobs = []
     produced = 0

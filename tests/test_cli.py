@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -374,14 +375,25 @@ class TestSample:
             capsys, "sample", "--n", "100000", "--samples", "100000", "--seed", "0"
         )
         assert code == 3
-        assert "n * samples = 10000000000" in err
+        assert f"n * max(samples, {montecarlo.CHUNK_SIZE}) = 10000000000" in err
         assert str(montecarlo.SAMPLE_BUDGET) in err
         assert "--force" in err
+
+    def test_one_sample_on_a_huge_path_is_refused_at_once(self, capsys):
+        # One sample still costs a whole chunk's slab draws and scan steps.
+        began = time.perf_counter()
+        code, out, err = run(
+            capsys, "sample", "--n", "10000000", "--samples", "1", "--seed", "0"
+        )
+        assert (code, out) == (3, "")
+        cost = 10**7 * montecarlo.CHUNK_SIZE
+        assert f"n * max(samples, {montecarlo.CHUNK_SIZE}) = {cost}" in err
+        assert time.perf_counter() - began < 1.0
 
     def test_force_runs_past_the_budget(self, capsys, monkeypatch):
         argv = ["sample", "--n", "10", "--samples", "30", "--seed", "4"]
         _, expected, _ = run(capsys, *argv)
-        monkeypatch.setattr(montecarlo, "SAMPLE_BUDGET", 299)
+        monkeypatch.setattr(montecarlo, "SAMPLE_BUDGET", 10 * montecarlo.CHUNK_SIZE - 1)
         code, out, _ = run(capsys, *argv)
         assert (code, out) == (3, "")
         code, out, _ = run(capsys, *argv, "--force")

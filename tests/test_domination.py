@@ -37,7 +37,12 @@ from pathdom import (
     star,
     wheel,
 )
-from pathdom.domination import SIZE_ROWS, _closed_neighborhoods, _reachable_sizes
+from pathdom.domination import (
+    SIZE_ROWS,
+    PackedWords,
+    _closed_neighborhoods,
+    _reachable_sizes,
+)
 
 
 @st.composite
@@ -264,6 +269,19 @@ class TestGammaBatch:
             expected.append(run_online_domination(g, order).size)
         assert gamma_batch_path(n, later).tolist() == expected
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([1, 2, 3, 8, 9, 63, 64, 65, 127, 128, 129, 130]),
+        st.integers(min_value=1, max_value=70).filter(lambda k: k % 8),  # partial bytes
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_packed_words_give_the_sizes_of_their_boolean_word(self, n, k, seed):
+        words = np.random.default_rng(seed).random((k, n - 1)) < 0.5
+        packed = PackedWords.empty(n, k)
+        packed.table[1:, : -(-k // 8)] = np.packbits(words.T, axis=1)
+        assert len(packed) == k
+        assert gamma_batch_path(n, packed).tolist() == gamma_batch_path(n, words).tolist()
+
     def test_uint16_reveal_keys(self):
         n, k = 60, 300
         keys = np.random.default_rng(6).integers(0, 2**16, size=(k, n), dtype=np.uint16)
@@ -275,6 +293,8 @@ class TestGammaBatch:
     def test_shape_validated(self):
         with pytest.raises(ValueError, match=r"\(k, 3\)"):
             gamma_batch_path(4, np.array([[True, False, True, False]]))
+        with pytest.raises(ValueError, match=r"\(4, 2\)"):
+            gamma_batch_path(4, PackedWords.empty(5, 3))
 
 
 @st.composite

@@ -65,7 +65,7 @@ GUARDS = {
         expectation, "EXACT_PATH_CAP", 5,
         lambda n, force: expectation.expected_gamma_path_closed_form(n, force=force)),
     "sample_gamma": (
-        montecarlo, "SAMPLE_BUDGET", 10 * 8,
+        montecarlo, "SAMPLE_BUDGET", 10 * montecarlo.CHUNK_SIZE,
         lambda cost, force: montecarlo.sample_gamma(
             SampleConfig(n=10, samples=cost // 10, seed=3, force=force))),
 }

@@ -16,7 +16,7 @@ from pathdom import (
     sample_gamma,
 )
 from pathdom.errors import ResourceLimitError
-from pathdom.montecarlo import SLAB_ROWS, _chunk_word
+from pathdom.montecarlo import CHUNK_SIZE, SLAB_ROWS, _chunk_words
 
 
 def test_one_vertex_has_an_empty_word():
@@ -166,6 +166,12 @@ def test_reveal_keys_split_raw_words_arithmetically():
     assert keys.ravel().tolist() == split[: n * count]
 
 
+def _letters(words):
+    """The (n - 1, count) boolean word held in a chunk's packed table."""
+    letters = words.table[1:, : -(-words.count // 8)]
+    return np.unpackbits(letters, axis=1, count=words.count).astype(bool)
+
+
 @pytest.mark.parametrize("count", [1, 3, 5, 4096])
 @pytest.mark.parametrize(
     "n", [1, 2, 3, SLAB_ROWS - 1, SLAB_ROWS, SLAB_ROWS + 1, 2 * SLAB_ROWS + 3]
@@ -174,11 +180,15 @@ def test_reveal_keys_split_raw_words_arithmetically():
                          ids=["pcg64", "binary-keys"])
 def test_streamed_word_equals_the_whole_chunk_route(make_rng, n, count):
     rng = make_rng(n * 10_000 + count)
-    word = _chunk_word(rng, n, count)
+    words = _chunk_words(rng, n, count)
     reference_rng = make_rng(n * 10_000 + count)
     reference = _up_down_word(_reveal_keys(reference_rng, n, count), reference_rng)
-    assert word.dtype == bool and word.shape == (n - 1, count)
-    assert np.array_equal(word, reference)
+    width = -(-count // 8)
+    assert len(words) == count
+    assert words.table.dtype == np.uint8 and words.table.shape == (n, 2 * width)
+    assert (words.table[0] == 0xFF).all()
+    # The packed letters, pad bits included, are the reference word's.
+    assert np.array_equal(words.table[1:, :width], np.packbits(reference, axis=1))
     # Both routes left the stream at the same point.
     assert rng.bit_generator.random_raw(4).tolist() == (
         reference_rng.bit_generator.random_raw(4).tolist())
@@ -219,7 +229,7 @@ def test_streamed_word_is_exact(monkeypatch, n, slab):
     # Keys from {0, 1} tie often, so nearly every column is refined; with
     # slabs of 4 rows, n = 5 and n = 6 put tied pairs across a boundary.
     monkeypatch.setattr(montecarlo, "SLAB_ROWS", slab)
-    _assert_follows_up_down_law(_chunk_word(_BinaryKeys(2024), n, 20_000), n)
+    _assert_follows_up_down_law(_letters(_chunk_words(_BinaryKeys(2024), n, 20_000)), n)
 
 
 # Bins of the whole-chunk route at this seed.
@@ -239,9 +249,9 @@ def test_seeded_histogram_is_pinned():
     assert bins == PINNED_BINS
 
 
-def test_chunk_memory_stays_below_one_and_a_half_bytes_a_key():
-    # The boolean chunk word takes one byte a key and the evaluator's packed
-    # table a quarter byte.
+def test_chunk_memory_stays_below_half_a_byte_a_key():
+    # The evaluator's packed table takes a quarter byte a key, and the
+    # sampler packs its comparisons straight into it.
     import tracemalloc
 
     n, samples = 2000, 4096
@@ -251,7 +261,24 @@ def test_chunk_memory_stays_below_one_and_a_half_bytes_a_key():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * n * samples
+    assert peak <= 0.5 * n * samples
+
+
+def test_evaluator_is_called_once_a_chunk_through_the_module_attribute(monkeypatch):
+    # The benchmark's tracer wraps montecarlo.gamma_batch_path and counts
+    # n * len(batch) reveals and one chunk per call.
+    calls = []
+    evaluate = montecarlo.gamma_batch_path
+
+    def recorder(n, batch):
+        sizes = evaluate(n, batch)
+        calls.append((n, len(batch), sizes.tolist()))
+        return sizes
+
+    monkeypatch.setattr(montecarlo, "gamma_batch_path", recorder)
+    hist = sample_gamma(SampleConfig(n=50, samples=9000, seed=13))
+    assert [(n, count) for n, count, _ in calls] == [(50, 4096), (50, 4096), (50, 808)]
+    assert hist.bins == Counter(size for *_, sizes in calls for size in sizes)
 
 
 class TestNormalize:
@@ -299,11 +326,20 @@ class TestConfigValidation:
             sample_gamma(SampleConfig(n=10**6, samples=10**6, seed=0))
 
     def test_budget_overridable(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "SAMPLE_BUDGET", 199)
-        with pytest.raises(ResourceLimitError, match="n \\* samples = 200"):
+        monkeypatch.setattr(montecarlo, "SAMPLE_BUDGET", 10 * CHUNK_SIZE - 1)
+        with pytest.raises(
+            ResourceLimitError, match=f"n \\* max\\(samples, {CHUNK_SIZE}\\) = {10 * CHUNK_SIZE}"
+        ):
             sample_gamma(SampleConfig(n=10, samples=20, seed=0))
         hist = sample_gamma(SampleConfig(n=10, samples=20, seed=0, force=True))
         assert hist.total == 20
+
+    def test_budget_charges_a_whole_chunk(self, monkeypatch):
+        # A chunk's slab draws and scan steps cost the same for one sample.
+        monkeypatch.setattr(montecarlo, "SAMPLE_BUDGET", 10 * CHUNK_SIZE)
+        assert sample_gamma(SampleConfig(n=10, samples=1, seed=0)).total == 1
+        with pytest.raises(ResourceLimitError, match="budget"):
+            sample_gamma(SampleConfig(n=11, samples=1, seed=0))
 
 
 def test_histogram_json_fields():
