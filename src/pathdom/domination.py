@@ -157,8 +157,8 @@ def gamma_batch_path(n: int, later: np.ndarray | PackedWords) -> np.ndarray:
     Row i of later, shape (k, n - 1), is the up/down word of an order:
     later[i, v-1] is true when vertex v+1 is revealed after vertex v, such as
     times[:, 1:] > times[:, :-1] for reveal times with no tie between
-    neighbours.  later may also be a PackedWords of k words, which is then
-    evaluated in its own table.  Returns the k sizes; row i matches
+    neighbours.  later may also be a PackedWords of k words, evaluated in
+    its own table, which it overwrites.  Returns the k sizes; row i matches
     gamma(path(n), order) for any order with that word.  With n = 1 the
     word is empty and every size is 1.
 

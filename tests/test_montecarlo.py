@@ -334,13 +334,6 @@ class TestConfigValidation:
         hist = sample_gamma(SampleConfig(n=10, samples=20, seed=0, force=True))
         assert hist.total == 20
 
-    def test_budget_charges_a_whole_chunk(self, monkeypatch):
-        # A chunk's slab draws and scan steps cost the same for one sample.
-        monkeypatch.setattr(montecarlo, "SAMPLE_BUDGET", 10 * CHUNK_SIZE)
-        assert sample_gamma(SampleConfig(n=10, samples=1, seed=0)).total == 1
-        with pytest.raises(ResourceLimitError, match="budget"):
-            sample_gamma(SampleConfig(n=11, samples=1, seed=0))
-
 
 def test_histogram_json_fields():
     hist = sample_gamma(SampleConfig(n=12, samples=400, seed=6))
