@@ -16,7 +16,12 @@ set depends only on the up/down word of an order, which vertex of each
 neighbouring pair is revealed later, so gamma_batch_path takes that word,
 as booleans or already packed as a PackedWords (the sampler packs its
 reveal-key comparisons straight into one), and runs both end scans of the
-path in one loop over it, bit-packed across samples.
+path in one loop over it, bit-packed across samples.  The loop is a
+segmented scan (Blelloch, "Prefix sums and their applications", 1990):
+SEGMENTS blocks of rows advance together, one bitwise call a block row,
+each starting as if the vertex before it were free; P, the running AND of
+each segment's steps, then tells which bits of a segment's first rows flip
+once the segment before it is known, fixed segment by segment in order.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ if TYPE_CHECKING:
     from .graphs import Graph
 
 SIZE_ROWS = 128  # rows packed, and chosen rows summed, at a time; at most 255 (uint8 sums)
+SEGMENTS = 16  # blocks of scan rows that gamma_batch_path advances together
 
 
 @dataclass(frozen=True)
@@ -143,6 +149,8 @@ class PackedWords:
         """A table for `count` words of the n-path, with no letter written yet."""
         import numpy as np
 
+        if n < 1:
+            raise ValueError("n must be positive")
         table = np.empty((n, 2 * -(-count // 8)), dtype=np.uint8)
         table[0] = 0xFF
         return cls(table, count)
@@ -172,12 +180,28 @@ def gamma_batch_path(n: int, later: np.ndarray | PackedWords) -> np.ndarray:
     complement of letter n-v in the right half, and the scan overwrites it
     in place.  A scan step is t[v] = ~(step & t[v-1]); odd rows are held
     complemented, so odd v ANDs with the step and even v ORs with the
-    inverted step, one ufunc call a row, and the odd rows flip once at the
-    end.  Letters of a boolean word are packed, and the sizes summed,
-    SIZE_ROWS rows at a time.
+    inverted step, and the odd rows flip once at the end.
+
+    The scan is segmented.  Rows 1 .. SEGMENTS * L, with L = (n - 1) //
+    SEGMENTS rounded down to even, form SEGMENTS segments of L rows, and
+    one ufunc call advances row i of every segment.  L is even, so the row
+    before each segment is even and holds the scan value itself, not its
+    complement.  Each segment starts as if that row were all ones, a free
+    vertex.  Where it is 0 instead, the bits differ exactly until
+    the segment's first false step, so before the scan P[i], the AND of a
+    segment's steps through its row i, is kept for as long as it is
+    nonzero somewhere (about a dozen rows on random words).  After it,
+    segments 1 .. SEGMENTS - 1 are fixed in order, by XOR of P & ~(last row
+    of the segment before) into their first rows: in order, because a run
+    of true steps, as in the all-up and all-down words, can cross a whole
+    segment and change its last row.  The rows past SEGMENTS * L, every row
+    when n < 33, take one ufunc call each.  Letters of a boolean word are
+    packed, and the sizes summed, SIZE_ROWS rows at a time.
     """
     import numpy as np
 
+    if n < 1:
+        raise ValueError("n must be positive")
     if isinstance(later, PackedWords):
         t, k = later.table, len(later)
         w = -(-k // 8)
@@ -196,9 +220,24 @@ def gamma_batch_path(n: int, later: np.ndarray | PackedWords) -> np.ndarray:
     for top in range(1, n, SIZE_ROWS):  # the mirror: row v is ~row n - v
         mirror = t[n - top : max(n - top - SIZE_ROWS, 0) : -1, :w]
         np.invert(mirror, out=t[top : top + SIZE_ROWS, w:])
+    # segs[j, i] is row j * span + 1 + i, so segment row i is odd for even i.
+    span = (n - 1) // SEGMENTS & ~1
+    segs = t[1 : 1 + SEGMENTS * span].reshape(SEGMENTS, span, 2 * w)
+    runs = []  # P: the AND of each segment's steps through row i, while nonzero
+    for i in range(span):
+        run = runs[-1] & segs[:, i] if i else segs[:, 0].copy()
+        if not run.any():
+            break
+        runs.append(run)
     np.invert(t[2::2], out=t[2::2])  # the steps into even rows
     combine = (np.bitwise_or, np.bitwise_and)  # into even rows, into odd rows
-    for v in range(1, n):
+    for i in range(1, span):  # row i = 0 ANDs its step with a free vertex: no call
+        combine[i & 1 ^ 1](segs[:, i], segs[:, i - 1], out=segs[:, i])
+    if runs:  # where the row before a segment is 0, its bits in P flip
+        runs = np.stack(runs, axis=1)
+        for j in range(1, SEGMENTS):  # in order: a run of steps can cross a segment
+            segs[j, : len(runs[j])] ^= runs[j] & ~segs[j - 1, -1]
+    for v in range(1 + SEGMENTS * span, n):
         combine[v & 1](t[v], t[v - 1], out=t[v])
     np.invert(t[1::2], out=t[1::2])
     sizes = np.zeros(k, dtype=np.intp)

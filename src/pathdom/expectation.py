@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import EXACT_PATH_CAP, check_cap
 
@@ -39,13 +39,29 @@ def expected_gamma_path(n: int, *, force: bool = False) -> Fraction:
     if n <= 0:
         return Fraction(0)
     check_cap(n, EXACT_PATH_CAP, force, "path expectation recurrence")
-    # Running values at m = 1: m!, F(m), Q(m-1), Q(m).
-    factorial, scaled, prefix_before, prefix = 1, 1, 0, 1
-    for m in range(2, n + 1):
+    for factorial, scaled in _scaled_path_recurrence(n):
+        pass
+    return Fraction(scaled, factorial)
+
+
+def expected_gamma_path_prefix(n: int, *, force: bool = False) -> tuple[Fraction, ...]:
+    """expected_gamma_path(m) for m = 0..n, from one pass of the recurrence."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    check_cap(n, EXACT_PATH_CAP, force, "path expectation recurrence")
+    return tuple(Fraction(s, f) for f, s in _scaled_path_recurrence(n))
+
+
+def _scaled_path_recurrence(n: int) -> Iterator[tuple[int, int]]:
+    """Yield m! and F(m) = m! E(m) for m = 0..n, in integers."""
+    # Running values at m = 0: m!, F(m), Q(m-1), Q(m).
+    factorial, scaled, prefix_before, prefix = 1, 0, 0, 0
+    yield factorial, scaled
+    for m in range(1, n + 1):
         factorial *= m
         scaled = factorial + 2 * (m - 1) * prefix_before
         prefix_before, prefix = prefix, m * prefix + scaled
-    return Fraction(scaled, factorial)
+        yield factorial, scaled
 
 
 def expected_gamma_path_closed_form(n: int, *, force: bool = False) -> Fraction:

@@ -474,9 +474,10 @@ def has_no_even_local_maxima(perm: Sequence[int]) -> bool:
     return _every_even_position_has(perm, operator.gt)
 
 
-def _count_even_position_pattern(n: int, larger: bool, force: bool) -> int:
-    """Permutations of 1..n in which every even position has a smaller
-    neighbor (a larger one when `larger`), by the rank recursion.
+def _count_even_position_pattern(n: int, larger: bool, force: bool) -> tuple[int, ...]:
+    """Permutations of 1..m in which every even position has a smaller
+    neighbor (a larger one when `larger`), for m = 0..n, by one pass of the
+    rank recursion.
 
     done[r] counts valid prefixes whose last entry has rank r among them;
     owed[r] those whose last, even, position still needs its right
@@ -495,13 +496,14 @@ def _count_even_position_pattern(n: int, larger: bool, force: bool) -> int:
         return (above, below) if larger else (below, above)
 
     done, owed = [1], [0]
+    counts = [1, 1]
     for length in range(2, n + 1):
         if length % 2 == 0:  # cleared by its left neighbor, or owed
             done, owed = steps(done)
         else:  # any entry extends done; only the other step clears owed
-            total = sum(done)
-            done = [total + x for x in steps(owed)[1]]
-    return sum(done)
+            done = [counts[-1] + x for x in steps(owed)[1]]
+        counts.append(sum(done))
+    return tuple(counts[: n + 1])
 
 
 def weakly_alternating_permutations(
@@ -515,11 +517,21 @@ def weakly_alternating_permutations(
     return [perm for perm in perms if is_weakly_alternating(perm)]
 
 
+def weakly_alternating_counts(n: int, *, force: bool = False) -> tuple[int, ...]:
+    """count_weakly_alternating(m) for m = 0..n, in one pass."""
+    return _count_even_position_pattern(n, False, force)
+
+
+def no_even_local_maxima_counts(n: int, *, force: bool = False) -> tuple[int, ...]:
+    """count_no_even_local_maxima(m) for m = 0..n, in one pass."""
+    return _count_even_position_pattern(n, True, force)
+
+
 def count_weakly_alternating(n: int, *, force: bool = False) -> int:
     """Count orders with a weak peak in every even position."""
-    return _count_even_position_pattern(n, False, force)
+    return weakly_alternating_counts(n, force=force)[n]
 
 
 def count_no_even_local_maxima(n: int, *, force: bool = False) -> int:
     """Count orders with no strict local maximum in any even position."""
-    return _count_even_position_pattern(n, True, force)
+    return no_even_local_maxima_counts(n, force=force)[n]

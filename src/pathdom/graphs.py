@@ -59,7 +59,9 @@ def path(n: int) -> Graph:
     """Path on n >= 1 vertices, edges (i, i+1)."""
     if n < 1:
         raise ValueError("a path needs at least 1 vertex")
-    return _build("path", n, ((i, i + 1) for i in range(1, n)))
+    inner = zip(range(1, n - 1), range(3, n + 1))  # (v - 1, v + 1) for 1 < v < n
+    adj = ((), ()) if n == 1 else ((), (2,), *inner, (n - 1,))
+    return Graph(family="path", n=n, adj=adj)
 
 
 def cycle(n: int) -> Graph:

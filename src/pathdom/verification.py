@@ -7,8 +7,9 @@ exact expectations against brute-force averages, and the sampler against
 exact distributions.  An equality check is a table of `(where, {route:
 value})` cases that `_agree` fails at the first case whose routes split.
 Sizes are fixed (exhaustive ranges are those of the reference tables)
-except for the Monte Carlo sample, and each census is computed once per
-process.  The CLI `verify` subcommand runs these checks, as does the
+except for the Monte Carlo sample.  Each census, the expectation prefix and
+the two pattern tables are computed once per process, each in one pass to
+its largest n.  The CLI `verify` subcommand runs these checks, as does the
 acceptance test suite.
 """
 
@@ -145,11 +146,12 @@ def check_best_case_counts() -> CheckResult:
 def check_expectation_oracle() -> CheckResult:
     """Recurrence expectation == brute-force average == closed form (exact)."""
     closed_max = 200
+    recurrence = _tally(expectation.expected_gamma_path_prefix, closed_max)
 
     def cases() -> Iterator[Case]:
         for n in range(1, closed_max + 1):
             routes = {
-                "recurrence": expectation.expected_gamma_path(n),
+                "recurrence": recurrence[n],
                 "closed form": expectation.expected_gamma_path_closed_form(n),
             }
             if n <= BRUTE_MAX:
@@ -309,6 +311,8 @@ def check_inverse_bijection() -> CheckResult:
     name = "inverse-bijection"
     count_max = 60
     odd_config = series.odd_configuration_counts_egf(count_max)
+    alternating_counts = _tally(extremal.weakly_alternating_counts, count_max)
+    no_even_maximum_counts = _tally(extremal.no_even_local_maxima_counts, count_max)
 
     def cases() -> Iterator[Case]:
         for n in range(1, BIJECTION_WORD_MAX + 1, 2):
@@ -330,12 +334,12 @@ def check_inverse_bijection() -> CheckResult:
             yield f"n={n}", {
                 "worst-case orders by words":
                     int(extremal.orders_per_word(words[worst]).sum()),
-                "weakly alternating": extremal.count_weakly_alternating(n),
+                "weakly alternating": alternating_counts[n],
             }
         for n in range(1, count_max + 1):
             yield f"n={n}", {
-                "weakly alternating": extremal.count_weakly_alternating(n),
-                "without even local maxima": extremal.count_no_even_local_maxima(n),
+                "weakly alternating": alternating_counts[n],
+                "without even local maxima": no_even_maximum_counts[n],
                 "odd-configuration EGF": odd_config[n],
             }
 
@@ -401,6 +405,7 @@ def check_montecarlo(n: int = 2000, samples: int = 40_000) -> CheckResult:
 def check_caro_wei() -> CheckResult:
     """Degree bound equals (n+1)/3 on paths (n >= 2) and stays below the expectation."""
     max_n = 200
+    expected = _tally(expectation.expected_gamma_path_prefix, max_n)
 
     def cases() -> Iterator[Case]:
         for n in range(1, max_n + 1):
@@ -410,7 +415,7 @@ def check_caro_wei() -> CheckResult:
                 "expected": third if n > 1 else 1,
             }
             yield f"n={n}", {
-                "expectation >= (n+1)/3": expectation.expected_gamma_path(n) >= third,
+                "expectation >= (n+1)/3": expected[n] >= third,
                 "expected": True,
             }
 

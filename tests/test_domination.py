@@ -43,6 +43,7 @@ from pathdom.domination import (
     _closed_neighborhoods,
     _reachable_sizes,
 )
+from pathdom.graphs import _build
 
 
 @st.composite
@@ -87,6 +88,14 @@ class TestGraphFamilies:
         g = complete_multipartite([2, 3])
         assert g.neighbors(1) == (3, 4, 5)  # no edge inside the first part
         assert g.neighbors(3) == (1, 2)
+
+    def test_path_adjacency_is_that_of_its_edges(self):
+        for n in range(1, 61):
+            assert path(n) == _build("path", n, ((i, i + 1) for i in range(1, n))), n
+
+    def test_empty_path_refused(self):
+        with pytest.raises(ValueError, match="a path needs at least 1 vertex"):
+            path(0)
 
     def test_explicit_matches_path(self):
         g = explicit(4, [(1, 2), (2, 3), (3, 4)])
@@ -282,6 +291,29 @@ class TestGammaBatch:
         assert len(packed) == k
         assert gamma_batch_path(n, packed).tolist() == gamma_batch_path(n, words).tolist()
 
+    @pytest.mark.parametrize("packed", [False, True])
+    @pytest.mark.parametrize("n", [32, 33, 34, 35, 48, 49, 65, 66, 296, 2000])
+    def test_runs_longer_than_a_segment(self, n, packed):
+        # From n = 33 the scan runs 16 segments and fixes each up from
+        # the one before; a run of up or down letters crossing whole segments
+        # carries a fix-up on, which random words almost never do.
+        rng = np.random.default_rng(n)
+        alternating = np.arange(n - 1) % 2 == 0
+        words = np.vstack([
+            np.ones(n - 1, dtype=bool), np.zeros(n - 1, dtype=bool),
+            alternating, ~alternating,
+            rng.random((5, n - 1)) < 0.99, rng.random((4, n - 1)) < 0.01,
+        ])  # 13 words: the last byte is partial
+        later = words
+        if packed:
+            later = PackedWords.empty(n, len(words))
+            later.table[1:, :2] = np.packbits(words.T, axis=1)
+        g = path(n)
+        assert gamma_batch_path(n, later).tolist() == [
+            run_online_domination(g, _an_order_with_word(word)).size
+            for word in words.tolist()
+        ]
+
     def test_uint16_reveal_keys(self):
         n, k = 60, 300
         keys = np.random.default_rng(6).integers(0, 2**16, size=(k, n), dtype=np.uint16)
@@ -295,6 +327,10 @@ class TestGammaBatch:
             gamma_batch_path(4, np.array([[True, False, True, False]]))
         with pytest.raises(ValueError, match=r"\(4, 2\)"):
             gamma_batch_path(4, PackedWords.empty(5, 3))
+        with pytest.raises(ValueError, match="n must be positive"):
+            gamma_batch_path(0, np.zeros((3, 0), dtype=bool))
+        with pytest.raises(ValueError, match="n must be positive"):
+            PackedWords.empty(0, 3)
 
 
 @st.composite

@@ -31,6 +31,7 @@ from pathdom import (
     wheel,
 )
 from pathdom.errors import EXACT_PATH_CAP, ResourceLimitError
+from pathdom.expectation import expected_gamma_path_prefix
 
 
 class TestPathRecurrence:
@@ -55,6 +56,14 @@ class TestPathRecurrence:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_bruteforce_average(self, n):
         assert expected_gamma_path(n) == path_census(n).expectation
+
+    def test_prefix_holds_every_value_of_one_pass(self):
+        assert expected_gamma_path_prefix(0) == (0,)
+        assert expected_gamma_path_prefix(60) == tuple(
+            expected_gamma_path(m) for m in range(61)
+        )
+        with pytest.raises(ValueError, match="nonnegative"):
+            expected_gamma_path_prefix(-1)
 
     def test_table_invariants(self):
         assert expected_gamma_path(1) == 1

@@ -426,9 +426,22 @@ class TestPermutationPredicates:
             map(has_no_even_local_maxima, perms)
         )
 
+    def test_pattern_tables_hold_the_count_at_every_length(self):
+        scans = [
+            [sum(map(holds, itertools.permutations(range(1, m + 1)))) for m in range(9)]
+            for holds in (is_weakly_alternating, has_no_even_local_maxima)
+        ]
+        assert extremal.weakly_alternating_counts(8) == tuple(scans[0])
+        assert extremal.no_even_local_maxima_counts(8) == tuple(scans[1])
+        for n in range(1, 40):
+            assert extremal.weakly_alternating_counts(n) == (
+                extremal.weakly_alternating_counts(39)[: n + 1])
+
     def test_pattern_counts_match_the_odd_configuration_egf(self):
         # odd-configuration orders are the inverses of weakly alternating ones
         odd_config = odd_configuration_counts_egf(120)
+        assert extremal.weakly_alternating_counts(120) == odd_config
+        assert extremal.no_even_local_maxima_counts(120) == odd_config
         for n in range(1, 121):
             assert count_weakly_alternating(n) == odd_config[n], n
             assert count_no_even_local_maxima(n) == odd_config[n], n

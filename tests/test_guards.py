@@ -43,6 +43,12 @@ GUARDS = {
     "count_weakly_alternating": (
         extremal, "EXACT_COUNT_CAP", 5,
         lambda n, force: extremal.count_weakly_alternating(n, force=force)),
+    "no_even_local_maxima_counts": (
+        extremal, "EXACT_COUNT_CAP", 5,
+        lambda n, force: extremal.no_even_local_maxima_counts(n, force=force)),
+    "weakly_alternating_counts": (
+        extremal, "EXACT_COUNT_CAP", 5,
+        lambda n, force: extremal.weakly_alternating_counts(n, force=force)),
     "best_case_count_formula": (
         extremal, "EXACT_COUNT_CAP", 6,
         lambda n, force: extremal.best_case_count_formula(n, force=force)),
@@ -61,6 +67,9 @@ GUARDS = {
     "expected_gamma_path": (
         expectation, "EXACT_PATH_CAP", 5,
         lambda n, force: expectation.expected_gamma_path(n, force=force)),
+    "expected_gamma_path_prefix": (
+        expectation, "EXACT_PATH_CAP", 5,
+        lambda n, force: expectation.expected_gamma_path_prefix(n, force=force)),
     "expected_gamma_path_closed_form": (
         expectation, "EXACT_PATH_CAP", 5,
         lambda n, force: expectation.expected_gamma_path_closed_form(n, force=force)),

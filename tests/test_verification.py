@@ -14,21 +14,22 @@ def test_passes_and_names_both_ranges():
     assert "n <= 60" in result.detail
 
 
+def _perturbed_table(real, change):
+    """A pattern-table route whose count at length m is moved by change(m)."""
+    return lambda n, **kw: tuple(c + change(m) for m, c in enumerate(real(n, **kw)))
+
+
 def test_count_off_by_one_fails_at_its_n(monkeypatch):
-    real = extremal.count_weakly_alternating
-    monkeypatch.setattr(
-        extremal, "count_weakly_alternating", lambda n, **kw: real(n, **kw) + (n == 5)
-    )
+    monkeypatch.setattr(extremal, "weakly_alternating_counts", _perturbed_table(
+        extremal.weakly_alternating_counts, lambda n: n == 5))
     result = V.check_inverse_bijection()
     assert not result.passed
     assert result.detail.startswith("n=5:")
 
 
 def test_count_off_by_one_beyond_the_worst_range_fails(monkeypatch):
-    real = extremal.count_no_even_local_maxima
-    monkeypatch.setattr(
-        extremal, "count_no_even_local_maxima", lambda n, **kw: real(n, **kw) - (n > 43)
-    )
+    monkeypatch.setattr(extremal, "no_even_local_maxima_counts", _perturbed_table(
+        extremal.no_even_local_maxima_counts, lambda n: -(n > 43)))
     result = V.check_inverse_bijection()
     assert not result.passed
     assert result.detail.startswith("n=44:")
@@ -133,16 +134,22 @@ def test_depth_changes_only_the_sample(monkeypatch):
 
 def test_each_census_is_computed_once(monkeypatch):
     calls = []
-    for census in ("path_census", "word_census"):
-        real = getattr(extremal, census)
+    for module, census in ((extremal, "path_census"), (extremal, "word_census"),
+                           (expectation, "expected_gamma_path_prefix"),
+                           (extremal, "weakly_alternating_counts"),
+                           (extremal, "no_even_local_maxima_counts")):
+        real = getattr(module, census)
         monkeypatch.setattr(
-            extremal, census,
+            module, census,
             lambda n, real=real, census=census: calls.append((census, n)) or real(n),
         )
     for check in (V.check_worst_case_counts, V.check_best_case_counts,
-                  V.check_expectation_oracle, V.check_convolution):
+                  V.check_expectation_oracle, V.check_convolution,
+                  V.check_inverse_bijection, V.check_caro_wei):
         assert check().passed
     assert sorted(calls) == sorted(
         [("path_census", n) for n in range(1, V.BRUTE_MAX + 1)]
         + [("word_census", n) for n in range(1, V.WORD_COUNT_MAX + 1)]
+        + [("expected_gamma_path_prefix", 200), ("weakly_alternating_counts", 60),
+           ("no_even_local_maxima_counts", 60)]
     )
