@@ -405,7 +405,7 @@ def check_montecarlo(n: int = 2000, samples: int = 40_000) -> CheckResult:
 def check_caro_wei() -> CheckResult:
     """Degree bound equals (n+1)/3 on paths (n >= 2) and stays below the expectation."""
     max_n = 200
-    expected = _tally(expectation.expected_gamma_path_prefix, max_n)
+    expectations = _tally(expectation.expected_gamma_path_prefix, max_n)
 
     def cases() -> Iterator[Case]:
         for n in range(1, max_n + 1):
@@ -415,7 +415,7 @@ def check_caro_wei() -> CheckResult:
                 "expected": third if n > 1 else 1,
             }
             yield f"n={n}", {
-                "expectation >= (n+1)/3": expected[n] >= third,
+                "expectation >= (n+1)/3": expectations[n] >= third,
                 "expected": True,
             }
 
