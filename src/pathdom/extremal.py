@@ -503,7 +503,7 @@ def _count_even_position_pattern(n: int, larger: bool, force: bool) -> tuple[int
         else:  # any entry extends done; only the other step clears owed
             done = [counts[-1] + x for x in steps(owed)[1]]
         counts.append(sum(done))
-    return tuple(counts[: n + 1])
+    return tuple(counts)
 
 
 def weakly_alternating_permutations(
