@@ -24,12 +24,11 @@ _EXPORTS = {name: module for module, names in {
     "expected_gamma_path expected_gamma_path_closed_form expected_gamma_path_float "
     "expected_gamma_star expected_gamma_wheel",
     "extremal": "ExtremalReport PathCensus best_case_count_formula "
-    "best_case_formula_applicable complement count_no_even_local_maxima "
-    "count_weakly_alternating extremal_permutations extremal_size "
-    "has_no_even_local_maxima independent_dominating_sets_bruteforce inverse "
-    "is_weakly_alternating maximal_independent_dominating_sets orders_per_word "
-    "path_census set_first_order up_down_words "
-    "weakly_alternating_permutations word_census worst_case_count_recurrence",
+    "best_case_formula_applicable count_no_even_local_maxima count_weakly_alternating "
+    "extremal_permutations extremal_size independent_dominating_sets_bruteforce "
+    "maximal_independent_dominating_sets orders_per_word path_census set_first_order "
+    "up_down_words weakly_alternating_permutations word_census "
+    "worst_case_count_recurrence",
     "series": "DEFAULT_ORDER convolution_identity_holds odd_configuration_counts_egf "
     "worst_case_counts_egf",
     "montecarlo": "Histogram SampleConfig normalize sample_gamma",

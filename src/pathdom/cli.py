@@ -258,6 +258,8 @@ def _expect_value(args: argparse.Namespace) -> tuple[str, Fraction]:
     family = args.family
     if family == "explicit":
         raise ValueError("expect supports explicit graphs only with --method brute")
+    if family != "path" and args.method is not None:
+        raise ValueError("--method recurrence and closed-form apply to --family path only")
     _require_family_args(args)
     if family == "path":
         if args.n < 1:

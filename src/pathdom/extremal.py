@@ -17,17 +17,18 @@ The word census gets the size distribution from the 2^(n-1) up/down words
 of the path instead, each weighted by its number of orders.
 
 Inversion maps the worst-case orders of odd n onto the weakly alternating
-permutations, complementation maps those onto the ones with no even local
-maximum, and both classes are counted by the rank recursion over up/down
-steps (Niven 1968; de Bruijn 1970) in O(n^2) additions.
+permutations, and complementation maps those onto the ones with no even
+local maximum.  Both bijections are stated on up/down words, where the
+pattern is every_even_vertex_has; its other form, the rank recursion over
+up/down steps (Niven 1968; de Bruijn 1970), counts its permutations in
+O(n^2) additions.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 # domination and graphs are imported by the functions that run them, so the
 # count recurrence and the formulas load neither.
@@ -42,18 +43,9 @@ if TYPE_CHECKING:
 
 SUBSET_SEARCH_CAP = 18
 WORD_ROWS = 1 << 15  # words gathered at a time by orders_per_word; n <= 16 is one block
-# The weak-alternation listing scans all n! orders one by one (about 3 s at
-# n = 10, 40 s at n = 11).
+# The weak-alternation listing scans all n! orders (about 2 s at n = 10).
 PERMUTATION_SCAN_CAP = 10
-
-
-def __getattr__(name: str):
-    # The size bounds live in domination; they are re-exported here on first use.
-    if name in ("max_dominating_size", "min_dominating_size"):
-        from . import domination
-
-        return getattr(domination, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+PERMUTATION_ROWS = 1 << 16  # orders tested at a time by that scan
 
 
 def extremal_size(n: int, bound_kind: str) -> int:
@@ -234,6 +226,24 @@ def up_down_words(n: int, *, force: bool = False) -> np.ndarray:
     for j in range(n - 1):
         letters[j] = codes >> j & 1
     return letters.T
+
+
+def every_even_vertex_has(words: np.ndarray, earlier: bool) -> np.ndarray:
+    """True for the up/down words in which every even vertex j has a
+    neighbour revealed earlier than j (later, when not `earlier`): on the
+    word of an order, the order's inverse is weakly alternating (has no even
+    local maximum).  Letter j - 2 is up when j is revealed after j - 1, and
+    letter j - 1 when j + 1 is revealed after j.
+    """
+    import numpy as np
+
+    holds = np.ones(len(words), dtype=bool)
+    for i in range(0, words.shape[1], 2):  # letters i and i + 1 flank vertex i + 2
+        has = words[:, i] == earlier
+        if i + 1 < words.shape[1]:
+            has |= words[:, i + 1] != earlier
+        holds &= has
+    return holds
 
 
 def orders_per_word(words: np.ndarray) -> np.ndarray:
@@ -422,56 +432,8 @@ def best_case_formula_applicable(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Permutation combinatorics
+# Even-position pattern counts
 # ---------------------------------------------------------------------------
-
-
-def inverse(perm: Sequence[int]) -> tuple[int, ...]:
-    """Inverse permutation: position of each value."""
-    from .domination import check_permutation
-
-    check_permutation(perm)
-    inv = [0] * len(perm)
-    for position, value in enumerate(perm, start=1):
-        inv[value - 1] = position
-    return tuple(inv)
-
-
-def complement(perm: Sequence[int]) -> tuple[int, ...]:
-    """Value complement: each entry v becomes n+1-v."""
-    from .domination import check_permutation
-
-    check_permutation(perm)
-    n = len(perm)
-    return tuple(n + 1 - v for v in perm)
-
-
-def _every_even_position_has(perm: Sequence[int], side: Callable) -> bool:
-    """True when each even position has a neighbor x with side(x, its entry)."""
-    n = len(perm)
-    return all(
-        side(perm[j - 1], perm[j]) or (j + 1 < n and side(perm[j + 1], perm[j]))
-        for j in range(1, n, 2)  # 0-based indices of even positions
-    )
-
-
-def is_weakly_alternating(perm: Sequence[int]) -> bool:
-    """True when every even position holds a weak peak.
-
-    A weak peak at position i means at least one existing neighbor is
-    smaller; at the right boundary of an even-length permutation only the
-    left neighbor exists.
-    """
-    return _every_even_position_has(perm, operator.lt)
-
-
-def has_no_even_local_maxima(perm: Sequence[int]) -> bool:
-    """True when no even position is a strict local maximum.
-
-    A strict local maximum exceeds all of its existing neighbors; entries
-    are distinct, so one larger neighbor is enough to clear a position.
-    """
-    return _every_even_position_has(perm, operator.gt)
 
 
 def _count_even_position_pattern(n: int, larger: bool, force: bool) -> tuple[int, ...]:
@@ -506,15 +468,25 @@ def _count_even_position_pattern(n: int, larger: bool, force: bool) -> tuple[int
     return tuple(counts)
 
 
+# Kept for the benchmark tracer, which wraps it by name, until ROADMAP item 6.
 def weakly_alternating_permutations(
     n: int, *, force: bool = False
 ) -> list[tuple[int, ...]]:
-    """Every weakly alternating order, by scanning all n! orders."""
+    """Every order with a smaller neighbour at each even position, in
+    lexicographic order, by testing the up/down word of each of the n! orders."""
     if n < 1:
         raise ValueError("n must be positive")
     check_cap(n, PERMUTATION_SCAN_CAP, force, "weak-alternation enumeration")
-    perms = itertools.permutations(range(1, n + 1))
-    return [perm for perm in perms if is_weakly_alternating(perm)]
+    import numpy as np
+
+    entries = itertools.chain.from_iterable(itertools.permutations(range(1, n + 1)))
+    found: list[tuple[int, ...]] = []
+    for _ in range(0, math.factorial(n), PERMUTATION_ROWS):
+        block = np.fromiter(itertools.islice(entries, PERMUTATION_ROWS * n), np.uint8)
+        block = block.reshape(-1, n)
+        holds = every_even_vertex_has(block[:, 1:] > block[:, :-1], earlier=True)
+        found += map(tuple, block[holds].tolist())
+    return found
 
 
 def weakly_alternating_counts(n: int, *, force: bool = False) -> tuple[int, ...]:

@@ -28,7 +28,6 @@ lie in [0, n!] since it counts a subset of all n! orders.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from operator import add, mul
 from typing import Sequence
 
@@ -50,7 +49,6 @@ def _check_counts(odd_config: Sequence[int], worst: Sequence[int]) -> None:
             )
 
 
-@lru_cache(maxsize=None)
 def _egf_counts(order: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Odd-configuration and worst-case counts for n = 0..order, in one pass.
 
@@ -83,22 +81,30 @@ def _egf_counts(order: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(odd_config), tuple(worst)
 
 
-def _check_order(order: int, force: bool) -> None:
+_largest_table: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
+
+
+def _counts_through(order: int, force: bool) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """_egf_counts(order), sliced from the largest table built so far in the
+    process, so a table is built only for an order above every earlier one."""
+    global _largest_table
     if order < 0:
         raise ValueError("order must be nonnegative")
     check_cap(order, EXACT_COUNT_CAP, force, "EGF count table")
+    if len(_largest_table[0]) <= order:
+        _largest_table = _egf_counts(order)
+    odd_config, worst = _largest_table
+    return odd_config[: order + 1], worst[: order + 1]
 
 
 def odd_configuration_counts_egf(order: int, *, force: bool = False) -> tuple[int, ...]:
     """Counts of orders selecting exactly the odd vertices, for n = 0..order."""
-    _check_order(order, force)
-    return _egf_counts(order)[0]
+    return _counts_through(order, force)[0]
 
 
 def worst_case_counts_egf(order: int, *, force: bool = False) -> tuple[int, ...]:
     """Worst-case order counts for n = 0..order, from the combined EGF."""
-    _check_order(order, force)
-    return _egf_counts(order)[1]
+    return _counts_through(order, force)[1]
 
 
 def convolution_identity_holds(n: int) -> bool:

@@ -4,13 +4,15 @@ Every quantity the package can compute more than one way is recomputed by
 every route and compared here: exhaustive simulation and the up/down-word
 census against recurrences, closed formulas and generating functions,
 exact expectations against brute-force averages, and the sampler against
-exact distributions.  An equality check is a table of `(where, {route:
-value})` cases that `_agree` fails at the first case whose routes split.
-Sizes are fixed (exhaustive ranges are those of the reference tables)
-except for the Monte Carlo sample.  Each census, the expectation prefix and
-the two pattern tables are computed once per process, each in one pass to
-its largest n.  The CLI `verify` subcommand runs these checks, as does the
-acceptance test suite.
+exact distributions.  The paper's bijections between permutation classes
+are checked as equalities of up/down-word sets through extremal's word
+predicate, so that check lists no order.  An equality check is a table of
+`(where, {route: value})` cases that `_agree` fails at the first case whose
+routes split.  Sizes are fixed (exhaustive ranges are those of the
+reference tables) except for the Monte Carlo sample.  Each census, the
+expectation prefix and the two pattern tables are computed once per
+process, each in one pass to its largest n.  The CLI `verify` subcommand
+runs these checks, as does the acceptance test suite.
 """
 
 from __future__ import annotations
@@ -275,36 +277,15 @@ def check_structural_sets() -> CheckResult:
     )
 
 
-def _every_even_vertex_has(words, earlier: bool):
-    """Word form of the even-position predicates of extremal, applied to
-    reveal times: True for the words in which every even vertex j has a
-    neighbour revealed earlier than j (later, when not `earlier`).
-
-    Letter j - 2 is up when j is revealed after j - 1, and letter j - 1 is
-    up when j + 1 is revealed after j.
-    """
-    import numpy as np
-
-    n = words.shape[1] + 1
-    holds = np.ones(len(words), dtype=bool)
-    for j in range(2, n + 1, 2):
-        left = words[:, j - 2]
-        has = left if earlier else ~left
-        if j < n:
-            right = words[:, j - 1]
-            has = has | (~right if earlier else right)
-        holds &= has
-    return holds
-
-
 def check_inverse_bijection() -> CheckResult:
     """Worst-case orders map onto weakly alternating ones by inversion (odd n).
 
     The inverse of an order is its reveal times, so being worst-case and
     having a weakly alternating inverse both depend on the up/down word
     only, and complementation flips every letter.  Each bijection is thus an
-    equality of word sets, checked on every word of every odd n <= 19; the
-    rank recursion over the worst-case words counts the orders behind them.
+    equality of word sets, tested by extremal.every_even_vertex_has on every
+    word of every odd n <= 19; the rank recursion over the worst-case words
+    counts the orders behind them.
     """
     import numpy as np
 
@@ -318,8 +299,8 @@ def check_inverse_bijection() -> CheckResult:
         for n in range(1, BIJECTION_WORD_MAX + 1, 2):
             words = extremal.up_down_words(n)
             worst = gamma_batch_path(n, words) == max_dominating_size(n)
-            alternating = _every_even_vertex_has(words, earlier=True)
-            no_even_maximum = _every_even_vertex_has(~words, earlier=False)
+            alternating = extremal.every_even_vertex_has(words, earlier=True)
+            no_even_maximum = extremal.every_even_vertex_has(~words, earlier=False)
             yield f"n={n}", {
                 "words: worst-case != inverse weakly alternating":
                     int(np.count_nonzero(worst != alternating)),

@@ -89,6 +89,21 @@ class TestExpect:
         assert (code, out) == (1, "")
         assert err == "error: --caro-wei takes no --method: it bounds the graph instead\n"
 
+    @pytest.mark.parametrize("method", ["recurrence", "closed-form"])
+    @pytest.mark.parametrize("family", [
+        ["cycle", "--n", "5"], ["star", "--leaves", "3"], ["wheel", "--spokes", "4"],
+        ["multipartite", "--parts", "2,3"],
+    ])
+    def test_path_methods_on_other_families_are_refused(self, capsys, family, method):
+        code, out, err = run(
+            capsys, "expect", "--family", *family, "--method", method,
+            "--format", "json",
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: --method recurrence and closed-form apply to --family path only\n"
+        )
+
     def test_brute_method_on_explicit_graph(self, capsys):
         code, out, _ = run(
             capsys,
@@ -545,14 +560,14 @@ PUBLIC_NAMES = (
     "ConsistencyError DEFAULT_ORDER DominationOutcome ExtremalReport Graph Histogram "
     "PathCensus ResourceLimitError SampleConfig best_case_count_formula "
     "best_case_formula_applicable bruteforce_expected_gamma caro_wei_bound "
-    "check_permutation complement complete_multipartite convolution_identity_holds "
+    "check_permutation complete_multipartite convolution_identity_holds "
     "count_no_even_local_maxima count_weakly_alternating cycle "
     "expected_gamma_complete_multipartite expected_gamma_cycle expected_gamma_limit "
     "expected_gamma_path expected_gamma_path_closed_form expected_gamma_path_float "
     "expected_gamma_star expected_gamma_wheel explicit extremal_permutations "
-    "extremal_size final_set_counts gamma gamma_batch_path has_no_even_local_maxima "
-    "independent_dominating_sets_bruteforce inverse is_independent_dominating "
-    "is_weakly_alternating max_dominating_size maximal_independent_dominating_sets "
+    "extremal_size final_set_counts gamma gamma_batch_path "
+    "independent_dominating_sets_bruteforce is_independent_dominating "
+    "max_dominating_size maximal_independent_dominating_sets "
     "min_dominating_size normalize odd_configuration_counts_egf orders_per_word "
     "orders_with_size path path_census run_online_domination sample_gamma "
     "set_first_order star up_down_words weakly_alternating_permutations wheel "

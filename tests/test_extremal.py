@@ -12,6 +12,7 @@ import inspect
 import itertools
 import json
 import math
+import operator
 import sys
 import tracemalloc
 
@@ -23,8 +24,8 @@ from hypothesis import strategies as st
 from pathdom import (
     best_case_count_formula,
     best_case_formula_applicable,
+    check_permutation,
     cli,
-    complement,
     count_no_even_local_maxima,
     count_weakly_alternating,
     extremal,
@@ -32,11 +33,8 @@ from pathdom import (
     extremal_size,
     gamma,
     gamma_batch_path,
-    has_no_even_local_maxima,
     independent_dominating_sets_bruteforce,
-    inverse,
     is_independent_dominating,
-    is_weakly_alternating,
     max_dominating_size,
     maximal_independent_dominating_sets,
     min_dominating_size,
@@ -383,6 +381,52 @@ class TestBestCaseFormula:
         assert applicable == [3, 5, 6, 8, 9, 10, 11]
 
 
+# The permutation forms of the even-position pattern, kept as references for
+# the word predicate extremal.every_even_vertex_has and the pattern counts.
+
+
+def inverse(perm):
+    """Inverse permutation: position of each value."""
+    check_permutation(perm)
+    inv = [0] * len(perm)
+    for position, value in enumerate(perm, start=1):
+        inv[value - 1] = position
+    return tuple(inv)
+
+
+def complement(perm):
+    """Value complement: each entry v becomes n+1-v."""
+    check_permutation(perm)
+    return tuple(len(perm) + 1 - v for v in perm)
+
+
+def _every_even_position_has(perm, side):
+    """True when each even position has a neighbor x with side(x, its entry)."""
+    n = len(perm)
+    return all(
+        side(perm[j - 1], perm[j]) or (j + 1 < n and side(perm[j + 1], perm[j]))
+        for j in range(1, n, 2)  # 0-based indices of even positions
+    )
+
+
+def is_weakly_alternating(perm):
+    """True when every even position holds a weak peak: at least one existing
+    neighbor is smaller."""
+    return _every_even_position_has(perm, operator.lt)
+
+
+def has_no_even_local_maxima(perm):
+    """True when no even position is a strict local maximum: one larger
+    neighbor is enough to clear a position, since entries are distinct."""
+    return _every_even_position_has(perm, operator.gt)
+
+
+def _word_of(perm):
+    """The up/down word of a sequence, as a one-row word array."""
+    entries = np.array(perm)
+    return (entries[1:] > entries[:-1])[None, :]
+
+
 class TestPermutationPredicates:
     def test_weakly_alternating_examples(self):
         assert is_weakly_alternating((2, 3, 1))
@@ -474,6 +518,22 @@ class TestPermutationPredicates:
             assert is_weakly_alternating(perm) == has_no_even_local_maxima(
                 complement(perm)
             )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda n: st.permutations(range(1, n + 1))))
+    @example([1])
+    @example([1, 2])
+    @example([2, 1])
+    def test_word_predicate_matches_the_permutation_forms(self, perm):
+        word = _word_of(perm)
+        holds = extremal.every_even_vertex_has(word, earlier=True)
+        assert holds.tolist() == [is_weakly_alternating(perm)]
+        assert _word_of(complement(perm)).tolist() == (~word).tolist()
+        flipped = extremal.every_even_vertex_has(~word, earlier=False)
+        assert flipped.tolist() == [has_no_even_local_maxima(complement(perm))]
+        assert extremal.every_even_vertex_has(word, earlier=False).tolist() == [
+            has_no_even_local_maxima(perm)
+        ]
 
 
 class TestOddConfiguration:

@@ -7,6 +7,7 @@ import pytest
 
 from pathdom import (
     convolution_identity_holds,
+    series,
     odd_configuration_counts_egf,
     path_census,
     worst_case_counts_egf,
@@ -192,6 +193,20 @@ class TestCounts:
             _check_counts([1, 1, 1], [1, 1, 3])
         with pytest.raises(ConsistencyError, match="n=1"):
             _check_counts([1, 1, 1], [1, -1, 1])
+
+    def test_lower_orders_are_sliced_from_the_largest_table(self, monkeypatch):
+        builds = []
+        real = series._egf_counts
+        monkeypatch.setattr(series, "_largest_table", ((), ()))
+        monkeypatch.setattr(
+            series, "_egf_counts", lambda order: builds.append(order) or real(order)
+        )
+        orders = (30, 0, 12, 30, 31, 5)
+        tables = [
+            (odd_configuration_counts_egf(k), worst_case_counts_egf(k)) for k in orders
+        ]
+        assert builds == [30, 31]
+        assert tables == [real(k) for k in orders]
 
     def test_order_cap(self):
         with pytest.raises(ResourceLimitError, match="force"):

@@ -153,3 +153,14 @@ def test_each_census_is_computed_once(monkeypatch):
         + [("expected_gamma_path_prefix", 200), ("weakly_alternating_counts", 60),
            ("no_even_local_maxima_counts", 60)]
     )
+
+
+def test_convolution_check_builds_the_egf_table_once(monkeypatch):
+    builds = []
+    real = series._egf_counts
+    monkeypatch.setattr(series, "_largest_table", ((), ()))
+    monkeypatch.setattr(
+        series, "_egf_counts", lambda order: builds.append(order) or real(order)
+    )
+    assert V.check_convolution().passed
+    assert builds == [60]
