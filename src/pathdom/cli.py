@@ -24,7 +24,6 @@ from . import __version__
 if TYPE_CHECKING:
     from fractions import Fraction
 
-    from .extremal import ExtremalReport
     from .graphs import Graph
 
 EXIT_OK = 0
@@ -303,7 +302,8 @@ def _cmd_expect(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _extremal_reports(args: argparse.Namespace) -> list[ExtremalReport]:
+def _extremal_reports(args: argparse.Namespace) -> tuple[int, list[tuple]]:
+    """The bound's set size, and (method label, count, witness orders) per route."""
     from . import extremal
     n, kind, force = args.n, args.bound, args.force
     if args.witnesses < 0:
@@ -341,41 +341,38 @@ def _extremal_reports(args: argparse.Namespace) -> list[ExtremalReport]:
         label, bounds, _, route = routes[method]
         if kind not in bounds:
             raise ValueError(f"--method {method} applies to --bound {bounds[0]} only")
-        count, witnesses = route()
-        reports.append(extremal.ExtremalReport(
-            n=n, bound_kind=kind, extremal_size=size, count=count, method=label,
-            witnesses=tuple(witnesses),
-        ))
-    return reports
+        reports.append((label, *route()))
+    return size, reports
 
 
 def _cmd_extremal(args: argparse.Namespace) -> int:
-    reports = _extremal_reports(args)
+    n, kind = args.n, args.bound
+    size, reports = _extremal_reports(args)
     if args.format == "json":
-        docs = [r.to_json_dict() for r in reports]
+        docs = []
+        for method, count, witnesses in reports:
+            doc = {"n": n, "bound_kind": kind, "extremal_size": size,
+                   "count": str(count), "method": method}
+            if witnesses:
+                doc["witnesses"] = [list(w) for w in witnesses]
+            docs.append(doc)
         _write(json.dumps(docs[0] if len(docs) == 1 else docs, indent=2) + "\n",
                args.output)
     elif args.format == "csv":
         rows = ["n,bound_kind,extremal_size,count,method"]
-        rows += [
-            f"{r.n},{r.bound_kind},{r.extremal_size},{r.count},{r.method}"
-            for r in reports
-        ]
+        rows += [f"{n},{kind},{size},{count},{method}" for method, count, _ in reports]
         _write("\n".join(rows) + "\n", args.output)
     else:
         lines = [
-            f"{r.method}: {r.count} orders of length {r.n} hit the {r.bound_kind}-case "
-            f"size {r.extremal_size}"
-            for r in reports
+            f"{method}: {count} orders of length {n} hit the {kind}-case size {size}"
+            for method, count, _ in reports
         ]
-        for r in reports:
-            for witness in r.witnesses:
-                lines.append("  witness " + ",".join(str(v) for v in witness))
+        lines += ["  witness " + ",".join(str(v) for v in witness)
+                  for _, _, witnesses in reports for witness in witnesses]
         _write("\n".join(lines) + "\n", args.output)
-    counts = {r.count for r in reports}
-    if len(counts) > 1:
-        by_method = {r.method: r.count for r in reports}
-        print(f"error: methods disagree at n={args.n}: {by_method}", file=sys.stderr)
+    by_method = {method: count for method, count, _ in reports}
+    if len(set(by_method.values())) > 1:
+        print(f"error: methods disagree at n={n}: {by_method}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
     return EXIT_OK
 

@@ -9,8 +9,9 @@ set, and its size depends only on the graph and the revelation order.
 The rule lives here in three forms: the scalar simulator
 run_online_domination, the reference the tests hold the others to; the
 exhaustive engine (final_set_counts, orders_with_size), the one brute
-force over orders, guarded by DEFAULT_BRUTE_CAP, which merges prefixes
-by chosen set and inert reveals and asks _free_vertices who joins; and
+force over orders, guarded by DEFAULT_BRUTE_CAP, whose forward pass merges
+prefixes by chosen set and inert reveals and asks _free_vertices who
+joins, and whose listing walks only inside the final sets of that pass; and
 the vectorized path evaluator gamma_batch_path.  On the path the final
 set depends only on the up/down word of an order, which vertex of each
 neighbouring pair is revealed later, so gamma_batch_path takes that word,
@@ -26,6 +27,7 @@ once the segment before it is known, fixed segment by segment in order.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from collections import defaultdict
 from dataclasses import dataclass
@@ -259,6 +261,7 @@ def gamma_batch_path(n: int, later: np.ndarray | PackedWords) -> np.ndarray:
 # an inert reveal to (C, d + 1) with weight |N[C]| - |C| - d.  After k reveals
 # d = k - |C|, so a layer is keyed by C alone: at most (independent sets) x
 # (n + 1) states against n! orders.  _free_vertices holds the reveal rule.
+# orders_with_size walks only inside the final sets of the forward pass.
 
 
 def check_engine_cap(n: int, force: bool) -> None:
@@ -310,61 +313,49 @@ def final_set_counts(graph: Graph, *, force: bool = False) -> dict[frozenset[int
     }
 
 
-def _reachable_sizes(chosen: int, closed: list[int], full: int, memo: dict[int, int]) -> int:
-    """Bitmask with bit s set when a final set of size s is reachable from chosen."""
-    if chosen not in memo:  # the recursion reaches larger sets only: no partial entry is read
-        free = _free_vertices(chosen, closed, full)
-        memo[chosen] = 0 if free else 1 << chosen.bit_count()
-        while free:
-            bit = free & -free
-            free ^= bit
-            memo[chosen] |= _reachable_sizes(chosen | bit, closed, full, memo)
-    return memo[chosen]
-
-
 def orders_with_size(
     graph: Graph, size: int, limit: int | None = None, *, force: bool = False
 ) -> list[tuple[int, ...]]:
     """Revelation orders whose final dominating set has `size` vertices.
 
     Orders come in lexicographic order, the order of itertools.permutations,
-    and at most `limit` of them when a limit is given.  A depth-first walk
-    over reveal prefixes enters a prefix only when a final set of that size
-    is reachable from its chosen set, so every branch ends in a listed order.
+    and at most `limit` of them when a limit is given.  From a reveal prefix
+    with chosen set C the final sets still reachable are exactly those of
+    final_set_counts that contain C: a final set is independent, so each of
+    its vertices outside C lies outside N[C], is hidden, and joins when it is
+    revealed next.  A depth-first walk over reveal prefixes therefore enters
+    a prefix only when its chosen set lies inside a final set of that size,
+    and every branch ends in a listed order.
     """
     if limit is not None and limit < 0:
         raise ValueError("limit must be nonnegative")
     closed = _closed_neighborhoods(graph, force)
+    if limit == 0:
+        return []
     full = (1 << graph.n) - 1
-    sizes_from: dict[int, int] = {}
-    free_of: dict[int, int] = {}
-    wanted = 1 << size
+    targets = [
+        sum(1 << (v - 1) for v in final_set)
+        for final_set in final_set_counts(graph, force=force)
+        if len(final_set) == size
+    ]
+    fits: dict[int, bool] = {}  # chosen set -> lies inside some target
+    prefix: list[int] = []
 
-    # (bit, revealed, chosen) for each next reveal, ascending, that keeps `size` reachable
-    def reveals(revealed: int, chosen: int) -> Iterator[tuple[int, int, int]]:
-        if chosen not in free_of:
-            free_of[chosen] = _free_vertices(chosen, closed, full)
-        free, hidden = free_of[chosen], full ^ revealed
+    def walk(revealed: int, chosen: int) -> Iterator[tuple[int, ...]]:
+        if revealed == full:
+            yield tuple(prefix)
+            return
+        free = _free_vertices(chosen, closed, full)
+        hidden = full ^ revealed
         while hidden:
             bit = hidden & -hidden
             hidden ^= bit
-            if not bit & free:  # inert: the chosen set, and what it can reach, stay
-                yield bit, revealed | bit, chosen
-            elif _reachable_sizes(chosen | bit, closed, full, sizes_from) & wanted:
-                yield bit, revealed | bit, chosen | bit
+            grown = chosen | bit & free  # an inert reveal leaves chosen as it is
+            if grown not in fits:
+                fits[grown] = any(grown & target == grown for target in targets)
+            if fits[grown]:
+                prefix.append(bit.bit_length())
+                yield from walk(revealed | bit, grown)
+                prefix.pop()
 
-    orders: list[tuple[int, ...]] = []
-    prefix: list[int] = []
-    # One iterator over the remaining reveals per prefix on the current path.
-    stack = [reveals(0, 0)]
-    while stack and len(orders) != limit:
-        for bit, revealed, chosen in stack[-1]:
-            prefix.append(bit.bit_length())
-            stack.append(reveals(revealed, chosen))
-            break
-        else:  # no reveal left to try from this prefix
-            if len(prefix) == graph.n:
-                orders.append(tuple(prefix))
-            stack.pop()
-            del prefix[-1:]  # already empty when the root is done
-    return orders
+    return list(itertools.islice(walk(0, 0), limit))

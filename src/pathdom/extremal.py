@@ -18,10 +18,10 @@ of the path instead, each weighted by its number of orders.
 
 Inversion maps the worst-case orders of odd n onto the weakly alternating
 permutations, and complementation maps those onto the ones with no even
-local maximum.  Both bijections are stated on up/down words, where the
-pattern is every_even_vertex_has; its other form, the rank recursion over
-up/down steps (Niven 1968; de Bruijn 1970), counts its permutations in
-O(n^2) additions.
+local maximum.  The inversion bijection is stated on up/down words, where
+the pattern is every_even_vertex_has; its other form, the rank recursion
+over up/down steps (Niven 1968; de Bruijn 1970), counts the permutations of
+both patterns in O(n^2) additions.
 """
 
 from __future__ import annotations
@@ -228,20 +228,19 @@ def up_down_words(n: int, *, force: bool = False) -> np.ndarray:
     return letters.T
 
 
-def every_even_vertex_has(words: np.ndarray, earlier: bool) -> np.ndarray:
+def every_even_vertex_has(words: np.ndarray) -> np.ndarray:
     """True for the up/down words in which every even vertex j has a
-    neighbour revealed earlier than j (later, when not `earlier`): on the
-    word of an order, the order's inverse is weakly alternating (has no even
-    local maximum).  Letter j - 2 is up when j is revealed after j - 1, and
-    letter j - 1 when j + 1 is revealed after j.
+    neighbour revealed earlier than j: on the word of an order, the order's
+    inverse is weakly alternating.  Letter j - 2 is up when j is revealed
+    after j - 1, and letter j - 1 when j + 1 is revealed after j.
     """
     import numpy as np
 
     holds = np.ones(len(words), dtype=bool)
     for i in range(0, words.shape[1], 2):  # letters i and i + 1 flank vertex i + 2
-        has = words[:, i] == earlier
+        has = words[:, i]
         if i + 1 < words.shape[1]:
-            has |= words[:, i + 1] != earlier
+            has = has | ~words[:, i + 1]
         holds &= has
     return holds
 
@@ -308,29 +307,6 @@ def word_census(n: int, *, force: bool = False) -> tuple[int, ...]:
     sizes = gamma_batch_path(n, words)
     counts = orders_per_word(words)
     return tuple(int(counts[sizes == size].sum()) for size in range(worst + 1))
-
-
-class ExtremalReport(NamedTuple):
-    """Result of one extremal count: how many orders hit the bound, and how."""
-
-    n: int
-    bound_kind: str  # "worst" | "best"
-    extremal_size: int
-    count: int
-    method: str
-    witnesses: tuple[tuple[int, ...], ...] = ()
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "n": self.n,
-            "bound_kind": self.bound_kind,
-            "extremal_size": self.extremal_size,
-            "count": str(self.count),
-            "method": self.method,
-        }
-        if self.witnesses:
-            out["witnesses"] = [list(w) for w in self.witnesses]
-        return out
 
 
 def extremal_permutations(
@@ -484,7 +460,7 @@ def weakly_alternating_permutations(
     for _ in range(0, math.factorial(n), PERMUTATION_ROWS):
         block = np.fromiter(itertools.islice(entries, PERMUTATION_ROWS * n), np.uint8)
         block = block.reshape(-1, n)
-        holds = every_even_vertex_has(block[:, 1:] > block[:, :-1], earlier=True)
+        holds = every_even_vertex_has(block[:, 1:] > block[:, :-1])
         found += map(tuple, block[holds].tolist())
     return found
 

@@ -10,6 +10,8 @@ Core claims:
     - On the path, orders with one up/down word give one final set.
     - The exhaustive engine agrees with a plain loop over every order, and
       with the (revealed, chosen) engine it replaced past the loop's reach.
+    - The final sets reachable from a reveal prefix are those that contain
+      its chosen set.
 """
 
 import itertools
@@ -37,12 +39,7 @@ from pathdom import (
     star,
     wheel,
 )
-from pathdom.domination import (
-    SIZE_ROWS,
-    PackedWords,
-    _closed_neighborhoods,
-    _reachable_sizes,
-)
+from pathdom.domination import SIZE_ROWS, PackedWords
 from pathdom.graphs import _build
 
 
@@ -399,6 +396,22 @@ class TestExhaustiveEngine:
         with pytest.raises(ValueError):
             orders_with_size(path(7), 4, limit=-1)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_final_sets_reachable_from_a_prefix_contain_its_chosen_set(self, data):
+        # The invariant orders_with_size walks by: every completion of a prefix
+        # ends in a final set holding the prefix's chosen set, and each such
+        # final set is reached by some completion.
+        graph = data.draw(_explicit_graphs())
+        order = data.draw(st.permutations(graph.vertices))
+        prefix = order[: data.draw(st.integers(0, graph.n))]
+        chosen = run_online_domination(graph, order).chosen_set & set(prefix)
+        reached = {
+            run_online_domination(graph, [*prefix, *rest]).chosen_set
+            for rest in itertools.permutations(order[len(prefix):])
+        }
+        assert reached == {s for s in final_set_counts(graph) if chosen <= s}
+
 
 def _final_set_counts_by_revealed_sets(graph):
     """The reference: the engine keyed by (revealed, chosen) vertex bitmasks,
@@ -439,10 +452,3 @@ class TestChosenSetEngine:
         counts = final_set_counts(graph)
         assert counts == _final_set_counts_by_revealed_sets(graph)
         assert sum(counts.values()) == math.factorial(graph.n)
-
-    def test_reachable_sizes_reads_back_what_it_memoises(self):
-        graph = path(6)
-        closed, full = _closed_neighborhoods(graph, False), (1 << 6) - 1
-        memo = {}
-        assert _reachable_sizes(0, closed, full, memo) == 1 << 2 | 1 << 3
-        assert _reachable_sizes(0, closed, full, dict.fromkeys(memo, 0)) == 0

@@ -526,12 +526,12 @@ class TestPermutationPredicates:
     @example([2, 1])
     def test_word_predicate_matches_the_permutation_forms(self, perm):
         word = _word_of(perm)
-        holds = extremal.every_even_vertex_has(word, earlier=True)
+        holds = extremal.every_even_vertex_has(word)
         assert holds.tolist() == [is_weakly_alternating(perm)]
         assert _word_of(complement(perm)).tolist() == (~word).tolist()
-        flipped = extremal.every_even_vertex_has(~word, earlier=False)
-        assert flipped.tolist() == [has_no_even_local_maxima(complement(perm))]
-        assert extremal.every_even_vertex_has(word, earlier=False).tolist() == [
+        # the complement's word is ~word, and the predicate on ~(~word) is holds
+        assert holds.tolist() == [has_no_even_local_maxima(complement(perm))]
+        assert extremal.every_even_vertex_has(~word).tolist() == [
             has_no_even_local_maxima(perm)
         ]
 

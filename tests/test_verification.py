@@ -51,6 +51,21 @@ def test_size_flipped_on_one_word_fails_at_its_n(monkeypatch):
     assert "inverse weakly alternating=1," in result.detail
 
 
+def test_predicate_flipped_on_one_word_fails_at_its_n(monkeypatch):
+    real = extremal.every_even_vertex_has
+
+    def flipped(words):
+        holds = real(words)
+        if words.shape[1] == 12:
+            holds[0] = not holds[0]
+        return holds
+
+    monkeypatch.setattr(extremal, "every_even_vertex_has", flipped)
+    result = V.check_inverse_bijection()
+    assert not result.passed
+    assert result.detail.startswith("n=13:"), result.detail
+
+
 def test_word_count_off_by_one_fails_at_its_n(monkeypatch):
     real = extremal.orders_per_word
 
