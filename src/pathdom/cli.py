@@ -5,14 +5,21 @@ sizes), extremal (worst/best-case counts), series (EGF count table),
 sample (Monte Carlo), verify (the cross-validation suite).
 
 Exit codes: 0 success, 1 invalid input, 2 verification/consistency
-failure, 3 resource-guard refusal.
+failure, 3 resource-guard refusal.  A failed write or flush of the output
+is invalid input too: exit 1 with an `error:` line.  The console script
+and `python -m pathdom` run `entry`, which flushes both streams once `main`
+returns and ends the process with `os._exit`.  That skips the
+interpreter's teardown, which frees every module and object one by one
+where the exit releases them all at once.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
+import os
 import sys
 import time
 from typing import TYPE_CHECKING
@@ -516,4 +523,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError as exc:
+            if code != EXIT_INVALID:  # else main has printed its error line
+                code = EXIT_INVALID
+                with contextlib.suppress(OSError):
+                    print(f"error: {exc}", file=sys.stderr, flush=True)
+    os._exit(code)

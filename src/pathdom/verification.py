@@ -168,22 +168,61 @@ def check_expectation_oracle() -> CheckResult:
 
 
 def check_asymptotic_constant() -> CheckResult:
-    """Per-vertex expectation approaches (e^2 - 1)/(2 e^2) = 0.4323..."""
+    """E(n) = ((n+1) - (n+3)e^-2)/2 + r_n with |r_n| <= 2^(n+1)/(n+2)!.
+
+    Proof, from the closed form E(n) = (n+1)/2 - S_n/2 with
+    S_n = sum_{j<=n} (n+1-j)(-2)^j/j!: over all j >= 0 the sum is
+    (n+1)e^-2 - sum_j j(-2)^j/j! = (n+1)e^-2 + 2e^-2 = (n+3)e^-2, so
+    r_n = (1/2) sum_{j>n} (n+1-j)(-2)^j/j!.  Its j = n+1 term is 0; at
+    j = n+2+k the terms alternate in sign with sizes
+    a_k = (k+1) 2^(n+2+k)/(n+2+k)!, and a_(k+1)/a_k =
+    2(k+2)/((k+1)(n+3+k)) <= 1 for n >= 1.  An alternating tail whose
+    terms do not grow is at most its first term, so |r_n| <= a_0/2.
+
+    For n = 1..200 the check holds |E(n) - ((n+1) - (n+3)e^-2)/2| to
+    2^(n+2)/(n+2)!, twice that bound, on the prefix the other checks read.
+    The other half is room for e^-2, known only between the partial sums
+    L and U of sum_k (-2)^k/k! to k = K and K+1 (K = 210): the tested
+    quantity is linear in e^-2, so holding at L and at U it holds at e^-2,
+    and (n+3)/2 times the bracket's width 2^(K+1)/(K+1)! is far below
+    2^(n+1)/(n+2)!.  Both sides are multiplied through by 2 q (K+1)!, q the
+    denominator of E(n), so the test compares integers and no float
+    enters.  The float recurrence at n = 10000 must match the same form to
+    1e-12 relative.
+    """
     name = "asymptotic-constant"
-    n_large, tol = 10_000, 1e-3
-    limit = expectation.expected_gamma_limit()
-    gap = abs(expectation.expected_gamma_path_float(n_large) / n_large - limit)
-    if gap >= tol:
-        return CheckResult(
-            name, False, f"|E(n)/n - limit| = {gap:.2e} at n={n_large}, tolerance {tol}"
-        )
-    cases = [
-        ("limit", {"computed": limit, "(1 - e^-2)/2": 0.5 - 0.5 * math.exp(-2.0)}),
-        ("leading digits", {"computed": f"{limit:.10f}"[:6], "expected": "0.4323"}),
-    ]
+    n_float, tol = 10_000, 1e-12
+    form = ((n_float + 1) - (n_float + 3) * math.exp(-2.0)) / 2
+    gap = abs(expectation.expected_gamma_path_float(n_float) / form - 1)
+    if gap > tol:
+        return CheckResult(name, False, f"float E({n_float}) is {gap:.2e} relative "
+                           f"off ((n+1) - (n+3)e^-2)/2, tolerance {tol}")
+    closed_max, K = 200, 210
+    prefix = _tally(expectation.expected_gamma_path_prefix, closed_max)
+    scale = math.factorial(K + 1)  # L, U and every bound below are over this
+    low = 1  # sum_{k<=m} (-2)^k m!/k!, by Horner's rule, to m = K
+    for m in range(1, K + 1):
+        low = m * low + (-2) ** m
+    low *= K + 1
+    width = (-2) ** (K + 1)  # U - L, times scale
+
+    def cases() -> Iterator[Case]:
+        spare = scale // 2  # scale / (n+2)! once divided at the top of step n
+        for n in range(1, closed_max + 1):
+            spare //= n + 2
+            p, q = prefix[n].numerator, prefix[n].denominator
+            # 2 q scale (E(n) - ((n+1) - (n+3)c)/2) at c = L and c = U,
+            # against 2 q scale 2^(n+2)/(n+2)!
+            at_low = (2 * p - (n + 1) * q) * scale + (n + 3) * q * low
+            at_high = at_low + (n + 3) * q * width
+            bound = q * spare << (n + 3)
+            held = abs(at_low) <= bound and abs(at_high) <= bound
+            yield f"n={n}", {"within 2^(n+2)/(n+2)!": held, "expected": True}
+
     return _agree(
-        name, cases,
-        f"limit=0.4323..., |E({n_large})/{n_large} - limit| = {gap:.2e} < {tol}",
+        name, cases(),
+        f"|E(n) - ((n+1) - (n+3)e^-2)/2| <= 2^(n+2)/(n+2)! for n<={closed_max} "
+        f"(exact, e^-2 bracketed); float E({n_float}) off by {gap:.1e} <= {tol} relative",
     )
 
 

@@ -6,6 +6,7 @@ and every derived family formula must match its own brute force.  Frozen
 small values below were computed by exhaustive simulation.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -100,10 +101,22 @@ class TestClosedForm:
 
 
 class TestAsymptotics:
-    def test_algebraic_identity(self):
-        import math
+    @pytest.mark.parametrize("n", range(4, 16))
+    def test_two_constant_form_within_its_factorial_tail(self, n):
+        # E(n) = ((n+1) - (n+3)e^-2)/2 + r_n, |r_n| <= 2^(n+1)/(n+2)!; moving
+        # either constant by one moves the form by 1/2 or e^-2/2, past the tail
+        tail = 2 ** (n + 1) / math.factorial(n + 2) + 1e-12
+        value = float(expected_gamma_path(n))
+        e2 = math.exp(-2)
+        assert abs(value - ((n + 1) - (n + 3) * e2) / 2) <= tail
+        assert abs(value - (n - (n + 3) * e2) / 2) > tail
+        assert abs(value - ((n + 1) - (n + 2) * e2) / 2) > tail
 
-        assert expected_gamma_limit() == 0.5 - 0.5 * math.exp(-2)
+    @pytest.mark.parametrize("n", [100, 1000, 10_000])
+    def test_per_vertex_gap_is_its_first_order_term(self, n):
+        # E(n)/n - (1 - e^-2)/2 = (1 - 3e^-2)/(2n) up to the factorial tail
+        gap = expected_gamma_path_float(n) / n - expected_gamma_limit()
+        assert n * gap == pytest.approx((1 - 3 * math.exp(-2)) / 2, rel=1e-9)
 
     def test_four_place_prefix(self):
         assert f"{expected_gamma_limit():.10f}".startswith("0.4323")

@@ -1,5 +1,7 @@
 """The verification checks: each fails at the first case whose routes split."""
 
+from fractions import Fraction
+
 import pytest
 
 from pathdom import expectation, extremal, series
@@ -160,7 +162,8 @@ def test_each_census_is_computed_once(monkeypatch):
         )
     for check in (V.check_worst_case_counts, V.check_best_case_counts,
                   V.check_expectation_oracle, V.check_convolution,
-                  V.check_inverse_bijection, V.check_caro_wei):
+                  V.check_inverse_bijection, V.check_caro_wei,
+                  V.check_asymptotic_constant):
         assert check().passed
     assert sorted(calls) == sorted(
         [("path_census", n) for n in range(1, V.BRUTE_MAX + 1)]
@@ -179,3 +182,33 @@ def test_convolution_check_builds_the_egf_table_once(monkeypatch):
     )
     assert V.check_convolution().passed
     assert builds == [60]
+
+
+def test_expectation_moved_past_its_tail_bound_fails_at_its_n(monkeypatch):
+    # the bound at n = 60 is 2^62/62!, about 1.5e-67
+    real = expectation.expected_gamma_path_prefix
+
+    def shifted(n, **kwargs):
+        values = list(real(n, **kwargs))
+        values[60] += Fraction(1, 10**9)
+        return tuple(values)
+
+    monkeypatch.setattr(expectation, "expected_gamma_path_prefix", shifted)
+    result = V.check_asymptotic_constant()
+    assert not result.passed
+    assert result.detail.startswith("n=60:")
+
+
+def test_float_recurrence_off_the_form_fails(monkeypatch):
+    real = expectation.expected_gamma_path_float
+    monkeypatch.setattr(expectation, "expected_gamma_path_float",
+                        lambda n: real(n) * (1 + 1e-11))
+    result = V.check_asymptotic_constant()
+    assert not result.passed
+    assert result.detail.startswith("float E(10000)")
+
+
+def test_asymptotic_check_names_its_range_and_tolerance():
+    result = V.check_asymptotic_constant()
+    assert result.passed, result.detail
+    assert "2^(n+2)/(n+2)! for n<=200" in result.detail
