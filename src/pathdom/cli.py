@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
-import json
 import os
 import sys
 import time
@@ -42,6 +41,12 @@ NORMALIZATION_MODES = ("none", "per_vertex", "centered")
 
 def _rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
+
+
+def _json(doc: object) -> str:
+    import json  # here, so output in text or csv loads no json
+
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def _write(text: str, output: str | None) -> None:
@@ -237,7 +242,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             "chosen": list(outcome.chosen),
             "gamma": outcome.size,
         }
-        _write(json.dumps(doc, indent=2) + "\n", args.output)
+        _write(_json(doc), args.output)
     elif args.format == "csv":
         rows = ["position,vertex,added"]
         added = set(outcome.chosen)
@@ -297,7 +302,7 @@ def _cmd_expect(args: argparse.Namespace) -> int:
             "value": _rational(value),
             "float": float(value),
         }
-        _write(json.dumps(doc, indent=2) + "\n", args.output)
+        _write(_json(doc), args.output)
     elif args.format == "csv":
         _write(
             "family,method,value\n"
@@ -363,8 +368,7 @@ def _cmd_extremal(args: argparse.Namespace) -> int:
             if witnesses:
                 doc["witnesses"] = [list(w) for w in witnesses]
             docs.append(doc)
-        _write(json.dumps(docs[0] if len(docs) == 1 else docs, indent=2) + "\n",
-               args.output)
+        _write(_json(docs[0] if len(docs) == 1 else docs), args.output)
     elif args.format == "csv":
         rows = ["n,bound_kind,extremal_size,count,method"]
         rows += [f"{n},{kind},{size},{count},{method}" for method, count, _ in reports]
@@ -396,7 +400,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
             {"n": n, "odd_config": str(d), "worst_case": str(f)}
             for n, (d, f) in enumerate(zip(odd_config, worst))
         ]
-        _write(json.dumps(docs, indent=2) + "\n", args.output)
+        _write(_json(docs), args.output)
     else:
         rows = ["n,odd_config,worst_case"]
         rows += [f"{n},{d},{f}" for n, (d, f) in enumerate(zip(odd_config, worst))]
@@ -424,7 +428,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             doc["normalized"] = [
                 [x, w] for x, w in montecarlo.normalize(hist, args.normalization)
             ]
-        _write(json.dumps(doc, indent=2) + "\n", args.output)
+        _write(_json(doc), args.output)
         return EXIT_OK
     if args.plot_data:
         if args.normalization == "none":
@@ -437,7 +441,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             f"{size},{count}" for size, count in hist.bins.items()
         )
     _write(body + "\n", args.output)
-    sidecar = json.dumps(meta, indent=2) + "\n"
+    sidecar = _json(meta)
     if args.output:
         with open(args.output + ".json", "w", encoding="utf-8") as handle:
             handle.write(sidecar)
@@ -453,7 +457,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         docs = [
             {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
         ]
-        _write(json.dumps(docs, indent=2) + "\n", args.output)
+        _write(_json(docs), args.output)
     elif args.format == "csv":
         import csv  # only here, so the other commands import no more
 
