@@ -6,7 +6,7 @@ sample (Monte Carlo), verify (the cross-validation suite).
 
 Exit codes: 0 success, 1 invalid input, 2 verification/consistency
 failure, 3 resource-guard refusal.  A failed write or flush of the output
-is invalid input too: exit 1 with an `error:` line.  The console script
+also exits 1, with an `error:` line.  The console script
 and `python -m pathdom` run `entry`, which flushes both streams once `main`
 returns and ends the process with `os._exit`.  That skips the
 interpreter's teardown, which frees every module and object one by one

@@ -208,7 +208,7 @@ def test_float_recurrence_off_the_form_fails(monkeypatch):
     assert result.detail.startswith("float E(10000)")
 
 
-def test_asymptotic_check_names_its_range_and_tolerance():
+def test_asymptotic_check_passes_and_names_its_range():
     result = V.check_asymptotic_constant()
     assert result.passed, result.detail
     assert "2^(n+2)/(n+2)! for n<=200" in result.detail
