@@ -133,8 +133,17 @@ def _add_family_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--edges", help="explicit edge list, e.g. 1-2,2-3")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose messages, --help and --version among them,
+    raise the OSError of a failed write, which argparse's own swallows."""
+
+    def _print_message(self, message: str, file=None) -> None:
+        if message:
+            (file or sys.stderr).write(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pathdom",
         description="Online domination of paths: simulation, exact expectations, "
         "extremal counts, generating functions, Monte Carlo sampling.",
@@ -328,7 +337,9 @@ def _extremal_reports(args: argparse.Namespace) -> tuple[int, list[tuple]]:
 
     def brute():
         census = extremal.path_census(n, force=force)
-        witnesses = extremal.extremal_permutations(n, kind, args.witnesses, force=force)
+        witnesses = extremal.extremal_permutations(
+            n, kind, args.witnesses, force=force, census=census
+        )
         return census.size_counts[size], witnesses
 
     def egf():
@@ -493,6 +504,9 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors and 0 for --help/--version
         code = exc.code if isinstance(exc.code, int) else EXIT_INVALID
         return EXIT_OK if code == 0 else EXIT_INVALID
+    except OSError as exc:  # the help, version or usage text could not be written
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     from .errors import ConsistencyError, ResourceLimitError
     # Exact results run past the interpreter's int-to-string limit (4300
     # digits by default, where the interpreter has one), e.g. the expected

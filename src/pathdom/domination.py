@@ -16,8 +16,9 @@ the vectorized path evaluator gamma_batch_path.  On the path the final
 set depends only on the up/down word of an order, which vertex of each
 neighbouring pair is revealed later, so gamma_batch_path takes that word,
 as booleans or already packed as a PackedWords (the sampler packs its
-reveal-key comparisons straight into one), and runs both end scans of the
-path in one loop over it, bit-packed across samples.  The loop is a
+reveal-key comparisons straight into one, and the word routes write one
+from integer word codes), and runs both end scans of the path in one loop
+over it, bit-packed across samples.  The loop is a
 segmented scan (Blelloch, "Prefix sums and their applications", 1990):
 SEGMENTS blocks of rows advance together, one bitwise call a block row,
 each starting as if the vertex before it were free; P, the running AND of
@@ -41,6 +42,7 @@ if TYPE_CHECKING:
     from .graphs import Graph
 
 SIZE_ROWS = 128  # rows packed, and chosen rows summed, at a time; at most 255 (uint8 sums)
+SIZE_BYTES = 512  # packed bytes of a row summed at a time: 4096 samples, one sampler chunk
 SEGMENTS = 16  # blocks of scan rows that gamma_batch_path advances together
 
 
@@ -157,6 +159,25 @@ class PackedWords:
         table[0] = 0xFF
         return cls(table, count)
 
+    @classmethod
+    def from_codes(cls, n: int, codes: np.ndarray) -> PackedWords:
+        """The words of the n-path given as integer codes, letter j of a
+        word as bit j of its code: word i of extremal.up_down_words is code i."""
+        import numpy as np
+
+        codes = np.asarray(codes)
+        words = cls.empty(n, len(codes))
+        letters = words.table[:, : -(-len(codes) // 8)]
+        little = codes.astype(codes.dtype.newbyteorder("<"), copy=False)
+        columns = little.view(np.uint8).reshape(len(codes), -1)  # byte j of each code
+        column, bit = np.empty((2, len(codes)), dtype=np.uint8)
+        for v in range(1, n):  # row v holds letter v - 1: bit (v - 1) % 8 of a byte
+            if v % 8 == 1:
+                np.copyto(column, columns[:, v // 8])
+            np.right_shift(column, (v - 1) % 8, out=bit)
+            letters[v] = np.packbits(np.bitwise_and(bit, 1, out=bit).view(bool))
+        return words
+
     def __len__(self) -> int:
         return self.count
 
@@ -168,9 +189,10 @@ def gamma_batch_path(n: int, later: np.ndarray | PackedWords) -> np.ndarray:
     later[i, v-1] is true when vertex v+1 is revealed after vertex v, such as
     times[:, 1:] > times[:, :-1] for reveal times with no tie between
     neighbours.  later may also be a PackedWords of k words, evaluated in
-    its own table, which it overwrites.  Returns the k sizes; row i matches
-    gamma(path(n), order) for any order with that word.  With n = 1 the
-    word is empty and every size is 1.
+    its own table, which it overwrites; PackedWords.from_codes writes one
+    from integer word codes, so a whole word list needs no boolean table.
+    Returns the k sizes; row i matches gamma(path(n), order) for any order
+    with that word.  With n = 1 the word is empty and every size is 1.
 
     A neighbour revealed earlier is settled by its far side alone, so a
     scan from each end gives every vertex's status against that side, and
@@ -198,7 +220,10 @@ def gamma_batch_path(n: int, later: np.ndarray | PackedWords) -> np.ndarray:
     of true steps, as in the all-up and all-down words, can cross a whole
     segment and change its last row.  The rows past SEGMENTS * L, every row
     when n < 33, take one ufunc call each.  Letters of a boolean word are
-    packed, and the sizes summed, SIZE_ROWS rows at a time.
+    packed SIZE_ROWS rows at a time.  The sizes are summed in blocks of
+    SIZE_ROWS rows by SIZE_BYTES bytes, 8 * SIZE_BYTES samples, so the bits
+    unpacked at once take SIZE_ROWS * 8 * SIZE_BYTES bytes (512 KiB) at
+    most, whatever k is; a sampler chunk is one block wide.
     """
     import numpy as np
 
@@ -243,9 +268,13 @@ def gamma_batch_path(n: int, later: np.ndarray | PackedWords) -> np.ndarray:
         combine[v & 1](t[v], t[v - 1], out=t[v])
     np.invert(t[1::2], out=t[1::2])
     sizes = np.zeros(k, dtype=np.intp)
-    for top in range(0, n, SIZE_ROWS):
-        chosen = t[top : top + SIZE_ROWS, :w] & t[::-1, w:][top : top + SIZE_ROWS]
-        sizes += np.unpackbits(chosen, axis=1, count=k).sum(axis=0, dtype=np.uint8)
+    right = t[::-1, w:]  # the right scan, in vertex order
+    for left in range(0, w, SIZE_BYTES):
+        cols = slice(left, min(left + SIZE_BYTES, w))
+        block = sizes[8 * left : 8 * cols.stop]
+        for top in range(0, n, SIZE_ROWS):  # no name keeps the unpacked bits alive
+            chosen = t[top : top + SIZE_ROWS, cols] & right[top : top + SIZE_ROWS, cols]
+            block += np.unpackbits(chosen, axis=1, count=block.size).sum(0, dtype=np.uint8)
     return sizes
 
 
@@ -314,7 +343,8 @@ def final_set_counts(graph: Graph, *, force: bool = False) -> dict[frozenset[int
 
 
 def orders_with_size(
-    graph: Graph, size: int, limit: int | None = None, *, force: bool = False
+    graph: Graph, size: int, limit: int | None = None, *, force: bool = False,
+    final_sets: Iterable[frozenset[int]] | None = None,
 ) -> list[tuple[int, ...]]:
     """Revelation orders whose final dominating set has `size` vertices.
 
@@ -325,7 +355,9 @@ def orders_with_size(
     its vertices outside C lies outside N[C], is hidden, and joins when it is
     revealed next.  A depth-first walk over reveal prefixes therefore enters
     a prefix only when its chosen set lies inside a final set of that size,
-    and every branch ends in a listed order.
+    and every branch ends in a listed order.  A caller that holds the final
+    sets of the forward pass, the keys of final_set_counts(graph), passes
+    them as final_sets, and the pass is not run again.
     """
     if limit is not None and limit < 0:
         raise ValueError("limit must be nonnegative")
@@ -333,9 +365,11 @@ def orders_with_size(
     if limit == 0:
         return []
     full = (1 << graph.n) - 1
+    if final_sets is None:
+        final_sets = final_set_counts(graph, force=force)
     targets = [
         sum(1 << (v - 1) for v in final_set)
-        for final_set in final_set_counts(graph, force=force)
+        for final_set in final_sets
         if len(final_set) == size
     ]
     fits: dict[int, bool] = {}  # chosen set -> lies inside some target

@@ -14,10 +14,11 @@ DEFAULT_BRUTE_CAP = 11
 EXACT_COUNT_CAP = 1000
 EXACT_PATH_CAP = 20000
 
-# The up/down-word routes on the path list all 2^(n-1) words, n - 1 bytes
-# each, and are refused above WORD_LIST_CAP (an odd-n sweep through 21 peaks
-# near 94 MB).  The word census also keeps an int64 rank table of n counts
-# per word, so it stops earlier: about 77 MB of RSS at n = 18, 139 MB at 19.
+# The up/down-word routes on the path list all 2^(n-1) words as 4-byte codes
+# and are refused above WORD_LIST_CAP (an odd-n sweep through 21 peaks near
+# 49 MB of RSS, 28 MB of it numpy).  The word census also keeps an int64
+# count and a size per word, so it stops earlier: about 33 MB of RSS at
+# n = 18, 38 MB at 19.
 WORD_LIST_CAP = 21
 WORD_CENSUS_CAP = 18
 

@@ -14,7 +14,8 @@ realized worst-case sets with multiplicities.  extremal_permutations lists
 extremal orders lexicographically, up to an optional limit, through the
 same engine, under its guard; extremal_size maps a bound to its set size.
 The word census gets the size distribution from the 2^(n-1) up/down words
-of the path instead, each weighted by its number of orders.
+of the path instead, each weighted by its number of orders; a whole word
+list is held as integer codes, word i as code i with letter j as bit j.
 
 Inversion maps the worst-case orders of odd n onto the weakly alternating
 permutations, and complementation maps those onto the ones with no even
@@ -42,7 +43,7 @@ if TYPE_CHECKING:
     from .graphs import Graph
 
 SUBSET_SEARCH_CAP = 18
-WORD_ROWS = 1 << 15  # words gathered at a time by orders_per_word; n <= 16 is one block
+WORD_ROWS = 1 << 12  # words gathered at a time by orders_per_word
 # The weak-alternation listing scans all n! orders (about 2 s at n = 10).
 PERMUTATION_SCAN_CAP = 10
 PERMUTATION_ROWS = 1 << 16  # orders tested at a time by that scan
@@ -136,7 +137,13 @@ class PathCensus(NamedTuple):
 
     n: int
     size_counts: tuple[int, ...]  # index = dominating-set size
-    worst_set_counts: dict[frozenset[int], int]  # realized worst-case sets
+    final_set_counts: dict[frozenset[int], int]  # every realized final set
+
+    @property
+    def worst_set_counts(self) -> dict[frozenset[int], int]:
+        """The realized worst-case sets."""
+        worst = self.worst_size
+        return {s: c for s, c in self.final_set_counts.items() if len(s) == worst}
 
     @property
     def total(self) -> int:
@@ -192,15 +199,7 @@ def path_census(n: int, *, force: bool = False) -> PathCensus:
     size_counts = [0] * (worst + 1)
     for vertex_set, count in final_sets.items():
         size_counts[len(vertex_set)] += count
-    return PathCensus(
-        n=n,
-        size_counts=tuple(size_counts),
-        worst_set_counts={
-            vertex_set: count
-            for vertex_set, count in final_sets.items()
-            if len(vertex_set) == worst
-        },
-    )
+    return PathCensus(n=n, size_counts=tuple(size_counts), final_set_counts=final_sets)
 
 
 # ---------------------------------------------------------------------------
@@ -213,41 +212,43 @@ def path_census(n: int, *, force: bool = False) -> PathCensus:
 
 
 def up_down_words(n: int, *, force: bool = False) -> np.ndarray:
-    """Every up/down word of the n-path, shape (2^(n-1), n - 1), in the
-    layout of gamma_batch_path: letter j of word i is bit j of i, true when
-    vertex j + 2 is revealed after vertex j + 1."""
+    """Every up/down word of the n-path as its integer code, 2^(n-1) uint32
+    codes: word i is code i, and letter j of a word, bit j of its code, is
+    true when vertex j + 2 is revealed after vertex j + 1.
+    PackedWords.from_codes lays the codes out for gamma_batch_path."""
     if n < 1:
         raise ValueError("n must be positive")
     check_cap(n, WORD_LIST_CAP, force, "up/down word listing")
     import numpy as np
 
-    codes = np.arange(1 << (n - 1), dtype=np.uint32)
-    letters = np.empty((n - 1, codes.size), dtype=bool)  # one row per letter
-    for j in range(n - 1):
-        letters[j] = codes >> j & 1
-    return letters.T
+    return np.arange(1 << (n - 1), dtype=np.uint32)
 
 
-def every_even_vertex_has(words: np.ndarray) -> np.ndarray:
-    """True for the up/down words in which every even vertex j has a
-    neighbour revealed earlier than j: on the word of an order, the order's
-    inverse is weakly alternating.  Letter j - 2 is up when j is revealed
-    after j - 1, and letter j - 1 when j + 1 is revealed after j.
+def every_even_vertex_has(codes: np.ndarray, letters: int) -> np.ndarray:
+    """True for the up/down words, given as codes of `letters` letters, in
+    which every even vertex j has a neighbour revealed earlier than j: on the
+    word of an order, the order's inverse is weakly alternating.
+
+    Letter j - 2 is up when j is revealed after j - 1, and letter j - 1 when
+    j + 1 is revealed after j, so the word fails at vertex j = i + 2, for
+    even i, when bit i is down and bit i + 1 up.  A last vertex that is even
+    has no letter after it, and fails when its bit i is down.  Two masks test
+    every even vertex at once: the even bits, and the last bit when it is even.
     """
     import numpy as np
 
-    holds = np.ones(len(words), dtype=bool)
-    for i in range(0, words.shape[1], 2):  # letters i and i + 1 flank vertex i + 2
-        has = words[:, i]
-        if i + 1 < words.shape[1]:
-            has = has | ~words[:, i + 1]
-        holds &= has
-    return holds
+    codes = np.asarray(codes)
+    even = sum(1 << i for i in range(0, letters, 2))
+    last = 1 << (letters - 1) if letters % 2 else 0  # read as if an up letter followed
+    needs = codes >> 1  # bit i: letter i + 1 is up, so vertex i + 2 needs letter i up
+    needs |= last
+    needs &= even
+    return (needs & codes) == needs
 
 
-def orders_per_word(words: np.ndarray) -> np.ndarray:
-    """Number of orders with each up/down word, by the rank recursion met in
-    the middle.
+def orders_per_word(codes: np.ndarray, letters: int) -> np.ndarray:
+    """Number of orders with each up/down word, given as codes of `letters`
+    letters, by the rank recursion met in the middle.
 
     Entry r of the forward table counts the orders of the prefix so far whose
     last reveal time has rank r among the prefix; an up letter maps it to sums
@@ -255,40 +256,38 @@ def orders_per_word(words: np.ndarray) -> np.ndarray:
     linear in that table, so the L letters split at h = L // 2: the table F
     after the first h letters is dotted with a table B run back from ones of
     length L + 1 by the transposed step (up: sums above r; down: sums up to r).
-    Each table is built once per distinct half, found by its integer code, so
-    k words cost O(k L + 2^ceil(L/2) L^2) rather than O(k L^2).  Every term is
-    at most n!, so int64 is exact while n <= 20; longer words, and the codes
-    of their halves, are counted in Python ints.  The halves' rows are
-    gathered and dotted WORD_ROWS words at a time.
+    A word's halves are its code's low h bits and the rest, and each table is
+    built once per distinct half, found by marking the halves' codes in a
+    table of 2^ceil(L/2) flags, not by sorting; so k words cost
+    O(k L + 2^ceil(L/2) L^2) rather than O(k L^2).  Every term is at most
+    n!, so int64 is exact while n <= 20; longer words are counted in Python
+    ints.  The halves' rows are gathered and dotted WORD_ROWS words at a time.
     """
     import numpy as np
 
-    words = np.asarray(words, dtype=bool)
-    letters = words.shape[1]
+    def distinct(halves: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+        seen = np.zeros(size, dtype=bool)
+        seen[halves] = True
+        return np.flatnonzero(seen), (np.cumsum(seen) - 1)[halves]
+
+    codes = np.asarray(codes)
     dtype = np.int64 if letters < 20 else object
-
-    def distinct(half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        codes = np.zeros(len(half), dtype)
-        for j, column in enumerate(half.T):
-            codes[column] |= 1 << j
-        _, first, which = np.unique(codes, return_index=True, return_inverse=True)
-        return half[first], which
-
-    heads, head_of = distinct(words[:, : letters // 2])
-    tails, tail_of = distinct(words[:, letters // 2 :])
+    cut = letters // 2
+    heads, head_of = distinct(codes & ((1 << cut) - 1), 1 << cut)
+    tails, tail_of = distinct(codes >> cut, 1 << (letters - cut))
     ahead = np.ones((len(heads), 1), dtype)
-    for j, up in enumerate(heads.T):
+    for j in range(cut):
         below = np.zeros((len(heads), j + 2), dtype)
         np.cumsum(ahead, axis=1, out=below[:, 1:])
         ahead = below[:, -1:] - below  # down: the new time is below the last
-        np.copyto(ahead, below, where=up[:, None])
+        np.copyto(ahead, below, where=(heads >> j & 1).astype(bool)[:, None])
     behind = np.ones((len(tails), letters + 1), dtype)
-    for up in tails.T[::-1]:
+    for j in reversed(range(letters - cut)):
         upto = np.cumsum(behind, axis=1)
         behind = upto[:, -1:] - upto[:, :-1]  # up: the next time is above
-        np.copyto(behind, upto[:, :-1], where=~up[:, None])
-    counts = np.empty(len(words), dtype)
-    for top in range(0, len(words), WORD_ROWS):  # einsum takes object arrays only from numpy 1.25
+        np.copyto(behind, upto[:, :-1], where=(tails >> j & 1 == 0)[:, None])
+    counts = np.empty(len(codes), dtype)
+    for top in range(0, len(codes), WORD_ROWS):  # einsum takes object arrays only from numpy 1.25
         rows = slice(top, top + WORD_ROWS)
         terms = ahead.take(head_of[rows], axis=0)
         terms *= behind.take(tail_of[rows], axis=0)
@@ -299,27 +298,35 @@ def orders_per_word(words: np.ndarray) -> np.ndarray:
 def word_census(n: int, *, force: bool = False) -> tuple[int, ...]:
     """Number of orders of the n-path per set size, indexed by size like
     PathCensus.size_counts, summed over the up/down words."""
-    from .domination import gamma_batch_path
+    from .domination import PackedWords, gamma_batch_path
 
     worst = extremal_size(n, "worst")  # refuses n < 1
     check_cap(n, WORD_CENSUS_CAP, force, "up/down word census")
-    words = up_down_words(n, force=force)
-    sizes = gamma_batch_path(n, words)
-    counts = orders_per_word(words)
+    codes = up_down_words(n, force=force)
+    sizes = gamma_batch_path(n, PackedWords.from_codes(n, codes))
+    counts = orders_per_word(codes, n - 1)
     return tuple(int(counts[sizes == size].sum()) for size in range(worst + 1))
 
 
 def extremal_permutations(
-    n: int, bound_kind: str, limit: int | None = None, *, force: bool = False
+    n: int, bound_kind: str, limit: int | None = None, *, force: bool = False,
+    census: PathCensus | None = None,
 ) -> list[tuple[int, ...]]:
     """Worst- or best-case orders in lexicographic order, at most `limit` of them.
 
     Without a limit every one is materialized, so memory scales with the count.
+    Given path_census(n), the listing walks inside its final sets and runs no
+    forward pass of its own.
     """
     from .domination import orders_with_size
 
     size = extremal_size(n, bound_kind)
-    return orders_with_size(_engine_path(n, force), size, limit, force=force)
+    if census is not None and census.n != n:
+        raise ValueError(f"the census is of n = {census.n}, not {n}")
+    final_sets = census.final_set_counts if census is not None else None
+    return orders_with_size(
+        _engine_path(n, force), size, limit, force=force, final_sets=final_sets
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +467,8 @@ def weakly_alternating_permutations(
     for _ in range(0, math.factorial(n), PERMUTATION_ROWS):
         block = np.fromiter(itertools.islice(entries, PERMUTATION_ROWS * n), np.uint8)
         block = block.reshape(-1, n)
-        holds = every_even_vertex_has(block[:, 1:] > block[:, :-1])
+        codes = (block[:, 1:] > block[:, :-1]) @ (1 << np.arange(n - 1))
+        holds = every_even_vertex_has(codes, n - 1)
         found += map(tuple, block[holds].tolist())
     return found
 

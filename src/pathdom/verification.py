@@ -25,6 +25,7 @@ from typing import Callable, Iterable, Iterator
 
 from . import expectation, extremal, graphs, montecarlo, series
 from .domination import (
+    PackedWords,
     gamma_batch_path,
     max_dominating_size,
     min_dominating_size,
@@ -338,9 +339,10 @@ def check_inverse_bijection() -> CheckResult:
 
     def cases() -> Iterator[Case]:
         for n in range(1, BIJECTION_WORD_MAX + 1, 2):
-            words = extremal.up_down_words(n)
-            worst = gamma_batch_path(n, words) == max_dominating_size(n)
-            alternating = extremal.every_even_vertex_has(words)
+            codes = extremal.up_down_words(n)
+            sizes = gamma_batch_path(n, PackedWords.from_codes(n, codes))
+            worst = sizes == max_dominating_size(n)
+            alternating = extremal.every_even_vertex_has(codes, n - 1)
             yield f"n={n}", {
                 "words: worst-case != inverse weakly alternating":
                     int(np.count_nonzero(worst != alternating)),
@@ -352,7 +354,7 @@ def check_inverse_bijection() -> CheckResult:
             }
             yield f"n={n}", {
                 "worst-case orders by words":
-                    int(extremal.orders_per_word(words[worst]).sum()),
+                    int(extremal.orders_per_word(codes[worst], n - 1).sum()),
                 "weakly alternating": alternating_counts[n],
             }
         for n in range(1, count_max + 1):

@@ -241,6 +241,33 @@ class TestExtremal:
         assert out.count("  witness ") == 2
 
     @pytest.mark.parametrize("method", ["brute", "all"])
+    @pytest.mark.parametrize("bound", ["worst", "best"])
+    def test_witnesses_reuse_the_census_forward_pass(self, capsys, monkeypatch, method,
+                                                     bound):
+        from pathdom import domination
+
+        calls = []
+        real = domination.final_set_counts
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(domination, "final_set_counts", counted)
+        code, out, _ = run(
+            capsys, "extremal", "--n", "8", "--bound", bound, "--method", method,
+            "--witnesses", "3",
+        )
+        assert code == 0
+        assert len(calls) == 1
+        # the witnesses of a listing that runs its own forward pass
+        size = extremal.extremal_size(8, bound)
+        orders = domination.orders_with_size(pathdom.path(8), size, 3)
+        assert out.splitlines()[-3:] == [
+            "  witness " + ",".join(map(str, order)) for order in orders
+        ]
+
+    @pytest.mark.parametrize("method", ["brute", "all"])
     def test_witnesses_with_csv_are_refused(self, capsys, method):
         # The csv row has no witness column, so the witnesses would be dropped.
         code, out, err = run(

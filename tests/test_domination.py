@@ -16,6 +16,7 @@ Core claims:
 
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from pathdom import (
     check_permutation,
     complete_multipartite,
     cycle,
+    domination,
     explicit,
     final_set_counts,
     gamma,
@@ -37,6 +39,7 @@ from pathdom import (
     path,
     run_online_domination,
     star,
+    up_down_words,
     wheel,
 )
 from pathdom.domination import SIZE_ROWS, PackedWords
@@ -310,6 +313,47 @@ class TestGammaBatch:
             run_online_domination(g, _an_order_with_word(word)).size
             for word in words.tolist()
         ]
+
+    @pytest.mark.parametrize("k", [1, 5, 8, 13, 300])  # k < 8, k % 8 != 0, several bytes
+    @pytest.mark.parametrize("n", [1, 2, 7, 40, 2 * SIZE_ROWS + 3])
+    def test_blocks_of_samples_give_the_whole_block_sizes(self, monkeypatch, n, k):
+        words = np.random.default_rng(1000 * n + k).random((k, n - 1)) < 0.5
+
+        def packed():
+            later = PackedWords.empty(n, k)
+            later.table[1:, : -(-k // 8)] = np.packbits(words.T, axis=1)
+            return later
+
+        whole = gamma_batch_path(n, words)
+        assert gamma_batch_path(n, packed()).tolist() == whole.tolist()
+        monkeypatch.setattr(domination, "SIZE_BYTES", 1)  # 8 samples a block
+        assert gamma_batch_path(n, words).tolist() == whole.tolist()
+        assert gamma_batch_path(n, packed()).tolist() == whole.tolist()
+        g = path(n)
+        assert whole.tolist() == [
+            run_online_domination(g, _an_order_with_word(word)).size
+            for word in words.tolist()
+        ]
+
+    def test_all_words_of_19_vertices_take_at_most_6_mib(self):
+        def traced_peak(evaluate):
+            tracemalloc.start()
+            try:
+                return evaluate(), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        n = 19
+        rows = (up_down_words(n)[:, None] >> np.arange(n - 1) & 1).astype(bool)
+        # codes, their packed table and the sizes
+        sizes, peak = traced_peak(
+            lambda: gamma_batch_path(n, PackedWords.from_codes(n, up_down_words(n)))
+        )
+        assert peak <= 6 * 2**20
+        from_rows, peak = traced_peak(lambda: gamma_batch_path(n, rows))  # rows given
+        assert peak <= 6 * 2**20
+        assert len(sizes) == 2 ** (n - 1)
+        assert sizes.tolist() == from_rows.tolist()
 
     def test_uint16_reveal_keys(self):
         n, k = 60, 300

@@ -104,6 +104,8 @@ def test_pool_workers_are_gone_when_the_command_ends():
 @pytest.mark.parametrize("argv", [
     ["expect", "--family", "path", "--n", "10"],  # held in the buffer until the flush
     ["series", "--order", "400"],  # overflows the buffer inside main
+    ["--version"],  # written by argparse, which swallows a failed write
+    ["--help"],
 ])
 def test_closed_stdout_exits_1_with_one_error_line(argv, unbuffered):
     read_end, write_end = os.pipe()

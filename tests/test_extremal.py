@@ -31,6 +31,7 @@ from pathdom import (
     extremal,
     extremal_permutations,
     extremal_size,
+    final_set_counts,
     gamma,
     gamma_batch_path,
     independent_dominating_sets_bruteforce,
@@ -48,6 +49,7 @@ from pathdom import (
     word_census,
     worst_case_count_recurrence,
 )
+from pathdom.domination import PackedWords
 from pathdom.errors import EXACT_COUNT_CAP, ResourceLimitError
 from pathdom.extremal import PERMUTATION_SCAN_CAP
 from pathdom.series import odd_configuration_counts_egf
@@ -183,6 +185,33 @@ def _zigzag(n):
     return row[-1]
 
 
+def _codes(words):
+    """The integer code of each boolean word row: letter j is bit j."""
+    words = np.asarray(words, dtype=bool)
+    return (words.astype(np.uint32) << np.arange(words.shape[1], dtype=np.uint32)).sum(
+        axis=1, dtype=np.uint32
+    )
+
+
+def _rows(codes, letters):
+    """The boolean word rows of codes of `letters` letters."""
+    codes = np.asarray(codes, dtype=np.uint32)
+    return (codes[:, None] >> np.arange(letters, dtype=np.uint32) & 1).astype(bool)
+
+
+def _every_even_vertex_has_by_rows(words):
+    """The even-vertex predicate letter by letter on boolean rows, the
+    reference for the two masks of extremal.every_even_vertex_has."""
+    words = np.asarray(words, dtype=bool)
+    holds = np.ones(len(words), dtype=bool)
+    for i in range(0, words.shape[1], 2):  # letters i and i + 1 flank vertex i + 2
+        has = words[:, i]
+        if i + 1 < words.shape[1]:
+            has = has | ~words[:, i + 1]
+        holds &= has
+    return holds
+
+
 def _orders_per_word_by_whole_tables(words):
     """The rank recursion run over every letter of every word: one (k, j + 2)
     table per letter, the reference for orders_per_word met in the middle."""
@@ -217,17 +246,26 @@ def _word_arrays(draw):
 
 class TestWordCensus:
     def test_word_layout(self):
-        assert up_down_words(1).shape == (1, 0)
-        assert up_down_words(4).tolist() == [
+        assert up_down_words(1).tolist() == [0]
+        codes = up_down_words(4)
+        assert codes.dtype == np.uint32
+        assert codes.tolist() == list(range(8))
+        assert _rows(codes, 3).tolist() == [
             [bool(i >> j & 1) for j in range(3)] for i in range(8)
         ]
+        # row v of the packed table holds letter v - 1 of every word
+        packed = PackedWords.from_codes(4, codes)
+        assert len(packed) == 8
+        assert packed.table[1:, :1].tolist() == np.packbits(_rows(codes, 3).T, axis=1).tolist()
 
     @pytest.mark.parametrize("n", range(1, 14))
     def test_batch_sizes_match_the_scalar_run_on_a_representative_of_each_word(
         self, n
     ):
-        words = up_down_words(n).tolist()
-        sizes = gamma_batch_path(n, up_down_words(n)).tolist()
+        codes = up_down_words(n)
+        words = _rows(codes, n - 1).tolist()
+        sizes = gamma_batch_path(n, PackedWords.from_codes(n, codes)).tolist()
+        assert sizes == gamma_batch_path(n, _rows(codes, n - 1)).tolist()
         g = path(n)
         for word, size in zip(words, sizes):
             order = _representative_order(word)
@@ -240,13 +278,13 @@ class TestWordCensus:
             tuple(b > a for a, b in zip(times, times[1:]))
             for times in itertools.permutations(range(n))
         )
-        words = up_down_words(n)
-        assert dict(zip(map(tuple, words.tolist()), orders_per_word(words).tolist())) \
-            == dict(listed)
+        codes = up_down_words(n)
+        words = map(tuple, _rows(codes, n - 1).tolist())
+        assert dict(zip(words, orders_per_word(codes, n - 1).tolist())) == dict(listed)
 
     def test_orders_per_word_is_exact_past_int64(self):
         words = [[True, False] * 12, [False] * 24, [False, True] * 12]
-        counts = orders_per_word(words)
+        counts = orders_per_word(_codes(words), 24)
         assert counts.tolist() == [_zigzag(25), 1, _zigzag(25)]
         assert _zigzag(25) > 2**63
 
@@ -257,25 +295,44 @@ class TestWordCensus:
     @example(np.eye(3, 19, dtype=bool))  # the last int64 length
     @example(np.eye(3, 20, dtype=bool))  # the first length counted in Python ints
     def test_orders_per_word_equals_the_whole_table_route(self, words):
-        counts = orders_per_word(words)
+        counts = orders_per_word(_codes(words), words.shape[1])
         reference = _orders_per_word_by_whole_tables(words)
         assert counts.dtype == reference.dtype
         assert counts.shape == (len(words),)
         assert counts.tolist() == reference.tolist()
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=0, max_value=24).flatmap(lambda letters: st.tuples(
+        st.just(letters), st.lists(st.integers(0, (1 << letters) - 1), max_size=60)
+    )))
+    @example((0, []))
+    @example((0, [0, 0]))
+    @example((1, [0, 1]))
+    @example((19, [0, 1 << 18, (1 << 19) - 1]))  # the last int64 length
+    @example((24, [0xAAAAAA, 0x555555, 0xFFFFFF, 0]))
+    def test_code_routes_equal_the_boolean_row_forms(self, drawn):
+        letters, codes = drawn
+        codes = np.array(codes, dtype=np.uint32)
+        words = _rows(codes, letters)
+        assert _codes(words).tolist() == codes.tolist()
+        holds = extremal.every_even_vertex_has(codes, letters)
+        assert holds.tolist() == _every_even_vertex_has_by_rows(words).tolist()
+        counts = orders_per_word(codes, letters)
+        assert counts.tolist() == _orders_per_word_by_whole_tables(words).tolist()
+
     @pytest.mark.parametrize("letters", [8, 20])  # int64 and Python-int counts
     def test_blocks_of_words_give_the_whole_block_counts(self, monkeypatch, letters):
         words = np.random.default_rng(letters).random((300, letters)) < 0.5
-        whole = orders_per_word(words)
+        whole = orders_per_word(_codes(words), letters)
         monkeypatch.setattr(extremal, "WORD_ROWS", 7)
-        blocked = orders_per_word(words)
+        blocked = orders_per_word(_codes(words), letters)
         assert blocked.dtype == whole.dtype
         assert blocked.tolist() == whole.tolist()
         assert whole.tolist() == _orders_per_word_by_whole_tables(words).tolist()
 
     @pytest.mark.parametrize("n", range(1, 20))
     def test_orders_over_all_words_sum_to_n_factorial(self, n):
-        assert int(orders_per_word(up_down_words(n)).sum()) == math.factorial(n)
+        assert int(orders_per_word(up_down_words(n), n - 1).sum()) == math.factorial(n)
 
     def test_census_memory_stays_below_8_mib(self):
         tracemalloc.start()
@@ -422,9 +479,8 @@ def has_no_even_local_maxima(perm):
 
 
 def _word_of(perm):
-    """The up/down word of a sequence, as a one-row word array."""
-    entries = np.array(perm)
-    return (entries[1:] > entries[:-1])[None, :]
+    """The code of the up/down word of a sequence, as a one-word code array."""
+    return np.array([sum(1 << j for j in range(len(perm) - 1) if perm[j + 1] > perm[j])])
 
 
 class TestPermutationPredicates:
@@ -525,13 +581,14 @@ class TestPermutationPredicates:
     @example([1, 2])
     @example([2, 1])
     def test_word_predicate_matches_the_permutation_forms(self, perm):
-        word = _word_of(perm)
-        holds = extremal.every_even_vertex_has(word)
+        word, letters = _word_of(perm), len(perm) - 1
+        flipped = word ^ (1 << letters) - 1  # every letter reversed
+        holds = extremal.every_even_vertex_has(word, letters)
         assert holds.tolist() == [is_weakly_alternating(perm)]
-        assert _word_of(complement(perm)).tolist() == (~word).tolist()
-        # the complement's word is ~word, and the predicate on ~(~word) is holds
+        assert _word_of(complement(perm)).tolist() == flipped.tolist()
+        # the complement's word is the flipped word, whose flip is the word again
         assert holds.tolist() == [has_no_even_local_maxima(complement(perm))]
-        assert extremal.every_even_vertex_has(~word).tolist() == [
+        assert extremal.every_even_vertex_has(flipped, letters).tolist() == [
             has_no_even_local_maxima(perm)
         ]
 
@@ -556,3 +613,13 @@ class TestExtremalPermutations:
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError):
             extremal_permutations(4, "median")
+
+    @pytest.mark.parametrize("kind", ["worst", "best"])
+    def test_listing_inside_the_census_final_sets(self, kind):
+        census = path_census(7)
+        assert census.final_set_counts == final_set_counts(path(7))
+        listed = extremal_permutations(7, kind, census=census)
+        assert listed == extremal_permutations(7, kind)
+        assert extremal_permutations(7, kind, 5, census=census) == listed[:5]
+        with pytest.raises(ValueError, match="n = 7"):
+            extremal_permutations(6, kind, census=census)

@@ -56,9 +56,9 @@ def test_size_flipped_on_one_word_fails_at_its_n(monkeypatch):
 def test_predicate_flipped_on_one_word_fails_at_its_n(monkeypatch):
     real = extremal.every_even_vertex_has
 
-    def flipped(words):
-        holds = real(words)
-        if words.shape[1] == 12:
+    def flipped(codes, letters):
+        holds = real(codes, letters)
+        if letters == 12:
             holds[0] = not holds[0]
         return holds
 
@@ -71,9 +71,9 @@ def test_predicate_flipped_on_one_word_fails_at_its_n(monkeypatch):
 def test_word_count_off_by_one_fails_at_its_n(monkeypatch):
     real = extremal.orders_per_word
 
-    def off_by_one(words):
-        counts = real(words)
-        if words.shape[1] == 12:
+    def off_by_one(codes, letters):
+        counts = real(codes, letters)
+        if letters == 12:
             counts[-1] += 1
         return counts
 
