@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pathdom
-from pathdom import cli, expectation, extremal, montecarlo, series
+from pathdom import cli, domination, expectation, extremal, montecarlo, series
 from pathdom.cli import main
 from pathdom.errors import EXACT_COUNT_CAP, EXACT_PATH_CAP
 
@@ -244,8 +244,6 @@ class TestExtremal:
     @pytest.mark.parametrize("bound", ["worst", "best"])
     def test_witnesses_reuse_the_census_forward_pass(self, capsys, monkeypatch, method,
                                                      bound):
-        from pathdom import domination
-
         calls = []
         real = domination.final_set_counts
 

@@ -256,7 +256,8 @@ class TestWordCensus:
         # row v of the packed table holds letter v - 1 of every word
         packed = PackedWords.from_codes(4, codes)
         assert len(packed) == 8
-        assert packed.table[1:, :1].tolist() == np.packbits(_rows(codes, 3).T, axis=1).tolist()
+        letters = np.packbits(_rows(codes, 3).T, axis=1)
+        assert packed.table[1:, :1].tolist() == letters.tolist()
 
     @pytest.mark.parametrize("n", range(1, 14))
     def test_batch_sizes_match_the_scalar_run_on_a_representative_of_each_word(
