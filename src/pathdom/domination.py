@@ -14,11 +14,11 @@ prefixes by chosen set and inert reveals and asks _free_vertices who
 joins, and whose listing walks only inside the final sets of that pass; and
 the vectorized path evaluator gamma_batch_path.  On the path the final
 set depends only on the up/down word of an order, which vertex of each
-neighbouring pair is revealed later, so gamma_batch_path takes that word,
-as booleans or already packed as a PackedWords (the sampler packs its
-reveal-key comparisons straight into one, and the word routes write one
-from integer word codes), and runs both end scans of the path in one loop
-over it, bit-packed across samples.  The loop is a
+neighbouring pair is revealed later, so gamma_batch_path takes that word
+packed as a PackedWords (the sampler packs its reveal-key comparisons
+straight into one, and the word routes write one from integer word codes),
+and runs both end scans of the path in one loop over it, bit-packed across
+samples.  The loop is a
 segmented scan (Blelloch, "Prefix sums and their applications", 1990):
 SEGMENTS blocks of rows advance together, one bitwise call a block row,
 each starting as if the vertex before it were free; P, the running AND of
@@ -41,7 +41,7 @@ if TYPE_CHECKING:
 
     from .graphs import Graph
 
-SIZE_ROWS = 128  # rows packed, and chosen rows summed, at a time; at most 255 (uint8 sums)
+SIZE_ROWS = 128  # rows mirrored, and chosen rows summed, at a time; at most 255 (uint8 sums)
 SIZE_BYTES = 512  # packed bytes of a row summed at a time: 4096 samples, one sampler chunk
 SEGMENTS = 16  # blocks of scan rows that gamma_batch_path advances together
 
@@ -166,10 +166,12 @@ class PackedWords:
         import numpy as np
 
         codes = np.asarray(codes)
+        if n - 1 > 8 * codes.itemsize:
+            raise ValueError(f"{n - 1} letters do not fit in {8 * codes.itemsize}-bit codes")
         words = cls.empty(n, len(codes))
         letters = words.table[:, : -(-len(codes) // 8)]
         little = codes.astype(codes.dtype.newbyteorder("<"), copy=False)
-        columns = little.view(np.uint8).reshape(len(codes), -1)  # byte j of each code
+        columns = little.view(np.uint8).reshape(len(codes), codes.itemsize)  # byte j of a code
         column, bit = np.empty((2, len(codes)), dtype=np.uint8)
         for v in range(1, n):  # row v holds letter v - 1: bit (v - 1) % 8 of a byte
             if v % 8 == 1:
@@ -182,17 +184,14 @@ class PackedWords:
         return self.count
 
 
-def gamma_batch_path(n: int, later: np.ndarray | PackedWords) -> np.ndarray:
+def gamma_batch_path(n: int, words: PackedWords) -> np.ndarray:
     """Vectorized gamma over many revelation orders of the n-vertex path.
 
-    Row i of later, shape (k, n - 1), is the up/down word of an order:
-    later[i, v-1] is true when vertex v+1 is revealed after vertex v, such as
-    times[:, 1:] > times[:, :-1] for reveal times with no tie between
-    neighbours.  later may also be a PackedWords of k words, evaluated in
-    its own table, which it overwrites; PackedWords.from_codes writes one
-    from integer word codes, so a whole word list needs no boolean table.
-    Returns the k sizes; row i matches gamma(path(n), order) for any order
-    with that word.  With n = 1 the word is empty and every size is 1.
+    words holds the up/down words of k orders, evaluated in its own table,
+    which it overwrites; PackedWords.from_codes writes one from integer word
+    codes, so a whole word list needs no boolean table.  Returns the k
+    sizes; size i matches gamma(path(n), order) for any order with word i.
+    With n = 1 the word is empty and every size is 1.
 
     A neighbour revealed earlier is settled by its far side alone, so a
     scan from each end gives every vertex's status against that side, and
@@ -219,8 +218,7 @@ def gamma_batch_path(n: int, later: np.ndarray | PackedWords) -> np.ndarray:
     of the segment before) into their first rows: in order, because a run
     of true steps, as in the all-up and all-down words, can cross a whole
     segment and change its last row.  The rows past SEGMENTS * L, every row
-    when n < 33, take one ufunc call each.  Letters of a boolean word are
-    packed SIZE_ROWS rows at a time.  The sizes are summed in blocks of
+    when n < 33, take one ufunc call each.  The sizes are summed in blocks of
     SIZE_ROWS rows by SIZE_BYTES bytes, 8 * SIZE_BYTES samples, so the bits
     unpacked at once take SIZE_ROWS * 8 * SIZE_BYTES bytes (512 KiB) at
     most, whatever k is; a sampler chunk is one block wide.
@@ -229,21 +227,12 @@ def gamma_batch_path(n: int, later: np.ndarray | PackedWords) -> np.ndarray:
 
     if n < 1:
         raise ValueError("n must be positive")
-    if isinstance(later, PackedWords):
-        t, k = later.table, len(later)
-        w = -(-k // 8)
-        if t.shape != (n, 2 * w):
-            raise ValueError(f"expected a table of shape {(n, 2 * w)}, got {t.shape}")
-    else:
-        later = np.asarray(later)
-        if later.ndim != 2 or later.shape[1] != n - 1:
-            raise ValueError(f"expected shape (k, {n - 1}), got {later.shape}")
-        k = len(later)
-        w = -(-k // 8)
-        t = PackedWords.empty(n, k).table
-        for top in range(1, n, SIZE_ROWS):  # row v: v+1 revealed after v
-            rows = slice(top, top + SIZE_ROWS)
-            t[rows, :w] = np.packbits(later.T[top - 1 : top - 1 + SIZE_ROWS], axis=1)
+    if isinstance(words, np.ndarray):
+        raise TypeError("gamma_batch_path takes a PackedWords: see PackedWords.from_codes")
+    t, k = words.table, len(words)
+    w = -(-k // 8)
+    if t.shape != (n, 2 * w):
+        raise ValueError(f"expected a table of shape {(n, 2 * w)}, got {t.shape}")
     for top in range(1, n, SIZE_ROWS):  # the mirror: row v is ~row n - v
         mirror = t[n - top : max(n - top - SIZE_ROWS, 0) : -1, :w]
         np.invert(mirror, out=t[top : top + SIZE_ROWS, w:])

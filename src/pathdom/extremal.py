@@ -451,7 +451,7 @@ def _count_even_position_pattern(n: int, larger: bool, force: bool) -> tuple[int
     return tuple(counts)
 
 
-# Kept for the benchmark tracer, which wraps it by name, until ROADMAP item 6.
+# Kept while perfbench/tracer.py wraps it by name, as one of its ENUMERATORS.
 def weakly_alternating_permutations(
     n: int, *, force: bool = False
 ) -> list[tuple[int, ...]]:

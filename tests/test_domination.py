@@ -219,6 +219,14 @@ def _up_down_words(times):
     return times[:, 1:] > times[:, :-1]
 
 
+def _packed(words):
+    """The PackedWords of boolean word rows, shape (k, n - 1)."""
+    k = len(words)
+    packed = PackedWords.empty(words.shape[1] + 1, k)
+    packed.table[1:, : -(-k // 8)] = np.packbits(words.T, axis=1)
+    return packed
+
+
 def _an_order_with_word(word):
     """An order whose up/down word is `word`: vertices sorted by the longest run
     of earlier neighbours leading to them, a depth that rises along each letter."""
@@ -236,7 +244,7 @@ class TestGammaBatch:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_scalar_engine_exhaustively(self, n):
         orders = np.array(list(itertools.permutations(range(1, n + 1))))
-        sizes = gamma_batch_path(n, _up_down_words(np.argsort(orders, axis=1)))
+        sizes = gamma_batch_path(n, _packed(_up_down_words(np.argsort(orders, axis=1))))
         g = path(n)
         for order, size in zip(orders, sizes):
             assert size == gamma(g, tuple(order))
@@ -252,7 +260,7 @@ class TestGammaBatch:
         orders = np.random.default_rng(seed).permuted(
             np.tile(np.arange(1, n + 1), (k, 1)), axis=1
         )
-        sizes = gamma_batch_path(n, _up_down_words(np.argsort(orders, axis=1)))
+        sizes = gamma_batch_path(n, _packed(_up_down_words(np.argsort(orders, axis=1))))
         g = path(n)
         assert list(sizes) == [
             run_online_domination(g, order).size for order in orders.tolist()
@@ -260,15 +268,13 @@ class TestGammaBatch:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        # Both sides of each SIZE_ROWS block of packed and of summed rows.
+        # Both sides of each SIZE_ROWS block of mirrored and of summed rows.
         st.sampled_from([1, 2, 3, 127, 128, 129, 130, 255, 256, 257]),
         st.integers(min_value=1, max_value=30).filter(lambda k: k % 8),  # partial bytes
         st.integers(min_value=0, max_value=2**32 - 1),
-        st.booleans(),
     )
-    def test_matches_scalar_engine_on_random_words(self, n, k, seed, transposed):
+    def test_matches_scalar_engine_on_random_words(self, n, k, seed):
         words = np.random.default_rng(seed).random((k, n - 1)) < 0.5
-        later = np.ascontiguousarray(words.T).T if transposed else words
         g = path(n)
         expected = []
         for word in words.tolist():
@@ -276,27 +282,17 @@ class TestGammaBatch:
             times = np.argsort(order)[None, :]
             assert _up_down_words(times)[0].tolist() == word
             expected.append(run_online_domination(g, order).size)
-        assert gamma_batch_path(n, later).tolist() == expected
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.sampled_from([1, 2, 3, 8, 9, 63, 64, 65, 127, 128, 129, 130]),
-        st.integers(min_value=1, max_value=70).filter(lambda k: k % 8),  # partial bytes
-        st.integers(min_value=0, max_value=2**32 - 1),
-    )
-    def test_packed_words_give_the_sizes_of_their_boolean_word(self, n, k, seed):
-        words = np.random.default_rng(seed).random((k, n - 1)) < 0.5
-        packed = PackedWords.empty(n, k)
-        packed.table[1:, : -(-k // 8)] = np.packbits(words.T, axis=1)
+        packed = _packed(words)
         assert len(packed) == k
-        assert gamma_batch_path(n, packed).tolist() == gamma_batch_path(n, words).tolist()
+        assert gamma_batch_path(n, packed).tolist() == expected
 
-    @pytest.mark.parametrize("packed", [False, True])
+    @pytest.mark.parametrize("mirrored", [False, True])
     @pytest.mark.parametrize("n", [32, 33, 34, 35, 48, 49, 65, 66, 296, 2000])
-    def test_runs_longer_than_a_segment(self, n, packed):
+    def test_runs_longer_than_a_segment(self, n, mirrored):
         # From n = 33 the scan runs 16 segments and fixes each up from
         # the one before; a run of up or down letters crossing whole segments
-        # carries a fix-up on, which random words almost never do.
+        # carries a fix-up on, which random words almost never do.  The
+        # mirrored words, reversed and complemented, swap the two end scans.
         rng = np.random.default_rng(n)
         alternating = np.arange(n - 1) % 2 == 0
         words = np.vstack([
@@ -304,12 +300,10 @@ class TestGammaBatch:
             alternating, ~alternating,
             rng.random((5, n - 1)) < 0.99, rng.random((4, n - 1)) < 0.01,
         ])  # 13 words: the last byte is partial
-        later = words
-        if packed:
-            later = PackedWords.empty(n, len(words))
-            later.table[1:, :2] = np.packbits(words.T, axis=1)
+        if mirrored:
+            words = ~words[:, ::-1]
         g = path(n)
-        assert gamma_batch_path(n, later).tolist() == [
+        assert gamma_batch_path(n, _packed(words)).tolist() == [
             run_online_domination(g, _an_order_with_word(word)).size
             for word in words.tolist()
         ]
@@ -318,17 +312,9 @@ class TestGammaBatch:
     @pytest.mark.parametrize("n", [1, 2, 7, 40, 2 * SIZE_ROWS + 3])
     def test_blocks_of_samples_give_the_whole_block_sizes(self, monkeypatch, n, k):
         words = np.random.default_rng(1000 * n + k).random((k, n - 1)) < 0.5
-
-        def packed():
-            later = PackedWords.empty(n, k)
-            later.table[1:, : -(-k // 8)] = np.packbits(words.T, axis=1)
-            return later
-
-        whole = gamma_batch_path(n, words)
-        assert gamma_batch_path(n, packed()).tolist() == whole.tolist()
+        whole = gamma_batch_path(n, _packed(words))
         monkeypatch.setattr(domination, "SIZE_BYTES", 1)  # 8 samples a block
-        assert gamma_batch_path(n, words).tolist() == whole.tolist()
-        assert gamma_batch_path(n, packed()).tolist() == whole.tolist()
+        assert gamma_batch_path(n, _packed(words)).tolist() == whole.tolist()
         g = path(n)
         assert whole.tolist() == [
             run_online_domination(g, _an_order_with_word(word)).size
@@ -336,36 +322,38 @@ class TestGammaBatch:
         ]
 
     def test_all_words_of_19_vertices_take_at_most_6_mib(self):
-        def traced_peak(evaluate):
-            tracemalloc.start()
-            try:
-                return evaluate(), tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
         n = 19
-        rows = (up_down_words(n)[:, None] >> np.arange(n - 1) & 1).astype(bool)
-        # codes, their packed table and the sizes
-        sizes, peak = traced_peak(
-            lambda: gamma_batch_path(n, PackedWords.from_codes(n, up_down_words(n)))
-        )
-        assert peak <= 6 * 2**20
-        from_rows, peak = traced_peak(lambda: gamma_batch_path(n, rows))  # rows given
+        tracemalloc.start()
+        try:  # codes, their packed table and the sizes
+            sizes = gamma_batch_path(n, PackedWords.from_codes(n, up_down_words(n)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert peak <= 6 * 2**20
         assert len(sizes) == 2 ** (n - 1)
-        assert sizes.tolist() == from_rows.tolist()
 
     def test_uint16_reveal_keys(self):
         n, k = 60, 300
         keys = np.random.default_rng(6).integers(0, 2**16, size=(k, n), dtype=np.uint16)
         assert (keys[:, 1:] != keys[:, :-1]).all()  # no neighbour tie at this seed
         orders = np.argsort(keys, axis=1) + 1
-        sizes = gamma_batch_path(n, _up_down_words(keys))
+        sizes = gamma_batch_path(n, _packed(_up_down_words(keys)))
         assert list(sizes) == [gamma(path(n), order) for order in orders.tolist()]
 
+    @pytest.mark.parametrize("n", [1, 5, 33])
+    def test_no_codes_give_no_sizes(self, n):
+        words = PackedWords.from_codes(n, np.zeros(0, np.uint32))
+        assert len(words) == 0
+        assert gamma_batch_path(n, words).tolist() == []
+
+    def test_codes_narrower_than_the_word_refused(self):
+        assert len(PackedWords.from_codes(33, np.zeros(3, np.uint32))) == 3
+        with pytest.raises(ValueError, match="32-bit codes"):
+            PackedWords.from_codes(34, np.zeros(3, np.uint32))
+
     def test_shape_validated(self):
-        with pytest.raises(ValueError, match=r"\(k, 3\)"):
-            gamma_batch_path(4, np.array([[True, False, True, False]]))
+        with pytest.raises(TypeError, match="PackedWords.from_codes"):
+            gamma_batch_path(4, np.array([[True, False, True]]))
         with pytest.raises(ValueError, match=r"\(4, 2\)"):
             gamma_batch_path(4, PackedWords.empty(5, 3))
         with pytest.raises(ValueError, match="n must be positive"):

@@ -199,6 +199,14 @@ def _rows(codes, letters):
     return (codes[:, None] >> np.arange(letters, dtype=np.uint32) & 1).astype(bool)
 
 
+def _packed(words):
+    """The PackedWords of boolean word rows, shape (k, n - 1)."""
+    k = len(words)
+    packed = PackedWords.empty(words.shape[1] + 1, k)
+    packed.table[1:, : -(-k // 8)] = np.packbits(words.T, axis=1)
+    return packed
+
+
 def _every_even_vertex_has_by_rows(words):
     """The even-vertex predicate letter by letter on boolean rows, the
     reference for the two masks of extremal.every_even_vertex_has."""
@@ -256,8 +264,8 @@ class TestWordCensus:
         # row v of the packed table holds letter v - 1 of every word
         packed = PackedWords.from_codes(4, codes)
         assert len(packed) == 8
-        letters = np.packbits(_rows(codes, 3).T, axis=1)
-        assert packed.table[1:, :1].tolist() == letters.tolist()
+        letters = _packed(_rows(codes, 3)).table[:, :1]
+        assert packed.table[:, :1].tolist() == letters.tolist()
 
     @pytest.mark.parametrize("n", range(1, 14))
     def test_batch_sizes_match_the_scalar_run_on_a_representative_of_each_word(
@@ -266,7 +274,6 @@ class TestWordCensus:
         codes = up_down_words(n)
         words = _rows(codes, n - 1).tolist()
         sizes = gamma_batch_path(n, PackedWords.from_codes(n, codes)).tolist()
-        assert sizes == gamma_batch_path(n, _rows(codes, n - 1)).tolist()
         g = path(n)
         for word, size in zip(words, sizes):
             order = _representative_order(word)
