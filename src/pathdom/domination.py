@@ -16,7 +16,7 @@ the vectorized path evaluator gamma_batch_path.  On the path the final
 set depends only on the up/down word of an order, which vertex of each
 neighbouring pair is revealed later, so gamma_batch_path takes that word
 packed as a PackedWords (the sampler packs its reveal-key comparisons
-straight into one, and the word routes write one from integer word codes),
+straight into one, and PackedWords.every_word writes every word of a path),
 and runs both end scans of the path in one loop over it, bit-packed across
 samples.  The loop is a
 segmented scan (Blelloch, "Prefix sums and their applications", 1990):
@@ -34,7 +34,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .errors import DEFAULT_BRUTE_CAP, check_cap
+from .errors import DEFAULT_BRUTE_CAP, WORD_LIST_CAP, check_cap
 
 if TYPE_CHECKING:
     import numpy as np
@@ -160,24 +160,27 @@ class PackedWords:
         return cls(table, count)
 
     @classmethod
-    def from_codes(cls, n: int, codes: np.ndarray) -> PackedWords:
-        """The words of the n-path given as integer codes, letter j of a
-        word as bit j of its code: word i of extremal.up_down_words is code i."""
-        import numpy as np
+    def every_word(cls, n: int, *, force: bool = False) -> PackedWords:
+        """All 2^(n-1) up/down words of the n-path, word i with letter j as
+        bit j of i, as word i is code i of extremal.up_down_words, and under
+        the same guard.
 
-        codes = np.asarray(codes)
-        if n - 1 > 8 * codes.itemsize:
-            raise ValueError(f"{n - 1} letters do not fit in {8 * codes.itemsize}-bit codes")
-        words = cls.empty(n, len(codes))
-        letters = words.table[:, : -(-len(codes) // 8)]
-        little = codes.astype(codes.dtype.newbyteorder("<"), copy=False)
-        columns = little.view(np.uint8).reshape(len(codes), codes.itemsize)  # byte j of a code
-        column, bit = np.empty((2, len(codes)), dtype=np.uint8)
-        for v in range(1, n):  # row v holds letter v - 1: bit (v - 1) % 8 of a byte
-            if v % 8 == 1:
-                np.copyto(column, columns[:, v // 8])
-            np.right_shift(column, (v - 1) % 8, out=bit)
-            letters[v] = np.packbits(np.bitwise_and(bit, 1, out=bit).view(bool))
+        Byte b of letter j holds words 8b .. 8b + 7, so for j < 3 every byte
+        of the letter is one pattern; for j >= 3 the letter is constant on
+        runs of 2^j words, and its row is runs of 2^(j-3) bytes of 0x00, then
+        of 0xFF.
+        """
+        if n < 1:
+            raise ValueError("n must be positive")
+        check_cap(n, WORD_LIST_CAP, force, "up/down word listing")
+        words = cls.empty(n, 1 << (n - 1))
+        letters = words.table[:, : -(-len(words) // 8)]
+        for j in range(n - 1):  # row j + 1 holds letter j
+            if j < 3:
+                letters[j + 1] = (0x55, 0x33, 0x0F)[j]
+            else:
+                runs = letters[j + 1].reshape(-1, 2, 1 << (j - 3))
+                runs[:, 0], runs[:, 1] = 0x00, 0xFF
         return words
 
     def __len__(self) -> int:
@@ -188,8 +191,8 @@ def gamma_batch_path(n: int, words: PackedWords) -> np.ndarray:
     """Vectorized gamma over many revelation orders of the n-vertex path.
 
     words holds the up/down words of k orders, evaluated in its own table,
-    which it overwrites; PackedWords.from_codes writes one from integer word
-    codes, so a whole word list needs no boolean table.  Returns the k
+    which it overwrites; PackedWords.every_word writes a whole word list
+    straight into one, so it needs no boolean table.  Returns the k
     sizes; size i matches gamma(path(n), order) for any order with word i.
     With n = 1 the word is empty and every size is 1.
 
@@ -228,7 +231,7 @@ def gamma_batch_path(n: int, words: PackedWords) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be positive")
     if isinstance(words, np.ndarray):
-        raise TypeError("gamma_batch_path takes a PackedWords: see PackedWords.from_codes")
+        raise TypeError("gamma_batch_path takes a PackedWords, not an array")
     t, k = words.table, len(words)
     w = -(-k // 8)
     if t.shape != (n, 2 * w):

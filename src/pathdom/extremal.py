@@ -14,15 +14,19 @@ realized worst-case sets with multiplicities.  extremal_permutations lists
 extremal orders lexicographically, up to an optional limit, through the
 same engine, under its guard; extremal_size maps a bound to its set size.
 The word census gets the size distribution from the 2^(n-1) up/down words
-of the path instead, each weighted by its number of orders; a whole word
-list is held as integer codes, word i as code i with letter j as bit j.
+of the path instead, each weighted by its number of orders; the rank
+recursion reads a whole word list as integer codes, word i as code i with
+letter j as bit j, and the evaluator reads PackedWords.every_word, the same
+list written straight into its packed table.
 
 Inversion maps the worst-case orders of odd n onto the weakly alternating
-permutations, and complementation maps those onto the ones with no even
-local maximum.  The inversion bijection is stated on up/down words, where
+permutations.  The inversion bijection is stated on up/down words, where
 the pattern is every_even_vertex_has; its other form, the rank recursion
-over up/down steps (Niven 1968; de Bruijn 1970), counts the permutations of
-both patterns in O(n^2) additions.
+over up/down steps (Niven 1968; de Bruijn 1970), counts the weakly
+alternating permutations in O(n^2) additions.  Complementation i -> n+1-i
+maps those one to one onto the permutations with no even local maximum, so
+that count serves both patterns: the mirrored recursion would only reverse
+every rank table.
 """
 
 from __future__ import annotations
@@ -215,7 +219,7 @@ def up_down_words(n: int, *, force: bool = False) -> np.ndarray:
     """Every up/down word of the n-path as its integer code, 2^(n-1) uint32
     codes: word i is code i, and letter j of a word, bit j of its code, is
     true when vertex j + 2 is revealed after vertex j + 1.
-    PackedWords.from_codes lays the codes out for gamma_batch_path."""
+    PackedWords.every_word packs the same list for gamma_batch_path."""
     if n < 1:
         raise ValueError("n must be positive")
     check_cap(n, WORD_LIST_CAP, force, "up/down word listing")
@@ -302,9 +306,8 @@ def word_census(n: int, *, force: bool = False) -> tuple[int, ...]:
 
     worst = extremal_size(n, "worst")  # refuses n < 1
     check_cap(n, WORD_CENSUS_CAP, force, "up/down word census")
-    codes = up_down_words(n, force=force)
-    sizes = gamma_batch_path(n, PackedWords.from_codes(n, codes))
-    counts = orders_per_word(codes, n - 1)
+    sizes = gamma_batch_path(n, PackedWords.every_word(n, force=force))
+    counts = orders_per_word(up_down_words(n, force=force), n - 1)
     return tuple(int(counts[sizes == size].sum()) for size in range(worst + 1))
 
 
@@ -361,6 +364,13 @@ def worst_case_count_recurrence(n: int, *, force: bool = False) -> int:
     return counts[n]
 
 
+def best_case_formula_applicable(n: int) -> bool:
+    if n < 1:
+        return False
+    residue = n % 3
+    return residue == 0 or (residue == 2 and n > 2) or (residue == 1 and n > 7)
+
+
 def best_case_count_formula(n: int, *, force: bool = False) -> int:
     """Number of best-case orders by the residue-class closed formulas.
 
@@ -371,6 +381,11 @@ def best_case_count_formula(n: int, *, force: bool = False) -> int:
     """
     if n < 1:
         raise ValueError("n must be positive")
+    if not best_case_formula_applicable(n):
+        raise ValueError(
+            f"closed formula for n % 3 == {n % 3} requires n > {2 if n == 2 else 7}; "
+            f"use brute-force counting for n = {n}"
+        )
     check_cap(n, EXACT_COUNT_CAP, force, "best-case count formula")
     comb, fact = math.comb, math.factorial
     residue = n % 3
@@ -379,19 +394,9 @@ def best_case_count_formula(n: int, *, force: bool = False) -> int:
         # triples independently needs its middle vertex revealed first.
         return fact(n) // 3 ** (n // 3)
     if residue == 2:
-        if n <= 2:
-            raise ValueError(
-                "closed formula for n % 3 == 2 requires n > 2; "
-                "use brute-force counting for n = 2"
-            )
         block = 24 * comb(n, 5) * (fact(n - 5) // 3 ** ((n - 5) // 3)) * ((n - 2) // 3)
         ends = 2 * comb(n, 2) * (fact(n - 2) // 3 ** ((n - 2) // 3))
         return block + ends
-    if n <= 7:
-        raise ValueError(
-            "closed formula for n % 3 == 1 requires n > 7; "
-            "use brute-force counting for n in {1, 4, 7}"
-        )
     k = (n - 4) // 3
     adjacent_pair = 720 * comb(n, 7) * k * (fact(n - 7) // 3 ** ((n - 7) // 3))
     split_pair = (
@@ -407,48 +412,9 @@ def best_case_count_formula(n: int, *, force: bool = False) -> int:
     return adjacent_pair + split_pair + both_ends + one_end
 
 
-def best_case_formula_applicable(n: int) -> bool:
-    if n < 1:
-        return False
-    residue = n % 3
-    return residue == 0 or (residue == 2 and n > 2) or (residue == 1 and n > 7)
-
-
 # ---------------------------------------------------------------------------
 # Even-position pattern counts
 # ---------------------------------------------------------------------------
-
-
-def _count_even_position_pattern(n: int, larger: bool, force: bool) -> tuple[int, ...]:
-    """Permutations of 1..m in which every even position has a smaller
-    neighbor (a larger one when `larger`), for m = 0..n, by one pass of the
-    rank recursion.
-
-    done[r] counts valid prefixes whose last entry has rank r among them;
-    owed[r] those whose last, even, position still needs its right
-    neighbor.  Rank r' after rank r is an up step exactly when r < r', so
-    up images are prefix sums and down images suffix sums.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    check_cap(n, EXACT_COUNT_CAP, force, "even-position pattern count")
-
-    def steps(counts: list[int]) -> tuple[list[int], list[int]]:
-        # images under the step that clears an even position from its left,
-        # and under the other step
-        below = [0, *itertools.accumulate(counts)]
-        above = [below[-1] - b for b in below]
-        return (above, below) if larger else (below, above)
-
-    done, owed = [1], [0]
-    counts = [1, 1]
-    for length in range(2, n + 1):
-        if length % 2 == 0:  # cleared by its left neighbor, or owed
-            done, owed = steps(done)
-        else:  # any entry extends done; only the other step clears owed
-            done = [counts[-1] + x for x in steps(owed)[1]]
-        counts.append(sum(done))
-    return tuple(counts)
 
 
 # Kept while perfbench/tracer.py wraps it by name, as one of its ENUMERATORS.
@@ -474,13 +440,29 @@ def weakly_alternating_permutations(
 
 
 def weakly_alternating_counts(n: int, *, force: bool = False) -> tuple[int, ...]:
-    """count_weakly_alternating(m) for m = 0..n, in one pass."""
-    return _count_even_position_pattern(n, False, force)
+    """count_weakly_alternating(m) for m = 0..n, by one pass of the rank
+    recursion.
 
-
-def no_even_local_maxima_counts(n: int, *, force: bool = False) -> tuple[int, ...]:
-    """count_no_even_local_maxima(m) for m = 0..n, in one pass."""
-    return _count_even_position_pattern(n, True, force)
+    done[r] counts prefixes with a smaller neighbor at every even position
+    whose last entry has rank r among them; owed[r] those whose last, even,
+    position still needs its right neighbor to be smaller.  Rank r' after
+    rank r is an up step exactly when r < r', so up images are prefix sums
+    and down images suffix sums.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    check_cap(n, EXACT_COUNT_CAP, force, "even-position pattern count")
+    done, owed = [1], [0]
+    counts = [1, 1]
+    for length in range(2, n + 1):
+        below = [0, *itertools.accumulate(owed if length % 2 else done)]
+        above = [below[-1] - b for b in below]
+        if length % 2 == 0:  # an up step clears the even position, a down step owes it
+            done, owed = below, above
+        else:  # any entry extends done; only a down step clears owed
+            done = [counts[-1] + x for x in above]
+        counts.append(sum(done))
+    return tuple(counts)
 
 
 def count_weakly_alternating(n: int, *, force: bool = False) -> int:
@@ -489,5 +471,10 @@ def count_weakly_alternating(n: int, *, force: bool = False) -> int:
 
 
 def count_no_even_local_maxima(n: int, *, force: bool = False) -> int:
-    """Count orders with no strict local maximum in any even position."""
-    return no_even_local_maxima_counts(n, force=force)[n]
+    """Count orders with no strict local maximum in any even position.
+
+    Complementation i -> n + 1 - i turns a smaller neighbor into a larger
+    one, so it maps these orders one to one onto the weakly alternating
+    ones, and the count is count_weakly_alternating(n).
+    """
+    return count_weakly_alternating(n, force=force)

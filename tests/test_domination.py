@@ -39,7 +39,6 @@ from pathdom import (
     path,
     run_online_domination,
     star,
-    up_down_words,
     wheel,
 )
 from pathdom.domination import SIZE_ROWS, PackedWords
@@ -324,8 +323,8 @@ class TestGammaBatch:
     def test_all_words_of_19_vertices_take_at_most_6_mib(self):
         n = 19
         tracemalloc.start()
-        try:  # codes, their packed table and the sizes
-            sizes = gamma_batch_path(n, PackedWords.from_codes(n, up_down_words(n)))
+        try:  # the packed table and the sizes
+            sizes = gamma_batch_path(n, PackedWords.every_word(n))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -342,17 +341,24 @@ class TestGammaBatch:
 
     @pytest.mark.parametrize("n", [1, 5, 33])
     def test_no_codes_give_no_sizes(self, n):
-        words = PackedWords.from_codes(n, np.zeros(0, np.uint32))
+        words = PackedWords.empty(n, 0)
         assert len(words) == 0
         assert gamma_batch_path(n, words).tolist() == []
 
-    def test_codes_narrower_than_the_word_refused(self):
-        assert len(PackedWords.from_codes(33, np.zeros(3, np.uint32))) == 3
-        with pytest.raises(ValueError, match="32-bit codes"):
-            PackedWords.from_codes(34, np.zeros(3, np.uint32))
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_every_word_matches_the_boolean_rows(self, n):
+        k = 2 ** (n - 1)  # word i has letter j as bit j of i
+        rows = np.arange(k)[:, None] >> np.arange(n - 1) & 1
+        words, reference = PackedWords.every_word(n), _packed(rows.astype(bool))
+        assert len(words) == len(reference) == k
+
+        def bits(packed):  # the first k bits of each row, padding dropped
+            return np.unpackbits(packed.table[:, : -(-k // 8)], axis=1, count=k).tolist()
+
+        assert bits(words) == bits(reference)
 
     def test_shape_validated(self):
-        with pytest.raises(TypeError, match="PackedWords.from_codes"):
+        with pytest.raises(TypeError, match="takes a PackedWords, not an array"):
             gamma_batch_path(4, np.array([[True, False, True]]))
         with pytest.raises(ValueError, match=r"\(4, 2\)"):
             gamma_batch_path(4, PackedWords.empty(5, 3))

@@ -24,6 +24,10 @@ GUARDS = {
                     lambda n, force: extremal.path_census(n, force=force)),
     "word_census": (extremal, "WORD_CENSUS_CAP", 5,
                     lambda n, force: extremal.word_census(n, force=force)),
+    "every_word": (
+        domination, "WORD_LIST_CAP", 5,
+        lambda n, force: domination.gamma_batch_path(
+            n, domination.PackedWords.every_word(n, force=force)).tolist()),
     "up_down_words": (
         extremal, "WORD_LIST_CAP", 5,
         lambda n, force: extremal.up_down_words(n, force=force).tolist()),
@@ -43,9 +47,6 @@ GUARDS = {
     "count_weakly_alternating": (
         extremal, "EXACT_COUNT_CAP", 5,
         lambda n, force: extremal.count_weakly_alternating(n, force=force)),
-    "no_even_local_maxima_counts": (
-        extremal, "EXACT_COUNT_CAP", 5,
-        lambda n, force: extremal.no_even_local_maxima_counts(n, force=force)),
     "weakly_alternating_counts": (
         extremal, "EXACT_COUNT_CAP", 5,
         lambda n, force: extremal.weakly_alternating_counts(n, force=force)),

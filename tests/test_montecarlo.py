@@ -9,13 +9,15 @@ import pytest
 
 from pathdom import (
     SampleConfig,
+    cli,
     expected_gamma_path,
+    max_dominating_size,
     montecarlo,
     normalize,
     path_census,
     sample_gamma,
 )
-from pathdom.errors import ResourceLimitError
+from pathdom.errors import ConsistencyError, ResourceLimitError
 from pathdom.montecarlo import CHUNK_SIZE, SLAB_ROWS, _chunk_words
 
 
@@ -279,6 +281,23 @@ def test_evaluator_is_called_once_a_chunk_through_the_module_attribute(monkeypat
     hist = sample_gamma(SampleConfig(n=50, samples=9000, seed=13))
     assert [(n, count) for n, count, _ in calls] == [(50, 4096), (50, 4096), (50, 808)]
     assert hist.bins == Counter(size for *_, sizes in calls for size in sizes)
+
+
+def test_size_outside_the_provable_range_is_an_error(monkeypatch, capsys):
+    evaluate = montecarlo.gamma_batch_path
+
+    def broken(n, batch):
+        sizes = evaluate(n, batch)
+        sizes[0] = max_dominating_size(n) + 1
+        return sizes
+
+    monkeypatch.setattr(montecarlo, "gamma_batch_path", broken)
+    with pytest.raises(ConsistencyError, match="outside the provable range"):
+        sample_gamma(SampleConfig(n=30, samples=100, seed=1))
+    capsys.readouterr()
+    assert cli.main(["verify"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: sampled a size outside"), err
 
 
 class TestNormalize:

@@ -30,8 +30,8 @@ def test_count_off_by_one_fails_at_its_n(monkeypatch):
 
 
 def test_count_off_by_one_beyond_the_worst_range_fails(monkeypatch):
-    monkeypatch.setattr(extremal, "no_even_local_maxima_counts", _perturbed_table(
-        extremal.no_even_local_maxima_counts, lambda n: -(n > 43)))
+    monkeypatch.setattr(extremal, "weakly_alternating_counts", _perturbed_table(
+        extremal.weakly_alternating_counts, lambda n: -(n > 43)))
     result = V.check_inverse_bijection()
     assert not result.passed
     assert result.detail.startswith("n=44:")
@@ -153,8 +153,7 @@ def test_each_census_is_computed_once(monkeypatch):
     calls = []
     for module, census in ((extremal, "path_census"), (extremal, "word_census"),
                            (expectation, "expected_gamma_path_prefix"),
-                           (extremal, "weakly_alternating_counts"),
-                           (extremal, "no_even_local_maxima_counts")):
+                           (extremal, "weakly_alternating_counts")):
         real = getattr(module, census)
         monkeypatch.setattr(
             module, census,
@@ -168,8 +167,7 @@ def test_each_census_is_computed_once(monkeypatch):
     assert sorted(calls) == sorted(
         [("path_census", n) for n in range(1, V.BRUTE_MAX + 1)]
         + [("word_census", n) for n in range(1, V.WORD_COUNT_MAX + 1)]
-        + [("expected_gamma_path_prefix", 200), ("weakly_alternating_counts", 60),
-           ("no_even_local_maxima_counts", 60)]
+        + [("expected_gamma_path_prefix", 200), ("weakly_alternating_counts", 60)]
     )
 
 
