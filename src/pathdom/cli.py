@@ -83,18 +83,23 @@ def _multipartite_size(raw: str) -> tuple[int, int]:
     return sum(parts), (sum(parts) ** 2 - sum(p * p for p in parts)) // 2
 
 
-_FAMILIES = {  # family -> (the arguments it requires, (vertices, edges) and graph from them)
-    "path": (("n",), lambda a: (a.n, a.n - 1), lambda g, a: g.path(a.n)),
-    "cycle": (("n",), lambda a: (a.n, a.n), lambda g, a: g.cycle(a.n)),
+_FAMILIES = {  # family -> (the arguments it requires, and from them (vertices,
+    # edges), the graph, and the graphs.degree_counts arguments, None for explicit)
+    "path": (("n",), lambda a: (a.n, a.n - 1), lambda g, a: g.path(a.n),
+             lambda a: ("path", a.n)),
+    "cycle": (("n",), lambda a: (a.n, a.n), lambda g, a: g.cycle(a.n),
+              lambda a: ("cycle", a.n)),
     "star": (("leaves",), lambda a: (a.leaves + 1, a.leaves),
-             lambda g, a: g.star(a.leaves)),
+             lambda g, a: g.star(a.leaves), lambda a: ("star", a.leaves)),
     "wheel": (("spokes",), lambda a: (a.spokes + 1, 2 * a.spokes),
-              lambda g, a: g.wheel(a.spokes)),
+              lambda g, a: g.wheel(a.spokes), lambda a: ("wheel", a.spokes)),
     "multipartite": (("parts",), lambda a: _multipartite_size(a.parts),
                      lambda g, a: g.complete_multipartite(
-                         _parse_int_list(a.parts, "part sizes"))),
+                         _parse_int_list(a.parts, "part sizes")),
+                     lambda a: ("complete_multipartite",
+                                _parse_int_list(a.parts, "part sizes"))),
     "explicit": (("n", "edges"), lambda a: (a.n, len(_parse_edges(a.edges))),
-                 lambda g, a: g.explicit(a.n, _parse_edges(a.edges))),
+                 lambda g, a: g.explicit(a.n, _parse_edges(a.edges)), None),
 }
 
 
@@ -271,7 +276,13 @@ def _expect_value(args: argparse.Namespace) -> tuple[str, Fraction]:
     if args.caro_wei and args.method is not None:
         raise ValueError("--caro-wei takes no --method: it bounds the graph instead")
     if args.caro_wei:
-        return "caro_wei", expectation.caro_wei_bound(_graph_from_args(args))
+        _require_family_args(args)
+        degrees = _FAMILIES[args.family][3]
+        if degrees is None:  # only the edges give an explicit graph's degrees
+            return "caro_wei", expectation.caro_wei_bound(_graph_from_args(args))
+        from .graphs import degree_counts
+        return "caro_wei", expectation.caro_wei_bound_from_degrees(
+            degree_counts(*degrees(args)))
     if args.method == "brute":
         graph = _graph_from_args(args)
         return "brute", expectation.bruteforce_expected_gamma(graph, force=args.force)

@@ -17,13 +17,15 @@ set depends only on the up/down word of an order, which vertex of each
 neighbouring pair is revealed later, so gamma_batch_path takes that word
 packed as a PackedWords (the sampler packs its reveal-key comparisons
 straight into one, and PackedWords.every_word writes every word of a path),
-and runs both end scans of the path in one loop over it, bit-packed across
-samples.  The loop is a
-segmented scan (Blelloch, "Prefix sums and their applications", 1990):
-SEGMENTS blocks of rows advance together, one bitwise call a block row,
-each starting as if the vertex before it were free; P, the running AND of
-each segment's steps, then tells which bits of a segment's first rows flip
-once the segment before it is known, fixed segment by segment in order.
+bit-packed across samples.  It scans the table twice in place: from the
+right end, for each vertex whether its right neighbour is chosen before it,
+then greedily from the left, a vertex joining when its right side allows it
+and the vertex before did not join.  Each pass is a segmented scan
+(Blelloch, "Prefix sums and their applications", 1990), _scan: SEGMENTS
+blocks of rows advance together, one bitwise call a block row, each
+starting as if the vertex before it were free; P, the running AND of each
+segment's steps, then tells which bits of a segment's first rows flip once
+the row before it is known, fixed segment by segment in order.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ if TYPE_CHECKING:
 
     from .graphs import Graph
 
-SIZE_ROWS = 128  # rows mirrored, and chosen rows summed, at a time; at most 255 (uint8 sums)
+SIZE_ROWS = 128  # chosen rows summed at a time; at most 255 (uint8 sums)
 SIZE_BYTES = 512  # packed bytes of a row summed at a time: 4096 samples, one sampler chunk
 SEGMENTS = 16  # blocks of scan rows that gamma_batch_path advances together
 
@@ -138,11 +140,11 @@ class PackedWords:
     """The up/down words of `count` orders of the n-path, packed as the table
     gamma_batch_path scans; len() is `count`.
 
-    table has shape (n, 2 * ceil(count / 8)) and dtype uint8, and row 0 is
-    all ones.  For 1 <= v < n, the left half of row v holds letter v of
-    every word, true when vertex v+1 is revealed after vertex v: sample j at
-    bit 7 - j % 8 of byte j // 8, as np.packbits lays it out.  The right
-    half is the evaluator's, and gamma_batch_path overwrites the whole table.
+    table has shape (n, ceil(count / 8)) and dtype uint8, and row 0 is all
+    ones.  For 1 <= v < n, row v holds letter v of every word, true when
+    vertex v+1 is revealed after vertex v: sample j at bit 7 - j % 8 of
+    byte j // 8, as np.packbits lays it out.  gamma_batch_path overwrites
+    the table with its two scans.
     """
 
     table: np.ndarray
@@ -155,7 +157,7 @@ class PackedWords:
 
         if n < 1:
             raise ValueError("n must be positive")
-        table = np.empty((n, 2 * -(-count // 8)), dtype=np.uint8)
+        table = np.empty((n, -(-count // 8)), dtype=np.uint8)
         table[0] = 0xFF
         return cls(table, count)
 
@@ -174,17 +176,64 @@ class PackedWords:
             raise ValueError("n must be positive")
         check_cap(n, WORD_LIST_CAP, force, "up/down word listing")
         words = cls.empty(n, 1 << (n - 1))
-        letters = words.table[:, : -(-len(words) // 8)]
         for j in range(n - 1):  # row j + 1 holds letter j
             if j < 3:
-                letters[j + 1] = (0x55, 0x33, 0x0F)[j]
+                words.table[j + 1] = (0x55, 0x33, 0x0F)[j]
             else:
-                runs = letters[j + 1].reshape(-1, 2, 1 << (j - 3))
+                runs = words.table[j + 1].reshape(-1, 2, 1 << (j - 3))
                 runs[:, 0], runs[:, 1] = 0x00, 0xFF
         return words
 
     def __len__(self) -> int:
         return self.count
+
+
+def _scan(t: np.ndarray, ands: int) -> None:
+    """Run the scan x[i] = ~(s[i] & x[i-1]) down the rows of t in place.
+
+    Rows of parity `ands` are held complemented, so such a row is s[i] AND
+    the row before, held as it is; the other rows are held as they are, so
+    such a row is ~s[i] OR the row before, held complemented.  Row 0 holds
+    x[0] and row i >= 1 its operand, s[i] or ~s[i], each in its row's form,
+    and the scan leaves x[i] there in the same form, one ufunc call a row.
+
+    The scan is segmented.  Rows 1 .. SEGMENTS * L, with L = (len(t) - 1) //
+    SEGMENTS rounded down to even, form SEGMENTS segments of L rows, and
+    one ufunc call advances row i of every segment.  L is even, so the row
+    before each segment has the parity, and the form, of row 0.  Each
+    segment starts as if that row were all ones, a free vertex, where its
+    first row is its operand: no call.  Where the row before is 0 instead,
+    the bits differ exactly until the segment's first false step, so before
+    the scan P[i], the AND of a segment's steps s through its row i, is kept
+    for as long as it is nonzero somewhere (about a dozen rows on random
+    words).  After it, every segment is fixed in order, by XOR of P & (x of
+    the row before is 0) into its first rows: in order, because a run of
+    true steps, as in the all-up and all-down words, can cross a whole
+    segment and change its last row.  The rows past SEGMENTS * L, every row
+    when len(t) < 33, take one ufunc call each.
+    """
+    import numpy as np
+
+    combine = {ands: np.bitwise_and, 1 - ands: np.bitwise_or}  # by row parity
+    span = (len(t) - 1) // SEGMENTS & ~1
+    # segs[j, i] is row j * span + 1 + i, so segment row i has parity i + 1.
+    segs = t[1 : 1 + SEGMENTS * span].reshape(SEGMENTS, span, t.shape[1])
+    runs = []  # P: the AND of each segment's steps through row i, while nonzero
+    for i in range(span):
+        step = segs[:, i] if i + 1 & 1 == ands else ~segs[:, i]
+        run = runs[-1] & step if i else step.copy()
+        if not run.any():
+            break
+        runs.append(run)
+    for i in range(1, span):
+        combine[i + 1 & 1](segs[:, i], segs[:, i - 1], out=segs[:, i])
+    if runs:  # where x of the row before a segment is 0, its bits in P flip
+        runs = np.stack(runs, axis=1)
+        for j in range(SEGMENTS):  # in order: a run of steps can cross a segment
+            before = segs[j - 1, -1] if j else t[0]
+            segs[j, : len(runs[j])] ^= runs[j] & (~before if ands else before)
+    for v in range(1 + SEGMENTS * span, len(t)):
+        combine[v & 1](t[v], t[v - 1], out=t[v])
 
 
 def gamma_batch_path(n: int, words: PackedWords) -> np.ndarray:
@@ -193,38 +242,34 @@ def gamma_batch_path(n: int, words: PackedWords) -> np.ndarray:
     words holds the up/down words of k orders, evaluated in its own table,
     which it overwrites; PackedWords.every_word writes a whole word list
     straight into one, so it needs no boolean table.  Returns the k
-    sizes; size i matches gamma(path(n), order) for any order with word i.
-    With n = 1 the word is empty and every size is 1.
+    sizes, uint16 while ceil(n/2) fits in it and uint32 beyond; size i
+    matches gamma(path(n), order) for any order with word i.  With n = 1
+    the word is empty and every size is 1.
 
-    A neighbour revealed earlier is settled by its far side alone, so a
-    scan from each end gives every vertex's status against that side, and
-    the vertex is chosen when both sides allow it.  The right scan is the
-    left scan of the mirrored path, whose comparisons are the complements
-    in reverse, so one loop runs both scans on rows packed 8 samples a byte.
-    Both run in one uint8 table t of n rows, the PackedWords layout: row v
-    first holds the step into v, letter v in the left half and the
-    complement of letter n-v in the right half, and the scan overwrites it
-    in place.  A scan step is t[v] = ~(step & t[v-1]); odd rows are held
-    complemented, so odd v ANDs with the step and even v ORs with the
-    inverted step, and the odd rows flip once at the end.
+    Let R(v) be true when vertex v's right neighbour is not in the set as v
+    is revealed.  A neighbour revealed earlier is settled by its far side
+    alone, so R(n) = 1 and R(v) = letter v OR NOT R(v+1).  Then vertex v
+    is chosen exactly when c(v) = R(v) AND NOT c(v-1), with c(0) = 0: if
+    v - 1 is chosen, v is not, the set being independent; if it is not,
+    it never blocks v, and v joins unless blocked from the right.  Both are
+    the scan x(v) = ~(s(v) & x(v-1)), run by _scan in place in the one
+    table t, rows packed 8 samples a byte:
 
-    The scan is segmented.  Rows 1 .. SEGMENTS * L, with L = (n - 1) //
-    SEGMENTS rounded down to even, form SEGMENTS segments of L rows, and
-    one ufunc call advances row i of every segment.  L is even, so the row
-    before each segment is even and holds the scan value itself, not its
-    complement.  Each segment starts as if that row were all ones, a free
-    vertex.  Where it is 0 instead, the bits differ exactly until
-    the segment's first false step, so before the scan P[i], the AND of a
-    segment's steps through its row i, is kept for as long as it is
-    nonzero somewhere (about a dozen rows on random words).  After it,
-    segments 1 .. SEGMENTS - 1 are fixed in order, by XOR of P & ~(last row
-    of the segment before) into their first rows: in order, because a run
-    of true steps, as in the all-up and all-down words, can cross a whole
-    segment and change its last row.  The rows past SEGMENTS * L, every row
-    when n < 33, take one ufunc call each.  The sizes are summed in blocks of
-    SIZE_ROWS rows by SIZE_BYTES bytes, 8 * SIZE_BYTES samples, so the bits
-    unpacked at once take SIZE_ROWS * 8 * SIZE_BYTES bytes (512 KiB) at
-    most, whatever k is; a sampler chunk is one block wide.
+    - pass 1 runs up the rows, t[:0:-1], with s(v) = NOT letter v, and
+      leaves R(v) in row v; its first row, n - 1, already holds R(n-1),
+      which is letter n - 1;
+    - pass 2 runs down them with s(v) = R(v) and x(0) = row 0, all ones,
+      and leaves NOT c(v) in row v, so c(n) = R(n) AND NOT c(n-1) is the
+      value of row n - 1.
+
+    Even rows are held complemented in pass 1 and odd rows in pass 2, so
+    the even rows are inverted once before pass 1, where their operand is
+    s = NOT letter, and once after pass 2, where they still hold NOT c; pass
+    1 leaves each row in the form pass 2 reads.  Row 0 then takes c(n), and
+    the sizes are the bits of all n rows, summed in blocks of SIZE_ROWS rows
+    by SIZE_BYTES bytes, 8 * SIZE_BYTES samples, so the bits unpacked at
+    once take SIZE_ROWS * 8 * SIZE_BYTES bytes (512 KiB) at most, whatever
+    k is; a sampler chunk is one block wide.
     """
     import numpy as np
 
@@ -234,39 +279,23 @@ def gamma_batch_path(n: int, words: PackedWords) -> np.ndarray:
         raise TypeError("gamma_batch_path takes a PackedWords, not an array")
     t, k = words.table, len(words)
     w = -(-k // 8)
-    if t.shape != (n, 2 * w):
-        raise ValueError(f"expected a table of shape {(n, 2 * w)}, got {t.shape}")
-    for top in range(1, n, SIZE_ROWS):  # the mirror: row v is ~row n - v
-        mirror = t[n - top : max(n - top - SIZE_ROWS, 0) : -1, :w]
-        np.invert(mirror, out=t[top : top + SIZE_ROWS, w:])
-    # segs[j, i] is row j * span + 1 + i, so segment row i is odd for even i.
-    span = (n - 1) // SEGMENTS & ~1
-    segs = t[1 : 1 + SEGMENTS * span].reshape(SEGMENTS, span, 2 * w)
-    runs = []  # P: the AND of each segment's steps through row i, while nonzero
-    for i in range(span):
-        run = runs[-1] & segs[:, i] if i else segs[:, 0].copy()
-        if not run.any():
-            break
-        runs.append(run)
-    np.invert(t[2::2], out=t[2::2])  # the steps into even rows
-    combine = (np.bitwise_or, np.bitwise_and)  # into even rows, into odd rows
-    for i in range(1, span):  # row i = 0 ANDs its step with a free vertex: no call
-        combine[i & 1 ^ 1](segs[:, i], segs[:, i - 1], out=segs[:, i])
-    if runs:  # where the row before a segment is 0, its bits in P flip
-        runs = np.stack(runs, axis=1)
-        for j in range(1, SEGMENTS):  # in order: a run of steps can cross a segment
-            segs[j, : len(runs[j])] ^= runs[j] & ~segs[j - 1, -1]
-    for v in range(1 + SEGMENTS * span, n):
-        combine[v & 1](t[v], t[v - 1], out=t[v])
-    np.invert(t[1::2], out=t[1::2])
-    sizes = np.zeros(k, dtype=np.intp)
-    right = t[::-1, w:]  # the right scan, in vertex order
+    if t.shape != (n, w):
+        raise ValueError(f"expected a table of shape {(n, w)}, got {t.shape}")
+    if n > 1:
+        np.invert(t[2::2], out=t[2::2])
+        _scan(t[:0:-1], n & 1 ^ 1)  # its row i is row n - 1 - i: the even rows AND
+        _scan(t, 1)
+        np.invert(t[2::2], out=t[2::2])
+        np.invert(t[-1], out=t[0])
+    dtype = np.uint16 if max_dominating_size(n) <= np.iinfo(np.uint16).max else np.uint32
+    sizes = np.zeros(k, dtype=dtype)
     for left in range(0, w, SIZE_BYTES):
         cols = slice(left, min(left + SIZE_BYTES, w))
         block = sizes[8 * left : 8 * cols.stop]
         for top in range(0, n, SIZE_ROWS):  # no name keeps the unpacked bits alive
-            chosen = t[top : top + SIZE_ROWS, cols] & right[top : top + SIZE_ROWS, cols]
-            block += np.unpackbits(chosen, axis=1, count=block.size).sum(0, dtype=np.uint8)
+            block += np.unpackbits(
+                t[top : top + SIZE_ROWS, cols], axis=1, count=block.size
+            ).sum(0, dtype=np.uint8)
     return sizes
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from .errors import EXACT_PATH_CAP, check_cap
 
@@ -155,13 +155,20 @@ def caro_wei_bound(graph: Graph) -> Fraction:
     """Degree-based lower bound on the expected size: sum_v 1/(1 + deg v).
 
     Each vertex revealed before all of its neighbors necessarily enters
-    the set, and that event has probability 1/(1 + deg v).  Vertices of one
-    degree share a term, so the sum has one Fraction per degree.
+    the set, and that event has probability 1/(1 + deg v).  The graph's
+    degree classes go through caro_wei_bound_from_degrees.
     """
     per_degree: dict[int, int] = {}
     for v in graph.vertices:
         degree = len(graph.adj[v])
         per_degree[degree] = per_degree.get(degree, 0) + 1
+    return caro_wei_bound_from_degrees(per_degree)
+
+
+def caro_wei_bound_from_degrees(per_degree: Mapping[int, int]) -> Fraction:
+    """The Caro-Wei bound from {degree: number of vertices}: vertices of one
+    degree share a term, so the sum has one Fraction per degree, and
+    graphs.degree_counts gives a family's classes without building it."""
     return sum(
         (Fraction(count, 1 + degree) for degree, count in per_degree.items()),
         start=Fraction(0),

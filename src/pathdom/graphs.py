@@ -5,7 +5,8 @@ path with the extra edge (n, 1).  Stars and wheels put the hub last: a
 star with k leaves has leaves 1..k and hub k+1, a wheel with k spokes has
 rim cycle 1..k and hub k+1.  Complete multipartite graphs assign
 consecutive labels part by part.  An explicit edge list covers everything
-else, so one simulation engine serves every family.
+else, so one simulation engine serves every family.  degree_counts gives
+the degree classes of every family but the explicit one from its size alone.
 """
 
 from __future__ import annotations
@@ -43,6 +44,27 @@ class Graph:
         return [(u, v) for u in self.vertices for v in self.adj[u] if u < v]
 
 
+_SMALLEST = {  # family -> (the smallest size it is built for, the refusal below it)
+    "path": (1, "a path needs at least 1 vertex"),
+    "cycle": (3, "a cycle needs at least 3 vertices"),
+    "star": (1, "a star needs at least 1 leaf"),
+    "wheel": (3, "a wheel needs at least 3 spokes"),
+}
+
+
+def _check_size(family: str, size: int) -> None:
+    smallest, refusal = _SMALLEST[family]
+    if size < smallest:
+        raise ValueError(refusal)
+
+
+def _check_parts(part_sizes: Sequence[int]) -> None:
+    if not part_sizes:
+        raise ValueError("at least one part is required")
+    if any(p < 1 for p in part_sizes):
+        raise ValueError("every part must have size >= 1")
+
+
 def _build(family: str, n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     neigh: list[set[int]] = [set() for _ in range(n + 1)]
     for u, v in edges:
@@ -57,8 +79,7 @@ def _build(family: str, n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 def path(n: int) -> Graph:
     """Path on n >= 1 vertices, edges (i, i+1)."""
-    if n < 1:
-        raise ValueError("a path needs at least 1 vertex")
+    _check_size("path", n)
     inner = zip(range(1, n - 1), range(3, n + 1))  # (v - 1, v + 1) for 1 < v < n
     adj = ((), ()) if n == 1 else ((), (2,), *inner, (n - 1,))
     return Graph(family="path", n=n, adj=adj)
@@ -66,8 +87,7 @@ def path(n: int) -> Graph:
 
 def cycle(n: int) -> Graph:
     """Cycle on n >= 3 vertices."""
-    if n < 3:
-        raise ValueError("a cycle needs at least 3 vertices")
+    _check_size("cycle", n)
     edges = [(i, i + 1) for i in range(1, n)]
     edges.append((n, 1))
     return _build("cycle", n, edges)
@@ -75,16 +95,14 @@ def cycle(n: int) -> Graph:
 
 def star(leaves: int) -> Graph:
     """Star with the given number of leaves; the hub is vertex leaves+1."""
-    if leaves < 1:
-        raise ValueError("a star needs at least 1 leaf")
+    _check_size("star", leaves)
     hub = leaves + 1
     return _build("star", hub, ((i, hub) for i in range(1, hub)))
 
 
 def wheel(spokes: int) -> Graph:
     """Wheel: rim cycle 1..spokes plus hub spokes+1 joined to every rim vertex."""
-    if spokes < 3:
-        raise ValueError("a wheel needs at least 3 spokes")
+    _check_size("wheel", spokes)
     hub = spokes + 1
     edges = [(i, i + 1) for i in range(1, spokes)]
     edges.append((spokes, 1))
@@ -94,10 +112,7 @@ def wheel(spokes: int) -> Graph:
 
 def complete_multipartite(part_sizes: Sequence[int]) -> Graph:
     """Complete multipartite graph; parts take consecutive label blocks."""
-    if not part_sizes:
-        raise ValueError("at least one part is required")
-    if any(p < 1 for p in part_sizes):
-        raise ValueError("every part must have size >= 1")
+    _check_parts(part_sizes)
     n = sum(part_sizes)
     part_of = []
     for idx, size in enumerate(part_sizes):
@@ -109,6 +124,34 @@ def complete_multipartite(part_sizes: Sequence[int]) -> Graph:
         if part_of[u - 1] != part_of[v - 1]
     ]
     return _build("complete_multipartite", n, edges)
+
+
+def degree_counts(family: str, size: int | Sequence[int]) -> dict[int, int]:
+    """{degree: number of vertices} of a family's graph, without building it.
+
+    size is n for a path or a cycle, the leaves of a star, the spokes of a
+    wheel and the part sizes of a complete_multipartite graph, refused where
+    its builder refuses it; a vertex in a part of p of N vertices has degree
+    N - p.  An explicit graph has no size that gives its degrees.
+    """
+    if family == "complete_multipartite":
+        _check_parts(size)
+        classes = [(sum(size) - p, p) for p in size]
+    elif family in _SMALLEST:
+        _check_size(family, size)
+        classes = {
+            "path": [(0, 1)] if size == 1 else [(1, 2), (2, size - 2)],
+            "cycle": [(2, size)],
+            "star": [(1, size), (size, 1)],
+            "wheel": [(3, size), (size, 1)],
+        }[family]
+    else:
+        raise ValueError(f"no degree counts for a {family} graph without its edges")
+    counts: dict[int, int] = {}
+    for degree, count in classes:
+        if count:
+            counts[degree] = counts.get(degree, 0) + count
+    return counts
 
 
 def explicit(n: int, edges: Iterable[tuple[int, int]]) -> Graph:

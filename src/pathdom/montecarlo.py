@@ -114,7 +114,6 @@ def _chunk_words(rng, n: int, count: int) -> PackedWords:
     import numpy as np
 
     words = PackedWords.empty(n, count)
-    letters = words.table[:, : -(-count // 8)]
     later = np.empty((SLAB_ROWS, count), dtype=bool)  # one slab's letters, before packing
     ties = []
     last = None  # the previous slab's last row of keys
@@ -128,7 +127,7 @@ def _chunk_words(rng, n: int, count: int) -> PackedWords:
         np.greater(keys[1:], keys[:-1], out=later[1:rows])
         ties.append(np.flatnonzero(keys[1:] == keys[:-1]) + top * count)
         first = 0 if top else 1  # row 0 of the table holds no letter
-        letters[top + first : top + rows] = np.packbits(later[first:rows], axis=1)
+        words.table[top + first : top + rows] = np.packbits(later[first:rows], axis=1)
         last = keys[-1].copy()
     pairs, samples = np.divmod(np.concatenate(ties), count)
     while pairs.size:
@@ -138,7 +137,7 @@ def _chunk_words(rng, n: int, count: int) -> PackedWords:
         left, right = digits[: pairs.size], digits[pairs.size :]
         up = right > left
         bits = (0x80 >> (samples[up] & 7)).astype(np.uint8)
-        np.bitwise_or.at(letters, (pairs[up] + 1, samples[up] >> 3), bits)
+        np.bitwise_or.at(words.table, (pairs[up] + 1, samples[up] >> 3), bits)
         tied = right == left
         pairs, samples = pairs[tied], samples[tied]
     return words

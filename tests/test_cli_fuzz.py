@@ -39,8 +39,8 @@ def _run_capped(args, timeout):
 
 
 @pytest.mark.parametrize("argv,code,message", [
-    (["expect", "--family", "star", "--leaves", BIG, "--caro-wei"], 3, "star graph"),
-    (["expect", "--family", "multipartite", "--parts", "3000,3000", "--caro-wei"], 3,
+    (["expect", "--family", "star", "--leaves", BIG, "--method", "brute"], 3, "star graph"),
+    (["expect", "--family", "multipartite", "--parts", "3000,3000", "--method", "brute"], 3,
      "multipartite graph"),
     (["expect", "--family", "explicit", "--n", BIG, "--edges", "1-2", "--caro-wei"], 3,
      "explicit graph"),
@@ -58,8 +58,20 @@ def test_huge_input_is_refused_before_anything_is_built(argv, code, message):
     assert result.stderr.startswith("error: ") and message in result.stderr
 
 
+@pytest.mark.parametrize("argv,out", [
+    (["expect", "--family", "star", "--leaves", "2000000", "--caro-wei"],
+     "2000001000001/2000001"),  # k/2 + 1/(k + 1)
+    (["expect", "--family", "multipartite", "--parts", "1000,1000", "--caro-wei"],
+     "2000/1001"),
+])
+def test_caro_wei_past_the_graph_cap_takes_the_degree_classes(argv, out):
+    # Both graphs are past GRAPH_SIZE_CAP, and the second has a million edges.
+    result = _run_capped(["-m", "pathdom", *argv], timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == (0, out + "\n", "")
+
+
 @pytest.mark.parametrize("argv,size", [
-    (["expect", "--family", "wheel", "--spokes", "5", "--caro-wei"], 6 + 10),
+    (["expect", "--family", "wheel", "--spokes", "5", "--method", "brute"], 6 + 10),
     (["simulate", "--family", "star", "--leaves", "2", "--order", "3,1,2"], 3 + 2),
 ])
 def test_graph_size_cap_read_at_call_time_and_forced(argv, size, monkeypatch, capsys):

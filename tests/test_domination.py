@@ -6,7 +6,8 @@ Core claims:
     - Every outcome is an independent dominating set, on every family.
     - Outcomes are deterministic and respect the path's mirror symmetry.
     - Path sizes always land in [ceil(n/3), ceil(n/2)].
-    - The vectorized path evaluator agrees with the scalar engine.
+    - The vectorized path evaluator agrees with the scalar engine, and its
+      two passes, a right scan then a greedy forward pass, give the final set.
     - On the path, orders with one up/down word give one final set.
     - The exhaustive engine agrees with a plain loop over every order, and
       with the (revealed, chosen) engine it replaced past the loop's reach.
@@ -222,7 +223,7 @@ def _packed(words):
     """The PackedWords of boolean word rows, shape (k, n - 1)."""
     k = len(words)
     packed = PackedWords.empty(words.shape[1] + 1, k)
-    packed.table[1:, : -(-k // 8)] = np.packbits(words.T, axis=1)
+    packed.table[1:] = np.packbits(words.T, axis=1)
     return packed
 
 
@@ -237,6 +238,44 @@ def _an_order_with_word(word):
         right[v] = right[v + 1] + 1 if not word[v] else 0
     depth = [max(pair) for pair in zip(left, right)]
     return [v + 1 for v in sorted(range(n), key=depth.__getitem__)]
+
+
+def _word_of(order):
+    """The up/down word of an order: letter v is true when v + 1 comes after v."""
+    times = {v: i for i, v in enumerate(order)}
+    return [times[v + 1] > times[v] for v in range(1, len(order))]
+
+
+def _final_set_by_two_passes(word):
+    """The final set from the up/down word by gamma_batch_path's two passes,
+    one vertex at a time: right[v], vertex v's right neighbour not chosen as v
+    is revealed, from the right end; then the greedy pass from the left."""
+    n = len(word) + 1
+    right = [True] * (n + 2)
+    for v in range(n - 1, 0, -1):
+        right[v] = word[v - 1] or not right[v + 1]
+    chosen, previous = set(), False
+    for v in range(1, n + 1):
+        previous = right[v] and not previous
+        if previous:
+            chosen.add(v)
+    return chosen
+
+
+class TestTwoPasses:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_final_set_matches_the_scalar_run_on_every_order(self, n):
+        g = path(n)
+        for order in itertools.permutations(range(1, n + 1)):
+            assert _final_set_by_two_passes(_word_of(order)) == (
+                run_online_domination(g, order).chosen_set)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=1, max_value=60).flatmap(
+        lambda n: st.permutations(range(1, n + 1))))
+    def test_final_set_matches_the_scalar_run_on_random_orders(self, order):
+        assert _final_set_by_two_passes(_word_of(order)) == (
+            run_online_domination(path(len(order)), order).chosen_set)
 
 
 class TestGammaBatch:
@@ -267,7 +306,7 @@ class TestGammaBatch:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        # Both sides of each SIZE_ROWS block of mirrored and of summed rows.
+        # Both sides of each SIZE_ROWS block of summed rows.
         st.sampled_from([1, 2, 3, 127, 128, 129, 130, 255, 256, 257]),
         st.integers(min_value=1, max_value=30).filter(lambda k: k % 8),  # partial bytes
         st.integers(min_value=0, max_value=2**32 - 1),
@@ -288,10 +327,11 @@ class TestGammaBatch:
     @pytest.mark.parametrize("mirrored", [False, True])
     @pytest.mark.parametrize("n", [32, 33, 34, 35, 48, 49, 65, 66, 296, 2000])
     def test_runs_longer_than_a_segment(self, n, mirrored):
-        # From n = 33 the scan runs 16 segments and fixes each up from
+        # From n = 33 each scan runs 16 segments and fixes each up from
         # the one before; a run of up or down letters crossing whole segments
         # carries a fix-up on, which random words almost never do.  The
-        # mirrored words, reversed and complemented, swap the two end scans.
+        # mirrored words, reversed and complemented, are those of the mirrored
+        # orders, so each run meets the two passes from the other end.
         rng = np.random.default_rng(n)
         alternating = np.arange(n - 1) % 2 == 0
         words = np.vstack([
@@ -301,6 +341,23 @@ class TestGammaBatch:
         ])  # 13 words: the last byte is partial
         if mirrored:
             words = ~words[:, ::-1]
+        g = path(n)
+        assert gamma_batch_path(n, _packed(words)).tolist() == [
+            run_online_domination(g, _an_order_with_word(word)).size
+            for word in words.tolist()
+        ]
+
+    @pytest.mark.parametrize("n", [33, 34, 35, 36, 49, 65, 2000, 2001])
+    def test_backward_pass_starts_from_a_row_that_is_not_all_ones(self, n):
+        # The right scan starts from the last letter, so its segment 0 is
+        # fixed up like the others; flipping that letter flips the start.
+        alternating = np.arange(n - 1) % 2 == 0
+        words = np.vstack([
+            np.ones(n - 1, dtype=bool), np.zeros(n - 1, dtype=bool), alternating,
+        ])
+        flipped = words.copy()
+        flipped[:, -1] ^= True
+        words = np.vstack([words, flipped])
         g = path(n)
         assert gamma_batch_path(n, _packed(words)).tolist() == [
             run_online_domination(g, _an_order_with_word(word)).size
@@ -331,6 +388,24 @@ class TestGammaBatch:
         assert peak <= 6 * 2**20
         assert len(sizes) == 2 ** (n - 1)
 
+    def test_all_words_of_19_vertices_peak_below_2_mib(self):
+        # One packed table of 2^18 words, 0.6 MiB, and uint16 sizes, 0.5 MiB.
+        n = 19
+        tracemalloc.start()
+        try:
+            gamma_batch_path(n, PackedWords.every_word(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
+
+    @pytest.mark.parametrize("n, dtype", [
+        (1, np.uint16), (131070, np.uint16), (131071, np.uint32),
+    ])
+    def test_sizes_are_uint16_while_half_the_path_fits(self, n, dtype):
+        # ceil(n/2) is 65535 at n = 131070 and 65536 at n = 131071.
+        assert gamma_batch_path(n, PackedWords.empty(n, 0)).dtype == dtype
+
     def test_uint16_reveal_keys(self):
         n, k = 60, 300
         keys = np.random.default_rng(6).integers(0, 2**16, size=(k, n), dtype=np.uint16)
@@ -353,14 +428,14 @@ class TestGammaBatch:
         assert len(words) == len(reference) == k
 
         def bits(packed):  # the first k bits of each row, padding dropped
-            return np.unpackbits(packed.table[:, : -(-k // 8)], axis=1, count=k).tolist()
+            return np.unpackbits(packed.table, axis=1, count=k).tolist()
 
         assert bits(words) == bits(reference)
 
     def test_shape_validated(self):
         with pytest.raises(TypeError, match="takes a PackedWords, not an array"):
             gamma_batch_path(4, np.array([[True, False, True]]))
-        with pytest.raises(ValueError, match=r"\(4, 2\)"):
+        with pytest.raises(ValueError, match=r"\(4, 1\)"):
             gamma_batch_path(4, PackedWords.empty(5, 3))
         with pytest.raises(ValueError, match="n must be positive"):
             gamma_batch_path(0, np.zeros((3, 0), dtype=bool))

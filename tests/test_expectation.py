@@ -7,6 +7,7 @@ small values below were computed by exhaustive simulation.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -32,7 +33,8 @@ from pathdom import (
     wheel,
 )
 from pathdom.errors import EXACT_PATH_CAP, ResourceLimitError
-from pathdom.expectation import expected_gamma_path_prefix
+from pathdom.expectation import caro_wei_bound_from_degrees, expected_gamma_path_prefix
+from pathdom.graphs import degree_counts
 
 
 class TestPathRecurrence:
@@ -239,6 +241,36 @@ class TestCaroWei:
     @pytest.mark.parametrize("n", range(2, 50))
     def test_path_formula(self, n):
         assert caro_wei_bound(path(n)) == Fraction(n + 1, 3)
+
+    @pytest.mark.parametrize("family, build, sizes", [
+        ("path", path, range(1, 9)),
+        ("cycle", cycle, range(3, 9)),
+        ("star", star, range(1, 9)),
+        ("wheel", wheel, range(3, 9)),
+        ("complete_multipartite", complete_multipartite,
+         [[1], [3], [1, 1], [2, 3], [1, 2, 2], [4, 1, 3, 1]]),
+    ])
+    def test_degree_classes_are_those_of_the_graph(self, family, build, sizes):
+        for size in sizes:
+            g = build(size)
+            counts = degree_counts(family, size)
+            assert counts == Counter(len(g.adj[v]) for v in g.vertices)
+            assert caro_wei_bound_from_degrees(counts) == caro_wei_bound(g)
+
+    @pytest.mark.parametrize("family, build, size", [
+        ("path", path, 0), ("cycle", cycle, 2), ("star", star, 0), ("wheel", wheel, 2),
+        ("complete_multipartite", complete_multipartite, []),
+        ("complete_multipartite", complete_multipartite, [2, 0]),
+    ])
+    def test_degree_classes_refuse_what_the_builder_refuses(self, family, build, size):
+        with pytest.raises(ValueError) as built:
+            build(size)
+        with pytest.raises(ValueError, match=str(built.value)):
+            degree_counts(family, size)
+
+    def test_explicit_graphs_have_no_degree_classes(self):
+        with pytest.raises(ValueError, match="without its edges"):
+            degree_counts("explicit", 3)
 
     @pytest.mark.parametrize("n", range(1, 50))
     def test_expectation_respects_bound(self, n):
