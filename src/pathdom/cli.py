@@ -78,42 +78,37 @@ def _parse_edges(raw: str) -> list[tuple[int, int]]:
     return edges
 
 
-def _multipartite_size(raw: str) -> tuple[int, int]:
-    parts = _parse_int_list(raw, "part sizes")
-    return sum(parts), (sum(parts) ** 2 - sum(p * p for p in parts)) // 2
-
-
-_FAMILIES = {  # family -> (the arguments it requires, and from them (vertices,
-    # edges), the graph, and the graphs.degree_counts arguments, None for explicit)
-    "path": (("n",), lambda a: (a.n, a.n - 1), lambda g, a: g.path(a.n),
-             lambda a: ("path", a.n)),
-    "cycle": (("n",), lambda a: (a.n, a.n), lambda g, a: g.cycle(a.n),
-              lambda a: ("cycle", a.n)),
-    "star": (("leaves",), lambda a: (a.leaves + 1, a.leaves),
-             lambda g, a: g.star(a.leaves), lambda a: ("star", a.leaves)),
-    "wheel": (("spokes",), lambda a: (a.spokes + 1, 2 * a.spokes),
-              lambda g, a: g.wheel(a.spokes), lambda a: ("wheel", a.spokes)),
-    "multipartite": (("parts",), lambda a: _multipartite_size(a.parts),
-                     lambda g, a: g.complete_multipartite(
-                         _parse_int_list(a.parts, "part sizes")),
-                     lambda a: ("complete_multipartite",
-                                _parse_int_list(a.parts, "part sizes"))),
-    "explicit": (("n", "edges"), lambda a: (a.n, len(_parse_edges(a.edges))),
-                 lambda g, a: g.explicit(a.n, _parse_edges(a.edges)), None),
+_FAMILIES = {  # family -> the arguments it requires, the first the graph's size
+    "path": ("n",),
+    "cycle": ("n",),
+    "star": ("leaves",),
+    "wheel": ("spokes",),
+    "multipartite": ("parts",),
+    "explicit": ("n", "edges"),
 }
 
 
-def _require_family_args(args: argparse.Namespace) -> None:
-    required = _FAMILIES[args.family][0]
+def _family_size(args: argparse.Namespace) -> tuple[str, int | list[int]]:
+    """The family's graphs builder name and its size argument, once the
+    family's arguments are all given."""
+    required = _FAMILIES[args.family]
     if any(getattr(args, name) in (None, "") for name in required):
         flags = " and ".join(f"--{name}" for name in required)
         raise ValueError(f"--family {args.family} requires {flags}")
+    if args.family == "multipartite":
+        return "complete_multipartite", _parse_int_list(args.parts, "part sizes")
+    return args.family, getattr(args, required[0])
 
 
 def _graph_size(args: argparse.Namespace) -> tuple[int, int]:
-    """Vertices and edges of the family's graph, from its arguments alone."""
-    _require_family_args(args)
-    return _FAMILIES[args.family][1](args)
+    """Vertices and edges of the family's graph, from its degree classes, or
+    an explicit graph's --n and edge list, before anything is built."""
+    name, size = _family_size(args)
+    if name == "explicit":
+        return size, len(_parse_edges(args.edges))
+    from .graphs import degree_counts
+    counts = degree_counts(name, size)
+    return sum(counts.values()), sum(d * c for d, c in counts.items()) // 2
 
 
 def _graph_from_args(args: argparse.Namespace) -> Graph:
@@ -122,7 +117,10 @@ def _graph_from_args(args: argparse.Namespace) -> Graph:
     from .errors import GRAPH_SIZE_CAP, check_cap
     check_cap(sum(_graph_size(args)), GRAPH_SIZE_CAP, args.force,
               f"{args.family} graph construction", measure="vertices + edges")
-    return _FAMILIES[args.family][2](graphs, args)
+    name, size = _family_size(args)
+    if name == "explicit":
+        return graphs.explicit(size, _parse_edges(args.edges))
+    return getattr(graphs, name)(size)
 
 
 def _add_family_args(parser: argparse.ArgumentParser) -> None:
@@ -276,41 +274,38 @@ def _expect_value(args: argparse.Namespace) -> tuple[str, Fraction]:
     if args.caro_wei and args.method is not None:
         raise ValueError("--caro-wei takes no --method: it bounds the graph instead")
     if args.caro_wei:
-        _require_family_args(args)
-        degrees = _FAMILIES[args.family][3]
-        if degrees is None:  # only the edges give an explicit graph's degrees
+        name, size = _family_size(args)
+        if name == "explicit":  # only the edges give an explicit graph's degrees
             return "caro_wei", expectation.caro_wei_bound(_graph_from_args(args))
         from .graphs import degree_counts
         return "caro_wei", expectation.caro_wei_bound_from_degrees(
-            degree_counts(*degrees(args)))
+            degree_counts(name, size))
     if args.method == "brute":
         graph = _graph_from_args(args)
         return "brute", expectation.bruteforce_expected_gamma(graph, force=args.force)
-    family = args.family
-    if family == "explicit":
+    if args.family == "explicit":
         raise ValueError("expect supports explicit graphs only with --method brute")
-    if family != "path" and args.method is not None:
+    if args.family != "path" and args.method is not None:
         raise ValueError("--method recurrence and closed-form apply to --family path only")
-    _require_family_args(args)
-    if family == "path":
-        if args.n < 1:
+    name, size = _family_size(args)
+    if name == "path":
+        if size < 1:
             raise ValueError("a path needs at least 1 vertex")
         if args.method == "closed-form":
             return "closed-form", expectation.expected_gamma_path_closed_form(
-                args.n, force=args.force
+                size, force=args.force
             )
-        return "recurrence", expectation.expected_gamma_path(args.n, force=args.force)
-    if family == "cycle":
-        return "formula", expectation.expected_gamma_cycle(args.n, force=args.force)
-    if family == "star":
-        return "formula", expectation.expected_gamma_star(args.leaves)
-    if family == "wheel":
+        return "recurrence", expectation.expected_gamma_path(size, force=args.force)
+    if name == "cycle":
+        return "formula", expectation.expected_gamma_cycle(size, force=args.force)
+    if name == "star":
+        return "formula", expectation.expected_gamma_star(size)
+    if name == "wheel":
         label = "formula-as-printed" if args.as_printed else "formula"
         return label, expectation.expected_gamma_wheel(
-            args.spokes, as_printed=args.as_printed, force=args.force
+            size, as_printed=args.as_printed, force=args.force
         )
-    sizes = _parse_int_list(args.parts, "part sizes")
-    return "formula", expectation.expected_gamma_complete_multipartite(sizes)
+    return "formula", expectation.expected_gamma_complete_multipartite(size)
 
 
 def _cmd_expect(args: argparse.Namespace) -> int:

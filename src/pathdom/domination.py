@@ -46,6 +46,7 @@ if TYPE_CHECKING:
 SIZE_ROWS = 128  # chosen rows summed at a time; at most 255 (uint8 sums)
 SIZE_BYTES = 512  # packed bytes of a row summed at a time: 4096 samples, one sampler chunk
 SEGMENTS = 16  # blocks of scan rows that gamma_batch_path advances together
+RUN_ROWS = 16  # rows of P that _scan keeps; a sampler chunk at n = 2000 needs at most 9
 
 
 @dataclass(frozen=True)
@@ -205,12 +206,14 @@ def _scan(t: np.ndarray, ands: int) -> None:
     first row is its operand: no call.  Where the row before is 0 instead,
     the bits differ exactly until the segment's first false step, so before
     the scan P[i], the AND of a segment's steps s through its row i, is kept
-    for as long as it is nonzero somewhere (about a dozen rows on random
-    words).  After it, every segment is fixed in order, by XOR of P & (x of
+    for as long as it is nonzero somewhere (at most 9 rows in a sampler
+    chunk).  After it, every segment is fixed in order, by XOR of P & (x of
     the row before is 0) into its first rows: in order, because a run of
     true steps, as in the all-up and all-down words, can cross a whole
-    segment and change its last row.  The rows past SEGMENTS * L, every row
-    when len(t) < 33, take one ufunc call each.
+    segment and change its last row.  A run that outlives RUN_ROWS rows of P
+    drops P, which never wrote t, and the pass runs in order as if L were 0.
+    The rows past SEGMENTS * L, every row when len(t) < 33, take one ufunc
+    call each.
     """
     import numpy as np
 
@@ -223,6 +226,9 @@ def _scan(t: np.ndarray, ands: int) -> None:
         step = segs[:, i] if i + 1 & 1 == ands else ~segs[:, i]
         run = runs[-1] & step if i else step.copy()
         if not run.any():
+            break
+        if len(runs) == RUN_ROWS:  # a run this long: scan the pass in order
+            span, runs = 0, []
             break
         runs.append(run)
     for i in range(1, span):

@@ -111,19 +111,16 @@ def wheel(spokes: int) -> Graph:
 
 
 def complete_multipartite(part_sizes: Sequence[int]) -> Graph:
-    """Complete multipartite graph; parts take consecutive label blocks."""
+    """Complete multipartite graph; parts take consecutive label blocks, and
+    the vertices of a part share one adjacency tuple, the labels outside it."""
     _check_parts(part_sizes)
     n = sum(part_sizes)
-    part_of = []
-    for idx, size in enumerate(part_sizes):
-        part_of.extend([idx] * size)
-    edges = [
-        (u, v)
-        for u in range(1, n + 1)
-        for v in range(u + 1, n + 1)
-        if part_of[u - 1] != part_of[v - 1]
-    ]
-    return _build("complete_multipartite", n, edges)
+    adj: list[tuple[int, ...]] = [()]
+    first = 1  # the part's first label
+    for size in part_sizes:
+        adj += [(*range(1, first), *range(first + size, n + 1))] * size
+        first += size
+    return Graph(family="complete_multipartite", n=n, adj=tuple(adj))
 
 
 def degree_counts(family: str, size: int | Sequence[int]) -> dict[int, int]:

@@ -70,16 +70,27 @@ def test_caro_wei_past_the_graph_cap_takes_the_degree_classes(argv, out):
     assert (result.returncode, result.stdout, result.stderr) == (0, out + "\n", "")
 
 
-@pytest.mark.parametrize("argv,size", [
+@pytest.mark.parametrize("argv,size", [  # size: vertices + edges of the graph
     (["expect", "--family", "wheel", "--spokes", "5", "--method", "brute"], 6 + 10),
     (["simulate", "--family", "star", "--leaves", "2", "--order", "3,1,2"], 3 + 2),
+    (["simulate", "--family", "path", "--n", "4", "--order", "2,4,1,3"], 4 + 3),
+    (["expect", "--family", "cycle", "--n", "5", "--method", "brute"], 5 + 5),
+    (["expect", "--family", "multipartite", "--parts", "2,1,3", "--method", "brute"],
+     6 + 11),
+    (["simulate", "--family", "explicit", "--n", "4", "--edges", "1-2,2-3,3-4,1-3",
+      "--order", "3,1,4,2"], 4 + 4),
+    (["expect", "--family", "explicit", "--n", "5", "--edges", "1-2,4-5", "--caro-wei"],
+     5 + 2),
 ])
 def test_graph_size_cap_read_at_call_time_and_forced(argv, size, monkeypatch, capsys):
     assert main(argv) == 0
     expected = capsys.readouterr().out
+    monkeypatch.setattr(errors, "GRAPH_SIZE_CAP", size)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
     monkeypatch.setattr(errors, "GRAPH_SIZE_CAP", size - 1)
     assert main(argv) == 3
-    assert "vertices + edges" in capsys.readouterr().err
+    assert f"vertices + edges = {size} exceeds" in capsys.readouterr().err
     assert main([*argv, "--force"]) == 0
     assert capsys.readouterr().out == expected
 

@@ -36,6 +36,7 @@ from pathdom import (
     gamma,
     gamma_batch_path,
     is_independent_dominating,
+    montecarlo,
     orders_with_size,
     path,
     run_online_domination,
@@ -398,6 +399,24 @@ class TestGammaBatch:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * 2**20
+
+    def test_a_run_through_every_segment_keeps_p_below_run_rows(self):
+        # Word 0 all up keeps the greedy pass's P alive through every row of
+        # the segments; past RUN_ROWS rows that pass runs in order, so the
+        # peak stays that of the summed blocks, not a P row per segment row.
+        n = 2000
+        words = montecarlo._chunk_words(np.random.default_rng(0), n, 4096)
+        random_sizes = gamma_batch_path(n, PackedWords(words.table.copy(), len(words)))
+        words.table[1:, 0] |= 0x80  # every letter of word 0 up: the identity order
+        tracemalloc.start()
+        try:
+            sizes = gamma_batch_path(n, words)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert sizes[0] == run_online_domination(path(n), range(1, n + 1)).size
+        assert sizes[1:].tolist() == random_sizes[1:].tolist()
 
     @pytest.mark.parametrize("n, dtype", [
         (1, np.uint16), (131070, np.uint16), (131071, np.uint32),
