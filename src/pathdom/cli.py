@@ -103,10 +103,11 @@ def _family_size(args: argparse.Namespace) -> tuple[str, int | list[int]]:
 def _graph_size(args: argparse.Namespace) -> tuple[int, int]:
     """Vertices and edges of the family's graph, from its degree classes, or
     an explicit graph's --n and edge list, before anything is built."""
+    from .graphs import check_size, degree_counts
     name, size = _family_size(args)
     if name == "explicit":
+        check_size(name, size)
         return size, len(_parse_edges(args.edges))
-    from .graphs import degree_counts
     counts = degree_counts(name, size)
     return sum(counts.values()), sum(d * c for d, c in counts.items()) // 2
 

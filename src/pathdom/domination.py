@@ -20,12 +20,14 @@ straight into one, and PackedWords.every_word writes every word of a path),
 bit-packed across samples.  It scans the table twice in place: from the
 right end, for each vertex whether its right neighbour is chosen before it,
 then greedily from the left, a vertex joining when its right side allows it
-and the vertex before did not join.  Each pass is a segmented scan
-(Blelloch, "Prefix sums and their applications", 1990), _scan: SEGMENTS
-blocks of rows advance together, one bitwise call a block row, each
-starting as if the vertex before it were free; P, the running AND of each
-segment's steps, then tells which bits of a segment's first rows flip once
-the row before it is known, fixed segment by segment in order.
+and the vertex before did not join.  Both passes are the one recurrence
+x[i] = s[i] | ~x[i-1], the first on the letters and the second on its
+complemented result, run as a segmented scan (Blelloch, "Prefix sums and
+their applications", 1990), _scan: SEGMENTS blocks of rows advance
+together, one OR a block row, each starting as if the row before it were
+all ones; P, the running AND of each segment's ~s, then tells which
+bits of a segment's first rows flip once the row before it is known, fixed
+segment by segment in order.
 """
 
 from __future__ import annotations
@@ -45,8 +47,8 @@ if TYPE_CHECKING:
 
 SIZE_ROWS = 128  # chosen rows summed at a time; at most 255 (uint8 sums)
 SIZE_BYTES = 512  # packed bytes of a row summed at a time: 4096 samples, one sampler chunk
-SEGMENTS = 16  # blocks of scan rows that gamma_batch_path advances together
-RUN_ROWS = 16  # rows of P that _scan keeps; a sampler chunk at n = 2000 needs at most 9
+SEGMENTS = 32  # blocks of scan rows that gamma_batch_path advances together
+RUN_ROWS = 16  # rows of P that _scan keeps; 600 sampler chunks at n = 2000 needed 11
 
 
 @dataclass(frozen=True)
@@ -189,42 +191,40 @@ class PackedWords:
         return self.count
 
 
-def _scan(t: np.ndarray, ands: int) -> None:
-    """Run the scan x[i] = ~(s[i] & x[i-1]) down the rows of t in place.
+def _scan(t: np.ndarray) -> None:
+    """Run the scan x[i] = s[i] | ~x[i-1] down the rows of t in place.
 
-    Rows of parity `ands` are held complemented, so such a row is s[i] AND
-    the row before, held as it is; the other rows are held as they are, so
-    such a row is ~s[i] OR the row before, held complemented.  Row 0 holds
-    x[0] and row i >= 1 its operand, s[i] or ~s[i], each in its row's form,
-    and the scan leaves x[i] there in the same form, one ufunc call a row.
+    Row 0 holds x[0] and row i >= 1 its operand s[i]; the scan leaves x[i]
+    in row i, one np.bitwise_or a row.  Where s[i] is 1, x[i] is 1; where it
+    is 0, x[i] is the complement of x[i-1].
 
     The scan is segmented.  Rows 1 .. SEGMENTS * L, with L = (len(t) - 1) //
-    SEGMENTS rounded down to even, form SEGMENTS segments of L rows, and
-    one ufunc call advances row i of every segment.  L is even, so the row
-    before each segment has the parity, and the form, of row 0.  Each
-    segment starts as if that row were all ones, a free vertex, where its
-    first row is its operand: no call.  Where the row before is 0 instead,
-    the bits differ exactly until the segment's first false step, so before
-    the scan P[i], the AND of a segment's steps s through its row i, is kept
-    for as long as it is nonzero somewhere (at most 9 rows in a sampler
-    chunk).  After it, every segment is fixed in order, by XOR of P & (x of
-    the row before is 0) into its first rows: in order, because a run of
-    true steps, as in the all-up and all-down words, can cross a whole
-    segment and change its last row.  A run that outlives RUN_ROWS rows of P
-    drops P, which never wrote t, and the pass runs in order as if L were 0.
-    The rows past SEGMENTS * L, every row when len(t) < 33, take one ufunc
-    call each.
+    SEGMENTS, form SEGMENTS segments of L rows, and one call advances row i
+    of every segment.  Each segment starts as if the row before it were all
+    ones, where its first row is its own operand: no call.  Where that row
+    is 0 instead, the bits differ exactly until the segment's first s of 1,
+    so before the scan P[i], the AND of ~s through a segment's row i, is kept
+    for as long as it is nonzero somewhere (at most 11 rows in 600 sampler
+    chunks).  After it, every segment is fixed in order, by XOR of P & ~(x of
+    the row before) into its first rows: in order, because a run of zero
+    operands, as in the all-up and all-down words, can cross a whole segment
+    and change its last row.  A run that outlives RUN_ROWS rows of P drops
+    P, which never wrote t, and the pass runs in order, as it does when L is
+    below 2 (len(t) < 2 * SEGMENTS + 1), where a segment would be no more
+    than its own fix-up.  The rows past SEGMENTS * L take one call each.
     """
     import numpy as np
 
-    combine = {ands: np.bitwise_and, 1 - ands: np.bitwise_or}  # by row parity
-    span = (len(t) - 1) // SEGMENTS & ~1
-    # segs[j, i] is row j * span + 1 + i, so segment row i has parity i + 1.
+    span = (len(t) - 1) // SEGMENTS
+    if span < 2:
+        span = 0
+    # segs[j, i] is row j * span + 1 + i.
     segs = t[1 : 1 + SEGMENTS * span].reshape(SEGMENTS, span, t.shape[1])
-    runs = []  # P: the AND of each segment's steps through row i, while nonzero
+    runs = []  # P: the AND of each segment's ~s through row i, while nonzero
     for i in range(span):
-        step = segs[:, i] if i + 1 & 1 == ands else ~segs[:, i]
-        run = runs[-1] & step if i else step.copy()
+        run = ~segs[:, i]
+        if i:
+            run &= runs[-1]
         if not run.any():
             break
         if len(runs) == RUN_ROWS:  # a run this long: scan the pass in order
@@ -232,14 +232,14 @@ def _scan(t: np.ndarray, ands: int) -> None:
             break
         runs.append(run)
     for i in range(1, span):
-        combine[i + 1 & 1](segs[:, i], segs[:, i - 1], out=segs[:, i])
+        np.bitwise_or(segs[:, i], ~segs[:, i - 1], out=segs[:, i])
     if runs:  # where x of the row before a segment is 0, its bits in P flip
         runs = np.stack(runs, axis=1)
         for j in range(SEGMENTS):  # in order: a run of steps can cross a segment
             before = segs[j - 1, -1] if j else t[0]
-            segs[j, : len(runs[j])] ^= runs[j] & (~before if ands else before)
+            segs[j, : len(runs[j])] ^= runs[j] & ~before
     for v in range(1 + SEGMENTS * span, len(t)):
-        combine[v & 1](t[v], t[v - 1], out=t[v])
+        np.bitwise_or(t[v], ~t[v - 1], out=t[v])
 
 
 def gamma_batch_path(n: int, words: PackedWords) -> np.ndarray:
@@ -258,21 +258,19 @@ def gamma_batch_path(n: int, words: PackedWords) -> np.ndarray:
     is chosen exactly when c(v) = R(v) AND NOT c(v-1), with c(0) = 0: if
     v - 1 is chosen, v is not, the set being independent; if it is not,
     it never blocks v, and v joins unless blocked from the right.  Both are
-    the scan x(v) = ~(s(v) & x(v-1)), run by _scan in place in the one
-    table t, rows packed 8 samples a byte:
+    the scan x(v) = s(v) | ~x(v-1), run by _scan in place in the one table
+    t, rows packed 8 samples a byte:
 
-    - pass 1 runs up the rows, t[:0:-1], with s(v) = NOT letter v, and
-      leaves R(v) in row v; its first row, n - 1, already holds R(n-1),
-      which is letter n - 1;
-    - pass 2 runs down them with s(v) = R(v) and x(0) = row 0, all ones,
-      and leaves NOT c(v) in row v, so c(n) = R(n) AND NOT c(n-1) is the
-      value of row n - 1.
+    - pass 1 runs up the rows, t[:0:-1], with s(v) = letter v, and leaves
+      R(v) in row v; its first row, n - 1, already holds R(n-1), which is
+      letter n - 1;
+    - rows 1 .. n - 1 are inverted to NOT R(v);
+    - pass 2 runs down them with s(v) = NOT R(v) and x(0) = row 0, all
+      ones, NOT c(0), and leaves NOT c(v) = NOT R(v) OR c(v-1) in row v.
 
-    Even rows are held complemented in pass 1 and odd rows in pass 2, so
-    the even rows are inverted once before pass 1, where their operand is
-    s = NOT letter, and once after pass 2, where they still hold NOT c; pass
-    1 leaves each row in the form pass 2 reads.  Row 0 then takes c(n), and
-    the sizes are the bits of all n rows, summed in blocks of SIZE_ROWS rows
+    Row n - 1 then holds NOT c(n-1), which is c(n) = R(n) AND NOT c(n-1),
+    and goes to row 0 before rows 1 .. n - 1 are inverted to c(v).  The
+    sizes are the bits of all n rows, summed in blocks of SIZE_ROWS rows
     by SIZE_BYTES bytes, 8 * SIZE_BYTES samples, so the bits unpacked at
     once take SIZE_ROWS * 8 * SIZE_BYTES bytes (512 KiB) at most, whatever
     k is; a sampler chunk is one block wide.
@@ -288,11 +286,11 @@ def gamma_batch_path(n: int, words: PackedWords) -> np.ndarray:
     if t.shape != (n, w):
         raise ValueError(f"expected a table of shape {(n, w)}, got {t.shape}")
     if n > 1:
-        np.invert(t[2::2], out=t[2::2])
-        _scan(t[:0:-1], n & 1 ^ 1)  # its row i is row n - 1 - i: the even rows AND
-        _scan(t, 1)
-        np.invert(t[2::2], out=t[2::2])
-        np.invert(t[-1], out=t[0])
+        _scan(t[:0:-1])  # its row i is row n - 1 - i
+        np.invert(t[1:], out=t[1:])
+        _scan(t)
+        t[0] = t[-1]
+        np.invert(t[1:], out=t[1:])
     dtype = np.uint16 if max_dominating_size(n) <= np.iinfo(np.uint16).max else np.uint32
     sizes = np.zeros(k, dtype=dtype)
     for left in range(0, w, SIZE_BYTES):

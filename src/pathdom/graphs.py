@@ -6,7 +6,8 @@ star with k leaves has leaves 1..k and hub k+1, a wheel with k spokes has
 rim cycle 1..k and hub k+1.  Complete multipartite graphs assign
 consecutive labels part by part.  An explicit edge list covers everything
 else, so one simulation engine serves every family.  degree_counts gives
-the degree classes of every family but the explicit one from its size alone.
+the degree classes of every family but the explicit one from its size alone,
+and check_size refuses a size below the smallest with its builder's message.
 """
 
 from __future__ import annotations
@@ -49,10 +50,11 @@ _SMALLEST = {  # family -> (the smallest size it is built for, the refusal below
     "cycle": (3, "a cycle needs at least 3 vertices"),
     "star": (1, "a star needs at least 1 leaf"),
     "wheel": (3, "a wheel needs at least 3 spokes"),
+    "explicit": (1, "a graph needs at least 1 vertex"),
 }
 
 
-def _check_size(family: str, size: int) -> None:
+def check_size(family: str, size: int) -> None:
     smallest, refusal = _SMALLEST[family]
     if size < smallest:
         raise ValueError(refusal)
@@ -79,7 +81,7 @@ def _build(family: str, n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 def path(n: int) -> Graph:
     """Path on n >= 1 vertices, edges (i, i+1)."""
-    _check_size("path", n)
+    check_size("path", n)
     inner = zip(range(1, n - 1), range(3, n + 1))  # (v - 1, v + 1) for 1 < v < n
     adj = ((), ()) if n == 1 else ((), (2,), *inner, (n - 1,))
     return Graph(family="path", n=n, adj=adj)
@@ -87,7 +89,7 @@ def path(n: int) -> Graph:
 
 def cycle(n: int) -> Graph:
     """Cycle on n >= 3 vertices."""
-    _check_size("cycle", n)
+    check_size("cycle", n)
     edges = [(i, i + 1) for i in range(1, n)]
     edges.append((n, 1))
     return _build("cycle", n, edges)
@@ -95,14 +97,14 @@ def cycle(n: int) -> Graph:
 
 def star(leaves: int) -> Graph:
     """Star with the given number of leaves; the hub is vertex leaves+1."""
-    _check_size("star", leaves)
+    check_size("star", leaves)
     hub = leaves + 1
     return _build("star", hub, ((i, hub) for i in range(1, hub)))
 
 
 def wheel(spokes: int) -> Graph:
     """Wheel: rim cycle 1..spokes plus hub spokes+1 joined to every rim vertex."""
-    _check_size("wheel", spokes)
+    check_size("wheel", spokes)
     hub = spokes + 1
     edges = [(i, i + 1) for i in range(1, spokes)]
     edges.append((spokes, 1))
@@ -134,8 +136,8 @@ def degree_counts(family: str, size: int | Sequence[int]) -> dict[int, int]:
     if family == "complete_multipartite":
         _check_parts(size)
         classes = [(sum(size) - p, p) for p in size]
-    elif family in _SMALLEST:
-        _check_size(family, size)
+    elif family in _SMALLEST and family != "explicit":
+        check_size(family, size)
         classes = {
             "path": [(0, 1)] if size == 1 else [(1, 2), (2, size - 2)],
             "cycle": [(2, size)],
@@ -153,6 +155,5 @@ def degree_counts(family: str, size: int | Sequence[int]) -> dict[int, int]:
 
 def explicit(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Arbitrary graph from an edge list; the escape hatch for everything else."""
-    if n < 1:
-        raise ValueError("a graph needs at least 1 vertex")
+    check_size("explicit", n)
     return _build("explicit", n, edges)

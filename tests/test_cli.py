@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pathdom
-from pathdom import cli, domination, expectation, extremal, montecarlo, series
+from pathdom import cli, domination, expectation, extremal, graphs, montecarlo, series
 from pathdom.cli import main
 from pathdom.errors import EXACT_COUNT_CAP, EXACT_PATH_CAP
 
@@ -371,6 +371,21 @@ class TestSimulate:
             capsys, "simulate", "--family", "path", "--n", "3", "--order", "1,1,3"
         )
         assert code == 1
+
+    @pytest.mark.parametrize("argv, build", [
+        (["path", "--n", "0"], lambda: graphs.path(0)),
+        (["cycle", "--n", "2"], lambda: graphs.cycle(2)),
+        (["star", "--leaves", "0"], lambda: graphs.star(0)),
+        (["wheel", "--spokes", "2"], lambda: graphs.wheel(2)),
+        (["multipartite", "--parts", "0"], lambda: graphs.complete_multipartite([0])),
+        (["explicit", "--n", "0", "--edges", "1-2"], lambda: graphs.explicit(0, [(1, 2)])),
+    ], ids=["path", "cycle", "star", "wheel", "multipartite", "explicit"])
+    def test_too_small_a_graph_gets_its_builders_message(self, capsys, argv, build):
+        # The size is refused before the order's length is compared with it.
+        with pytest.raises(ValueError) as refusal:
+            build()
+        code, out, err = run(capsys, "simulate", "--family", *argv, "--order", "1")
+        assert (code, out, err) == (1, "", f"error: {refusal.value}\n")
 
 
 class TestSample:

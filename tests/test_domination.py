@@ -263,6 +263,20 @@ def _final_set_by_two_passes(word):
     return chosen
 
 
+def _long_run_words(n, mirrored):
+    """13 words of the n-path, so the last packed byte is partial: all up, all
+    down, both alternations, five 99 % and four 1 % up; mirrored, each
+    reversed and complemented, the word of the mirrored order."""
+    rng = np.random.default_rng(n)
+    alternating = np.arange(n - 1) % 2 == 0
+    words = np.vstack([
+        np.ones(n - 1, dtype=bool), np.zeros(n - 1, dtype=bool),
+        alternating, ~alternating,
+        rng.random((5, n - 1)) < 0.99, rng.random((4, n - 1)) < 0.01,
+    ])
+    return ~words[:, ::-1] if mirrored else words
+
+
 class TestTwoPasses:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_final_set_matches_the_scalar_run_on_every_order(self, n):
@@ -326,29 +340,24 @@ class TestGammaBatch:
         assert gamma_batch_path(n, packed).tolist() == expected
 
     @pytest.mark.parametrize("mirrored", [False, True])
-    @pytest.mark.parametrize("n", [32, 33, 34, 35, 48, 49, 65, 66, 296, 2000])
+    @pytest.mark.parametrize(
+        "n", [32, 33, 34, 35, 48, 49, 64, 65, 66, 97, 98, 296, 2000])
     def test_runs_longer_than_a_segment(self, n, mirrored):
-        # From n = 33 each scan runs 16 segments and fixes each up from
-        # the one before; a run of up or down letters crossing whole segments
-        # carries a fix-up on, which random words almost never do.  The
-        # mirrored words, reversed and complemented, are those of the mirrored
-        # orders, so each run meets the two passes from the other end.
-        rng = np.random.default_rng(n)
-        alternating = np.arange(n - 1) % 2 == 0
-        words = np.vstack([
-            np.ones(n - 1, dtype=bool), np.zeros(n - 1, dtype=bool),
-            alternating, ~alternating,
-            rng.random((5, n - 1)) < 0.99, rng.random((4, n - 1)) < 0.01,
-        ])  # 13 words: the last byte is partial
-        if mirrored:
-            words = ~words[:, ::-1]
+        # From n = 65, where a pass has 2 * SEGMENTS rows past its first, each
+        # scan runs SEGMENTS segments and fixes each up from the one before;
+        # below it the rows run in order.  A run of up or down letters crossing
+        # whole segments carries a fix-up on, which random words almost never
+        # do.  The mirrored words, reversed and complemented, are those of the
+        # mirrored orders, so each run meets the two passes from the other end.
+        words = _long_run_words(n, mirrored)
         g = path(n)
         assert gamma_batch_path(n, _packed(words)).tolist() == [
             run_online_domination(g, _an_order_with_word(word)).size
             for word in words.tolist()
         ]
 
-    @pytest.mark.parametrize("n", [33, 34, 35, 36, 49, 65, 2000, 2001])
+    @pytest.mark.parametrize(
+        "n", [33, 34, 35, 36, 49, 64, 65, 66, 97, 98, 2000, 2001])
     def test_backward_pass_starts_from_a_row_that_is_not_all_ones(self, n):
         # The right scan starts from the last letter, so its segment 0 is
         # fixed up like the others; flipping that letter flips the start.
@@ -364,6 +373,21 @@ class TestGammaBatch:
             run_online_domination(g, _an_order_with_word(word)).size
             for word in words.tolist()
         ]
+
+    @pytest.mark.parametrize("mirrored", [False, True])
+    @pytest.mark.parametrize("n", [33, 64, 65, 66, 97, 2000])
+    def test_every_row_ends_holding_the_final_set(self, n, mirrored):
+        # Sizes alone would pass a fix-up that flips two bits of one sample.
+        # Row v, 1 <= v < n, must end as vertex v's membership, row 0 as n's.
+        words = _long_run_words(n, mirrored)
+        packed = _packed(words)
+        gamma_batch_path(n, packed)
+        rows = np.unpackbits(packed.table, axis=1, count=len(words)).astype(bool)
+        g = path(n)
+        for j, word in enumerate(words.tolist()):
+            chosen = run_online_domination(g, _an_order_with_word(word)).chosen_set
+            assert rows[1:, j].tolist() == [v in chosen for v in range(1, n)]
+            assert rows[0, j] == (n in chosen)
 
     @pytest.mark.parametrize("k", [1, 5, 8, 13, 300])  # k < 8, k % 8 != 0, several bytes
     @pytest.mark.parametrize("n", [1, 2, 7, 40, 2 * SIZE_ROWS + 3])
