@@ -290,8 +290,9 @@ def _expect_value(args: argparse.Namespace) -> tuple[str, Fraction]:
         raise ValueError("--method recurrence and closed-form apply to --family path only")
     name, size = _family_size(args)
     if name == "path":
-        if size < 1:
-            raise ValueError("a path needs at least 1 vertex")
+        if size < 1:  # the builder's refusal, from graphs only when it is needed
+            from .graphs import check_size
+            check_size("path", size)
         if args.method == "closed-form":
             return "closed-form", expectation.expected_gamma_path_closed_form(
                 size, force=args.force

@@ -26,8 +26,9 @@ complemented result, run as a segmented scan (Blelloch, "Prefix sums and
 their applications", 1990), _scan: SEGMENTS blocks of rows advance
 together, one OR a block row, each starting as if the row before it were
 all ones; P, the running AND of each segment's ~s, then tells which
-bits of a segment's first rows flip once the row before it is known, fixed
-segment by segment in order.
+bits of a segment's first rows flip once the row before it is known: its
+last row is fixed segment by segment in order, the others in every segment
+at once.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ if TYPE_CHECKING:
 
     from .graphs import Graph
 
-SIZE_ROWS = 128  # chosen rows summed at a time; at most 255 (uint8 sums)
+SIZE_ROWS = 32  # chosen rows summed at a time; at most 255 (uint8 sums)
 SIZE_BYTES = 512  # packed bytes of a row summed at a time: 4096 samples, one sampler chunk
 SEGMENTS = 32  # blocks of scan rows that gamma_batch_path advances together
 RUN_ROWS = 16  # rows of P that _scan keeps; 600 sampler chunks at n = 2000 needed 11
@@ -205,13 +206,17 @@ def _scan(t: np.ndarray) -> None:
     is 0 instead, the bits differ exactly until the segment's first s of 1,
     so before the scan P[i], the AND of ~s through a segment's row i, is kept
     for as long as it is nonzero somewhere (at most 11 rows in 600 sampler
-    chunks).  After it, every segment is fixed in order, by XOR of P & ~(x of
-    the row before) into its first rows: in order, because a run of zero
+    chunks), one row of every segment at a time.  After it, a segment's row
+    i takes the XOR of P[i] & ~(x of the row before the segment).  P's last
+    row goes first, into every segment in order, because a run of zero
     operands, as in the all-up and all-down words, can cross a whole segment
-    and change its last row.  A run that outlives RUN_ROWS rows of P drops
-    P, which never wrote t, and the pass runs in order, as it does when L is
-    below 2 (len(t) < 2 * SEGMENTS + 1), where a segment would be no more
-    than its own fix-up.  The rows past SEGMENTS * L take one call each.
+    and change its last row, which the next segment starts from.  The rows
+    before every segment are then final, and each other row of P is fixed
+    into all segments in one call, in place, so P is never copied.  A run
+    that outlives RUN_ROWS rows of P drops P, which never wrote t, and the
+    pass runs in order, as it does when L is below 2 (len(t) < 2 * SEGMENTS
+    + 1), where a segment would be no more than its own fix-up.  The rows
+    past SEGMENTS * L take one call each.
     """
     import numpy as np
 
@@ -234,10 +239,14 @@ def _scan(t: np.ndarray) -> None:
     for i in range(1, span):
         np.bitwise_or(segs[:, i], ~segs[:, i - 1], out=segs[:, i])
     if runs:  # where x of the row before a segment is 0, its bits in P flip
-        runs = np.stack(runs, axis=1)
+        last = runs.pop()  # P's last row, which may be a segment's last row
         for j in range(SEGMENTS):  # in order: a run of steps can cross a segment
             before = segs[j - 1, -1] if j else t[0]
-            segs[j, : len(runs[j])] ^= runs[j] & ~before
+            segs[j, len(runs)] ^= last[j] & ~before
+        flips = ~np.concatenate([t[:1], segs[:-1, -1]])  # the rows before, now final
+        for i, run in enumerate(runs):
+            run &= flips
+            segs[:, i] ^= run
     for v in range(1 + SEGMENTS * span, len(t)):
         np.bitwise_or(t[v], ~t[v - 1], out=t[v])
 
@@ -272,7 +281,7 @@ def gamma_batch_path(n: int, words: PackedWords) -> np.ndarray:
     and goes to row 0 before rows 1 .. n - 1 are inverted to c(v).  The
     sizes are the bits of all n rows, summed in blocks of SIZE_ROWS rows
     by SIZE_BYTES bytes, 8 * SIZE_BYTES samples, so the bits unpacked at
-    once take SIZE_ROWS * 8 * SIZE_BYTES bytes (512 KiB) at most, whatever
+    once take SIZE_ROWS * 8 * SIZE_BYTES bytes (128 KiB) at most, whatever
     k is; a sampler chunk is one block wide.
     """
     import numpy as np

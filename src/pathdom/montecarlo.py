@@ -98,8 +98,15 @@ def _chunk_words(rng, n: int, count: int) -> PackedWords:
     number of raw words and the last slab takes the ceiling, so the chunk
     reads ceil(n * count / 4) words in row-major key order whatever the slab
     height.  A slab's comparisons land in table rows top .. top + rows - 1,
-    the first against the previous slab's last keys, and are packed there
-    from one reused SLAB_ROWS x count buffer.
+    the first against the previous slab's last keys, kept in one reused row,
+    and are packed there from one reused SLAB_ROWS x count buffer, later,
+    which then marks the slab's ties.  Each slab's keys are released before
+    the next is drawn, so a chunk holds its packed table, n * count / 8
+    bytes, and at most one slab of keys, 2 * SLAB_ROWS * count bytes, with
+    later, SLAB_ROWS * count; gamma_batch_path then adds one block of
+    SIZE_ROWS unpacked rows as it counts.  At n = 2000 and 4096 samples
+    that is a 0.98 MiB table, a 256 KiB slab, 128 KiB of later and a 128
+    KiB count block.
 
     Keys are the leading digits of i.i.d. uniform reals; a pair with equal
     keys draws the next 64-bit digit of both vertices (once for a vertex in
@@ -114,21 +121,24 @@ def _chunk_words(rng, n: int, count: int) -> PackedWords:
     import numpy as np
 
     words = PackedWords.empty(n, count)
-    later = np.empty((SLAB_ROWS, count), dtype=bool)  # one slab's letters, before packing
+    later = np.empty((SLAB_ROWS, count), dtype=bool)  # one slab's letters, then its ties
+    last = np.zeros(count, dtype="<u2")  # the previous slab's last row of keys
     ties = []
-    last = None  # the previous slab's last row of keys
     for top in range(0, n, SLAB_ROWS):
         rows = min(SLAB_ROWS, n - top)
         raw = rng.bit_generator.random_raw(-(-rows * count // 4))
         keys = raw.astype("<u8", copy=False).view("<u2")[: rows * count].reshape(rows, count)
-        if top:
-            np.greater(keys[0], last, out=later[0])
-            ties.append(np.flatnonzero(keys[0] == last) + (top - 1) * count)
+        # later[i] is the letter of table row top + i; table row 0 holds no
+        # letter, so the first slab drops later[0].
+        first = 0 if top else 1
+        np.greater(keys[0], last, out=later[0])
         np.greater(keys[1:], keys[:-1], out=later[1:rows])
-        ties.append(np.flatnonzero(keys[1:] == keys[:-1]) + top * count)
-        first = 0 if top else 1  # row 0 of the table holds no letter
         words.table[top + first : top + rows] = np.packbits(later[first:rows], axis=1)
-        last = keys[-1].copy()
+        np.equal(keys[0], last, out=later[0])  # the letters are packed: now the ties
+        np.equal(keys[1:], keys[:-1], out=later[1:rows])
+        ties.append(np.flatnonzero(later[first:rows]) + (top + first - 1) * count)
+        last[:] = keys[-1]
+        del raw, keys  # the next slab is drawn with this one released
     pairs, samples = np.divmod(np.concatenate(ties), count)
     while pairs.size:
         cells = np.concatenate([pairs, pairs + 1]) * count + np.tile(samples, 2)

@@ -379,12 +379,16 @@ class TestSimulate:
         (["wheel", "--spokes", "2"], lambda: graphs.wheel(2)),
         (["multipartite", "--parts", "0"], lambda: graphs.complete_multipartite([0])),
         (["explicit", "--n", "0", "--edges", "1-2"], lambda: graphs.explicit(0, [(1, 2)])),
-    ], ids=["path", "cycle", "star", "wheel", "multipartite", "explicit"])
+        (["expect", "--family", "path", "--n", "0"], lambda: graphs.path(0)),
+    ], ids=["path", "cycle", "star", "wheel", "multipartite", "explicit", "expect-path"])
     def test_too_small_a_graph_gets_its_builders_message(self, capsys, argv, build):
-        # The size is refused before the order's length is compared with it.
+        # simulate refuses the size before it compares the order's length
+        # with it; expect on a path refuses it without building the graph.
         with pytest.raises(ValueError) as refusal:
             build()
-        code, out, err = run(capsys, "simulate", "--family", *argv, "--order", "1")
+        if argv[0] != "expect":
+            argv = ["simulate", "--family", *argv, "--order", "1"]
+        code, out, err = run(capsys, *argv)
         assert (code, out, err) == (1, "", f"error: {refusal.value}\n")
 
 

@@ -304,8 +304,8 @@ class TestGammaBatch:
 
     @settings(max_examples=80, deadline=None)
     @given(
-        # Odd and even scan rows, and paths past one or two SIZE_ROWS blocks.
-        st.integers(min_value=1, max_value=2 * SIZE_ROWS + 40),
+        # Odd and even scan rows, and paths past several SIZE_ROWS blocks.
+        st.integers(min_value=1, max_value=8 * SIZE_ROWS + 40),
         st.integers(min_value=1, max_value=200),  # whole and partial packed bytes
         st.integers(min_value=0, max_value=2**32 - 1),
     )
@@ -390,7 +390,7 @@ class TestGammaBatch:
             assert rows[0, j] == (n in chosen)
 
     @pytest.mark.parametrize("k", [1, 5, 8, 13, 300])  # k < 8, k % 8 != 0, several bytes
-    @pytest.mark.parametrize("n", [1, 2, 7, 40, 2 * SIZE_ROWS + 3])
+    @pytest.mark.parametrize("n", [1, 2, 7, 40, 2 * SIZE_ROWS + 3, 8 * SIZE_ROWS + 3])
     def test_blocks_of_samples_give_the_whole_block_sizes(self, monkeypatch, n, k):
         words = np.random.default_rng(1000 * n + k).random((k, n - 1)) < 0.5
         whole = gamma_batch_path(n, _packed(words))
@@ -402,27 +402,17 @@ class TestGammaBatch:
             for word in words.tolist()
         ]
 
-    def test_all_words_of_19_vertices_take_at_most_6_mib(self):
-        n = 19
-        tracemalloc.start()
-        try:  # the packed table and the sizes
-            sizes = gamma_batch_path(n, PackedWords.every_word(n))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 6 * 2**20
-        assert len(sizes) == 2 ** (n - 1)
-
     def test_all_words_of_19_vertices_peak_below_2_mib(self):
         # One packed table of 2^18 words, 0.6 MiB, and uint16 sizes, 0.5 MiB.
         n = 19
         tracemalloc.start()
         try:
-            gamma_batch_path(n, PackedWords.every_word(n))
+            sizes = gamma_batch_path(n, PackedWords.every_word(n))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 2 * 2**20
+        assert len(sizes) == 2 ** (n - 1)
 
     def test_a_run_through_every_segment_keeps_p_below_run_rows(self):
         # Word 0 all up keeps the greedy pass's P alive through every row of
