@@ -13,11 +13,12 @@ reveal time, split from raw 64-bit generator words in a byte-order
 independent way.  A pair of neighbours with equal keys (probability 2^-16)
 is decided by fresh 64-bit digits of both vertices' reveal times, drawn one
 per vertex per round until they differ, so the word follows a uniform
-order exactly.  A chunk's keys are drawn and compared SLAB_ROWS vertices
-at a time, and the comparisons are packed 8 samples a byte straight into
-the table that gamma_batch_path scans in place: the chunk is one
-PackedWords, whose len() is its sample count, and no boolean word of the
-whole chunk is ever built.
+order exactly; a round numbers its distinct vertex-sample cells by a
+stable sort, not np.unique.  A chunk's keys are drawn and compared
+SLAB_ROWS (16) vertices at a time, 128 KiB of keys at 4096 samples, and
+the comparisons are packed 8 samples a byte straight into the table that
+gamma_batch_path scans in place: the chunk is one PackedWords, whose len()
+is its sample count, and no boolean word of the whole chunk is ever built.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .domination import PackedWords, gamma_batch_path, max_dominating_size, min_
 from .errors import ConsistencyError, check_cap
 
 CHUNK_SIZE = 4096
-SLAB_ROWS = 32  # vertices whose keys are held at once; a multiple of 4
+SLAB_ROWS = 16  # vertices whose keys are held at once; a multiple of 4
 SAMPLE_BUDGET = 500_000_000  # cap on n * max(samples, CHUNK_SIZE)
 
 
@@ -105,17 +106,22 @@ def _chunk_words(rng, n: int, count: int) -> PackedWords:
     bytes, and at most one slab of keys, 2 * SLAB_ROWS * count bytes, with
     later, SLAB_ROWS * count; gamma_batch_path then adds one block of
     SIZE_ROWS unpacked rows as it counts.  At n = 2000 and 4096 samples
-    that is a 0.98 MiB table, a 256 KiB slab, 128 KiB of later and a 128
-    KiB count block.
+    that is a 0.98 MiB table, a 128 KiB slab of 16 vertices, 64 KiB of later
+    and a 128 KiB count block, and a chunk's tracemalloc peak is the table
+    plus 231 KiB.
 
     Keys are the leading digits of i.i.d. uniform reals; a pair with equal
     keys draws the next 64-bit digit of both vertices (once for a vertex in
     two such pairs) and repeats until they differ.  A pair still tied at a
     round was tied at every earlier round, so each vertex's digits come in
     sequence and the comparison is exact.  Ties are refined after the last
-    key, each round drawing its digits in ascending order of (vertex, sample).
-    A tied pair's bit starts clear and is set once, in the round that finds
-    the right vertex later; 8 samples share a byte, so the bits are set
+    key, each round drawing its digits in ascending order of (vertex, sample):
+    a stable argsort of the round's cells, the starts of its runs of equal
+    cells and their running sum give each cell its rank among the distinct
+    ones.  np.unique would give the same ranks, but its first call maps
+    about 0.37 MB of numpy's sort code and tables into the process.  A tied
+    pair's bit starts clear and is set once, in the round that finds the
+    right vertex later; 8 samples share a byte, so the bits are set
     unbuffered.
     """
     import numpy as np
@@ -142,8 +148,13 @@ def _chunk_words(rng, n: int, count: int) -> PackedWords:
     pairs, samples = np.divmod(np.concatenate(ties), count)
     while pairs.size:
         cells = np.concatenate([pairs, pairs + 1]) * count + np.tile(samples, 2)
-        drawn, where = np.unique(cells, return_inverse=True)
-        digits = rng.bit_generator.random_raw(drawn.size)[where]
+        # where[i] is cell i's rank among the round's distinct cells.  Any
+        # sort gives the ranks; the stable one maps less code on first use.
+        order = np.argsort(cells, kind="stable")
+        ranked = cells[order]
+        where = np.empty_like(order)
+        where[order] = np.cumsum(np.concatenate(([0], ranked[1:] != ranked[:-1])))
+        digits = rng.bit_generator.random_raw(int(where[order[-1]]) + 1)[where]
         left, right = digits[: pairs.size], digits[pairs.size :]
         up = right > left
         bits = (0x80 >> (samples[up] & 7)).astype(np.uint8)
@@ -161,8 +172,10 @@ def _chunk_histogram(args: tuple[int, int, int, int]) -> Counter:
         np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,))
     )
     sizes = gamma_batch_path(n, _chunk_words(rng, n, count))
-    values, counts = np.unique(sizes, return_counts=True)
-    return Counter({int(v): int(c) for v, c in zip(values, counts)})
+    # Counted over the chunk's spread of sizes, not over 0 .. max(sizes).
+    low = int(sizes.min())
+    counts = np.bincount(sizes - low).tolist()
+    return Counter({low + v: c for v, c in enumerate(counts) if c})
 
 
 def sample_gamma(config: SampleConfig) -> Histogram:

@@ -175,7 +175,9 @@ def _letters(words):
 
 @pytest.mark.parametrize("count", [1, 3, 5, 4096])
 @pytest.mark.parametrize(
-    "n", [1, 2, 3, SLAB_ROWS - 1, SLAB_ROWS, SLAB_ROWS + 1, 2 * SLAB_ROWS + 3]
+    # 31 to 33 straddle the second boundary of 16-row slabs, and 67 ends
+    # three rows into a fifth.
+    "n", [1, 2, 3, SLAB_ROWS - 1, SLAB_ROWS, SLAB_ROWS + 1, 2 * SLAB_ROWS + 3, 31, 32, 33, 67]
 )
 @pytest.mark.parametrize("make_rng, slab", [
     pytest.param(np.random.default_rng, SLAB_ROWS, id="pcg64"),
@@ -232,10 +234,11 @@ def test_up_down_word_is_exact(n, alphabet, dtype):
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
-@pytest.mark.parametrize("slab", [4, SLAB_ROWS])
+@pytest.mark.parametrize("slab", [4, 32])
 def test_streamed_word_is_exact(monkeypatch, n, slab):
     # Keys from {0, 1} tie often, so nearly every column is refined; with
-    # slabs of 4 rows, n = 5 and n = 6 put tied pairs across a boundary.
+    # slabs of 4 rows, n = 5 and n = 6 put tied pairs across a boundary,
+    # and slabs of 32 rows, like any height from 6 up, hold each word whole.
     monkeypatch.setattr(montecarlo, "SLAB_ROWS", slab)
     _assert_follows_up_down_law(_letters(_chunk_words(_BinaryKeys(2024), n, 20_000)), n)
 
@@ -257,11 +260,11 @@ def test_seeded_histogram_is_pinned():
     assert bins == PINNED_BINS
 
 
-def test_chunk_memory_stays_below_its_packed_table_plus_half_a_mib():
+def test_chunk_memory_stays_below_its_packed_table_plus_a_quarter_mib():
     # The evaluator's packed table takes an eighth of a byte a key, and the
     # sampler packs its comparisons straight into it; besides the table a
-    # chunk holds one slab of keys and its comparisons, or one block of
-    # counted rows.
+    # chunk holds one slab of keys (128 KiB) and its comparisons (64 KiB),
+    # or one block of counted rows (128 KiB).
     import tracemalloc
 
     n, samples = 2000, 4096
@@ -271,7 +274,49 @@ def test_chunk_memory_stays_below_its_packed_table_plus_half_a_mib():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= n * samples // 8 + 2**19
+    assert peak <= n * samples // 8 + 2**18
+
+
+def test_sampling_never_calls_np_unique(monkeypatch):
+    # The first np.unique of a process maps numpy's sort code and tables,
+    # about 0.37 MB of peak RSS that sampling does not need.  Binary keys tie
+    # in about half of all pairs, so most tie cells are drawn for two pairs.
+    n, count = 2 * SLAB_ROWS + 3, CHUNK_SIZE
+    reference_rng = _BinaryKeys(n)
+    reference = _up_down_word(_reveal_keys(reference_rng, n, count), reference_rng)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.unique was called")
+
+    monkeypatch.setattr(np, "unique", refuse)
+    rng = _BinaryKeys(n)
+    words = _chunk_words(rng, n, count)
+    assert np.array_equal(words.table[1:], np.packbits(reference, axis=1))
+    assert rng.bit_generator.random_raw(4).tolist() == (
+        reference_rng.bit_generator.random_raw(4).tolist())
+    hist = sample_gamma(SampleConfig(n=300, samples=5000, seed=3))
+    assert hist.total == 5000 and 100 <= hist.min_gamma <= hist.max_gamma <= 150
+    assert sample_gamma(SampleConfig(n=2000, samples=5000, seed=271828)).bins == PINNED_BINS
+
+
+def test_chunk_histogram_counts_wide_sizes_over_their_spread(monkeypatch):
+    # Past n = 131070 sizes are uint32.  The count runs from the chunk's
+    # smallest size, so it takes a few KiB where one from 0 would take 1.6 MB;
+    # the chunk drawn is one sample of 5 vertices, whatever the stub returns.
+    import tracemalloc
+
+    sizes = np.random.default_rng(5).integers(200_000, 200_400, CHUNK_SIZE, dtype=np.uint32)
+    monkeypatch.setattr(montecarlo, "gamma_batch_path", lambda n, batch: sizes)
+    values, counts = np.unique(sizes, return_counts=True)
+    tracemalloc.start()
+    try:
+        hist = montecarlo._chunk_histogram((5, 1, 0, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hist == Counter(dict(zip(values.tolist(), counts.tolist())))
+    assert all(type(size) is int and type(c) is int for size, c in hist.items())
+    assert peak < 2**17
 
 
 # Bins of the paper's histogram, n = 2000 and 40000 samples, at seed 1.
