@@ -119,10 +119,10 @@ def _chunk_words(rng, n: int, count: int) -> PackedWords:
     a stable argsort of the round's cells, the starts of its runs of equal
     cells and their running sum give each cell its rank among the distinct
     ones.  np.unique would give the same ranks, but its first call maps
-    about 0.37 MB of numpy's sort code and tables into the process.  A tied
-    pair's bit starts clear and is set once, in the round that finds the
-    right vertex later; 8 samples share a byte, so the bits are set
-    unbuffered.
+    about 0.37 MB more of numpy's code and tables than the stable sort
+    does.  A tied pair's bit starts clear and is set once, in the round
+    that finds the right vertex later; 8 samples share a byte, so the bits
+    are set unbuffered.
     """
     import numpy as np
 

@@ -278,8 +278,8 @@ def test_chunk_memory_stays_below_its_packed_table_plus_a_quarter_mib():
 
 
 def test_sampling_never_calls_np_unique(monkeypatch):
-    # The first np.unique of a process maps numpy's sort code and tables,
-    # about 0.37 MB of peak RSS that sampling does not need.  Binary keys tie
+    # The first np.unique of a process maps about 0.37 MB more of numpy's
+    # code and tables than the sampler's stable sort.  Binary keys tie
     # in about half of all pairs, so most tie cells are drawn for two pairs.
     n, count = 2 * SLAB_ROWS + 3, CHUNK_SIZE
     reference_rng = _BinaryKeys(n)
