@@ -2,7 +2,10 @@
 
 Subcommands: simulate (one revelation order), expect (exact expected
 sizes), extremal (worst/best-case counts), series (EGF count table),
-sample (Monte Carlo), verify (the cross-validation suite).
+sample (Monte Carlo), verify (the cross-validation suite).  A family's
+flags are read once, an explicit edge list parsed once, and a size too
+small for the family is refused with its graphs builder's message on every
+route.  Every command but sample writes its result through _emit.
 
 Exit codes: 0 success, 1 invalid input, 2 verification/consistency
 failure, 3 resource-guard refusal.  A failed write or flush of the output
@@ -39,10 +42,6 @@ EXIT_RESOURCE = 3
 NORMALIZATION_MODES = ("none", "per_vertex", "centered")
 
 
-def _rational(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
-
-
 def _json(doc: object) -> str:
     import json  # here, so output in text or csv loads no json
 
@@ -55,6 +54,21 @@ def _write(text: str, output: str | None) -> None:
             handle.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(args: argparse.Namespace, doc: object, rows: list, text: str | None) -> None:
+    """Write doc as json, rows as csv or text (None: the csv table), per
+    --format, to --output or stdout: one renderer for every command but
+    sample, whose --plot-data and sidecar need their own writer."""
+    if args.format == "json":
+        text = _json(doc)
+    elif args.format == "csv" or text is None:
+        import csv  # here, so output in text or json loads no csv
+
+        table = io.StringIO()
+        csv.writer(table, lineterminator="\n").writerows(rows)
+        text = table.getvalue()
+    _write(text, args.output)
 
 
 def _parse_int_list(raw: str, what: str) -> list[int]:
@@ -88,40 +102,41 @@ _FAMILIES = {  # family -> the arguments it requires, the first the graph's size
 }
 
 
-def _family_size(args: argparse.Namespace) -> tuple[str, int | list[int]]:
-    """The family's graphs builder name and its size argument, once the
-    family's arguments are all given."""
+def _family_size(args: argparse.Namespace) -> tuple[str, object]:
+    """The family's graphs builder name and its size, once the family's
+    arguments are all given: the part sizes of a multipartite graph, --n and
+    the edge list of an explicit one, parsed once --n has passed its size
+    check, and the one size flag of the others."""
     required = _FAMILIES[args.family]
     if any(getattr(args, name) in (None, "") for name in required):
         flags = " and ".join(f"--{name}" for name in required)
         raise ValueError(f"--family {args.family} requires {flags}")
     if args.family == "multipartite":
         return "complete_multipartite", _parse_int_list(args.parts, "part sizes")
+    if args.family == "explicit":
+        from .graphs import check_size
+        check_size("explicit", args.n)
+        return "explicit", (args.n, _parse_edges(args.edges))
     return args.family, getattr(args, required[0])
 
 
-def _graph_size(args: argparse.Namespace) -> tuple[int, int]:
+def _graph_size(name: str, size) -> tuple[int, int]:
     """Vertices and edges of the family's graph, from its degree classes, or
     an explicit graph's --n and edge list, before anything is built."""
-    from .graphs import check_size, degree_counts
-    name, size = _family_size(args)
     if name == "explicit":
-        check_size(name, size)
-        return size, len(_parse_edges(args.edges))
+        return size[0], len(size[1])
+    from .graphs import degree_counts
     counts = degree_counts(name, size)
     return sum(counts.values()), sum(d * c for d, c in counts.items()) // 2
 
 
-def _graph_from_args(args: argparse.Namespace) -> Graph:
+def _graph(args: argparse.Namespace, name: str, size) -> Graph:
     """The family's graph, refused past GRAPH_SIZE_CAP before anything is built."""
     from . import graphs
     from .errors import GRAPH_SIZE_CAP, check_cap
-    check_cap(sum(_graph_size(args)), GRAPH_SIZE_CAP, args.force,
+    check_cap(sum(_graph_size(name, size)), GRAPH_SIZE_CAP, args.force,
               f"{args.family} graph construction", measure="vertices + edges")
-    name, size = _family_size(args)
-    if name == "explicit":
-        return graphs.explicit(size, _parse_edges(args.edges))
-    return getattr(graphs, name)(size)
+    return graphs.explicit(*size) if name == "explicit" else getattr(graphs, name)(size)
 
 
 def _add_family_args(parser: argparse.ArgumentParser) -> None:
@@ -244,26 +259,17 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from .domination import check_permutation, run_online_domination
     order = _parse_int_list(args.order, "revelation order")
-    check_permutation(order, _graph_size(args)[0])  # before the graph is built
-    graph = _graph_from_args(args)
+    name, size = _family_size(args)
+    check_permutation(order, _graph_size(name, size)[0])  # before the graph is built
+    graph = _graph(args, name, size)
     outcome = run_online_domination(graph, order)
-    if args.format == "json":
-        doc = {
-            "family": graph.family,
-            "n": graph.n,
-            "order": order,
-            "chosen": list(outcome.chosen),
-            "gamma": outcome.size,
-        }
-        _write(_json(doc), args.output)
-    elif args.format == "csv":
-        rows = ["position,vertex,added"]
-        added = set(outcome.chosen)
-        rows += [f"{i},{v},{int(v in added)}" for i, v in enumerate(order, start=1)]
-        _write("\n".join(rows) + "\n", args.output)
-    else:
-        chosen = ",".join(str(v) for v in outcome.chosen)
-        _write(f"gamma: {outcome.size}\nchosen: {chosen}\n", args.output)
+    added = set(outcome.chosen)
+    doc = {"family": graph.family, "n": graph.n, "order": order,
+           "chosen": list(outcome.chosen), "gamma": outcome.size}
+    rows = [("position", "vertex", "added")]
+    rows += [(i, v, int(v in added)) for i, v in enumerate(order, start=1)]
+    chosen = ",".join(str(v) for v in outcome.chosen)
+    _emit(args, doc, rows, f"gamma: {outcome.size}\nchosen: {chosen}\n")
     return EXIT_OK
 
 
@@ -277,12 +283,12 @@ def _expect_value(args: argparse.Namespace) -> tuple[str, Fraction]:
     if args.caro_wei:
         name, size = _family_size(args)
         if name == "explicit":  # only the edges give an explicit graph's degrees
-            return "caro_wei", expectation.caro_wei_bound(_graph_from_args(args))
+            return "caro_wei", expectation.caro_wei_bound(_graph(args, name, size))
         from .graphs import degree_counts
         return "caro_wei", expectation.caro_wei_bound_from_degrees(
             degree_counts(name, size))
     if args.method == "brute":
-        graph = _graph_from_args(args)
+        graph = _graph(args, *_family_size(args))
         return "brute", expectation.bruteforce_expected_gamma(graph, force=args.force)
     if args.family == "explicit":
         raise ValueError("expect supports explicit graphs only with --method brute")
@@ -312,22 +318,12 @@ def _expect_value(args: argparse.Namespace) -> tuple[str, Fraction]:
 
 def _cmd_expect(args: argparse.Namespace) -> int:
     method, value = _expect_value(args)
-    if args.format == "json":
-        doc = {
-            "family": args.family,
-            "method": method,
-            "value": _rational(value),
-            "float": float(value),
-        }
-        _write(_json(doc), args.output)
-    elif args.format == "csv":
-        _write(
-            "family,method,value\n"
-            f"{args.family},{method},{_rational(value)}\n",
-            args.output,
-        )
-    else:
-        _write(f"{float(value)}\n" if args.as_float else f"{value}\n", args.output)
+    exact = str(value)  # converted once: at n = 4000 each part has 11 469 digits
+    rational = exact if value.denominator != 1 else f"{exact}/1"
+    doc = {"family": args.family, "method": method, "value": rational,
+           "float": float(value)}
+    rows = [("family", "method", "value"), (args.family, method, rational)]
+    _emit(args, doc, rows, f"{float(value) if args.as_float else exact}\n")
     return EXIT_OK
 
 
@@ -379,27 +375,20 @@ def _extremal_reports(args: argparse.Namespace) -> tuple[int, list[tuple]]:
 def _cmd_extremal(args: argparse.Namespace) -> int:
     n, kind = args.n, args.bound
     size, reports = _extremal_reports(args)
-    if args.format == "json":
-        docs = []
-        for method, count, witnesses in reports:
-            doc = {"n": n, "bound_kind": kind, "extremal_size": size,
-                   "count": str(count), "method": method}
-            if witnesses:
-                doc["witnesses"] = [list(w) for w in witnesses]
-            docs.append(doc)
-        _write(_json(docs[0] if len(docs) == 1 else docs), args.output)
-    elif args.format == "csv":
-        rows = ["n,bound_kind,extremal_size,count,method"]
-        rows += [f"{n},{kind},{size},{count},{method}" for method, count, _ in reports]
-        _write("\n".join(rows) + "\n", args.output)
-    else:
-        lines = [
-            f"{method}: {count} orders of length {n} hit the {kind}-case size {size}"
-            for method, count, _ in reports
-        ]
-        lines += ["  witness " + ",".join(str(v) for v in witness)
-                  for _, _, witnesses in reports for witness in witnesses]
-        _write("\n".join(lines) + "\n", args.output)
+    docs = []
+    for method, count, witnesses in reports:
+        doc = {"n": n, "bound_kind": kind, "extremal_size": size,
+               "count": str(count), "method": method}
+        if witnesses:
+            doc["witnesses"] = [list(w) for w in witnesses]
+        docs.append(doc)
+    rows = [("n", "bound_kind", "extremal_size", "count", "method")]
+    rows += [(n, kind, size, count, method) for method, count, _ in reports]
+    lines = [f"{method}: {count} orders of length {n} hit the {kind}-case size {size}"
+             for method, count, _ in reports]
+    lines += ["  witness " + ",".join(str(v) for v in witness)
+              for _, _, witnesses in reports for witness in witnesses]
+    _emit(args, docs[0] if len(docs) == 1 else docs, rows, "\n".join(lines) + "\n")
     by_method = {method: count for method, count, _ in reports}
     if len(set(by_method.values())) > 1:
         print(f"error: methods disagree at n={n}: {by_method}", file=sys.stderr)
@@ -414,16 +403,9 @@ def _cmd_series(args: argparse.Namespace) -> int:
         raise ValueError("--order must be nonnegative")
     odd_config = series.odd_configuration_counts_egf(order, force=args.force)
     worst = series.worst_case_counts_egf(order, force=args.force)
-    if args.format == "json":
-        docs = [
-            {"n": n, "odd_config": str(d), "worst_case": str(f)}
-            for n, (d, f) in enumerate(zip(odd_config, worst))
-        ]
-        _write(_json(docs), args.output)
-    else:
-        rows = ["n,odd_config,worst_case"]
-        rows += [f"{n},{d},{f}" for n, (d, f) in enumerate(zip(odd_config, worst))]
-        _write("\n".join(rows) + "\n", args.output)
+    table = [(n, str(d), str(f)) for n, (d, f) in enumerate(zip(odd_config, worst))]
+    docs = [{"n": n, "odd_config": d, "worst_case": f} for n, d, f in table]
+    _emit(args, docs, [("n", "odd_config", "worst_case"), *table], None)
     return EXIT_OK
 
 
@@ -472,21 +454,10 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     from . import verification
     results = verification.run_verification(depth=args.depth)
-    if args.format == "json":
-        docs = [
-            {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
-        ]
-        _write(_json(docs), args.output)
-    elif args.format == "csv":
-        import csv  # only here, so the other commands import no more
-
-        table = io.StringIO()
-        writer = csv.writer(table, lineterminator="\n")
-        writer.writerow(["name", "passed", "detail"])
-        writer.writerows([r.name, int(r.passed), r.detail] for r in results)
-        _write(table.getvalue(), args.output)
-    else:
-        _write("".join(r.line() + "\n" for r in results), args.output)
+    docs = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
+    rows = [("name", "passed", "detail")]
+    rows += [(r.name, int(r.passed), r.detail) for r in results]
+    _emit(args, docs, rows, "".join(r.line() + "\n" for r in results))
     failures = [r for r in results if not r.passed]
     if failures:
         print(f"first divergence: {failures[0].detail}", file=sys.stderr)

@@ -15,7 +15,8 @@ integers over a common denominator of n! with one reduction at the end:
 
 The two must agree exactly for every n, and both must match the brute
 force average at small n; the cycle, star, wheel and complete
-multipartite expectations reduce to the path case or to direct weighting.
+multipartite expectations reduce to the path case or to direct weighting,
+and refuse a size their graphs builder refuses, with its message.
 """
 
 from __future__ import annotations
@@ -106,8 +107,8 @@ def expected_gamma_limit() -> float:
 
 def expected_gamma_cycle(n: int, *, force: bool = False) -> Fraction:
     """Cycle on n >= 3 vertices: the first pick always reduces to a path."""
-    if n < 3:
-        raise ValueError("cycle expectation requires n >= 3")
+    from .graphs import check_size  # here, so `expect --family path` never loads it
+    check_size("cycle", n)
     return 1 + expected_gamma_path(n - 3, force=force)
 
 
@@ -117,8 +118,8 @@ def expected_gamma_star(leaves: int) -> Fraction:
     A first-revealed leaf forces every other leaf into the set; a
     first-revealed hub dominates everything.
     """
-    if leaves < 1:
-        raise ValueError("star expectation requires at least 1 leaf")
+    from .graphs import check_size
+    check_size("star", leaves)
     return Fraction(leaves * leaves + 1, leaves + 1)
 
 
@@ -133,8 +134,8 @@ def expected_gamma_wheel(
     first reveal always adds; it is kept only for side-by-side reporting
     and disagrees with brute force.
     """
-    if spokes < 3:
-        raise ValueError("wheel expectation requires at least 3 spokes")
+    from .graphs import check_size
+    check_size("wheel", spokes)
     rim_rest = expected_gamma_path(spokes - 3, force=force)
     if as_printed:
         return Fraction(1, spokes + 1) + Fraction(spokes, spokes + 1) * rim_rest
@@ -144,10 +145,8 @@ def expected_gamma_wheel(
 def expected_gamma_complete_multipartite(part_sizes: Sequence[int]) -> Fraction:
     """Complete multipartite: the first pick's part must be taken entirely,
     so the answer is the size-weighted average (sum p_i^2) / (sum p_i)."""
-    if not part_sizes:
-        raise ValueError("at least one part is required")
-    if any(p < 1 for p in part_sizes):
-        raise ValueError("every part must have size >= 1")
+    from .graphs import check_size
+    check_size("complete_multipartite", part_sizes)
     return Fraction(sum(p * p for p in part_sizes), sum(part_sizes))
 
 

@@ -466,15 +466,14 @@ def weakly_alternating_counts(n: int, *, force: bool = False) -> tuple[int, ...]
 
 
 def count_weakly_alternating(n: int, *, force: bool = False) -> int:
-    """Count orders with a weak peak in every even position."""
+    """Count orders with a weak peak in every even position.
+
+    Complementation i -> n + 1 - i turns a smaller neighbor into a larger
+    one, so it maps these orders one to one onto the orders with no strict
+    local maximum in any even position: this counts those too, under the
+    name count_no_even_local_maxima.
+    """
     return weakly_alternating_counts(n, force=force)[n]
 
 
-def count_no_even_local_maxima(n: int, *, force: bool = False) -> int:
-    """Count orders with no strict local maximum in any even position.
-
-    Complementation i -> n + 1 - i turns a smaller neighbor into a larger
-    one, so it maps these orders one to one onto the weakly alternating
-    ones, and the count is count_weakly_alternating(n).
-    """
-    return count_weakly_alternating(n, force=force)
+count_no_even_local_maxima = count_weakly_alternating

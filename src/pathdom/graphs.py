@@ -7,7 +7,8 @@ rim cycle 1..k and hub k+1.  Complete multipartite graphs assign
 consecutive labels part by part.  An explicit edge list covers everything
 else, so one simulation engine serves every family.  degree_counts gives
 the degree classes of every family but the explicit one from its size alone,
-and check_size refuses a size below the smallest with its builder's message.
+and check_size refuses a size its builder refuses, with the builder's message:
+below the smallest, or no parts or an empty one of a multipartite graph.
 """
 
 from __future__ import annotations
@@ -54,17 +55,16 @@ _SMALLEST = {  # family -> (the smallest size it is built for, the refusal below
 }
 
 
-def check_size(family: str, size: int) -> None:
+def check_size(family: str, size: int | Sequence[int]) -> None:
+    if family == "complete_multipartite":
+        if not size:
+            raise ValueError("at least one part is required")
+        if any(p < 1 for p in size):
+            raise ValueError("every part must have size >= 1")
+        return
     smallest, refusal = _SMALLEST[family]
     if size < smallest:
         raise ValueError(refusal)
-
-
-def _check_parts(part_sizes: Sequence[int]) -> None:
-    if not part_sizes:
-        raise ValueError("at least one part is required")
-    if any(p < 1 for p in part_sizes):
-        raise ValueError("every part must have size >= 1")
 
 
 def _build(family: str, n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -115,7 +115,7 @@ def wheel(spokes: int) -> Graph:
 def complete_multipartite(part_sizes: Sequence[int]) -> Graph:
     """Complete multipartite graph; parts take consecutive label blocks, and
     the vertices of a part share one adjacency tuple, the labels outside it."""
-    _check_parts(part_sizes)
+    check_size("complete_multipartite", part_sizes)
     n = sum(part_sizes)
     adj: list[tuple[int, ...]] = [()]
     first = 1  # the part's first label
@@ -134,7 +134,7 @@ def degree_counts(family: str, size: int | Sequence[int]) -> dict[int, int]:
     N - p.  An explicit graph has no size that gives its degrees.
     """
     if family == "complete_multipartite":
-        _check_parts(size)
+        check_size(family, size)
         classes = [(sum(size) - p, p) for p in size]
     elif family in _SMALLEST and family != "explicit":
         check_size(family, size)

@@ -100,11 +100,11 @@ def _chunk_words(rng, n: int, count: int) -> PackedWords:
     reads ceil(n * count / 4) words in row-major key order whatever the slab
     height.  A slab's comparisons land in table rows top .. top + rows - 1,
     the first against the previous slab's last keys, kept in one reused row,
-    and are packed there from one reused SLAB_ROWS x count buffer, later,
-    which then marks the slab's ties.  Each slab's keys are released before
-    the next is drawn, so a chunk holds its packed table, n * count / 8
+    and are packed there from one reused min(SLAB_ROWS, n) x count buffer,
+    later, which then marks the slab's ties.  Each slab's keys are released
+    before the next is drawn, so a chunk holds its packed table, n * count / 8
     bytes, and at most one slab of keys, 2 * SLAB_ROWS * count bytes, with
-    later, SLAB_ROWS * count; gamma_batch_path then adds one block of
+    later, at most SLAB_ROWS * count; gamma_batch_path then adds one block of
     SIZE_ROWS unpacked rows as it counts.  At n = 2000 and 4096 samples
     that is a 0.98 MiB table, a 128 KiB slab of 16 vertices, 64 KiB of later
     and a 128 KiB count block, and a chunk's tracemalloc peak is the table
@@ -127,7 +127,7 @@ def _chunk_words(rng, n: int, count: int) -> PackedWords:
     import numpy as np
 
     words = PackedWords.empty(n, count)
-    later = np.empty((SLAB_ROWS, count), dtype=bool)  # one slab's letters, then its ties
+    later = np.empty((min(SLAB_ROWS, n), count), dtype=bool)  # a slab's letters, then ties
     last = np.zeros(count, dtype="<u2")  # the previous slab's last row of keys
     ties = []
     for top in range(0, n, SLAB_ROWS):

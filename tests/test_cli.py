@@ -392,6 +392,37 @@ class TestSimulate:
         assert (code, out, err) == (1, "", f"error: {refusal.value}\n")
 
 
+@pytest.mark.parametrize("family, build", [
+    (["cycle", "--n", "2"], lambda: graphs.cycle(2)),
+    (["star", "--leaves", "0"], lambda: graphs.star(0)),
+    (["wheel", "--spokes", "2"], lambda: graphs.wheel(2)),
+], ids=["cycle", "star", "wheel"])
+@pytest.mark.parametrize("route", [
+    ["expect"], ["expect", "--method", "brute"], ["expect", "--caro-wei"],
+    ["simulate", "--order", "1"],
+], ids=["formula", "brute", "caro-wei", "simulate"])
+def test_every_route_refuses_a_too_small_family_with_its_builders_message(
+        capsys, family, build, route):
+    with pytest.raises(ValueError) as refusal:
+        build()
+    code, out, err = run(capsys, *route, "--family", *family)
+    assert (code, out, err) == (1, "", f"error: {refusal.value}\n")
+
+
+@pytest.mark.parametrize("route", [
+    ["simulate", "--order", "2,4,1,3"], ["expect", "--caro-wei"],
+    ["expect", "--method", "brute"],
+], ids=["simulate", "caro-wei", "brute"])
+def test_an_edge_list_is_parsed_once(capsys, monkeypatch, route):
+    calls = []
+    parse = cli._parse_edges
+    monkeypatch.setattr(cli, "_parse_edges", lambda raw: calls.append(raw) or parse(raw))
+    code, _, err = run(capsys, *route, "--family", "explicit", "--n", "4",
+                       "--edges", "1-2,2-3,3-4")
+    assert (code, err) == (0, "")
+    assert calls == ["1-2,2-3,3-4"]
+
+
 class TestSample:
     def test_csv_and_sidecar(self, capsys, tmp_path):
         out_path = tmp_path / "hist.csv"
@@ -494,6 +525,22 @@ class TestVerify:
         assert "formula agrees on n in [3, 5," in rows[2][2]  # a detail with commas
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--family", "wheel", "--spokes", "4", "--order", "5,1,2,3,4"],
+    ["expect", "--family", "cycle", "--n", "9"],
+    ["extremal", "--n", "8", "--bound", "best", "--method", "all"],
+    ["series", "--order", "12"],
+    ["verify", "--depth", "quick"],
+], ids=["simulate", "expect", "extremal", "series", "verify"])
+def test_output_file_holds_the_bytes_stdout_would(capsys, tmp_path, argv, fmt):
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    path = tmp_path / "result"
+    assert run(capsys, *argv, "--format", fmt, "--output", str(path)) == (code, "", err)
+    assert (code, err) == (0, "")
+    assert path.read_bytes() == out.encode()
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         code, _, err = run(capsys, "frobnicate")
@@ -583,6 +630,7 @@ def _modules_loaded_by(argv):
      {"cli", "domination", "errors", "montecarlo"}),
     (["extremal", "--n", "10", "--bound", "worst", "--method", "recurrence"],
      {"cli", "errors", "extremal"}),
+    (["expect", "--family", "cycle", "--n", "9"], {"cli", "errors", "expectation", "graphs"}),
 ])
 def test_command_loads_only_the_modules_it_runs(argv, loaded):
     assert _modules_loaded_by(argv) == loaded

@@ -206,6 +206,19 @@ class TestFamilies:
         with pytest.raises(ValueError):
             expected_gamma_complete_multipartite([2, 0])
 
+    @pytest.mark.parametrize("formula, build, size", [
+        (expected_gamma_cycle, cycle, 2), (expected_gamma_star, star, 0),
+        (expected_gamma_wheel, wheel, 2),
+        (expected_gamma_complete_multipartite, complete_multipartite, []),
+        (expected_gamma_complete_multipartite, complete_multipartite, [2, 0]),
+    ])
+    def test_formulas_refuse_with_the_builders_message(self, formula, build, size):
+        with pytest.raises(ValueError) as built:
+            build(size)
+        with pytest.raises(ValueError) as refused:
+            formula(size)
+        assert str(refused.value) == str(built.value)
+
     def test_bruteforce_cap(self):
         with pytest.raises(ResourceLimitError):
             bruteforce_expected_gamma(path(12))

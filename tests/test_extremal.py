@@ -554,7 +554,8 @@ class TestPermutationPredicates:
             assert count_no_even_local_maxima(n) == odd_config[n], n
 
     @pytest.mark.parametrize(
-        "count", [count_weakly_alternating, count_no_even_local_maxima]
+        "count", [count_weakly_alternating, count_no_even_local_maxima],
+        ids=["count_weakly_alternating", "count_no_even_local_maxima"],  # one __name__
     )
     def test_pattern_counts_reject_empty_orders(self, count):
         with pytest.raises(ValueError, match="positive"):

@@ -277,6 +277,23 @@ def test_chunk_memory_stays_below_its_packed_table_plus_a_quarter_mib():
     assert peak <= n * samples // 8 + 2**18
 
 
+def test_a_chunk_shorter_than_a_slab_holds_comparisons_of_its_own_height():
+    # At 5 vertices the keys take 40 KiB and the comparisons 20 KiB; a
+    # SLAB_ROWS-high buffer of comparisons would take 64 KiB.  The first
+    # call warms numpy up outside the trace.
+    import tracemalloc
+
+    _chunk_words(np.random.default_rng(0), 5, CHUNK_SIZE)
+    rng = np.random.default_rng(1)
+    tracemalloc.start()
+    try:
+        _chunk_words(rng, 5, CHUNK_SIZE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 96 * 2**10
+
+
 def test_sampling_never_calls_np_unique(monkeypatch):
     # The first np.unique of a process maps about 0.37 MB more of numpy's
     # code and tables than the sampler's stable sort.  Binary keys tie
