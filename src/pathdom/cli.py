@@ -13,7 +13,11 @@ also exits 1, with an `error:` line.  The console script
 and `python -m pathdom` run `entry`, which flushes both streams once `main`
 returns and ends the process with `os._exit`.  That skips the
 interpreter's teardown, which frees every module and object one by one
-where the exit releases them all at once.
+where the exit releases them all at once.  `entry` also blocks OpenSSL's
+`_hashlib` before `main` runs, unless it is already loaded: numpy.random
+imports it through `secrets` and `hmac` (about 3.4 MB of RSS) though no
+command hashes anything, and the standard library falls back to its
+built-in digests and `_operator._compare_digest`.
 """
 
 from __future__ import annotations
@@ -130,12 +134,17 @@ def _graph_size(name: str, size) -> tuple[int, int]:
     return sum(counts.values()), sum(d * c for d, c in counts.items()) // 2
 
 
-def _graph(args: argparse.Namespace, name: str, size) -> Graph:
-    """The family's graph, refused past GRAPH_SIZE_CAP before anything is built."""
-    from . import graphs
+def _check_graph_size(args: argparse.Namespace, name: str, size) -> None:
+    """Refuse the family's graph past GRAPH_SIZE_CAP before anything is built."""
     from .errors import GRAPH_SIZE_CAP, check_cap
     check_cap(sum(_graph_size(name, size)), GRAPH_SIZE_CAP, args.force,
               f"{args.family} graph construction", measure="vertices + edges")
+
+
+def _graph(args: argparse.Namespace, name: str, size) -> Graph:
+    """The family's graph, refused past GRAPH_SIZE_CAP before anything is built."""
+    from . import graphs
+    _check_graph_size(args, name, size)
     return graphs.explicit(*size) if name == "explicit" else getattr(graphs, name)(size)
 
 
@@ -282,8 +291,8 @@ def _expect_value(args: argparse.Namespace) -> tuple[str, Fraction]:
         raise ValueError("--caro-wei takes no --method: it bounds the graph instead")
     if args.caro_wei:
         name, size = _family_size(args)
-        if name == "explicit":  # only the edges give an explicit graph's degrees
-            return "caro_wei", expectation.caro_wei_bound(_graph(args, name, size))
+        if name == "explicit":  # counting its degrees walks the edge list: the cap holds
+            _check_graph_size(args, name, size)
         from .graphs import degree_counts
         return "caro_wei", expectation.caro_wei_bound_from_degrees(
             degree_counts(name, size))
@@ -520,6 +529,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
+    # numpy.random loads OpenSSL's _hashlib (3.4 MB of RSS) that no command uses.
+    sys.modules.setdefault("_hashlib", None)
     code = main()
     for stream in (sys.stdout, sys.stderr):
         try:

@@ -6,15 +6,17 @@ star with k leaves has leaves 1..k and hub k+1, a wheel with k spokes has
 rim cycle 1..k and hub k+1.  Complete multipartite graphs assign
 consecutive labels part by part.  An explicit edge list covers everything
 else, so one simulation engine serves every family.  degree_counts gives
-the degree classes of every family but the explicit one from its size alone,
-and check_size refuses a size its builder refuses, with the builder's message:
-below the smallest, or no parts or an empty one of a multipartite graph.
+the degree classes of every family from its size alone, or an explicit one
+from its n and edge list, and check_size refuses a size its builder refuses,
+with the builder's message: below the smallest, or no parts or an empty one
+of a multipartite graph.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 @dataclass(frozen=True)
@@ -67,13 +69,20 @@ def check_size(family: str, size: int | Sequence[int]) -> None:
         raise ValueError(refusal)
 
 
-def _build(family: str, n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    neigh: list[set[int]] = [set() for _ in range(n + 1)]
+def _checked_edges(n: int, edges: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
+    """The edges in order, each as (smaller, larger) label, refused at the
+    first one out of range or a self-loop."""
     for u, v in edges:
         if not (1 <= u <= n and 1 <= v <= n):
             raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
+        yield (u, v) if u < v else (v, u)
+
+
+def _build(family: str, n: int, edges: Iterable[tuple[int, int]]) -> Graph:
+    neigh: list[set[int]] = [set() for _ in range(n + 1)]
+    for u, v in _checked_edges(n, edges):
         neigh[u].add(v)
         neigh[v].add(u)
     return Graph(family=family, n=n, adj=tuple(tuple(sorted(s)) for s in neigh))
@@ -125,17 +134,28 @@ def complete_multipartite(part_sizes: Sequence[int]) -> Graph:
     return Graph(family="complete_multipartite", n=n, adj=tuple(adj))
 
 
-def degree_counts(family: str, size: int | Sequence[int]) -> dict[int, int]:
+def degree_counts(
+    family: str, size: int | Sequence[int] | tuple[int, Iterable[tuple[int, int]]]
+) -> dict[int, int]:
     """{degree: number of vertices} of a family's graph, without building it.
 
     size is n for a path or a cycle, the leaves of a star, the spokes of a
-    wheel and the part sizes of a complete_multipartite graph, refused where
-    its builder refuses it; a vertex in a part of p of N vertices has degree
-    N - p.  An explicit graph has no size that gives its degrees.
+    wheel, the part sizes of a complete_multipartite graph and the pair
+    (n, edges) of an explicit one, refused where its builder refuses it; a
+    vertex in a part of p of N vertices has degree N - p, and an explicit
+    graph's degrees are counted over its deduplicated edges.
     """
     if family == "complete_multipartite":
         check_size(family, size)
         classes = [(sum(size) - p, p) for p in size]
+    elif family == "explicit" and isinstance(size, tuple):
+        n, edges = size
+        check_size(family, n)
+        degree = [0] * (n + 1)
+        for u, v in set(_checked_edges(n, edges)):
+            degree[u] += 1
+            degree[v] += 1
+        classes = Counter(degree[1:]).items()
     elif family in _SMALLEST and family != "explicit":
         check_size(family, size)
         classes = {

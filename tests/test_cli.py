@@ -423,6 +423,19 @@ def test_an_edge_list_is_parsed_once(capsys, monkeypatch, route):
     assert calls == ["1-2,2-3,3-4"]
 
 
+@pytest.mark.parametrize("edges, message", [
+    ("1-2,2-9,0-1", "edge (2, 9) out of range for n=4"),
+    ("1-2,3-3,2-9", "self-loop at vertex 3"),
+])
+@pytest.mark.parametrize("route", [
+    ["simulate", "--order", "2,4,1,3"], ["expect", "--caro-wei"],
+    ["expect", "--method", "brute"],
+], ids=["simulate", "caro-wei", "brute"])
+def test_a_bad_edge_is_refused_alike_on_every_route(capsys, route, edges, message):
+    code, out, err = run(capsys, *route, "--family", "explicit", "--n", "4", "--edges", edges)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 class TestSample:
     def test_csv_and_sidecar(self, capsys, tmp_path):
         out_path = tmp_path / "hist.csv"
@@ -634,6 +647,27 @@ def _modules_loaded_by(argv):
 ])
 def test_command_loads_only_the_modules_it_runs(argv, loaded):
     assert _modules_loaded_by(argv) == loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--n", "20", "--samples", "100", "--seed", "1"],
+    ["verify", "--depth", "quick"],
+], ids=["sample", "verify"])
+def test_the_entry_point_refuses_openssls_hashlib(argv):
+    # -X importtime prints a row for every import asked for, refused ones
+    # included; -v prints "import '<name>' # <loader>" only for a module loaded.
+    src = os.path.dirname(os.path.dirname(pathdom.__file__))
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-v", "-m", "pathdom", *argv],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    lines = result.stderr.splitlines()
+    asked = {line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time:")}
+    loaded = {line.split("'")[1] for line in lines if line.startswith("import '")}
+    assert {"_hashlib", "hmac", "numpy.random.bit_generator"} <= asked
+    assert {"hmac", "numpy.random.bit_generator"} <= loaded
+    assert "_hashlib" not in loaded
 
 
 @pytest.mark.parametrize("argv,route", [

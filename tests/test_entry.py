@@ -52,6 +52,14 @@ def test_piped_output_equals_in_process_output():
     assert result.stdout == _in_process(*argv)
 
 
+def test_a_forked_pool_writes_what_one_worker_writes():
+    # The pool's workers fork from the process that refused _hashlib.
+    argv = ("sample", "--n", "300", "--samples", "9000", "--seed", "5", "--workers")
+    one, two = _pathdom(*argv, "1"), _pathdom(*argv, "2")
+    assert one.returncode == two.returncode == 0, two.stderr
+    assert (two.stdout, two.stderr) == (one.stdout, one.stderr)
+
+
 def test_sample_sidecar_on_stderr_parses():
     argv = ("sample", "--n", "200", "--samples", "1000", "--seed", "3")
     result = _pathdom(*argv, text=True)

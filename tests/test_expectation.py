@@ -11,7 +11,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pathdom import (
@@ -27,6 +27,7 @@ from pathdom import (
     expected_gamma_path_float,
     expected_gamma_star,
     expected_gamma_wheel,
+    explicit,
     path,
     path_census,
     star,
@@ -262,6 +263,9 @@ class TestCaroWei:
         ("wheel", wheel, range(3, 9)),
         ("complete_multipartite", complete_multipartite,
          [[1], [3], [1, 1], [2, 3], [1, 2, 2], [4, 1, 3, 1]]),
+        ("explicit", lambda size: explicit(*size),  # duplicates, both orientations, isolated
+         [(1, []), (3, [(1, 2), (2, 1)]), (4, [(1, 2), (2, 3), (3, 1), (1, 2)]),
+          (6, [(2, 5), (5, 2), (6, 1), (1, 2), (2, 6)])]),
     ])
     def test_degree_classes_are_those_of_the_graph(self, family, build, sizes):
         for size in sizes:
@@ -284,6 +288,33 @@ class TestCaroWei:
     def test_explicit_graphs_have_no_degree_classes(self):
         with pytest.raises(ValueError, match="without its edges"):
             degree_counts("explicit", 3)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_explicit_degree_classes_give_the_built_graphs_bound(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=30))
+        vertex = st.integers(min_value=1, max_value=n)
+        edges = data.draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]),
+                                   max_size=2 * n))
+        # Every edge again, reversed, and a few more times as drawn.
+        edges += [(v, u) for u, v in edges] + edges[: data.draw(st.integers(0, 3))]
+        g = explicit(n, edges)
+        counts = degree_counts("explicit", (n, edges))
+        assert counts == Counter(len(g.adj[v]) for v in g.vertices)
+        assert caro_wei_bound_from_degrees(counts) == caro_wei_bound(g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_a_bad_explicit_edge_is_refused_alike_by_both_routes(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=30))
+        vertex = st.integers(min_value=-1, max_value=n + 2)
+        edges = data.draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=8))
+        assume(any(u == v or not (1 <= u <= n and 1 <= v <= n) for u, v in edges))
+        with pytest.raises(ValueError) as built:
+            explicit(n, edges)
+        with pytest.raises(ValueError) as counted:
+            degree_counts("explicit", (n, edges))
+        assert str(counted.value) == str(built.value)
 
     @pytest.mark.parametrize("n", range(1, 50))
     def test_expectation_respects_bound(self, n):
