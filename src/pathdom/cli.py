@@ -5,7 +5,7 @@ sizes), extremal (worst/best-case counts), series (EGF count table),
 sample (Monte Carlo), verify (the cross-validation suite).  A family's
 flags are read once, an explicit edge list parsed once, and a size too
 small for the family is refused with its graphs builder's message on every
-route.  Every command but sample writes its result through _emit.
+route.  Every command writes its result through _emit.
 
 Exit codes: 0 success, 1 invalid input, 2 verification/consistency
 failure, 3 resource-guard refusal.  A failed write or flush of the output
@@ -52,18 +52,18 @@ def _json(doc: object) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _write(text: str, output: str | None) -> None:
+def _write(text: str, output: str | None, stream=None) -> None:
+    """Write text to the file output, or else to stream (None: stdout)."""
     if output:
         with open(output, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
     else:
-        sys.stdout.write(text)
+        (stream or sys.stdout).write(text)
 
 
 def _emit(args: argparse.Namespace, doc: object, rows: list, text: str | None) -> None:
     """Write doc as json, rows as csv or text (None: the csv table), per
-    --format, to --output or stdout: one renderer for every command but
-    sample, whose --plot-data and sidecar need their own writer."""
+    --format, to --output or stdout: one renderer for every command."""
     if args.format == "json":
         text = _json(doc)
     elif args.format == "csv" or text is None:
@@ -112,7 +112,7 @@ def _family_size(args: argparse.Namespace) -> tuple[str, object]:
     the edge list of an explicit one, parsed once --n has passed its size
     check, and the one size flag of the others."""
     required = _FAMILIES[args.family]
-    if any(getattr(args, name) in (None, "") for name in required):
+    if any(getattr(args, name) is None for name in required):
         flags = " and ".join(f"--{name}" for name in required)
         raise ValueError(f"--family {args.family} requires {flags}")
     if args.family == "multipartite":
@@ -284,6 +284,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _expect_value(args: argparse.Namespace) -> tuple[str, Fraction]:
     from . import expectation
+    if args.as_float and args.format == "csv":
+        raise ValueError("--float has no csv column: use --format text or json")
     if args.as_printed and (args.family != "wheel" or args.method == "brute"
                             or args.caro_wei):
         raise ValueError("--as-printed applies to the wheel formula only")
@@ -422,6 +424,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     from . import montecarlo
     if args.normalization != "none" and not args.plot_data and args.format != "json":
         raise ValueError("--normalization needs --plot-data or --format json")
+    if args.plot_data and args.format == "csv":
+        raise ValueError("--plot-data has no csv column: use --format text or json")
     config = montecarlo.SampleConfig(
         n=args.n,
         samples=args.samples,
@@ -431,32 +435,20 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     )
     hist = montecarlo.sample_gamma(config)
     meta = hist.to_json_dict()
-    if args.format == "json":
-        doc = dict(meta)
-        doc["bins"] = {str(size): count for size, count in hist.bins.items()}
-        if args.normalization != "none":
-            doc["normalized"] = [
-                [x, w] for x, w in montecarlo.normalize(hist, args.normalization)
-            ]
-        _write(_json(doc), args.output)
-        return EXIT_OK
-    if args.plot_data:
-        if args.normalization == "none":
-            body = "\n".join(f"{size} {count}" for size, count in hist.bins.items())
-        else:
-            points = montecarlo.normalize(hist, args.normalization)
-            body = "\n".join(f"{x:.10g} {w:.10g}" for x, w in points)
+    bins = hist.bins.items()
+    doc = {**meta, "bins": {str(size): count for size, count in bins}}
+    if args.normalization != "none":
+        points = montecarlo.normalize(hist, args.normalization)
+        doc["normalized"] = [[x, w] for x, w in points]
+    if not args.plot_data:  # built here, so text output loads no csv
+        lines = ["gamma,count", *(f"{size},{count}" for size, count in bins)]
+    elif args.normalization == "none":
+        lines = [f"{size} {count}" for size, count in bins]
     else:
-        body = "gamma,count\n" + "\n".join(
-            f"{size},{count}" for size, count in hist.bins.items()
-        )
-    _write(body + "\n", args.output)
-    sidecar = _json(meta)
-    if args.output:
-        with open(args.output + ".json", "w", encoding="utf-8") as handle:
-            handle.write(sidecar)
-    else:
-        sys.stderr.write(sidecar)
+        lines = [f"{x:.10g} {w:.10g}" for x, w in points]
+    _emit(args, doc, [("gamma", "count"), *bins], "\n".join(lines) + "\n")
+    if args.format != "json":
+        _write(_json(meta), args.output and args.output + ".json", sys.stderr)
     return EXIT_OK
 
 

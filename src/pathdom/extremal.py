@@ -146,28 +146,8 @@ class PathCensus(NamedTuple):
     @property
     def worst_set_counts(self) -> dict[frozenset[int], int]:
         """The realized worst-case sets."""
-        worst = self.worst_size
+        worst = extremal_size(self.n, "worst")
         return {s: c for s, c in self.final_set_counts.items() if len(s) == worst}
-
-    @property
-    def total(self) -> int:
-        return sum(self.size_counts)
-
-    @property
-    def worst_size(self) -> int:
-        return extremal_size(self.n, "worst")
-
-    @property
-    def best_size(self) -> int:
-        return extremal_size(self.n, "best")
-
-    @property
-    def worst_count(self) -> int:
-        return self.size_counts[self.worst_size]
-
-    @property
-    def best_count(self) -> int:
-        return self.size_counts[self.best_size]
 
     @property
     def odd_configuration_count(self) -> int:

@@ -80,25 +80,16 @@ def _agree(name: str, cases: Iterable[Case], detail: str) -> CheckResult:
 
 @functools.cache
 def _tally(census: Callable, n: int):
+    """census(n), computed once per process."""
     return census(n)
-
-
-def _path_census(n: int) -> extremal.PathCensus:
-    """extremal.path_census(n), computed once per process."""
-    return _tally(extremal.path_census, n)
-
-
-def _word_census(n: int) -> tuple[int, ...]:
-    """extremal.word_census(n), computed once per process."""
-    return _tally(extremal.word_census, n)
 
 
 def _census_routes(n: int, size: int) -> dict:
     """Orders of size `size` by the word census, and by the exhaustive engine
     where it runs."""
-    routes = {"words": _word_census(n)[size]}
+    routes = {"words": _tally(extremal.word_census, n)[size]}
     if n <= BRUTE_MAX:
-        routes = {"brute": _path_census(n).size_counts[size], **routes}
+        routes = {"brute": _tally(extremal.path_census, n).size_counts[size], **routes}
     return routes
 
 
@@ -158,7 +149,7 @@ def check_expectation_oracle() -> CheckResult:
                 "closed form": expectation.expected_gamma_path_closed_form(n),
             }
             if n <= BRUTE_MAX:
-                routes["brute"] = _path_census(n).expectation
+                routes["brute"] = _tally(extremal.path_census, n).expectation
             yield f"n={n}", routes
 
     return _agree(
@@ -381,7 +372,7 @@ def check_convolution() -> CheckResult:
                 "expected": True,
             }
         for n in range(1, BRUTE_MAX + 1):
-            census = _path_census(n)
+            census = _tally(extremal.path_census, n)
             yield f"n={n}", {
                 "brute odd-config count": census.odd_configuration_count,
                 "egf": odd_config[n],

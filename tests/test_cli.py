@@ -113,6 +113,14 @@ class TestExpect:
         assert code == 0
         assert out.strip() == "5/3"
 
+    def test_float_has_no_csv_form(self, capsys):
+        # The csv row has no float column, so --float would be dropped.
+        argv = ["expect", "--family", "path", "--n", "3", "--format", "csv"]
+        code, out, err = run(capsys, *argv, "--float")
+        assert (code, out) == (1, "")
+        assert err == "error: --float has no csv column: use --format text or json\n"
+        assert run(capsys, *argv) == (0, "family,method,value\npath,recurrence,5/3\n", "")
+
     def test_missing_parameter_is_invalid_input(self, capsys):
         code, _, err = run(capsys, "expect", "--family", "path")
         assert code == 1
@@ -436,6 +444,29 @@ def test_a_bad_edge_is_refused_alike_on_every_route(capsys, route, edges, messag
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("route, expected", [
+    (["simulate", "--order", "2,1,3"], "gamma: 3\nchosen: 2,1,3\n"),
+    (["expect", "--caro-wei"], "3\n"), (["expect", "--method", "brute"], "3\n"),
+], ids=["simulate", "caro-wei", "brute"])
+@pytest.mark.parametrize("edges", ["", ","])
+def test_an_empty_edge_list_is_the_edgeless_graph_on_every_route(
+        capsys, route, expected, edges):
+    # An empty --edges is given, not missing: it parses to no edges.
+    code, out, err = run(capsys, *route, "--family", "explicit", "--n", "3", "--edges", edges)
+    assert (code, out, err) == (0, expected, "")
+
+
+@pytest.mark.parametrize("route", [
+    ["expect"], ["expect", "--caro-wei"], ["simulate", "--order", "1"],
+], ids=["formula", "caro-wei", "simulate"])
+@pytest.mark.parametrize("parts", ["", ","])
+def test_empty_part_sizes_get_the_builders_message(capsys, route, parts):
+    with pytest.raises(ValueError) as refusal:
+        graphs.complete_multipartite([])
+    code, out, err = run(capsys, *route, "--family", "multipartite", "--parts", parts)
+    assert (code, out, err) == (1, "", f"error: {refusal.value}\n")
+
+
 class TestSample:
     def test_csv_and_sidecar(self, capsys, tmp_path):
         out_path = tmp_path / "hist.csv"
@@ -472,6 +503,37 @@ class TestSample:
             x, w = map(float, line.split())
             assert 1 / 3 <= x <= 1 / 2
             assert 0 <= w <= 1
+
+    @pytest.mark.parametrize("flags", [
+        [], ["--format", "csv"], ["--format", "json"], ["--plot-data"],
+        ["--plot-data", "--normalization", "centered"],
+        ["--format", "json", "--normalization", "per_vertex"],
+    ], ids=["text", "csv", "json", "plot-data", "plot-data-centered", "json-per-vertex"])
+    def test_output_file_holds_what_stdout_held(self, capsys, tmp_path, flags):
+        argv = ["sample", "--n", "40", "--samples", "500", "--seed", "7", *flags]
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and out
+        target = tmp_path / "hist"
+        assert run(capsys, *argv, "--output", str(target)) == (0, "", "")
+        assert target.read_bytes() == out.encode("utf-8")
+        sidecar = tmp_path / "hist.json"
+        if "json" in flags:  # the meta is in the document: no sidecar
+            assert err == "" and not sidecar.exists()
+        else:
+            assert sidecar.read_bytes() == err.encode("utf-8")
+
+    def test_csv_is_the_text_table(self, capsys):
+        argv = ["sample", "--n", "40", "--samples", "500", "--seed", "7"]
+        assert run(capsys, *argv, "--format", "csv") == run(capsys, *argv)
+
+    def test_plot_data_has_no_csv_form(self, capsys):
+        # Refused before sampling: this size would otherwise exceed the budget.
+        code, out, err = run(
+            capsys, "sample", "--n", "100000", "--samples", "100000", "--seed", "0",
+            "--plot-data", "--format", "csv",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: --plot-data has no csv column: use --format text or json\n"
 
     def test_budget_exit_code(self, capsys):
         code, _, err = run(
@@ -668,6 +730,25 @@ def test_the_entry_point_refuses_openssls_hashlib(argv):
     assert {"_hashlib", "hmac", "numpy.random.bit_generator"} <= asked
     assert {"hmac", "numpy.random.bit_generator"} <= loaded
     assert "_hashlib" not in loaded
+
+
+@pytest.mark.parametrize("flags, loads_csv", [
+    ([], False), (["--plot-data"], False), (["--format", "json"], False),
+    (["--format", "csv"], True),
+], ids=["text", "plot-data", "json", "csv"])
+def test_sample_loads_csv_only_for_csv_output(flags, loads_csv):
+    # -v prints "import '<name>' # <loader>" for each module loaded.
+    src = os.path.dirname(os.path.dirname(pathdom.__file__))
+    result = subprocess.run(
+        [sys.executable, "-v", "-m", "pathdom", "sample", "--n", "20", "--samples", "100",
+         "--seed", "1", *flags],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    loaded = {line.split("'")[1] for line in result.stderr.splitlines()
+              if line.startswith("import '")}
+    assert "numpy" in loaded
+    assert ("csv" in loaded) == loads_csv
 
 
 @pytest.mark.parametrize("argv,route", [

@@ -124,18 +124,18 @@ class TestMaximalSets:
 
 class TestBruteForceCounts:
     def test_length_three_witnesses(self):
-        assert path_census(3).worst_count == 4
+        assert path_census(3).size_counts[extremal_size(3, "worst")] == 4
         assert set(extremal_permutations(3, "worst")) == {
             (1, 2, 3), (1, 3, 2), (3, 1, 2), (3, 2, 1),
         }
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_worst_counts(self, n):
-        assert path_census(n).worst_count == WORST_CASE_COUNTS[n]
+        assert path_census(n).size_counts[extremal_size(n, "worst")] == WORST_CASE_COUNTS[n]
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_best_counts(self, n):
-        assert path_census(n).best_count == BEST_CASE_COUNTS[n]
+        assert path_census(n).size_counts[extremal_size(n, "best")] == BEST_CASE_COUNTS[n]
 
     def test_report_invariants(self, capsys):
         g = path(6)

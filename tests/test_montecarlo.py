@@ -94,7 +94,7 @@ def test_frequencies_match_exact_distribution(n):
     census = path_census(n)
     hist = sample_gamma(SampleConfig(n=n, samples=100_000, seed=99))
     for size, count in census.distribution().items():
-        p = count / census.total
+        p = count / math.factorial(n)
         se = math.sqrt(p * (1 - p) / hist.total)
         emp = hist.bins.get(size, 0) / hist.total
         assert abs(emp - p) <= 5 * se
