@@ -273,7 +273,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     graph = _graph(args, name, size)
     outcome = run_online_domination(graph, order)
     added = set(outcome.chosen)
-    doc = {"family": graph.family, "n": graph.n, "order": order,
+    doc = {"family": args.family, "n": graph.n, "order": order,
            "chosen": list(outcome.chosen), "gamma": outcome.size}
     rows = [("position", "vertex", "added")]
     rows += [(i, v, int(v in added)) for i, v in enumerate(order, start=1)]
@@ -351,11 +351,8 @@ def _extremal_reports(args: argparse.Namespace) -> tuple[int, list[tuple]]:
         raise ValueError("--witnesses has no csv column: use --format text or json")
 
     def brute():
-        census = extremal.path_census(n, force=force)
-        witnesses = extremal.extremal_permutations(
-            n, kind, args.witnesses, force=force, census=census
-        )
-        return census.size_counts[size], witnesses
+        count = extremal.path_census(n, force=force).size_counts[size]
+        return count, extremal.extremal_permutations(n, kind, args.witnesses, force=force)
 
     def egf():
         from . import series
@@ -399,7 +396,7 @@ def _cmd_extremal(args: argparse.Namespace) -> int:
              for method, count, _ in reports]
     lines += ["  witness " + ",".join(str(v) for v in witness)
               for _, _, witnesses in reports for witness in witnesses]
-    _emit(args, docs[0] if len(docs) == 1 else docs, rows, "\n".join(lines) + "\n")
+    _emit(args, docs if args.method == "all" else docs[0], rows, "\n".join(lines) + "\n")
     by_method = {method: count for method, count, _ in reports}
     if len(set(by_method.values())) > 1:
         print(f"error: methods disagree at n={n}: {by_method}", file=sys.stderr)
@@ -434,8 +431,9 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         force=args.force,
     )
     hist = montecarlo.sample_gamma(config)
-    meta = hist.to_json_dict()
     bins = hist.bins.items()
+    meta = {"n": hist.n, "samples": hist.total, "seed": args.seed, "mean": hist.mean,
+            "variance": hist.variance, "min": min(hist.bins), "max": max(hist.bins)}
     doc = {**meta, "bins": {str(size): count for size, count in bins}}
     if args.normalization != "none":
         points = montecarlo.normalize(hist, args.normalization)

@@ -377,8 +377,7 @@ def final_set_counts(graph: Graph, *, force: bool = False) -> dict[frozenset[int
 
 
 def orders_with_size(
-    graph: Graph, size: int, limit: int | None = None, *, force: bool = False,
-    final_sets: Iterable[frozenset[int]] | None = None,
+    graph: Graph, size: int, limit: int | None = None, *, force: bool = False
 ) -> list[tuple[int, ...]]:
     """Revelation orders whose final dominating set has `size` vertices.
 
@@ -389,9 +388,7 @@ def orders_with_size(
     its vertices outside C lies outside N[C], is hidden, and joins when it is
     revealed next.  A depth-first walk over reveal prefixes therefore enters
     a prefix only when its chosen set lies inside a final set of that size,
-    and every branch ends in a listed order.  A caller that holds the final
-    sets of the forward pass, the keys of final_set_counts(graph), passes
-    them as final_sets, and the pass is not run again.
+    and every branch ends in a listed order.
     """
     if limit is not None and limit < 0:
         raise ValueError("limit must be nonnegative")
@@ -399,11 +396,9 @@ def orders_with_size(
     if limit == 0:
         return []
     full = (1 << graph.n) - 1
-    if final_sets is None:
-        final_sets = final_set_counts(graph, force=force)
     targets = [
         sum(1 << (v - 1) for v in final_set)
-        for final_set in final_sets
+        for final_set in final_set_counts(graph, force=force)
         if len(final_set) == size
     ]
     fits: dict[int, bool] = {}  # chosen set -> lies inside some target

@@ -292,24 +292,16 @@ def word_census(n: int, *, force: bool = False) -> tuple[int, ...]:
 
 
 def extremal_permutations(
-    n: int, bound_kind: str, limit: int | None = None, *, force: bool = False,
-    census: PathCensus | None = None,
+    n: int, bound_kind: str, limit: int | None = None, *, force: bool = False
 ) -> list[tuple[int, ...]]:
     """Worst- or best-case orders in lexicographic order, at most `limit` of them.
 
     Without a limit every one is materialized, so memory scales with the count.
-    Given path_census(n), the listing walks inside its final sets and runs no
-    forward pass of its own.
     """
     from .domination import orders_with_size
 
     size = extremal_size(n, bound_kind)
-    if census is not None and census.n != n:
-        raise ValueError(f"the census is of n = {census.n}, not {n}")
-    final_sets = census.final_set_counts if census is not None else None
-    return orders_with_size(
-        _engine_path(n, force), size, limit, force=force, final_sets=final_sets
-    )
+    return orders_with_size(_engine_path(n, force), size, limit, force=force)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from typing import Iterable, Iterator, Sequence
 class Graph:
     """Undirected graph with 1-based vertex labels and sorted adjacency tuples."""
 
-    family: str
     n: int
     adj: tuple[tuple[int, ...], ...]  # adj[0] is an unused placeholder
 
@@ -80,12 +79,12 @@ def _checked_edges(n: int, edges: Iterable[tuple[int, int]]) -> Iterator[tuple[i
         yield (u, v) if u < v else (v, u)
 
 
-def _build(family: str, n: int, edges: Iterable[tuple[int, int]]) -> Graph:
+def _build(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     neigh: list[set[int]] = [set() for _ in range(n + 1)]
     for u, v in _checked_edges(n, edges):
         neigh[u].add(v)
         neigh[v].add(u)
-    return Graph(family=family, n=n, adj=tuple(tuple(sorted(s)) for s in neigh))
+    return Graph(n=n, adj=tuple(tuple(sorted(s)) for s in neigh))
 
 
 def path(n: int) -> Graph:
@@ -93,7 +92,7 @@ def path(n: int) -> Graph:
     check_size("path", n)
     inner = zip(range(1, n - 1), range(3, n + 1))  # (v - 1, v + 1) for 1 < v < n
     adj = ((), ()) if n == 1 else ((), (2,), *inner, (n - 1,))
-    return Graph(family="path", n=n, adj=adj)
+    return Graph(n=n, adj=adj)
 
 
 def cycle(n: int) -> Graph:
@@ -101,14 +100,14 @@ def cycle(n: int) -> Graph:
     check_size("cycle", n)
     edges = [(i, i + 1) for i in range(1, n)]
     edges.append((n, 1))
-    return _build("cycle", n, edges)
+    return _build(n, edges)
 
 
 def star(leaves: int) -> Graph:
     """Star with the given number of leaves; the hub is vertex leaves+1."""
     check_size("star", leaves)
     hub = leaves + 1
-    return _build("star", hub, ((i, hub) for i in range(1, hub)))
+    return _build(hub, ((i, hub) for i in range(1, hub)))
 
 
 def wheel(spokes: int) -> Graph:
@@ -118,7 +117,7 @@ def wheel(spokes: int) -> Graph:
     edges = [(i, i + 1) for i in range(1, spokes)]
     edges.append((spokes, 1))
     edges.extend((i, hub) for i in range(1, hub))
-    return _build("wheel", hub, edges)
+    return _build(hub, edges)
 
 
 def complete_multipartite(part_sizes: Sequence[int]) -> Graph:
@@ -131,7 +130,7 @@ def complete_multipartite(part_sizes: Sequence[int]) -> Graph:
     for size in part_sizes:
         adj += [(*range(1, first), *range(first + size, n + 1))] * size
         first += size
-    return Graph(family="complete_multipartite", n=n, adj=tuple(adj))
+    return Graph(n=n, adj=tuple(adj))
 
 
 def degree_counts(
@@ -176,4 +175,4 @@ def degree_counts(
 def explicit(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Arbitrary graph from an edge list; the escape hatch for everything else."""
     check_size("explicit", n)
-    return _build("explicit", n, edges)
+    return _build(n, edges)

@@ -59,34 +59,14 @@ class Histogram:
     """Empirical distribution of the dominating-set size."""
 
     n: int
-    seed: int
     bins: dict[int, int]  # size -> occurrences, keys sorted ascending
     total: int
     mean: float
     variance: float
 
     @property
-    def min_gamma(self) -> int:
-        return min(self.bins)
-
-    @property
-    def max_gamma(self) -> int:
-        return max(self.bins)
-
-    @property
     def std_dev(self) -> float:
         return self.variance**0.5
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "samples": self.total,
-            "seed": self.seed,
-            "mean": self.mean,
-            "variance": self.variance,
-            "min": self.min_gamma,
-            "max": self.max_gamma,
-        }
 
 
 def _chunk_words(rng, n: int, count: int) -> PackedWords:
@@ -214,10 +194,7 @@ def sample_gamma(config: SampleConfig) -> Histogram:
         raise ConsistencyError(
             "sampled a size outside the provable range; the batch evaluator is broken"
         )
-    return Histogram(
-        n=config.n, seed=config.seed, bins=bins, total=total, mean=mean,
-        variance=variance,
-    )
+    return Histogram(n=config.n, bins=bins, total=total, mean=mean, variance=variance)
 
 
 def normalize(hist: Histogram, mode: str) -> list[tuple[float, float]]:

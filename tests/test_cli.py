@@ -232,6 +232,19 @@ class TestExtremal:
         assert (code, out) == (1, "")
         assert err.startswith("error: closed formula for n % 3 == ")
 
+    @pytest.mark.parametrize("n", [1, 2, 4, 7])
+    def test_all_writes_a_json_list_where_one_route_applies(self, capsys, n):
+        code, out, err = run(
+            capsys, "extremal", "--n", str(n), "--bound", "best", "--method", "all",
+            "--format", "json",
+        )
+        assert (code, err) == (0, "")
+        _, single, _ = run(
+            capsys, "extremal", "--n", str(n), "--bound", "best", "--method", "brute",
+            "--format", "json",
+        )
+        assert json.loads(out) == [json.loads(single)]
+
     @pytest.mark.parametrize("method,bound", [("recurrence", "worst"), ("egf", "worst"),
                                               ("formula", "best")])
     def test_witnesses_outside_the_brute_route_are_refused(self, capsys, method, bound):
@@ -250,8 +263,8 @@ class TestExtremal:
 
     @pytest.mark.parametrize("method", ["brute", "all"])
     @pytest.mark.parametrize("bound", ["worst", "best"])
-    def test_witnesses_reuse_the_census_forward_pass(self, capsys, monkeypatch, method,
-                                                     bound):
+    def test_witnesses_run_the_listings_own_forward_pass(self, capsys, monkeypatch,
+                                                         method, bound):
         calls = []
         real = domination.final_set_counts
 
@@ -265,8 +278,7 @@ class TestExtremal:
             "--witnesses", "3",
         )
         assert code == 0
-        assert len(calls) == 1
-        # the witnesses of a listing that runs its own forward pass
+        assert len(calls) == 2  # the census's pass and the listing's own
         size = extremal.extremal_size(8, bound)
         orders = domination.orders_with_size(pathdom.path(8), size, 3)
         assert out.splitlines()[-3:] == [
@@ -373,6 +385,14 @@ class TestSimulate:
         doc = json.loads(out)
         assert doc["gamma"] == 3
         assert doc["chosen"] == [1, 3, 5]
+
+    def test_json_names_the_family_as_given(self, capsys):
+        argv = ["--family", "multipartite", "--parts", "2,3", "--format", "json"]
+        code, out, _ = run(capsys, "simulate", *argv, "--order", "1,2,3,4,5")
+        assert code == 0
+        assert json.loads(out)["family"] == "multipartite"
+        _, out, _ = run(capsys, "expect", *argv)
+        assert json.loads(out)["family"] == "multipartite"
 
     def test_bad_order(self, capsys):
         code, _, err = run(
@@ -481,10 +501,10 @@ class TestSample:
         total = sum(int(r.split(",")[1]) for r in rows[1:])
         assert total == 2000
         meta = json.loads((tmp_path / "hist.csv.json").read_text())
+        assert list(meta) == ["n", "samples", "seed", "mean", "variance", "min", "max"]
         assert meta["n"] == 30
         assert meta["samples"] == 2000
         assert meta["seed"] == 9
-        assert {"mean", "variance", "min", "max"} <= set(meta)
 
     def test_stdout_csv_with_meta_on_stderr(self, capsys):
         code, out, err = run(capsys, "sample", "--n", "10", "--samples", "64", "--seed", "1")
@@ -521,6 +541,15 @@ class TestSample:
             assert err == "" and not sidecar.exists()
         else:
             assert sidecar.read_bytes() == err.encode("utf-8")
+
+    @pytest.mark.parametrize("flags", [[], ["--normalization", "centered"]],
+                             ids=["none", "centered"])
+    def test_plot_data_changes_no_json(self, capsys, flags):
+        argv = ["sample", "--n", "40", "--samples", "500", "--seed", "7", "--format",
+                "json", *flags]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "") and out
+        assert run(capsys, *argv, "--plot-data") == (0, out, "")
 
     def test_csv_is_the_text_table(self, capsys):
         argv = ["sample", "--n", "40", "--samples", "500", "--seed", "7"]

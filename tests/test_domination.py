@@ -92,7 +92,7 @@ class TestGraphFamilies:
 
     def test_path_adjacency_is_that_of_its_edges(self):
         for n in range(1, 61):
-            assert path(n) == _build("path", n, ((i, i + 1) for i in range(1, n))), n
+            assert path(n) == _build(n, ((i, i + 1) for i in range(1, n))), n
 
     def test_empty_path_refused(self):
         with pytest.raises(ValueError, match="a path needs at least 1 vertex"):
@@ -587,12 +587,11 @@ class TestChosenSetEngine:
 
     @pytest.mark.parametrize(
         "graph",
-        [path(n) for n in range(1, 12)]
-        + [cycle(n) for n in range(3, 10)]
-        + [star(k) for k in range(1, 8)]
-        + [wheel(k) for k in range(3, 7)]
-        + [complete_multipartite((4, 4))],
-        ids=lambda graph: f"{graph.family}-{graph.n}",
+        [pytest.param(path(n), id=f"path-{n}") for n in range(1, 12)]
+        + [pytest.param(cycle(n), id=f"cycle-{n}") for n in range(3, 10)]
+        + [pytest.param(star(k), id=f"star-{k + 1}") for k in range(1, 8)]
+        + [pytest.param(wheel(k), id=f"wheel-{k + 1}") for k in range(3, 7)]
+        + [pytest.param(complete_multipartite((4, 4)), id="complete_multipartite-8")],
     )
     def test_matches_the_revealed_set_engine_on_families(self, graph):
         counts = final_set_counts(graph)

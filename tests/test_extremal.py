@@ -117,6 +117,7 @@ class TestMaximalSets:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_realized_worst_sets_match_construction(self, n):
         census = path_census(n)
+        assert census.final_set_counts == final_set_counts(path(n))
         assert set(census.worst_set_counts) == set(
             maximal_independent_dominating_sets(n)
         )
@@ -623,11 +624,5 @@ class TestExtremalPermutations:
             extremal_permutations(4, "median")
 
     @pytest.mark.parametrize("kind", ["worst", "best"])
-    def test_listing_inside_the_census_final_sets(self, kind):
-        census = path_census(7)
-        assert census.final_set_counts == final_set_counts(path(7))
-        listed = extremal_permutations(7, kind, census=census)
-        assert listed == extremal_permutations(7, kind)
-        assert extremal_permutations(7, kind, 5, census=census) == listed[:5]
-        with pytest.raises(ValueError, match="n = 7"):
-            extremal_permutations(6, kind, census=census)
+    def test_a_limit_lists_a_prefix(self, kind):
+        assert extremal_permutations(7, kind, 5) == extremal_permutations(7, kind)[:5]
