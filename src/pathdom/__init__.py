@@ -23,8 +23,8 @@ _EXPORTS = {name: module for module, names in {
     "expected_gamma_complete_multipartite expected_gamma_cycle expected_gamma_limit "
     "expected_gamma_path expected_gamma_path_closed_form expected_gamma_path_float "
     "expected_gamma_star expected_gamma_wheel",
-    "extremal": "PathCensus best_case_count_formula "
-    "best_case_formula_applicable count_no_even_local_maxima count_weakly_alternating "
+    "extremal": "best_case_count_formula best_case_formula_applicable "
+    "count_no_even_local_maxima count_weakly_alternating "
     "extremal_permutations extremal_size independent_dominating_sets_bruteforce "
     "maximal_independent_dominating_sets orders_per_word path_census set_first_order "
     "up_down_words weakly_alternating_permutations word_census "

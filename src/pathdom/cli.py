@@ -351,7 +351,7 @@ def _extremal_reports(args: argparse.Namespace) -> tuple[int, list[tuple]]:
         raise ValueError("--witnesses has no csv column: use --format text or json")
 
     def brute():
-        count = extremal.path_census(n, force=force).size_counts[size]
+        count = extremal.path_census(n, force=force)[size]
         return count, extremal.extremal_permutations(n, kind, args.witnesses, force=force)
 
     def egf():

@@ -22,6 +22,7 @@ and refuse a size their graphs builder refuses, with its message.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
@@ -157,11 +158,7 @@ def caro_wei_bound(graph: Graph) -> Fraction:
     the set, and that event has probability 1/(1 + deg v).  The graph's
     degree classes go through caro_wei_bound_from_degrees.
     """
-    per_degree: dict[int, int] = {}
-    for v in graph.vertices:
-        degree = len(graph.adj[v])
-        per_degree[degree] = per_degree.get(degree, 0) + 1
-    return caro_wei_bound_from_degrees(per_degree)
+    return caro_wei_bound_from_degrees(Counter(len(a) for a in graph.adj[1:]))
 
 
 def caro_wei_bound_from_degrees(per_degree: Mapping[int, int]) -> Fraction:

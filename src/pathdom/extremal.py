@@ -8,9 +8,9 @@ generating function in the series module), best-case orders two ways
 cross-checks the others.
 
 The exhaustive census covers all n! orders through the state-merging
-engine of the domination module and tallies everything the rest of the
-package needs from brute force: the full size distribution and the
-realized worst-case sets with multiplicities.  extremal_permutations lists
+engine of the domination module and returns the number of orders per set
+size, the tuple the word census returns too; the final sets themselves
+come from domination.final_set_counts.  extremal_permutations lists
 extremal orders lexicographically, up to an optional limit, through the
 same engine, under its guard; extremal_size maps a bound to its set size.
 The word census gets the size distribution from the 2^(n-1) up/down words
@@ -33,15 +33,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable
 
 # domination and graphs are imported by the functions that run them, so the
 # count recurrence and the formulas load neither.
 from .errors import EXACT_COUNT_CAP, WORD_CENSUS_CAP, WORD_LIST_CAP, check_cap
 
 if TYPE_CHECKING:
-    from fractions import Fraction
-
     import numpy as np
 
     from .graphs import Graph
@@ -136,35 +134,6 @@ def set_first_order(vertex_set: Iterable[int], n: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-class PathCensus(NamedTuple):
-    """Tally of the online procedure over every revelation order of the n-path."""
-
-    n: int
-    size_counts: tuple[int, ...]  # index = dominating-set size
-    final_set_counts: dict[frozenset[int], int]  # every realized final set
-
-    @property
-    def worst_set_counts(self) -> dict[frozenset[int], int]:
-        """The realized worst-case sets."""
-        worst = extremal_size(self.n, "worst")
-        return {s: c for s, c in self.final_set_counts.items() if len(s) == worst}
-
-    @property
-    def odd_configuration_count(self) -> int:
-        """Orders whose final set is exactly the odd vertices."""
-        return self.worst_set_counts.get(odd_vertex_set(self.n), 0)
-
-    @property
-    def expectation(self) -> Fraction:
-        from fractions import Fraction  # imported here so that `sample` never loads it
-
-        weighted = sum(size * count for size, count in enumerate(self.size_counts))
-        return Fraction(weighted, math.factorial(self.n))
-
-    def distribution(self) -> dict[int, int]:
-        return {size: c for size, c in enumerate(self.size_counts) if c}
-
-
 def _engine_path(n: int, force: bool) -> Graph:
     """The n-path for the exhaustive engine, refused by its guard before it is built."""
     from .domination import check_engine_cap
@@ -174,16 +143,17 @@ def _engine_path(n: int, force: bool) -> Graph:
     return path(n)
 
 
-def path_census(n: int, *, force: bool = False) -> PathCensus:
-    """Simulate every one of the n! revelation orders of the n-path."""
+def path_census(n: int, *, force: bool = False) -> tuple[int, ...]:
+    """Number of orders of the n-path per set size 0..ceil(n/2), by
+    simulating every one of the n! revelation orders."""
     from .domination import final_set_counts
 
     worst = extremal_size(n, "worst")  # refuses n < 1
     final_sets = final_set_counts(_engine_path(n, force), force=force)
-    size_counts = [0] * (worst + 1)
+    counts = [0] * (worst + 1)  # made once the guard has passed n
     for vertex_set, count in final_sets.items():
-        size_counts[len(vertex_set)] += count
-    return PathCensus(n=n, size_counts=tuple(size_counts), final_set_counts=final_sets)
+        counts[len(vertex_set)] += count
+    return tuple(counts)
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +250,8 @@ def orders_per_word(codes: np.ndarray, letters: int) -> np.ndarray:
 
 
 def word_census(n: int, *, force: bool = False) -> tuple[int, ...]:
-    """Number of orders of the n-path per set size, indexed by size like
-    PathCensus.size_counts, summed over the up/down words."""
+    """Number of orders of the n-path per set size 0..ceil(n/2), as
+    path_census returns it, summed over the up/down words."""
     from .domination import PackedWords, gamma_batch_path
 
     worst = extremal_size(n, "worst")  # refuses n < 1

@@ -3,7 +3,7 @@
 Every quantity the package can compute more than one way is recomputed by
 every route and compared here: exhaustive simulation and the up/down-word
 census against recurrences, closed formulas and generating functions,
-exact expectations against brute-force averages, and the sampler against
+exact expectations against both censuses' averages, and the sampler against
 exact distributions.  The paper's inversion bijection is checked as an
 equality of up/down-word sets through extremal's word predicate, so that
 check lists no order.  An equality check is a table of
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
@@ -26,6 +27,7 @@ from typing import Callable, Iterable, Iterator
 from . import expectation, extremal, graphs, montecarlo, series
 from .domination import (
     PackedWords,
+    final_set_counts,
     gamma_batch_path,
     max_dominating_size,
     min_dominating_size,
@@ -84,13 +86,16 @@ def _tally(census: Callable, n: int):
     return census(n)
 
 
-def _census_routes(n: int, size: int) -> dict:
-    """Orders of size `size` by the word census, and by the exhaustive engine
-    where it runs."""
-    routes = {"words": _tally(extremal.word_census, n)[size]}
-    if n <= BRUTE_MAX:
-        routes = {"brute": _tally(extremal.path_census, n).size_counts[size], **routes}
-    return routes
+def _census_routes(n: int, read: Callable[[tuple[int, ...]], object]) -> dict:
+    """read(counts) for each census of orders per set size that runs at n:
+    the exhaustive engine through BRUTE_MAX, the word census through
+    WORD_COUNT_MAX.  The table is built at each call, so a census replaced
+    in extremal after import is the one that runs."""
+    censuses = (
+        ("brute", extremal.path_census, BRUTE_MAX),
+        ("words", extremal.word_census, WORD_COUNT_MAX),
+    )
+    return {route: read(_tally(census, n)) for route, census, top in censuses if n <= top}
 
 
 def check_worst_case_counts() -> CheckResult:
@@ -99,7 +104,7 @@ def check_worst_case_counts() -> CheckResult:
     egf = series.worst_case_counts_egf(WORD_COUNT_MAX)
     cases = (
         (f"n={n}", {
-            **_census_routes(n, max_dominating_size(n)),
+            **_census_routes(n, operator.itemgetter(max_dominating_size(n))),
             "recurrence": extremal.worst_case_count_recurrence(n),
             "egf": egf[n],
             "reference": reference,
@@ -123,7 +128,7 @@ def check_best_case_counts() -> CheckResult:
     def cases() -> Iterator[Case]:
         for n, reference in BEST_CASE_COUNTS.items():
             routes = {
-                **_census_routes(n, min_dominating_size(n)),
+                **_census_routes(n, operator.itemgetter(min_dominating_size(n))),
                 "reference": reference,
             }
             if n in formula_ns:
@@ -138,24 +143,26 @@ def check_best_case_counts() -> CheckResult:
 
 
 def check_expectation_oracle() -> CheckResult:
-    """Recurrence expectation == brute-force average == closed form (exact)."""
+    """Recurrence expectation == each census's average == closed form (exact)."""
     closed_max = 200
     recurrence = _tally(expectation.expected_gamma_path_prefix, closed_max)
 
     def cases() -> Iterator[Case]:
         for n in range(1, closed_max + 1):
-            routes = {
+            def mean(counts: tuple[int, ...]) -> Fraction:  # called before n moves on
+                weighted = sum(size * count for size, count in enumerate(counts))
+                return Fraction(weighted, math.factorial(n))
+
+            yield f"n={n}", {
                 "recurrence": recurrence[n],
+                **_census_routes(n, mean),
                 "closed form": expectation.expected_gamma_path_closed_form(n),
             }
-            if n <= BRUTE_MAX:
-                routes["brute"] = _tally(extremal.path_census, n).expectation
-            yield f"n={n}", routes
 
     return _agree(
         "expectation-oracle", cases(),
-        f"recurrence = brute average (n<={BRUTE_MAX}) and "
-        f"= closed form (n<={closed_max})",
+        f"recurrence = brute average (n<={BRUTE_MAX}) = word-census average "
+        f"(n<={WORD_COUNT_MAX}) = closed form (n<={closed_max})",
     )
 
 
@@ -371,10 +378,10 @@ def check_convolution() -> CheckResult:
                 "worst-case EGF = convolution": series.convolution_identity_holds(n),
                 "expected": True,
             }
-        for n in range(1, BRUTE_MAX + 1):
-            census = _tally(extremal.path_census, n)
+        for n in range(1, BRUTE_MAX + 1):  # listing the odd vertices first realizes them
+            final_sets = final_set_counts(graphs.path(n))
             yield f"n={n}", {
-                "brute odd-config count": census.odd_configuration_count,
+                "brute odd-config count": final_sets[extremal.odd_vertex_set(n)],
                 "egf": odd_config[n],
             }
 

@@ -29,7 +29,6 @@ from pathdom import (
     expected_gamma_wheel,
     explicit,
     path,
-    path_census,
     star,
     wheel,
 )
@@ -59,7 +58,7 @@ class TestPathRecurrence:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_bruteforce_average(self, n):
-        assert expected_gamma_path(n) == path_census(n).expectation
+        assert expected_gamma_path(n) == bruteforce_expected_gamma(path(n))
 
     def test_prefix_holds_every_value_of_one_pass(self):
         assert expected_gamma_path_prefix(0) == (0,)

@@ -77,9 +77,9 @@ class TestBounds:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_bounds_are_attained(self, n):
-        dist = path_census(n).distribution()
-        assert min(dist) == min_dominating_size(n)
-        assert max(dist) == max_dominating_size(n)
+        sizes = [size for size, count in enumerate(path_census(n)) if count]
+        assert min(sizes) == min_dominating_size(n)
+        assert max(sizes) == max_dominating_size(n)
 
 
 class TestMaximalSets:
@@ -116,34 +116,32 @@ class TestMaximalSets:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_realized_worst_sets_match_construction(self, n):
-        census = path_census(n)
-        assert census.final_set_counts == final_set_counts(path(n))
-        assert set(census.worst_set_counts) == set(
-            maximal_independent_dominating_sets(n)
-        )
+        worst = max_dominating_size(n)
+        realized = {s for s in final_set_counts(path(n)) if len(s) == worst}
+        assert realized == set(maximal_independent_dominating_sets(n))
 
 
 class TestBruteForceCounts:
     def test_length_three_witnesses(self):
-        assert path_census(3).size_counts[extremal_size(3, "worst")] == 4
+        assert path_census(3)[extremal_size(3, "worst")] == 4
         assert set(extremal_permutations(3, "worst")) == {
             (1, 2, 3), (1, 3, 2), (3, 1, 2), (3, 2, 1),
         }
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_worst_counts(self, n):
-        assert path_census(n).size_counts[extremal_size(n, "worst")] == WORST_CASE_COUNTS[n]
+        assert path_census(n)[extremal_size(n, "worst")] == WORST_CASE_COUNTS[n]
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_best_counts(self, n):
-        assert path_census(n).size_counts[extremal_size(n, "best")] == BEST_CASE_COUNTS[n]
+        assert path_census(n)[extremal_size(n, "best")] == BEST_CASE_COUNTS[n]
 
     def test_report_invariants(self, capsys):
         g = path(6)
         for kind, size in (("worst", 3), ("best", 2)):
             assert extremal_size(6, kind) == size
             witnesses = extremal_permutations(6, kind, 100)
-            assert len(witnesses) == min(100, path_census(6).size_counts[size])
+            assert len(witnesses) == min(100, path_census(6)[size])
             for witness in witnesses:
                 assert gamma(g, witness) == size
             assert cli.main(["extremal", "--n", "6", "--bound", kind, "--witnesses",
@@ -361,15 +359,15 @@ class TestWordCensus:
             tracemalloc.stop()
         assert peak <= 12 * 2**20
 
-    @pytest.mark.parametrize("n", range(1, 10))
+    @pytest.mark.parametrize("n", range(1, 12))
     def test_word_census_matches_the_engine(self, n):
-        assert word_census(n) == path_census(n).size_counts
+        assert word_census(n) == path_census(n)
 
     @pytest.mark.parametrize("n", [12, 13, 14])
     def test_engine_past_its_cap_matches_the_word_census_and_the_egf(self, n):
-        census = path_census(n, force=True)
-        assert census.size_counts == word_census(n)
-        assert census.odd_configuration_count == odd_configuration_counts_egf(n)[n]
+        assert path_census(n, force=True) == word_census(n)
+        final_sets = final_set_counts(path(n), force=True)
+        assert final_sets[extremal.odd_vertex_set(n)] == odd_configuration_counts_egf(n)[n]
 
     @pytest.mark.parametrize("n", [12, 14, 16])
     def test_word_census_covers_every_order(self, n):
@@ -605,13 +603,13 @@ class TestPermutationPredicates:
 class TestOddConfiguration:
     @pytest.mark.parametrize("n,count", [(2, 1), (3, 4), (4, 9)])
     def test_small_counts(self, n, count):
-        assert path_census(n).odd_configuration_count == count
+        assert final_set_counts(path(n))[extremal.odd_vertex_set(n)] == count
 
     @pytest.mark.parametrize("n", [1, 3, 5, 7])
     def test_odd_length_equals_worst_count(self, n):
         # odd n has a unique worst-case set, the odd vertices
-        census = path_census(n)
-        assert census.odd_configuration_count == worst_case_count_recurrence(n)
+        final_sets = final_set_counts(path(n))
+        assert final_sets[extremal.odd_vertex_set(n)] == worst_case_count_recurrence(n)
 
 
 class TestExtremalPermutations:

@@ -7,9 +7,11 @@ import pytest
 
 from pathdom import (
     convolution_identity_holds,
+    extremal,
+    final_set_counts,
     series,
     odd_configuration_counts_egf,
-    path_census,
+    path,
     worst_case_counts_egf,
     worst_case_count_recurrence,
 )
@@ -155,7 +157,7 @@ class TestCounts:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_odd_configuration_matches_bruteforce(self, n):
         counts = odd_configuration_counts_egf(8)
-        assert counts[n] == path_census(n).odd_configuration_count
+        assert counts[n] == final_set_counts(path(n))[extremal.odd_vertex_set(n)]
 
     def test_worst_case_small(self):
         counts = worst_case_counts_egf(8)

@@ -87,6 +87,16 @@ def _off_by_one_at(n):
     return lambda value, first: value + (first == n)
 
 
+def _one_order_up_at(n, size):
+    """A census route that moves one order at n from `size` to `size + 1`:
+    the total and, for a middle size, both extreme counts stay as they were."""
+    def moved(counts, first):
+        if first != n:
+            return counts
+        return counts[:size] + (counts[size] - 1, counts[size + 1] + 1) + counts[size + 2:]
+    return moved
+
+
 OFF_BY_ONE = [  # check, route's module and name, perturbation, start of the detail
     pytest.param(V.check_worst_case_counts, extremal, "worst_case_count_recurrence",
                  _off_by_one_at(6), "n=6:", id="worst-case recurrence"),
@@ -105,6 +115,13 @@ OFF_BY_ONE = [  # check, route's module and name, perturbation, start of the det
     pytest.param(V.check_expectation_oracle, expectation,
                  "expected_gamma_path_closed_form", _off_by_one_at(150), "n=150:",
                  id="closed-form expectation"),
+    pytest.param(V.check_expectation_oracle, extremal, "path_census",
+                 _one_order_up_at(9, 3), "n=9:", id="brute average"),
+    pytest.param(V.check_expectation_oracle, extremal, "word_census",
+                 _one_order_up_at(15, 6), "n=15:", id="word-census average past brute"),
+    pytest.param(V.check_convolution, V, "final_set_counts",
+                 lambda sets, graph: {s: c + (graph.n == 5) for s, c in sets.items()},
+                 "n=5:", id="brute odd-configuration count"),
     pytest.param(V.check_convolution, series, "odd_configuration_counts_egf",
                  lambda counts, _: tuple(c + (k == 7) for k, c in enumerate(counts)),
                  "n=7:", id="odd-configuration EGF"),
@@ -168,6 +185,28 @@ def test_each_census_is_computed_once(monkeypatch):
         [("path_census", n) for n in range(1, V.BRUTE_MAX + 1)]
         + [("word_census", n) for n in range(1, V.WORD_COUNT_MAX + 1)]
         + [("expected_gamma_path_prefix", 200), ("weakly_alternating_counts", 60)]
+    )
+
+
+def test_each_census_is_looked_up_in_extremal_when_a_check_runs(monkeypatch):
+    called = set()
+    for census in ("path_census", "word_census"):
+        real = getattr(extremal, census)
+        monkeypatch.setattr(
+            extremal, census,
+            lambda n, real=real, census=census: called.add(census) or real(n),
+        )
+    assert V.check_worst_case_counts().passed
+    assert V.check_expectation_oracle().passed
+    assert called == {"path_census", "word_census"}
+
+
+def test_expectation_oracle_names_both_census_averages():
+    result = V.check_expectation_oracle()
+    assert result.passed, result.detail
+    assert result.detail == (
+        "recurrence = brute average (n<=11) = word-census average (n<=16) "
+        "= closed form (n<=200)"
     )
 
 
