@@ -29,8 +29,7 @@ _EXPORTS = {name: module for module, names in {
     "maximal_independent_dominating_sets orders_per_word path_census set_first_order "
     "up_down_words weakly_alternating_permutations word_census "
     "worst_case_count_recurrence",
-    "series": "DEFAULT_ORDER convolution_identity_holds odd_configuration_counts_egf "
-    "worst_case_counts_egf",
+    "series": "DEFAULT_ORDER odd_configuration_counts_egf worst_case_counts_egf",
     "montecarlo": "Histogram SampleConfig normalize sample_gamma",
 }.items() for name in names.split()}
 

@@ -19,15 +19,17 @@ solve integer recurrences, all computed in one pass over k:
 * the odd part sinh / D: sum_(odd j) C(k, j) e_(k-j);
 * the square of the even part: sum_j C(k, j) e_j e_(k-j).
 
-The even part and the square are 0 at odd k and the odd part at even k,
-so no zero term is summed.  The counts are checked on the way out: an
+At even k the square is the paper's convolution of odd-configuration
+counts over where a worst-case order splits into two pieces.  The even
+part and the square are 0 at odd k and the odd part at even k, so no
+zero term is summed.  The counts are checked on the way out: an
 odd-configuration count must be nonnegative, and a worst-case count must
 lie in [0, n!] since it counts a subset of all n! orders.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 from operator import add, mul
 from typing import Sequence
 
@@ -49,6 +51,7 @@ def _check_counts(odd_config: Sequence[int], worst: Sequence[int]) -> None:
             )
 
 
+@functools.lru_cache(maxsize=1)
 def _egf_counts(order: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Odd-configuration and worst-case counts for n = 0..order, in one pass.
 
@@ -81,20 +84,13 @@ def _egf_counts(order: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(odd_config), tuple(worst)
 
 
-_largest_table: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
-
-
 def _counts_through(order: int, force: bool) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """_egf_counts(order), sliced from the largest table built so far in the
-    process, so a table is built only for an order above every earlier one."""
-    global _largest_table
+    """_egf_counts(order) after the order and cap checks; the last table
+    built is kept, so asking for both columns at one order builds one."""
     if order < 0:
         raise ValueError("order must be nonnegative")
     check_cap(order, EXACT_COUNT_CAP, force, "EGF count table")
-    if len(_largest_table[0]) <= order:
-        _largest_table = _egf_counts(order)
-    odd_config, worst = _largest_table
-    return odd_config[: order + 1], worst[: order + 1]
+    return _egf_counts(order)
 
 
 def odd_configuration_counts_egf(order: int, *, force: bool = False) -> tuple[int, ...]:
@@ -105,22 +101,3 @@ def odd_configuration_counts_egf(order: int, *, force: bool = False) -> tuple[in
 def worst_case_counts_egf(order: int, *, force: bool = False) -> tuple[int, ...]:
     """Worst-case order counts for n = 0..order, from the combined EGF."""
     return _counts_through(order, force)[1]
-
-
-def convolution_identity_holds(n: int) -> bool:
-    """Check the even-length worst-case convolution identity.
-
-    A worst-case order of even length n splits over a gap position into
-    two odd-configuration pieces:
-        worst(n) = sum_{i=0}^{n/2} C(n, 2i) * odd_config(2i) * odd_config(n-2i).
-    Returns False on mismatch instead of raising.
-    """
-    if n < 2 or n % 2:
-        raise ValueError("the convolution identity is stated for even n >= 2")
-    odd_config = odd_configuration_counts_egf(n)
-    worst = worst_case_counts_egf(n)[n]
-    convolved = sum(
-        math.comb(n, 2 * i) * odd_config[2 * i] * odd_config[n - 2 * i]
-        for i in range(n // 2 + 1)
-    )
-    return worst == convolved

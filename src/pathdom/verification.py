@@ -10,8 +10,8 @@ check lists no order.  An equality check is a table of
 `(where, {route: value})` cases that `_agree` fails at the first case whose
 routes split.  Sizes are fixed (exhaustive ranges are those of the
 reference tables) except for the Monte Carlo sample.  Each census, the
-expectation prefix and the pattern table are computed once per
-process, each in one pass to its largest n.  The CLI `verify` subcommand
+expectation prefix, the pattern table and the EGF table are computed once
+per process, each in one pass to its largest n.  The CLI `verify` subcommand
 runs these checks, as does the acceptance test suite.
 """
 
@@ -53,6 +53,8 @@ BEST_CASE_COUNTS = {
 BRUTE_MAX = DEFAULT_BRUTE_CAP  # the exhaustive engine counts through this n
 WORD_COUNT_MAX = max(WORST_CASE_COUNTS)  # the word census counts through this n
 BIJECTION_WORD_MAX = 19  # inversion is checked on the words of odd n <= this
+EXPECTATION_MAX = 200  # the exact expectation prefix is read through this n
+COUNT_TABLE_MAX = 60  # the EGF and pattern count tables are read through this n
 
 Case = tuple[str, dict]  # (where, {route: value})
 
@@ -101,7 +103,7 @@ def _census_routes(n: int, read: Callable[[tuple[int, ...]], object]) -> dict:
 def check_worst_case_counts() -> CheckResult:
     """Word census == recurrence == EGF == reference for n <= 16, and the
     exhaustive count agrees through n = 11."""
-    egf = series.worst_case_counts_egf(WORD_COUNT_MAX)
+    egf = series.worst_case_counts_egf(COUNT_TABLE_MAX)
     cases = (
         (f"n={n}", {
             **_census_routes(n, operator.itemgetter(max_dominating_size(n))),
@@ -144,11 +146,10 @@ def check_best_case_counts() -> CheckResult:
 
 def check_expectation_oracle() -> CheckResult:
     """Recurrence expectation == each census's average == closed form (exact)."""
-    closed_max = 200
-    recurrence = _tally(expectation.expected_gamma_path_prefix, closed_max)
+    recurrence = _tally(expectation.expected_gamma_path_prefix, EXPECTATION_MAX)
 
     def cases() -> Iterator[Case]:
-        for n in range(1, closed_max + 1):
+        for n in range(1, EXPECTATION_MAX + 1):
             def mean(counts: tuple[int, ...]) -> Fraction:  # called before n moves on
                 weighted = sum(size * count for size, count in enumerate(counts))
                 return Fraction(weighted, math.factorial(n))
@@ -162,7 +163,7 @@ def check_expectation_oracle() -> CheckResult:
     return _agree(
         "expectation-oracle", cases(),
         f"recurrence = brute average (n<={BRUTE_MAX}) = word-census average "
-        f"(n<={WORD_COUNT_MAX}) = closed form (n<={closed_max})",
+        f"(n<={WORD_COUNT_MAX}) = closed form (n<={EXPECTATION_MAX})",
     )
 
 
@@ -196,8 +197,8 @@ def check_asymptotic_constant() -> CheckResult:
     if gap > tol:
         return CheckResult(name, False, f"float E({n_float}) is {gap:.2e} relative "
                            f"off ((n+1) - (n+3)e^-2)/2, tolerance {tol}")
-    closed_max, K = 200, 210
-    prefix = _tally(expectation.expected_gamma_path_prefix, closed_max)
+    K = 210
+    prefix = _tally(expectation.expected_gamma_path_prefix, EXPECTATION_MAX)
     scale = math.factorial(K + 1)  # L, U and every bound below are over this
     low = 1  # sum_{k<=m} (-2)^k m!/k!, by Horner's rule, to m = K
     for m in range(1, K + 1):
@@ -207,7 +208,7 @@ def check_asymptotic_constant() -> CheckResult:
 
     def cases() -> Iterator[Case]:
         spare = scale // 2  # scale / (n+2)! once divided at the top of step n
-        for n in range(1, closed_max + 1):
+        for n in range(1, EXPECTATION_MAX + 1):
             spare //= n + 2
             p, q = prefix[n].numerator, prefix[n].denominator
             # 2 q scale (E(n) - ((n+1) - (n+3)c)/2) at c = L and c = U,
@@ -220,7 +221,7 @@ def check_asymptotic_constant() -> CheckResult:
 
     return _agree(
         name, cases(),
-        f"|E(n) - ((n+1) - (n+3)e^-2)/2| <= 2^(n+2)/(n+2)! for n<={closed_max} "
+        f"|E(n) - ((n+1) - (n+3)e^-2)/2| <= 2^(n+2)/(n+2)! for n<={EXPECTATION_MAX} "
         f"(exact, e^-2 bracketed); float E({n_float}) off by {gap:.1e} <= {tol} relative",
     )
 
@@ -329,9 +330,8 @@ def check_inverse_bijection() -> CheckResult:
     import numpy as np
 
     name = "inverse-bijection"
-    count_max = 60
-    odd_config = series.odd_configuration_counts_egf(count_max)
-    alternating_counts = _tally(extremal.weakly_alternating_counts, count_max)
+    odd_config = series.odd_configuration_counts_egf(COUNT_TABLE_MAX)
+    alternating_counts = _tally(extremal.weakly_alternating_counts, COUNT_TABLE_MAX)
 
     def cases() -> Iterator[Case]:
         for n in range(1, BIJECTION_WORD_MAX + 1, 2):
@@ -353,7 +353,7 @@ def check_inverse_bijection() -> CheckResult:
                     int(extremal.orders_per_word(codes[worst], n - 1).sum()),
                 "weakly alternating": alternating_counts[n],
             }
-        for n in range(1, count_max + 1):
+        for n in range(1, COUNT_TABLE_MAX + 1):
             yield f"n={n}", {
                 "weakly alternating": alternating_counts[n],
                 "odd-configuration EGF": odd_config[n],
@@ -363,20 +363,22 @@ def check_inverse_bijection() -> CheckResult:
         name, cases(),
         f"inversion bijection verified on every up/down word of odd n <= "
         f"{BIJECTION_WORD_MAX}; weakly alternating = odd-configuration EGF "
-        f"counts for n <= {count_max}",
+        f"counts for n <= {COUNT_TABLE_MAX}",
     )
 
 
 def check_convolution() -> CheckResult:
-    """EGF convolution identity (even n) and odd-configuration counts vs brute force."""
-    even_max = 60
-    odd_config = series.odd_configuration_counts_egf(even_max)
+    """The worst-case EGF at even n, the binomial convolution of the
+    odd-configuration counts (its even part squared), == recurrence; and
+    the odd-configuration counts == brute force."""
+    odd_config = series.odd_configuration_counts_egf(COUNT_TABLE_MAX)
+    worst = series.worst_case_counts_egf(COUNT_TABLE_MAX)
 
     def cases() -> Iterator[Case]:
-        for n in range(2, even_max + 1, 2):
+        for n in range(2, COUNT_TABLE_MAX + 1, 2):
             yield f"n={n}", {
-                "worst-case EGF = convolution": series.convolution_identity_holds(n),
-                "expected": True,
+                "worst-case EGF convolution": worst[n],
+                "recurrence": extremal.worst_case_count_recurrence(n),
             }
         for n in range(1, BRUTE_MAX + 1):  # listing the odd vertices first realizes them
             final_sets = final_set_counts(graphs.path(n))
@@ -387,8 +389,8 @@ def check_convolution() -> CheckResult:
 
     return _agree(
         "convolution-identity", cases(),
-        f"identity holds for even n <= {even_max}; EGF counts match brute "
-        f"force for n <= {BRUTE_MAX}",
+        f"EGF convolution = recurrence for even n <= {COUNT_TABLE_MAX}; EGF "
+        f"counts match brute force for n <= {BRUTE_MAX}",
     )
 
 
@@ -416,11 +418,10 @@ def check_montecarlo(n: int = 2000, samples: int = 40_000) -> CheckResult:
 
 def check_caro_wei() -> CheckResult:
     """Degree bound equals (n+1)/3 on paths (n >= 2) and stays below the expectation."""
-    max_n = 200
-    expectations = _tally(expectation.expected_gamma_path_prefix, max_n)
+    expectations = _tally(expectation.expected_gamma_path_prefix, EXPECTATION_MAX)
 
     def cases() -> Iterator[Case]:
-        for n in range(1, max_n + 1):
+        for n in range(1, EXPECTATION_MAX + 1):
             third = Fraction(n + 1, 3)
             yield f"n={n}", {
                 "bound": expectation.caro_wei_bound(graphs.path(n)),
@@ -433,8 +434,8 @@ def check_caro_wei() -> CheckResult:
 
     return _agree(
         "caro-wei", cases(),
-        f"bound = (n+1)/3 for 2 <= n <= {max_n} (path(1) gives 1) and "
-        f"expectation >= (n+1)/3 for n <= {max_n}",
+        f"bound = (n+1)/3 for 2 <= n <= {EXPECTATION_MAX} (path(1) gives 1) and "
+        f"expectation >= (n+1)/3 for n <= {EXPECTATION_MAX}",
     )
 
 

@@ -330,6 +330,13 @@ class TestSeries:
         assert rows[4] == "3,4,4"
         assert rows[8] == "7,1632,1632"
 
+    def test_both_columns_come_from_one_table(self, capsys):
+        series._egf_counts.cache_clear()
+        code, _, _ = run(capsys, "series", "--order", "37")
+        assert code == 0
+        info = series._egf_counts.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
 
 EXACT_ROUTES = [
     (series, "EXACT_COUNT_CAP", ["series", "--order", "{n}"]),
@@ -796,7 +803,7 @@ PUBLIC_NAMES = (
     "ConsistencyError DEFAULT_ORDER DominationOutcome Graph Histogram "
     "ResourceLimitError SampleConfig best_case_count_formula "
     "best_case_formula_applicable bruteforce_expected_gamma caro_wei_bound "
-    "check_permutation complete_multipartite convolution_identity_holds "
+    "check_permutation complete_multipartite "
     "count_no_even_local_maxima count_weakly_alternating cycle "
     "expected_gamma_complete_multipartite expected_gamma_cycle expected_gamma_limit "
     "expected_gamma_path expected_gamma_path_closed_form expected_gamma_path_float "

@@ -149,7 +149,7 @@ ARGV = st.one_of(
 )
 
 
-@settings(max_examples=150, deadline=None, database=None)
+@settings(max_examples=150, deadline=None, database=None, print_blob=True)
 @given(ARGV)
 def fuzz_cli_main(argv):
     out, err = io.StringIO(), io.StringIO()

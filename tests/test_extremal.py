@@ -55,6 +55,8 @@ from pathdom.extremal import PERMUTATION_SCAN_CAP
 from pathdom.series import odd_configuration_counts_egf
 from pathdom.verification import BEST_CASE_COUNTS, WORST_CASE_COUNTS
 
+from test_domination import _packed
+
 
 class TestBounds:
     @pytest.mark.parametrize("n", range(1, 13))
@@ -196,14 +198,6 @@ def _rows(codes, letters):
     """The boolean word rows of codes of `letters` letters."""
     codes = np.asarray(codes, dtype=np.uint32)
     return (codes[:, None] >> np.arange(letters, dtype=np.uint32) & 1).astype(bool)
-
-
-def _packed(words):
-    """The PackedWords of boolean word rows, shape (k, n - 1)."""
-    k = len(words)
-    packed = PackedWords.empty(words.shape[1] + 1, k)
-    packed.table[1:, : -(-k // 8)] = np.packbits(words.T, axis=1)
-    return packed
 
 
 def _every_even_vertex_has_by_rows(words):

@@ -6,10 +6,8 @@ import random
 import pytest
 
 from pathdom import (
-    convolution_identity_holds,
     extremal,
     final_set_counts,
-    series,
     odd_configuration_counts_egf,
     path,
     worst_case_counts_egf,
@@ -196,20 +194,6 @@ class TestCounts:
         with pytest.raises(ConsistencyError, match="n=1"):
             _check_counts([1, 1, 1], [1, -1, 1])
 
-    def test_lower_orders_are_sliced_from_the_largest_table(self, monkeypatch):
-        builds = []
-        real = series._egf_counts
-        monkeypatch.setattr(series, "_largest_table", ((), ()))
-        monkeypatch.setattr(
-            series, "_egf_counts", lambda order: builds.append(order) or real(order)
-        )
-        orders = (30, 0, 12, 30, 31, 5)
-        tables = [
-            (odd_configuration_counts_egf(k), worst_case_counts_egf(k)) for k in orders
-        ]
-        assert builds == [30, 31]
-        assert tables == [real(k) for k in orders]
-
     def test_order_cap(self):
         with pytest.raises(ResourceLimitError, match="force"):
             worst_case_counts_egf(EXACT_COUNT_CAP + 1)
@@ -222,15 +206,23 @@ class TestCounts:
 
 
 class TestConvolution:
+    """The paper's identity at even n, summed as the paper states it: a
+    worst-case order splits over its gap into two odd-configuration pieces,
+        worst(n) = sum_{i=0}^{n/2} C(n, 2i) odd_config(2i) odd_config(n-2i),
+    with no use of the symmetry that pathdom.series halves the sum by."""
+
+    @staticmethod
+    def _convolved(n):
+        odd_config = odd_configuration_counts_egf(n)
+        return sum(
+            math.comb(n, 2 * i) * odd_config[2 * i] * odd_config[n - 2 * i]
+            for i in range(n // 2 + 1)
+        )
+
     def test_small_even_lengths(self):
-        assert convolution_identity_holds(2)
-        assert convolution_identity_holds(4)  # 9 + 6 + 9 = 24
-        assert convolution_identity_holds(10)
+        assert self._convolved(4) == 9 + 6 + 9 == 24
+        assert [self._convolved(n) for n in (2, 10)] == [2, 2251008]
 
     @pytest.mark.parametrize("n", range(2, 41, 2))
     def test_holds_along_the_table(self, n):
-        assert convolution_identity_holds(n)
-
-    def test_odd_length_rejected(self):
-        with pytest.raises(ValueError):
-            convolution_identity_holds(5)
+        assert self._convolved(n) == worst_case_counts_egf(40)[n]

@@ -122,6 +122,8 @@ OFF_BY_ONE = [  # check, route's module and name, perturbation, start of the det
     pytest.param(V.check_convolution, V, "final_set_counts",
                  lambda sets, graph: {s: c + (graph.n == 5) for s, c in sets.items()},
                  "n=5:", id="brute odd-configuration count"),
+    pytest.param(V.check_convolution, extremal, "worst_case_count_recurrence",
+                 _off_by_one_at(40), "n=40:", id="worst-case recurrence beside the EGF"),
     pytest.param(V.check_convolution, series, "odd_configuration_counts_egf",
                  lambda counts, _: tuple(c + (k == 7) for k, c in enumerate(counts)),
                  "n=7:", id="odd-configuration EGF"),
@@ -167,6 +169,7 @@ def test_depth_changes_only_the_sample(monkeypatch):
 
 
 def test_each_census_is_computed_once(monkeypatch):
+    series._egf_counts.cache_clear()
     calls = []
     for module, census in ((extremal, "path_census"), (extremal, "word_census"),
                            (expectation, "expected_gamma_path_prefix"),
@@ -176,16 +179,13 @@ def test_each_census_is_computed_once(monkeypatch):
             module, census,
             lambda n, real=real, census=census: calls.append((census, n)) or real(n),
         )
-    for check in (V.check_worst_case_counts, V.check_best_case_counts,
-                  V.check_expectation_oracle, V.check_convolution,
-                  V.check_inverse_bijection, V.check_caro_wei,
-                  V.check_asymptotic_constant):
-        assert check().passed
+    assert all(result.passed for result in V.run_verification("quick"))
     assert sorted(calls) == sorted(
         [("path_census", n) for n in range(1, V.BRUTE_MAX + 1)]
         + [("word_census", n) for n in range(1, V.WORD_COUNT_MAX + 1)]
         + [("expected_gamma_path_prefix", 200), ("weakly_alternating_counts", 60)]
     )
+    assert series._egf_counts.cache_info().misses == 1
 
 
 def test_each_census_is_looked_up_in_extremal_when_a_check_runs(monkeypatch):
@@ -210,15 +210,11 @@ def test_expectation_oracle_names_both_census_averages():
     )
 
 
-def test_convolution_check_builds_the_egf_table_once(monkeypatch):
-    builds = []
-    real = series._egf_counts
-    monkeypatch.setattr(series, "_largest_table", ((), ()))
-    monkeypatch.setattr(
-        series, "_egf_counts", lambda order: builds.append(order) or real(order)
-    )
+def test_convolution_check_builds_the_egf_table_once():
+    series._egf_counts.cache_clear()
     assert V.check_convolution().passed
-    assert builds == [60]
+    series._egf_counts(60)  # the table kept is the one at order 60
+    assert series._egf_counts.cache_info().misses == 1
 
 
 def test_expectation_moved_past_its_tail_bound_fails_at_its_n(monkeypatch):
