@@ -360,8 +360,8 @@ def _extremal_reports(args: argparse.Namespace) -> tuple[int, list[tuple]]:
 
     routes = {  # method -> (label, bounds it counts, applies at n, (count, witnesses))
         "brute": ("brute_force", ("worst", "best"), True, brute),
-        "recurrence": ("recurrence", ("worst",), True, lambda: (
-            extremal.worst_case_count_recurrence(n, force=force), ())),
+        "recurrence": ("recurrence", ("worst", "best"), True, lambda: (
+            extremal.worst_case_count_recurrence(n, kind, force=force), ())),
         "egf": ("egf", ("worst",), True, egf),
         "formula": ("formula", ("best",), extremal.best_case_formula_applicable(n),
                     lambda: (extremal.best_case_count_formula(n, force=force), ())),

@@ -1,11 +1,11 @@
 """Extremal revelation orders on the path: enumeration and counting.
 
 A worst-case order drives the dominating set up to ceil(n/2) vertices, a
-best-case order down to ceil(n/3).  Worst-case orders are counted three
-independent ways (exhaustive simulation, a parity-split recurrence, and a
-generating function in the series module), best-case orders two ways
-(exhaustive simulation and residue-class closed formulas); every route
-cross-checks the others.
+best-case order down to ceil(n/3).  Both are counted by exhaustive
+simulation and by one recurrence on the first revealed vertex, the
+worst-case orders also by a generating function in the series module and
+the best-case orders by residue-class closed formulas where they apply;
+every route cross-checks the others.
 
 The exhaustive census covers all n! orders through the state-merging
 engine of the domination module and returns the number of orders per set
@@ -279,30 +279,36 @@ def extremal_permutations(
 # ---------------------------------------------------------------------------
 
 
-def worst_case_count_recurrence(n: int, *, force: bool = False) -> int:
-    """Number of worst-case orders, by recurrence on the first revealed vertex.
+def worst_case_count_recurrence(n: int, bound_kind: str = "worst", *, force: bool = False) -> int:
+    """Number of worst- or best-case orders, by the first revealed vertex v.
 
-    Seeds: 1 at n = 0 and n = 1.  For odd n only odd split points
-    contribute (both remaining segments must have odd length); for even n
-    every split point does.  Split points i and m + 1 - i give equal
-    terms, so only the lower half is summed.  The table is built
-    bottom-up, so any n runs without deep recursion.
+    v joins the set and its neighbours never do, so the a = max(v - 2, 0)
+    vertices left of them and the b = max(m - v - 1, 0) right of them run as
+    independent shorter paths: E_m = sum_v (m - 1)!/(a! b!) E_a E_b over the
+    v with s(a) + s(b) + 1 = s(m), s the bound's set size and s(0) = 0.  The
+    weight is m - 1 at v = 1 and v = m and (m - 1)(m - 2) C(m - 3, a) between;
+    v and m + 1 - v give equal terms, so the lower half is summed, doubled,
+    and the middle split of odd m counted once.  Built bottom-up: no deep
+    recursion at any n.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    check_cap(n, EXACT_COUNT_CAP, force, "worst-case count recurrence")
+    extremal_size(1, bound_kind)  # refuses an unknown bound
+    check_cap(n, EXACT_COUNT_CAP, force, f"{bound_kind}-case count recurrence")
+    sizes = [0, *(extremal_size(m, bound_kind) for m in range(1, n + 1))]
     counts = [1, 1]
     row = [1]  # row m - 3 of Pascal's triangle
     for m in range(2, n + 1):
         if m > 3:
             row = [1, *map(int.__add__, row, row[1:]), 1]
-        middle = (m + 1) // 2
-        splits = range(3, middle + 1, 2) if m % 2 else range(2, middle + 1)
-        terms = [row[i - 2] * counts[i - 2] * counts[m - i - 1] for i in splits]
-        inner = 2 * sum(terms)
-        if m % 4 == 1:  # the middle split (m + 1) / 2 is odd: count it once
-            inner -= terms[-1]
-        counts.append(2 * (m - 1) * counts[m - 2] + (m - 1) * (m - 2) * inner)
+        goal = sizes[m] - 1  # s(a) + s(b) at a split that reaches the bound
+        terms = [  # a = v - 2 for 2 <= v <= (m + 1) / 2
+            row[a] * counts[a] * counts[m - 3 - a] if sizes[a] + sizes[m - 3 - a] == goal else 0
+            for a in range((m - 1) // 2)
+        ]
+        inner = 2 * sum(terms) - (terms[-1] if m % 2 else 0)
+        ends = 2 * counts[m - 2] if sizes[m - 2] == goal else 0
+        counts.append((m - 1) * (ends + (m - 2) * inner))
     return counts[n]
 
 
@@ -317,8 +323,8 @@ def best_case_count_formula(n: int, *, force: bool = False) -> int:
     """Number of best-case orders by the residue-class closed formulas.
 
     Applicable for n % 3 == 0 with n >= 3, n % 3 == 2 with n > 2, and
-    n % 3 == 1 with n > 7; outside those ranges (n in {1, 2, 4, 7}) only
-    exhaustive counting applies.  The terms hold factorials of up to n, so
+    n % 3 == 1 with n > 7; outside those ranges (n in {1, 2, 4, 7}) brute
+    force and the recurrence count.  The terms hold factorials of up to n, so
     the count is guarded like the other big-integer routes.
     """
     if n < 1:
@@ -326,7 +332,7 @@ def best_case_count_formula(n: int, *, force: bool = False) -> int:
     if not best_case_formula_applicable(n):
         raise ValueError(
             f"closed formula for n % 3 == {n % 3} requires n > {2 if n == 2 else 7}; "
-            f"use brute-force counting for n = {n}"
+            f"use brute-force counting or the recurrence for n = {n}"
         )
     check_cap(n, EXACT_COUNT_CAP, force, "best-case count formula")
     comb, fact = math.comb, math.factorial

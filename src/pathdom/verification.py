@@ -100,47 +100,40 @@ def _census_routes(n: int, read: Callable[[tuple[int, ...]], object]) -> dict:
     return {route: read(_tally(census, n)) for route, census, top in censuses if n <= top}
 
 
+def _count_rows(kind: str, references: dict[int, int], own: dict[int, dict]) -> Iterator[Case]:
+    """One case per n of `references`: the orders at the `kind` bound by each
+    census, by the recurrence and by the bound's own routes own[n], if any,
+    and the reference count."""
+    for n, reference in references.items():
+        yield f"n={n}", {
+            **_census_routes(n, operator.itemgetter(extremal.extremal_size(n, kind))),
+            "recurrence": extremal.worst_case_count_recurrence(n, kind),
+            **own.get(n, {}),
+            "reference": reference,
+        }
+
+
 def check_worst_case_counts() -> CheckResult:
     """Word census == recurrence == EGF == reference for n <= 16, and the
     exhaustive count agrees through n = 11."""
     egf = series.worst_case_counts_egf(COUNT_TABLE_MAX)
-    cases = (
-        (f"n={n}", {
-            **_census_routes(n, operator.itemgetter(max_dominating_size(n))),
-            "recurrence": extremal.worst_case_count_recurrence(n),
-            "egf": egf[n],
-            "reference": reference,
-        })
-        for n, reference in WORST_CASE_COUNTS.items()
-    )
     return _agree(
-        "worst-case-counts", cases,
+        "worst-case-counts",
+        _count_rows("worst", WORST_CASE_COUNTS, {n: {"egf": egf[n]} for n in WORST_CASE_COUNTS}),
         f"brute(n<={BRUTE_MAX}) = words = recurrence = EGF = reference "
         f"(n<={WORD_COUNT_MAX})",
     )
 
 
 def check_best_case_counts() -> CheckResult:
-    """Word census == reference for n <= 16, the exhaustive count through
-    n = 11, and closed formulas where applicable."""
-    formula_ns = [
-        n for n in BEST_CASE_COUNTS if extremal.best_case_formula_applicable(n)
-    ]
-
-    def cases() -> Iterator[Case]:
-        for n, reference in BEST_CASE_COUNTS.items():
-            routes = {
-                **_census_routes(n, operator.itemgetter(min_dominating_size(n))),
-                "reference": reference,
-            }
-            if n in formula_ns:
-                routes["formula"] = extremal.best_case_count_formula(n)
-            yield f"n={n}", routes
-
+    """Word census == recurrence == reference for n <= 16, the exhaustive
+    count through n = 11, and closed formulas where applicable."""
+    formula_ns = [n for n in BEST_CASE_COUNTS if extremal.best_case_formula_applicable(n)]
+    formulas = {n: {"formula": extremal.best_case_count_formula(n)} for n in formula_ns}
     return _agree(
-        "best-case-counts", cases(),
-        f"brute(n<={BRUTE_MAX}) = words = reference (n<={WORD_COUNT_MAX}); "
-        f"formula agrees on n in {formula_ns}",
+        "best-case-counts", _count_rows("best", BEST_CASE_COUNTS, formulas),
+        f"brute(n<={BRUTE_MAX}) = words = recurrence = reference "
+        f"(n<={WORD_COUNT_MAX}); formula agrees on n in {formula_ns}",
     )
 
 

@@ -223,8 +223,9 @@ class TestExtremal:
             capsys, "extremal", "--n", str(n), "--bound", "best", "--method", "all"
         )
         assert (code, err) == (0, "")
-        assert out == (
-            f"brute_force: {count} orders of length {n} hit the best-case size {size}\n"
+        assert out == "".join(
+            f"{method}: {count} orders of length {n} hit the best-case size {size}\n"
+            for method in ("brute_force", "recurrence")
         )
         code, out, err = run(
             capsys, "extremal", "--n", str(n), "--bound", "best", "--method", "formula"
@@ -234,16 +235,33 @@ class TestExtremal:
 
     @pytest.mark.parametrize("n", [1, 2, 4, 7])
     def test_all_writes_a_json_list_where_one_route_applies(self, capsys, n):
+        # No formula applies here, so brute force and the recurrence are the routes.
         code, out, err = run(
             capsys, "extremal", "--n", str(n), "--bound", "best", "--method", "all",
             "--format", "json",
         )
         assert (code, err) == (0, "")
-        _, single, _ = run(
-            capsys, "extremal", "--n", str(n), "--bound", "best", "--method", "brute",
-            "--format", "json",
-        )
-        assert json.loads(out) == [json.loads(single)]
+        singles = []
+        for method in ("brute", "recurrence"):
+            _, single, _ = run(
+                capsys, "extremal", "--n", str(n), "--bound", "best", "--method", method,
+                "--format", "json",
+            )
+            singles.append(json.loads(single))
+        assert json.loads(out) == singles
+        assert [doc["method"] for doc in singles] == ["brute_force", "recurrence"]
+        assert singles[0]["count"] == singles[1]["count"]
+
+    def test_best_recurrence_prints_the_formulas_count_at_400(self, capsys):
+        counts = set()
+        for method in ("recurrence", "formula"):
+            code, out, err = run(
+                capsys, "extremal", "--n", "400", "--bound", "best", "--method", method
+            )
+            assert (code, err) == (0, "")
+            assert out.startswith(f"{method}: ")
+            counts.add(out.removeprefix(f"{method}: "))
+        assert len(counts) == 1
 
     @pytest.mark.parametrize("method,bound", [("recurrence", "worst"), ("egf", "worst"),
                                               ("formula", "best")])

@@ -52,6 +52,8 @@ def _run_capped(args, timeout):
     (["extremal", "--n", BIG, "--bound", "best", "--method", "formula"], 3,
      "best-case count formula"),
     (["extremal", "--n", HUGE, "--bound", "worst"], 3, "exhaustive search"),
+    (["extremal", "--n", HUGE, "--bound", "best", "--method", "recurrence"], 3,
+     "best-case count recurrence"),
 ])
 def test_huge_input_is_refused_before_anything_is_built(argv, code, message):
     result = _run_capped(["-m", "pathdom", *argv], timeout=60)

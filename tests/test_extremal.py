@@ -396,17 +396,37 @@ class TestRecurrence:
             sys.setrecursionlimit(limit)
         assert 0 < value < math.factorial(300)
 
-    def test_half_sum_matches_the_full_split_sum(self):
-        # Every split point summed, without pairing i with m + 1 - i.
-        counts = [1, 1]
-        for m in range(2, 60):
-            splits = range(3, m - 1, 2) if m % 2 else range(2, m)
-            inner = sum(
-                math.comb(m - 3, i - 2) * counts[i - 2] * counts[m - i - 1]
-                for i in splits
-            )
-            counts.append(2 * (m - 1) * counts[m - 2] + (m - 1) * (m - 2) * inner)
-        assert [worst_case_count_recurrence(n) for n in range(60)] == counts
+    @pytest.mark.parametrize("bound", ["worst", "best"])
+    def test_half_sum_matches_the_full_split_sum(self, bound):
+        # Every first vertex v summed, without pairing v with m + 1 - v or a
+        # Pascal row, and with no parity range: the condition alone picks v.
+        def size(k):
+            return extremal_size(k, bound) if k else 0
+
+        counts = [1]
+        for m in range(1, 60):
+            total = 0
+            for v in range(1, m + 1):
+                a, b = max(v - 2, 0), max(m - v - 1, 0)
+                if size(a) + size(b) + 1 == size(m):
+                    ways = math.factorial(m - 1) // (math.factorial(a) * math.factorial(b))
+                    total += ways * counts[a] * counts[b]
+            counts.append(total)
+        assert [worst_case_count_recurrence(n, bound) for n in range(60)] == counts
+
+    def test_best_bound_matches_the_formula(self):
+        applicable = [n for n in range(1, 201) if best_case_formula_applicable(n)]
+        assert len(applicable) == 196
+        for n in applicable:
+            assert worst_case_count_recurrence(n, "best") == best_case_count_formula(n), n
+
+    def test_best_bound_counts_where_no_formula_applies(self):
+        assert [worst_case_count_recurrence(n, "best") for n in (1, 2, 4, 7)] == [
+            1, 2, 24, 3408]
+
+    def test_rejects_an_unknown_bound(self):
+        with pytest.raises(ValueError, match="bound_kind"):
+            worst_case_count_recurrence(5, "middle")
 
     def test_cap(self):
         with pytest.raises(ResourceLimitError, match="force"):

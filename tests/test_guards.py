@@ -59,6 +59,9 @@ GUARDS = {
     "worst_case_count_recurrence": (
         extremal, "EXACT_COUNT_CAP", 5,
         lambda n, force: extremal.worst_case_count_recurrence(n, force=force)),
+    "best_case_count_recurrence": (
+        extremal, "EXACT_COUNT_CAP", 5,
+        lambda n, force: extremal.worst_case_count_recurrence(n, "best", force=force)),
     "worst_case_counts_egf": (
         series, "EXACT_COUNT_CAP", 5,
         lambda n, force: series.worst_case_counts_egf(n, force=force)),

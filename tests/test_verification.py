@@ -106,6 +106,8 @@ OFF_BY_ONE = [  # check, route's module and name, perturbation, start of the det
                  _off_by_one_at(14), "n=14:", id="worst-case recurrence past brute"),
     pytest.param(V.check_best_case_counts, extremal, "best_case_count_formula",
                  _off_by_one_at(16), "n=16:", id="best-case formula past brute"),
+    pytest.param(V.check_best_case_counts, extremal, "worst_case_count_recurrence",
+                 _off_by_one_at(7), "n=7:", id="best-case recurrence where no formula applies"),
     pytest.param(V.check_worst_case_counts, extremal, "word_census",
                  lambda sizes, n: sizes[:-1] + (sizes[-1] + (n == 8),), "n=8:",
                  id="word census beside brute"),
