@@ -14,13 +14,13 @@ DEFAULT_BRUTE_CAP = 11
 EXACT_COUNT_CAP = 1000
 EXACT_PATH_CAP = 20000
 
-# The up/down-word routes on the path list all 2^(n-1) words as 4-byte codes
-# and are refused above WORD_LIST_CAP (an odd-n sweep through 21 peaks near
-# 49 MB of RSS, 28 MB of it numpy).  The word census also keeps an int64
-# count and a size per word, so it stops earlier: about 33 MB of RSS at
-# n = 18, 38 MB at 19.
+# The up/down-word listings on the path hold all 2^(n-1) words as 4-byte
+# codes and are refused above WORD_LIST_CAP (an odd-n sweep through 21 peaks
+# near 49 MB of RSS, 28 MB of it numpy).  The word census lists no word: its
+# one pass over the letters keeps O(n^2) integers and takes O(n^3) big-integer
+# additions, 0.6 to 0.75 s at n = WORD_CENSUS_CAP on a 2-core Xeon.
 WORD_LIST_CAP = 21
-WORD_CENSUS_CAP = 18
+WORD_CENSUS_CAP = 200
 
 # The CLI builds a graph as adjacency tuples, about 190 bytes and 1.2 us per
 # vertex or edge at its peak, and refuses one past GRAPH_SIZE_CAP vertices

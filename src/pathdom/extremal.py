@@ -13,11 +13,12 @@ size, the tuple the word census returns too; the final sets themselves
 come from domination.final_set_counts.  extremal_permutations lists
 extremal orders lexicographically, up to an optional limit, through the
 same engine, under its guard; extremal_size maps a bound to its set size.
-The word census gets the size distribution from the 2^(n-1) up/down words
-of the path instead, each weighted by its number of orders; the rank
-recursion reads a whole word list as integer codes, word i as code i with
-letter j as bit j, and the evaluator reads PackedWords.every_word, the same
-list written straight into its packed table.
+The word census gets the same tuple from the up/down words of the path
+instead, in one pass over their letters: the rank recursion counts the
+orders behind the word prefixes, and the evaluator's scan, run one letter at
+a time, their set sizes.  up_down_words lists every word as an integer code,
+word i as code i with letter j as bit j, and PackedWords.every_word writes
+the same list straight into the evaluator's packed table.
 
 Inversion maps the worst-case orders of odd n onto the weakly alternating
 permutations.  The inversion bijection is stated on up/down words, where
@@ -45,7 +46,6 @@ if TYPE_CHECKING:
     from .graphs import Graph
 
 SUBSET_SEARCH_CAP = 18
-WORD_ROWS = 1 << 12  # words gathered at a time by orders_per_word
 # The weak-alternation listing scans all n! orders (about 2 s at n = 10).
 PERMUTATION_SCAN_CAP = 10
 PERMUTATION_ROWS = 1 << 16  # orders tested at a time by that scan
@@ -161,8 +161,9 @@ def path_census(n: int, *, force: bool = False) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 #
 # On the path the final set depends only on the up/down word of an order,
-# so the 2^(n-1) words stand in for the n! orders: gamma_batch_path gives
-# each word's size and the rank recursion its number of orders.
+# so the words stand in for the n! orders.  word_census carries the sizes and
+# order counts of the word prefixes letter by letter, in Python ints, merged
+# by scan state; the word listings serve the inverse-bijection check.
 
 
 def up_down_words(n: int, *, force: bool = False) -> np.ndarray:
@@ -200,65 +201,40 @@ def every_even_vertex_has(codes: np.ndarray, letters: int) -> np.ndarray:
     return (needs & codes) == needs
 
 
-def orders_per_word(codes: np.ndarray, letters: int) -> np.ndarray:
-    """Number of orders with each up/down word, given as codes of `letters`
-    letters, by the rank recursion met in the middle.
-
-    Entry r of the forward table counts the orders of the prefix so far whose
-    last reveal time has rank r among the prefix; an up letter maps it to sums
-    over the ranks below r, a down letter to sums over the rest.  The count is
-    linear in that table, so the L letters split at h = L // 2: the table F
-    after the first h letters is dotted with a table B run back from ones of
-    length L + 1 by the transposed step (up: sums above r; down: sums up to r).
-    A word's halves are its code's low h bits and the rest, and each table is
-    built once per distinct half, found by marking the halves' codes in a
-    table of 2^ceil(L/2) flags, not by sorting; so k words cost
-    O(k L + 2^ceil(L/2) L^2) rather than O(k L^2).  Every term is at most
-    n!, so int64 is exact while n <= 20; longer words are counted in Python
-    ints.  The halves' rows are gathered and dotted WORD_ROWS words at a time.
-    """
-    import numpy as np
-
-    def distinct(halves: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-        seen = np.zeros(size, dtype=bool)
-        seen[halves] = True
-        return np.flatnonzero(seen), (np.cumsum(seen) - 1)[halves]
-
-    codes = np.asarray(codes)
-    dtype = np.int64 if letters < 20 else object
-    cut = letters // 2
-    heads, head_of = distinct(codes & ((1 << cut) - 1), 1 << cut)
-    tails, tail_of = distinct(codes >> cut, 1 << (letters - cut))
-    ahead = np.ones((len(heads), 1), dtype)
-    for j in range(cut):
-        below = np.zeros((len(heads), j + 2), dtype)
-        np.cumsum(ahead, axis=1, out=below[:, 1:])
-        ahead = below[:, -1:] - below  # down: the new time is below the last
-        np.copyto(ahead, below, where=(heads >> j & 1).astype(bool)[:, None])
-    behind = np.ones((len(tails), letters + 1), dtype)
-    for j in reversed(range(letters - cut)):
-        upto = np.cumsum(behind, axis=1)
-        behind = upto[:, -1:] - upto[:, :-1]  # up: the next time is above
-        np.copyto(behind, upto[:, :-1], where=(tails >> j & 1 == 0)[:, None])
-    counts = np.empty(len(codes), dtype)
-    for top in range(0, len(codes), WORD_ROWS):  # einsum takes object arrays only from numpy 1.25
-        rows = slice(top, top + WORD_ROWS)
-        terms = ahead.take(head_of[rows], axis=0)
-        terms *= behind.take(tail_of[rows], axis=0)
-        terms.sum(axis=1, out=counts[rows])
-    return counts
-
-
 def word_census(n: int, *, force: bool = False) -> tuple[int, ...]:
     """Number of orders of the n-path per set size 0..ceil(n/2), as
-    path_census returns it, summed over the up/down words."""
-    from .domination import PackedWords, gamma_batch_path
+    path_census returns it, by one pass over the letters of the up/down word.
 
+    With R(v) and c(v) as in domination.gamma_batch_path, the state after
+    vertex v is the guess g of R(v), c = c(v) and the size so far, each
+    mapped to its orders of vertices 1..v by r, the rank of v's reveal time
+    among them.  Letter v with next guess g' is allowed when g = letter OR
+    NOT g', and sets c' = g' AND NOT c; the rank recursion (Niven 1968;
+    de Bruijn 1970) maps an up letter to the sums over the ranks below the
+    new one, a down letter to the sums over the rest.  R(n) = 1 keeps the
+    states with g = 1 at the end.
+    """
     worst = extremal_size(n, "worst")  # refuses n < 1
     check_cap(n, WORD_CENSUS_CAP, force, "up/down word census")
-    sizes = gamma_batch_path(n, PackedWords.every_word(n, force=force))
-    counts = orders_per_word(up_down_words(n, force=force), n - 1)
-    return tuple(int(counts[sizes == size].sum()) for size in range(worst + 1))
+    states = {(g, g, g): [1] for g in (0, 1)}  # c(1) = R(1)
+    for _ in range(n - 1):
+        following: dict[tuple[int, int, int], list[int]] = {}
+        for (g, c, size), ranks in states.items():
+            below = [0, *itertools.accumulate(ranks)]
+            above = [below[-1] - b for b in below]
+            for letter, image in ((1, below), (0, above)):
+                for guess in (0, 1):
+                    if g == (letter or not guess):
+                        chosen = guess * (1 - c)
+                        key = (guess, chosen, size + chosen)
+                        old = following.get(key)
+                        following[key] = image if old is None else [*map(int.__add__, old, image)]
+        states = following
+    counts = [0] * (worst + 1)
+    for (g, _, size), ranks in states.items():
+        if g:
+            counts[size] += sum(ranks)
+    return tuple(counts)
 
 
 def extremal_permutations(

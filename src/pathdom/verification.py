@@ -316,7 +316,7 @@ def check_inverse_bijection() -> CheckResult:
     having a weakly alternating inverse both depend on the up/down word
     only.  The bijection is thus an equality of word sets, tested by
     extremal.every_even_vertex_has on every word of every odd n <= 19; the
-    rank recursion over the worst-case words counts the orders behind them.
+    word census counts the orders behind the worst-case words.
     The weakly alternating counts also equal the odd-configuration EGF for
     n <= 60.
     """
@@ -343,7 +343,7 @@ def check_inverse_bijection() -> CheckResult:
             }
             yield f"n={n}", {
                 "worst-case orders by words":
-                    int(extremal.orders_per_word(codes[worst], n - 1).sum()),
+                    _tally(extremal.word_census, n)[-1],
                 "weakly alternating": alternating_counts[n],
             }
         for n in range(1, COUNT_TABLE_MAX + 1):

@@ -13,6 +13,8 @@ import itertools
 import json
 import math
 import operator
+import os
+import subprocess
 import sys
 import tracemalloc
 
@@ -39,7 +41,6 @@ from pathdom import (
     max_dominating_size,
     maximal_independent_dominating_sets,
     min_dominating_size,
-    orders_per_word,
     path,
     path_census,
     run_online_domination,
@@ -175,17 +176,6 @@ def _representative_order(word):
     return times
 
 
-def _zigzag(n):
-    """Euler's up/down number E_n, by the Seidel-Entringer triangle."""
-    row = [1]
-    for _ in range(n):
-        new = [0]
-        for x in reversed(row):
-            new.append(new[-1] + x)
-        row = new
-    return row[-1]
-
-
 def _codes(words):
     """The integer code of each boolean word row: letter j is bit j."""
     words = np.asarray(words, dtype=bool)
@@ -214,35 +204,18 @@ def _every_even_vertex_has_by_rows(words):
 
 
 def _orders_per_word_by_whole_tables(words):
-    """The rank recursion run over every letter of every word: one (k, j + 2)
-    table per letter, the reference for orders_per_word met in the middle."""
+    """The number of orders with each boolean word row, by the rank recursion
+    run over every letter of every word: one (k, j + 2) table per letter,
+    exact in int64 for words of fewer than 20 letters."""
     words = np.asarray(words, dtype=bool)
     k, letters = words.shape
-    ranks = np.ones((k, 1), dtype=np.int64 if letters < 20 else object)
+    ranks = np.ones((k, 1), dtype=np.int64)
     for j in range(letters):
         below = np.zeros((k, j + 2), dtype=ranks.dtype)
         np.cumsum(ranks, axis=1, out=below[:, 1:])
         ranks = below[:, -1:] - below
         np.copyto(ranks, below, where=words[:, j, None])
     return ranks.sum(axis=1)
-
-
-@st.composite
-def _word_arrays(draw):
-    """Up to 60 words of up to 24 letters, each glued from one of a few
-    prefixes and one of a few suffixes, so that words and halves repeat."""
-    letters = draw(st.integers(min_value=0, max_value=24))
-    cut = draw(st.integers(min_value=0, max_value=letters))
-
-    def pieces(size):
-        piece = st.lists(st.booleans(), min_size=size, max_size=size)
-        return draw(st.lists(piece, min_size=1, max_size=4))
-
-    heads, tails = pieces(cut), pieces(letters - cut)
-    pairs = draw(st.lists(
-        st.tuples(st.sampled_from(heads), st.sampled_from(tails)), max_size=60
-    ))
-    return np.array([h + t for h, t in pairs], dtype=bool).reshape(len(pairs), letters)
 
 
 class TestWordCensus:
@@ -275,32 +248,14 @@ class TestWordCensus:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_orders_per_word_matches_the_permutation_listing(self, n):
+        # the whole-table reference that the census is held to, held to the listing
         listed = collections.Counter(
             tuple(b > a for a, b in zip(times, times[1:]))
             for times in itertools.permutations(range(n))
         )
-        codes = up_down_words(n)
-        words = map(tuple, _rows(codes, n - 1).tolist())
-        assert dict(zip(words, orders_per_word(codes, n - 1).tolist())) == dict(listed)
-
-    def test_orders_per_word_is_exact_past_int64(self):
-        words = [[True, False] * 12, [False] * 24, [False, True] * 12]
-        counts = orders_per_word(_codes(words), 24)
-        assert counts.tolist() == [_zigzag(25), 1, _zigzag(25)]
-        assert _zigzag(25) > 2**63
-
-    @settings(max_examples=150, deadline=None)
-    @given(_word_arrays())
-    @example(np.zeros((0, 0), dtype=bool))
-    @example(np.array([[True], [False], [True]]))
-    @example(np.eye(3, 19, dtype=bool))  # the last int64 length
-    @example(np.eye(3, 20, dtype=bool))  # the first length counted in Python ints
-    def test_orders_per_word_equals_the_whole_table_route(self, words):
-        counts = orders_per_word(_codes(words), words.shape[1])
-        reference = _orders_per_word_by_whole_tables(words)
-        assert counts.dtype == reference.dtype
-        assert counts.shape == (len(words),)
-        assert counts.tolist() == reference.tolist()
+        words = _rows(up_down_words(n), n - 1)
+        counts = _orders_per_word_by_whole_tables(words).tolist()
+        assert dict(zip(map(tuple, words.tolist()), counts)) == dict(listed)
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(min_value=0, max_value=24).flatmap(lambda letters: st.tuples(
@@ -309,7 +264,7 @@ class TestWordCensus:
     @example((0, []))
     @example((0, [0, 0]))
     @example((1, [0, 1]))
-    @example((19, [0, 1 << 18, (1 << 19) - 1]))  # the last int64 length
+    @example((19, [0, 1 << 18, (1 << 19) - 1]))
     @example((24, [0xAAAAAA, 0x555555, 0xFFFFFF, 0]))
     def test_code_routes_equal_the_boolean_row_forms(self, drawn):
         letters, codes = drawn
@@ -318,22 +273,35 @@ class TestWordCensus:
         assert _codes(words).tolist() == codes.tolist()
         holds = extremal.every_even_vertex_has(codes, letters)
         assert holds.tolist() == _every_even_vertex_has_by_rows(words).tolist()
-        counts = orders_per_word(codes, letters)
-        assert counts.tolist() == _orders_per_word_by_whole_tables(words).tolist()
-
-    @pytest.mark.parametrize("letters", [8, 20])  # int64 and Python-int counts
-    def test_blocks_of_words_give_the_whole_block_counts(self, monkeypatch, letters):
-        words = np.random.default_rng(letters).random((300, letters)) < 0.5
-        whole = orders_per_word(_codes(words), letters)
-        monkeypatch.setattr(extremal, "WORD_ROWS", 7)
-        blocked = orders_per_word(_codes(words), letters)
-        assert blocked.dtype == whole.dtype
-        assert blocked.tolist() == whole.tolist()
-        assert whole.tolist() == _orders_per_word_by_whole_tables(words).tolist()
 
     @pytest.mark.parametrize("n", range(1, 20))
     def test_orders_over_all_words_sum_to_n_factorial(self, n):
-        assert int(orders_per_word(up_down_words(n), n - 1).sum()) == math.factorial(n)
+        assert sum(word_census(n)) == math.factorial(n)
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_word_census_equals_the_evaluator_over_every_word(self, n):
+        sizes = gamma_batch_path(n, PackedWords.every_word(n))
+        orders = _orders_per_word_by_whole_tables(_rows(up_down_words(n), n - 1))
+        assert word_census(n) == tuple(
+            int(orders[sizes == size].sum()) for size in range(max_dominating_size(n) + 1)
+        )
+
+    def test_census_at_60_needs_no_force_and_meets_both_recurrences(self):
+        counts = word_census(60)
+        assert sum(counts) == math.factorial(60)
+        assert counts[max_dominating_size(60)] == worst_case_count_recurrence(60)
+        assert counts[min_dominating_size(60)] == worst_case_count_recurrence(60, "best")
+
+    def test_census_loads_no_numpy(self):
+        src = os.path.dirname(os.path.dirname(extremal.__file__))
+        code = (
+            "import sys; from pathdom.extremal import word_census; "
+            "assert word_census(16)[-1] == 6363055718400; "
+            "sys.exit('numpy' in sys.modules)"
+        )
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert run.returncode == 0, run.stderr
 
     def test_census_memory_stays_below_8_mib(self):
         tracemalloc.start()

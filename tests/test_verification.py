@@ -68,21 +68,6 @@ def test_predicate_flipped_on_one_word_fails_at_its_n(monkeypatch):
     assert result.detail.startswith("n=13:"), result.detail
 
 
-def test_word_count_off_by_one_fails_at_its_n(monkeypatch):
-    real = extremal.orders_per_word
-
-    def off_by_one(codes, letters):
-        counts = real(codes, letters)
-        if letters == 12:
-            counts[-1] += 1
-        return counts
-
-    monkeypatch.setattr(extremal, "orders_per_word", off_by_one)
-    result = V.check_inverse_bijection()
-    assert not result.passed
-    assert result.detail.startswith("n=13:"), result.detail
-
-
 def _off_by_one_at(n):
     return lambda value, first: value + (first == n)
 
@@ -114,6 +99,9 @@ OFF_BY_ONE = [  # check, route's module and name, perturbation, start of the det
     pytest.param(V.check_best_case_counts, extremal, "word_census",
                  lambda sizes, n: tuple(c + (n == 13) for c in sizes), "n=13:",
                  id="word census past brute"),
+    pytest.param(V.check_inverse_bijection, extremal, "word_census",
+                 lambda sizes, n: sizes[:-1] + (sizes[-1] + (n == 17),), "n=17:",
+                 id="worst-case orders by words past the count table"),
     pytest.param(V.check_expectation_oracle, expectation,
                  "expected_gamma_path_closed_form", _off_by_one_at(150), "n=150:",
                  id="closed-form expectation"),
@@ -155,6 +143,7 @@ def test_reference_tables_cover_the_exhaustive_range():
     assert list(V.BEST_CASE_COUNTS) == list(V.WORST_CASE_COUNTS)
     assert V.BRUTE_MAX == DEFAULT_BRUTE_CAP < V.WORD_COUNT_MAX <= WORD_CENSUS_CAP
     assert V.BIJECTION_WORD_MAX <= WORD_LIST_CAP
+    assert V.BIJECTION_WORD_MAX <= WORD_CENSUS_CAP
 
 
 def test_depth_changes_only_the_sample(monkeypatch):
@@ -185,6 +174,7 @@ def test_each_census_is_computed_once(monkeypatch):
     assert sorted(calls) == sorted(
         [("path_census", n) for n in range(1, V.BRUTE_MAX + 1)]
         + [("word_census", n) for n in range(1, V.WORD_COUNT_MAX + 1)]
+        + [("word_census", 17), ("word_census", 19)]
         + [("expected_gamma_path_prefix", 200), ("weakly_alternating_counts", 60)]
     )
     assert series._egf_counts.cache_info().misses == 1
