@@ -255,8 +255,9 @@ def extremal_permutations(
 # ---------------------------------------------------------------------------
 
 
-def worst_case_count_recurrence(n: int, bound_kind: str = "worst", *, force: bool = False) -> int:
-    """Number of worst- or best-case orders, by the first revealed vertex v.
+def extremal_counts(n: int, bound_kind: str = "worst", *, force: bool = False) -> tuple[int, ...]:
+    """Number of worst- or best-case orders of P_m for m = 0..n, by the
+    first revealed vertex v.
 
     v joins the set and its neighbours never do, so the a = max(v - 2, 0)
     vertices left of them and the b = max(m - v - 1, 0) right of them run as
@@ -285,7 +286,13 @@ def worst_case_count_recurrence(n: int, bound_kind: str = "worst", *, force: boo
         inner = 2 * sum(terms) - (terms[-1] if m % 2 else 0)
         ends = 2 * counts[m - 2] if sizes[m - 2] == goal else 0
         counts.append((m - 1) * (ends + (m - 2) * inner))
-    return counts[n]
+    return tuple(counts[: n + 1])
+
+
+def worst_case_count_recurrence(n: int, bound_kind: str = "worst", *, force: bool = False) -> int:
+    """Number of worst- or best-case orders of P_n: the last entry of
+    extremal_counts(n, bound_kind)."""
+    return extremal_counts(n, bound_kind, force=force)[n]
 
 
 def best_case_formula_applicable(n: int) -> bool:

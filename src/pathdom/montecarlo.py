@@ -24,8 +24,11 @@ is its sample count, and no boolean word of the whole chunk is ever built.
 from __future__ import annotations
 
 import os
+import pickle
+import signal
 from collections import Counter
 from dataclasses import dataclass
+from typing import Iterator
 
 from .domination import PackedWords, gamma_batch_path, max_dominating_size, min_dominating_size
 from .errors import ConsistencyError, check_cap
@@ -33,6 +36,9 @@ from .errors import ConsistencyError, check_cap
 CHUNK_SIZE = 4096
 SLAB_ROWS = 16  # vertices whose keys are held at once; a multiple of 4
 SAMPLE_BUDGET = 500_000_000  # cap on n * max(samples, CHUNK_SIZE)
+# Tokens in the chunk queue: 1024 four-byte tokens are 4096 bytes, PIPE_BUF
+# on Linux, and no Linux pipe buffer is smaller than that one page.
+TOKENS_MAX = 1024
 
 
 @dataclass(frozen=True)
@@ -158,8 +164,140 @@ def _chunk_histogram(args: tuple[int, int, int, int]) -> Counter:
     return Counter({low + v: c for v, c in enumerate(counts) if c})
 
 
-def sample_gamma(config: SampleConfig) -> Histogram:
-    """Histogram of the size over uniform random revelation orders."""
+class PendingSample:
+    """A sample whose chunks are being drawn: start_sample returns one.
+
+    With K = min(workers, chunks, cores) > 1 and os.fork available, the
+    chunk tokens are written into one pipe and its write end is closed
+    before K - 1 children are forked.  Each child takes tokens until the
+    pipe is empty, sends its merged Counter (or the exception a chunk
+    raised) back on its own pipe, and leaves by os._exit, so it never
+    returns into the caller's frames and flushes nothing it inherited.  The
+    caller joins the queue in histogram(), adds the parts and reaps the
+    children; bins are sums of the same chunk histograms for every K.  With
+    K = 1 nothing is forked and histogram() takes every chunk.  close(),
+    which histogram() and leaving a with block also call, stops and reaps
+    any child not yet collected.
+    """
+
+    def __init__(self, config: SampleConfig, jobs: list[tuple[int, int, int, int]], workers: int):
+        self.config = config
+        self._jobs = jobs
+        self._tokens = min(len(jobs), TOKENS_MAX)
+        self._queue: int | None = None  # read end of the token pipe
+        self._children: dict[int, int] = {}  # pid -> read end of its result pipe
+        if workers == 1:
+            return
+        read, write = os.pipe()
+        self._queue = read
+        try:
+            # One write of at most PIPE_BUF bytes into an empty pipe: never
+            # split, and never blocked, before any reader exists.
+            os.write(write, b"".join(t.to_bytes(4, "little") for t in range(self._tokens)))
+            os.close(write)
+            for _ in range(workers - 1):
+                self._fork()
+        except BaseException:
+            self.close()
+            raise
+
+    def _fork(self) -> None:
+        read, write = os.pipe()
+        try:
+            pid = os.fork()
+        except BaseException:
+            os.close(read)
+            os.close(write)
+            raise
+        if pid == 0:  # the child: whatever happens, it ends here
+            code = 1
+            try:
+                os.close(read)
+                try:
+                    part: object = self._take()
+                except BaseException as exc:  # sent to the caller, which raises it
+                    part = exc
+                data = pickle.dumps(part)
+                with open(write, "wb") as out:
+                    out.write(data)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write)
+        self._children[pid] = read
+
+    def _chunks(self) -> Iterator[int]:
+        """Every chunk index without a queue; else the chunks of each token
+        read from it.  Token t covers chunks t * C // T up to (t + 1) * C // T
+        of C chunks and T tokens, so consecutive chunks share a token past
+        TOKENS_MAX."""
+        chunks = len(self._jobs)
+        if self._queue is None:
+            yield from range(chunks)
+            return
+        while token := os.read(self._queue, 4):
+            t = int.from_bytes(token, "little")
+            yield from range(t * chunks // self._tokens, (t + 1) * chunks // self._tokens)
+
+    def _take(self) -> Counter:
+        merged: Counter = Counter()
+        for index in self._chunks():
+            merged.update(_chunk_histogram(self._jobs[index]))
+        return merged
+
+    def _reap(self, pid: int) -> int:
+        os.close(self._children.pop(pid))
+        return os.waitpid(pid, 0)[1]
+
+    def histogram(self) -> Histogram:
+        """Join the queue, add every child's part to the caller's and reap
+        the children; raise what a chunk raised, in this process or a child."""
+        try:
+            merged = self._take()
+            for pid, read in list(self._children.items()):
+                with open(read, "rb", closefd=False) as result:
+                    data = result.read()
+                status = self._reap(pid)
+                if not data:
+                    raise ChildProcessError(
+                        "a sampling worker ended without its chunks "
+                        f"(exit status {os.waitstatus_to_exitcode(status)})"
+                    )
+                part = pickle.loads(data)  # written by a child forked above
+                if isinstance(part, BaseException):
+                    raise part
+                merged.update(part)
+        finally:
+            self.close()
+        bins = {size: merged[size] for size in sorted(merged)}
+        total = sum(bins.values())
+        mean = sum(size * c for size, c in bins.items()) / total
+        variance = sum(c * (size - mean) ** 2 for size, c in bins.items()) / total
+        n = self.config.n
+        if min(bins) < min_dominating_size(n) or max(bins) > max_dominating_size(n):
+            raise ConsistencyError(
+                "sampled a size outside the provable range; the batch evaluator is broken"
+            )
+        return Histogram(n=n, bins=bins, total=total, mean=mean, variance=variance)
+
+    def close(self) -> None:
+        """Stop and reap every child not yet collected and close the queue."""
+        for pid in list(self._children):
+            os.kill(pid, signal.SIGKILL)
+            self._reap(pid)
+        if self._queue is not None:
+            os.close(self._queue)
+            self._queue = None
+
+    def __enter__(self) -> PendingSample:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def start_sample(config: SampleConfig) -> PendingSample:
+    """Start drawing the sample of `config`; its histogram() returns it."""
     # A chunk costs n / SLAB_ROWS slab draws and n - 1 scan steps whatever its size.
     check_cap(
         config.n * max(config.samples, CHUNK_SIZE), SAMPLE_BUDGET, config.force,
@@ -171,30 +309,16 @@ def sample_gamma(config: SampleConfig) -> Histogram:
         count = min(CHUNK_SIZE, config.samples - produced)
         jobs.append((config.n, config.seed, len(jobs), count))
         produced += count
-    if config.workers > 1 and len(jobs) > 1:
-        # Imported here so that commands without a pool never load it.
-        from concurrent.futures import ProcessPoolExecutor
+    workers = min(config.workers, len(jobs), os.cpu_count() or 1) if hasattr(os, "fork") else 1
+    if workers > 1:
+        import numpy.random  # noqa: F401  -- loaded once here, not in each child
 
-        workers = min(config.workers, len(jobs), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_chunk_histogram, jobs))
-    else:
-        parts = [_chunk_histogram(job) for job in jobs]
+    return PendingSample(config, jobs, workers)
 
-    merged: Counter = Counter()
-    for part in parts:
-        merged.update(part)
-    bins = {size: merged[size] for size in sorted(merged)}
-    total = sum(bins.values())
-    mean = sum(size * c for size, c in bins.items()) / total
-    variance = sum(c * (size - mean) ** 2 for size, c in bins.items()) / total
-    if min(bins) < min_dominating_size(config.n) or max(bins) > max_dominating_size(
-        config.n
-    ):
-        raise ConsistencyError(
-            "sampled a size outside the provable range; the batch evaluator is broken"
-        )
-    return Histogram(n=config.n, bins=bins, total=total, mean=mean, variance=variance)
+
+def sample_gamma(config: SampleConfig) -> Histogram:
+    """Histogram of the size over uniform random revelation orders."""
+    return start_sample(config).histogram()
 
 
 def normalize(hist: Histogram, mode: str) -> list[tuple[float, float]]:

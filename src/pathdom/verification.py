@@ -10,8 +10,9 @@ check lists no order.  An equality check is a table of
 `(where, {route: value})` cases that `_agree` fails at the first case whose
 routes split.  Sizes are fixed (exhaustive ranges are those of the
 reference tables) except for the Monte Carlo sample.  Each census, the
-expectation prefix, the pattern table and the EGF table are computed once
-per process, each in one pass to its largest n.  The CLI `verify` subcommand
+expectation prefix, the pattern table, the count-recurrence table of each
+bound and the EGF table are computed once per process, each in one pass to
+its largest n.  The CLI `verify` subcommand
 runs these checks, as does the acceptance test suite.
 """
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
@@ -54,7 +56,7 @@ BRUTE_MAX = DEFAULT_BRUTE_CAP  # the exhaustive engine counts through this n
 WORD_COUNT_MAX = max(WORST_CASE_COUNTS)  # the word census counts through this n
 BIJECTION_WORD_MAX = 19  # inversion is checked on the words of odd n <= this
 EXPECTATION_MAX = 200  # the exact expectation prefix is read through this n
-COUNT_TABLE_MAX = 60  # the EGF and pattern count tables are read through this n
+COUNT_TABLE_MAX = 60  # the EGF, pattern and recurrence count tables are read through this n
 
 Case = tuple[str, dict]  # (where, {route: value})
 
@@ -83,9 +85,9 @@ def _agree(name: str, cases: Iterable[Case], detail: str) -> CheckResult:
 
 
 @functools.cache
-def _tally(census: Callable, n: int):
-    """census(n), computed once per process."""
-    return census(n)
+def _tally(census: Callable, n: int, *args):
+    """census(n, *args), computed once per process."""
+    return census(n, *args)
 
 
 def _census_routes(n: int, read: Callable[[tuple[int, ...]], object]) -> dict:
@@ -104,10 +106,11 @@ def _count_rows(kind: str, references: dict[int, int], own: dict[int, dict]) -> 
     """One case per n of `references`: the orders at the `kind` bound by each
     census, by the recurrence and by the bound's own routes own[n], if any,
     and the reference count."""
+    recurrence = _tally(extremal.extremal_counts, COUNT_TABLE_MAX, kind)
     for n, reference in references.items():
         yield f"n={n}", {
             **_census_routes(n, operator.itemgetter(extremal.extremal_size(n, kind))),
-            "recurrence": extremal.worst_case_count_recurrence(n, kind),
+            "recurrence": recurrence[n],
             **own.get(n, {}),
             "reference": reference,
         }
@@ -366,12 +369,13 @@ def check_convolution() -> CheckResult:
     the odd-configuration counts == brute force."""
     odd_config = series.odd_configuration_counts_egf(COUNT_TABLE_MAX)
     worst = series.worst_case_counts_egf(COUNT_TABLE_MAX)
+    recurrence = _tally(extremal.extremal_counts, COUNT_TABLE_MAX, "worst")
 
     def cases() -> Iterator[Case]:
         for n in range(2, COUNT_TABLE_MAX + 1, 2):
             yield f"n={n}", {
                 "worst-case EGF convolution": worst[n],
-                "recurrence": extremal.worst_case_count_recurrence(n),
+                "recurrence": recurrence[n],
             }
         for n in range(1, BRUTE_MAX + 1):  # listing the odd vertices first realizes them
             final_sets = final_set_counts(graphs.path(n))
@@ -387,13 +391,19 @@ def check_convolution() -> CheckResult:
     )
 
 
-def check_montecarlo(n: int = 2000, samples: int = 40_000) -> CheckResult:
-    """Mean convergence; sample_gamma itself refuses a size outside the
-    provable support, so a returned histogram lies inside it."""
+def check_montecarlo(
+    n: int = 2000, samples: int = 40_000, sample: montecarlo.PendingSample | None = None
+) -> CheckResult:
+    """Mean convergence; the sampler itself refuses a size outside the
+    provable support, so a returned histogram lies inside it.  `sample` is
+    this draw already started, as run_verification starts it; without it
+    the draw runs here, in this process."""
     name = "monte-carlo"
-    hist = montecarlo.sample_gamma(
-        montecarlo.SampleConfig(n=n, samples=samples, seed=MONTE_CARLO_SEED)
-    )
+    if sample is None:
+        sample = montecarlo.start_sample(
+            montecarlo.SampleConfig(n=n, samples=samples, seed=MONTE_CARLO_SEED)
+        )
+    hist = sample.histogram()
     lo, hi = min_dominating_size(n), max_dominating_size(n)
     bound = 5 * hist.std_dev / math.sqrt(samples)
     gap = abs(hist.mean - expectation.expected_gamma_path_float(n))
@@ -433,19 +443,32 @@ def check_caro_wei() -> CheckResult:
 
 
 def run_verification(depth: str = "quick") -> list[CheckResult]:
-    """Run every check; quick depth trims only the Monte Carlo sample."""
+    """Run every check; quick depth trims only the Monte Carlo sample.
+
+    The sample is numpy work and the exact checks are pure Python, so the
+    sample is started on up to os.cpu_count() processes before the exact
+    checks and joined after them; leaving, on any path, reaps its children.
+    Only the inverse bijection runs before the sample starts: its word pass
+    and the numpy.random that start_sample loads would otherwise be resident
+    together, about 2.6 MB of RSS above the peak of either.  The results keep
+    the order of the checks in this module.
+    """
     if depth not in ("quick", "full"):
         raise ValueError("depth must be 'quick' or 'full'")
-    quick = depth == "quick"
-    return [
-        check_worst_case_counts(),
-        check_best_case_counts(),
-        check_expectation_oracle(),
-        check_asymptotic_constant(),
-        check_family_formulas(),
-        check_structural_sets(),
-        check_inverse_bijection(),
-        check_convolution(),
-        check_montecarlo(n=300 if quick else 2000, samples=5000 if quick else 40_000),
-        check_caro_wei(),
-    ]
+    n, samples = (300, 5000) if depth == "quick" else (2000, 40_000)
+    config = montecarlo.SampleConfig(
+        n=n, samples=samples, seed=MONTE_CARLO_SEED, workers=os.cpu_count() or 1
+    )
+    bijection = check_inverse_bijection()
+    with montecarlo.start_sample(config) as sample:
+        exact = [
+            check_worst_case_counts(),
+            check_best_case_counts(),
+            check_expectation_oracle(),
+            check_asymptotic_constant(),
+            check_family_formulas(),
+            check_structural_sets(),
+            bijection,
+            check_convolution(),
+        ]
+        return [*exact, check_montecarlo(n=n, samples=samples, sample=sample), check_caro_wei()]

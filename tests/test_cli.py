@@ -706,9 +706,9 @@ class TestUnexpectedErrors:
 
 
 def test_exact_commands_leave_numpy_unloaded():
-    # Only the sampler needs numpy, and only a sampler with more than one
-    # worker needs the process pool; importing the package, --version,
-    # series, expect and extremal load neither.
+    # Only the sampler needs numpy, and no sampler needs a process pool: more
+    # than one worker forks its children directly.  Importing the package,
+    # --version, series, expect and extremal load neither.
     src = os.path.dirname(os.path.dirname(pathdom.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     commands = [
@@ -717,21 +717,25 @@ def test_exact_commands_leave_numpy_unloaded():
         ["expect", "--family", "path", "--n", "6"],
         ["extremal", "--n", "6", "--bound", "worst", "--method", "all"],
     ]
-    sample = ["sample", "--n", "10", "--samples", "8", "--workers", "1"]
+    samples = [  # one chunk on one worker; three chunks on two
+        ["sample", "--n", "10", "--samples", "8", "--workers", "1"],
+        ["sample", "--n", "10", "--samples", "9000", "--workers", "2"],
+    ]
     probe = (
         "import sys, pathdom.cli as cli\n"
-        "pool = 'concurrent.futures.process'\n"
+        "pools = ('concurrent.futures', 'multiprocessing')\n"
         f"for argv in {commands!r}:\n"
         "    assert cli.main(argv) == 0\n"
-        "print('probe', 'numpy' in sys.modules, pool in sys.modules)\n"
-        f"assert cli.main({sample!r}) == 0\n"
-        "print('probe', pool in sys.modules)\n"
+        "print('probe', 'numpy' in sys.modules, any(p in sys.modules for p in pools))\n"
+        f"for argv in {samples!r}:\n"
+        "    assert cli.main(argv) == 0\n"
+        "    print('probe', any(p in sys.modules for p in pools))\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     probes = [line for line in result.stdout.splitlines() if line.startswith("probe")]
-    assert probes == ["probe False False", "probe False"]
+    assert probes == ["probe False False", "probe False", "probe False"]
 
 
 def _modules_loaded_by(argv):

@@ -95,17 +95,23 @@ def test_exit_codes_are_kept(argv, code):
 
 
 def test_pool_workers_are_gone_when_the_command_ends():
-    argv = ["sample", "--n", "200", "--samples", "10000", "--seed", "5", "--workers", "2"]
-    child = subprocess.Popen(
-        [sys.executable, "-m", "pathdom", *argv], env=_env(), text=True,
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
-    )
-    out, err = child.communicate(timeout=120)
-    assert child.returncode == 0, err
-    assert sum(int(row.split(",")[1]) for row in out.split()[1:]) == 10000
-    # The child led its own process group, and no member of it is left.
-    with pytest.raises(ProcessLookupError):
-        os.killpg(child.pid, 0)
+    commands = [  # argv, and a check of its output
+        (["sample", "--n", "200", "--samples", "10000", "--seed", "5", "--workers", "2"],
+         lambda out: sum(int(row.split(",")[1]) for row in out.split()[1:]) == 10000),
+        (["verify", "--depth", "full"],  # its sample runs on os.cpu_count() processes
+         lambda out: [line[:4] for line in out.splitlines()] == ["PASS"] * 10),
+    ]
+    for argv, holds in commands:
+        child = subprocess.Popen(
+            [sys.executable, "-m", "pathdom", *argv], env=_env(), text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
+        )
+        out, err = child.communicate(timeout=120)
+        assert child.returncode == 0, err
+        assert holds(out), out
+        # The child led its own process group, and no member of it is left.
+        with pytest.raises(ProcessLookupError):
+            os.killpg(child.pid, 0)
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])

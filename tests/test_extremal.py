@@ -52,7 +52,7 @@ from pathdom import (
 )
 from pathdom.domination import PackedWords
 from pathdom.errors import EXACT_COUNT_CAP, ResourceLimitError
-from pathdom.extremal import PERMUTATION_SCAN_CAP
+from pathdom.extremal import PERMUTATION_SCAN_CAP, extremal_counts
 from pathdom.series import odd_configuration_counts_egf
 from pathdom.verification import BEST_CASE_COUNTS, WORST_CASE_COUNTS
 
@@ -303,23 +303,23 @@ class TestWordCensus:
                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
         assert run.returncode == 0, run.stderr
 
-    def test_census_memory_stays_below_8_mib(self):
+    def test_census_memory_stays_below_64_kib(self):
         tracemalloc.start()
         try:
             word_census(16)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * 2**20
+        assert peak <= 64 * 2**10
 
-    def test_census_memory_at_18_stays_below_12_mib(self):
+    def test_census_memory_at_18_stays_below_64_kib(self):
         tracemalloc.start()
         try:
             word_census(18)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 12 * 2**20
+        assert peak <= 64 * 2**10
 
     @pytest.mark.parametrize("n", range(1, 12))
     def test_word_census_matches_the_engine(self, n):
@@ -345,6 +345,8 @@ class TestRecurrence:
         assert worst_case_count_recurrence(0) == 1
         assert worst_case_count_recurrence(1) == 1
         assert worst_case_count_recurrence(2) == 2
+        assert extremal_counts(0) == (1,)
+        assert extremal_counts(2, "best") == (1, 1, 2)
 
     @pytest.mark.parametrize("n", range(1, 12))
     def test_reference_table(self, n):
@@ -381,6 +383,7 @@ class TestRecurrence:
                     total += ways * counts[a] * counts[b]
             counts.append(total)
         assert [worst_case_count_recurrence(n, bound) for n in range(60)] == counts
+        assert extremal_counts(59, bound) == tuple(counts)
 
     def test_best_bound_matches_the_formula(self):
         applicable = [n for n in range(1, 201) if best_case_formula_applicable(n)]

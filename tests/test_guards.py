@@ -59,6 +59,9 @@ GUARDS = {
     "worst_case_count_recurrence": (
         extremal, "EXACT_COUNT_CAP", 5,
         lambda n, force: extremal.worst_case_count_recurrence(n, force=force)),
+    "extremal_counts": (
+        extremal, "EXACT_COUNT_CAP", 5,
+        lambda n, force: extremal.extremal_counts(n, "best", force=force)),
     "best_case_count_recurrence": (
         extremal, "EXACT_COUNT_CAP", 5,
         lambda n, force: extremal.worst_case_count_recurrence(n, "best", force=force)),

@@ -2,6 +2,10 @@
 
 import itertools
 import math
+import os
+import select
+import signal
+import time
 from collections import Counter
 
 import numpy as np
@@ -49,30 +53,143 @@ def test_worker_count_does_not_change_output():
     assert base.mean == split.mean
 
 
+def _counting_forks(monkeypatch):
+    """Patch os.fork to record each child's pid; the list is the caller's."""
+    real, pids = os.fork, []
+
+    def fork():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def _reaped(pid):
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
 def test_pool_never_exceeds_the_jobs_or_the_cores(monkeypatch):
-    import concurrent.futures
-    import os
-
-    started = []
-
-    class SerialPool:  # records the pool size and maps in this process
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    # 9000 samples make 3 chunks; the caller takes chunks too, so K workers
+    # fork min(K, chunks, cores) - 1 children.
+    pids = _counting_forks(monkeypatch)
     base = sample_gamma(SampleConfig(n=20, samples=9000, seed=5))
-    pooled = sample_gamma(SampleConfig(n=20, samples=9000, seed=5, workers=10_000))
-    assert pooled.bins == base.bins
-    assert started == [min(3, os.cpu_count() or 1)]  # 9000 samples make 3 chunks
+    for workers, cores, children in [(10_000, 8, 2), (2, 8, 1), (10_000, 1, 0), (1, 8, 0)]:
+        monkeypatch.setattr(os, "cpu_count", lambda cores=cores: cores)
+        del pids[:]
+        pooled = sample_gamma(SampleConfig(n=20, samples=9000, seed=5, workers=workers))
+        assert pooled == base
+        assert len(pids) == children, (workers, cores)
+        assert all(map(_reaped, pids))
+
+
+def test_without_fork_the_caller_takes_every_chunk(monkeypatch):
+    base = sample_gamma(SampleConfig(n=20, samples=9000, seed=5))
+    monkeypatch.delattr(os, "fork")
+    assert sample_gamma(SampleConfig(n=20, samples=9000, seed=5, workers=3)) == base
+
+
+def test_chunks_past_the_token_count_share_tokens(monkeypatch):
+    # 3000 one-sample chunks: past TOKENS_MAX, so consecutive chunks share a
+    # token, and every chunk is drawn exactly once whoever takes it.  The
+    # tokens are one write that a pipe takes at once, however many chunks.
+    monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert montecarlo.TOKENS_MAX * 4 <= select.PIPE_BUF < 3000 * 4
+    calls = []
+    evaluate = montecarlo.gamma_batch_path
+    monkeypatch.setattr(montecarlo, "gamma_batch_path",
+                        lambda n, words: calls.append(n) or evaluate(n, words))
+    config = SampleConfig(n=3, samples=3000, seed=9)
+    alone = sample_gamma(config)
+    assert len(calls) == 3000
+    shared = sample_gamma(SampleConfig(n=3, samples=3000, seed=9, workers=3))
+    assert shared == alone and shared.total == 3000
+
+
+@pytest.fixture
+def taken():
+    """A pipe on which a forked child writes one byte as it takes a chunk."""
+    read, write = os.pipe()
+    yield read, write
+    os.close(read)
+    os.close(write)
+
+
+def _break_chunks(monkeypatch, taken, in_child, in_caller=None):
+    """Two workers on two chunks: the child runs in_child(job) on each chunk
+    it takes, the caller in_caller(job), if given, and else draws its chunk
+    once the child has taken the other one.  Returns the list of forked pids."""
+    caller = os.getpid()
+    chunk = montecarlo._chunk_histogram
+    read, write = taken
+
+    def broken(job):
+        if os.getpid() != caller:
+            os.write(write, b".")
+            return in_child(job)
+        if in_caller is not None:
+            return in_caller(job)
+        assert select.select([read], [], [], 60)[0], "the child took no chunk"
+        return chunk(job)
+
+    pids = _counting_forks(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(montecarlo, "_chunk_histogram", broken)
+    return pids
+
+
+def _raise(exc):
+    def chunk(job):
+        raise exc(f"chunk {job[2]} broke")
+    return chunk
+
+
+TWO_CHUNKS = SampleConfig(n=20, samples=2 * CHUNK_SIZE, seed=5, workers=2)
+
+
+@pytest.mark.parametrize("exc", [ValueError, MemoryError, KeyboardInterrupt])
+def test_a_chunk_raising_in_a_child_raises_in_the_caller(monkeypatch, taken, exc):
+    pids = _break_chunks(monkeypatch, taken, _raise(exc))
+    with pytest.raises(exc, match="broke"):
+        sample_gamma(TWO_CHUNKS)
+    assert len(pids) == 1 and _reaped(pids[0])
+
+
+def test_a_chunk_raising_in_a_child_is_one_cli_error_line(monkeypatch, capsys, taken):
+    pids = _break_chunks(monkeypatch, taken, _raise(ValueError))
+    argv = ["sample", "--n", "20", "--samples", str(2 * CHUNK_SIZE), "--workers", "2"]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: chunk ") and err.endswith(" broke\n") and err.count("\n") == 1
+    assert len(pids) == 1 and _reaped(pids[0])
+
+
+@pytest.mark.parametrize("exc", [ValueError, KeyboardInterrupt])
+def test_a_chunk_raising_in_the_caller_stops_the_children(monkeypatch, taken, exc):
+    def sleeps(job):  # would hold the test for a minute if it were waited for
+        time.sleep(60)
+
+    pids = _break_chunks(monkeypatch, taken, sleeps, _raise(exc))
+    started = time.monotonic()
+    with pytest.raises(exc, match="broke"):
+        sample_gamma(TWO_CHUNKS)
+    assert time.monotonic() - started < 30
+    assert len(pids) == 1 and _reaped(pids[0])
+
+
+def test_a_child_that_dies_without_its_chunks_is_an_error(monkeypatch, taken):
+    pids = _break_chunks(monkeypatch, taken, lambda job: os.kill(os.getpid(), signal.SIGKILL))
+    with pytest.raises(ChildProcessError, match="without its chunks"):
+        sample_gamma(TWO_CHUNKS)
+    assert len(pids) == 1 and _reaped(pids[0])
 
 
 def test_different_seeds_differ():

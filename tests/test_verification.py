@@ -1,12 +1,15 @@
 """The verification checks: each fails at the first case whose routes split."""
 
+import os
 from fractions import Fraction
 
 import pytest
 
-from pathdom import expectation, extremal, series
+from pathdom import expectation, extremal, montecarlo, series
 from pathdom import verification as V
 from pathdom.errors import DEFAULT_BRUTE_CAP, WORD_CENSUS_CAP, WORD_LIST_CAP
+
+from test_montecarlo import _counting_forks, _reaped
 
 
 def test_passes_and_names_both_ranges():
@@ -72,6 +75,11 @@ def _off_by_one_at(n):
     return lambda value, first: value + (first == n)
 
 
+def _entry_off_by_one_at(n):
+    """A prefix-table route whose entry at n is one more."""
+    return lambda counts, _: tuple(c + (m == n) for m, c in enumerate(counts))
+
+
 def _one_order_up_at(n, size):
     """A census route that moves one order at n from `size` to `size + 1`:
     the total and, for a middle size, both extreme counts stay as they were."""
@@ -83,16 +91,17 @@ def _one_order_up_at(n, size):
 
 
 OFF_BY_ONE = [  # check, route's module and name, perturbation, start of the detail
-    pytest.param(V.check_worst_case_counts, extremal, "worst_case_count_recurrence",
-                 _off_by_one_at(6), "n=6:", id="worst-case recurrence"),
+    pytest.param(V.check_worst_case_counts, extremal, "extremal_counts",
+                 _entry_off_by_one_at(6), "n=6:", id="worst-case recurrence"),
     pytest.param(V.check_best_case_counts, extremal, "best_case_count_formula",
                  _off_by_one_at(9), "n=9:", id="best-case formula"),
-    pytest.param(V.check_worst_case_counts, extremal, "worst_case_count_recurrence",
-                 _off_by_one_at(14), "n=14:", id="worst-case recurrence past brute"),
+    pytest.param(V.check_worst_case_counts, extremal, "extremal_counts",
+                 _entry_off_by_one_at(14), "n=14:", id="worst-case recurrence past brute"),
     pytest.param(V.check_best_case_counts, extremal, "best_case_count_formula",
                  _off_by_one_at(16), "n=16:", id="best-case formula past brute"),
-    pytest.param(V.check_best_case_counts, extremal, "worst_case_count_recurrence",
-                 _off_by_one_at(7), "n=7:", id="best-case recurrence where no formula applies"),
+    pytest.param(V.check_best_case_counts, extremal, "extremal_counts",
+                 _entry_off_by_one_at(7), "n=7:",
+                 id="best-case recurrence where no formula applies"),
     pytest.param(V.check_worst_case_counts, extremal, "word_census",
                  lambda sizes, n: sizes[:-1] + (sizes[-1] + (n == 8),), "n=8:",
                  id="word census beside brute"),
@@ -112,8 +121,8 @@ OFF_BY_ONE = [  # check, route's module and name, perturbation, start of the det
     pytest.param(V.check_convolution, V, "final_set_counts",
                  lambda sets, graph: {s: c + (graph.n == 5) for s, c in sets.items()},
                  "n=5:", id="brute odd-configuration count"),
-    pytest.param(V.check_convolution, extremal, "worst_case_count_recurrence",
-                 _off_by_one_at(40), "n=40:", id="worst-case recurrence beside the EGF"),
+    pytest.param(V.check_convolution, extremal, "extremal_counts",
+                 _entry_off_by_one_at(40), "n=40:", id="worst-case recurrence beside the EGF"),
     pytest.param(V.check_convolution, series, "odd_configuration_counts_egf",
                  lambda counts, _: tuple(c + (k == 7) for k, c in enumerate(counts)),
                  "n=7:", id="odd-configuration EGF"),
@@ -146,17 +155,48 @@ def test_reference_tables_cover_the_exhaustive_range():
     assert V.BIJECTION_WORD_MAX <= WORD_CENSUS_CAP
 
 
+class _Undrawn:
+    """Stands in for a started sample: nothing is drawn or forked."""
+
+    def __init__(self, config):
+        self.config = config
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        pass
+
+
 def test_depth_changes_only_the_sample(monkeypatch):
     sizes = []
 
-    def trimmed(**kwargs):  # the costly check only reports the sizes it gets
-        sizes.append(kwargs)
+    def trimmed(n, samples, sample):  # the costly check only reports the draw it gets
+        sizes.append((n, samples, sample.config))
         return V.CheckResult("trimmed", True, "")
 
     monkeypatch.setattr(V, "check_montecarlo", trimmed)
+    monkeypatch.setattr(montecarlo, "start_sample", _Undrawn)
     quick, full = V.run_verification("quick"), V.run_verification("full")
     assert [r.detail for r in quick] == [r.detail for r in full]
-    assert sizes == [{"n": 300, "samples": 5000}, {"n": 2000, "samples": 40_000}]
+    workers = os.cpu_count() or 1
+    assert sizes == [
+        (n, samples, montecarlo.SampleConfig(n, samples, V.MONTE_CARLO_SEED, workers))
+        for n, samples in [(300, 5000), (2000, 40_000)]
+    ]
+
+
+@pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt])
+def test_a_check_raising_while_the_sample_runs_reaps_its_children(monkeypatch, exc):
+    def raises():
+        raise exc("check broke")
+
+    pids = _counting_forks(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(V, "check_convolution", raises)
+    with pytest.raises(exc, match="check broke"):
+        V.run_verification("full")
+    assert len(pids) == 1 and _reaped(pids[0])
 
 
 def test_each_census_is_computed_once(monkeypatch):
@@ -164,11 +204,13 @@ def test_each_census_is_computed_once(monkeypatch):
     calls = []
     for module, census in ((extremal, "path_census"), (extremal, "word_census"),
                            (expectation, "expected_gamma_path_prefix"),
-                           (extremal, "weakly_alternating_counts")):
+                           (extremal, "weakly_alternating_counts"),
+                           (extremal, "extremal_counts"),
+                           (extremal, "worst_case_count_recurrence")):
         real = getattr(module, census)
         monkeypatch.setattr(
             module, census,
-            lambda n, real=real, census=census: calls.append((census, n)) or real(n),
+            lambda *args, real=real, census=census: calls.append((census, *args)) or real(*args),
         )
     assert all(result.passed for result in V.run_verification("quick"))
     assert sorted(calls) == sorted(
@@ -176,6 +218,7 @@ def test_each_census_is_computed_once(monkeypatch):
         + [("word_census", n) for n in range(1, V.WORD_COUNT_MAX + 1)]
         + [("word_census", 17), ("word_census", 19)]
         + [("expected_gamma_path_prefix", 200), ("weakly_alternating_counts", 60)]
+        + [("extremal_counts", 60, "worst"), ("extremal_counts", 60, "best")]
     )
     assert series._egf_counts.cache_info().misses == 1
 
