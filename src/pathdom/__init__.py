@@ -26,7 +26,7 @@ _EXPORTS = {name: module for module, names in {
     "extremal": "best_case_count_formula best_case_formula_applicable "
     "count_no_even_local_maxima count_weakly_alternating "
     "extremal_permutations extremal_size independent_dominating_sets_bruteforce "
-    "maximal_independent_dominating_sets path_census set_first_order up_down_words "
+    "maximal_independent_dominating_sets path_census set_first_order "
     "weakly_alternating_permutations word_census worst_case_count_recurrence",
     "series": "DEFAULT_ORDER odd_configuration_counts_egf worst_case_counts_egf",
     "montecarlo": "Histogram SampleConfig normalize sample_gamma",

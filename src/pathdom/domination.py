@@ -168,8 +168,7 @@ class PackedWords:
     @classmethod
     def every_word(cls, n: int, *, force: bool = False) -> PackedWords:
         """All 2^(n-1) up/down words of the n-path, word i with letter j as
-        bit j of i, as word i is code i of extremal.up_down_words, and under
-        the same guard.
+        bit j of i, refused past WORD_LIST_CAP unless forced.
 
         Byte b of letter j holds words 8b .. 8b + 7, so for j < 3 every byte
         of the letter is one pattern; for j >= 3 the letter is constant on

@@ -16,9 +16,9 @@ same engine, under its guard; extremal_size maps a bound to its set size.
 The word census gets the same tuple from the up/down words of the path
 instead, in one pass over their letters: the rank recursion counts the
 orders behind the word prefixes, and the evaluator's scan, run one letter at
-a time, their set sizes.  up_down_words lists every word as an integer code,
-word i as code i with letter j as bit j, and PackedWords.every_word writes
-the same list straight into the evaluator's packed table.
+a time, their set sizes.  Where words are listed, they are rows of letters:
+row i holds letter i of every word, as bools or packed 8 words a byte, the
+form PackedWords.every_word writes straight into the evaluator's table.
 
 Inversion maps the worst-case orders of odd n onto the weakly alternating
 permutations.  The inversion bijection is stated on up/down words, where
@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Iterable
 
 # domination and graphs are imported by the functions that run them, so the
 # count recurrence and the formulas load neither.
-from .errors import EXACT_COUNT_CAP, WORD_CENSUS_CAP, WORD_LIST_CAP, check_cap
+from .errors import EXACT_COUNT_CAP, WORD_CENSUS_CAP, check_cap
 
 if TYPE_CHECKING:
     import numpy as np
@@ -163,42 +163,26 @@ def path_census(n: int, *, force: bool = False) -> tuple[int, ...]:
 # On the path the final set depends only on the up/down word of an order,
 # so the words stand in for the n! orders.  word_census carries the sizes and
 # order counts of the word prefixes letter by letter, in Python ints, merged
-# by scan state; the word listings serve the inverse-bijection check.
+# by scan state; the word predicate serves the inverse-bijection check.
 
 
-def up_down_words(n: int, *, force: bool = False) -> np.ndarray:
-    """Every up/down word of the n-path as its integer code, 2^(n-1) uint32
-    codes: word i is code i, and letter j of a word, bit j of its code, is
-    true when vertex j + 2 is revealed after vertex j + 1.
-    PackedWords.every_word packs the same list for gamma_batch_path."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    check_cap(n, WORD_LIST_CAP, force, "up/down word listing")
-    import numpy as np
+def every_even_vertex_has(letters: np.ndarray) -> np.ndarray:
+    """A row over the words, in the form of their letter rows (row i is
+    letter i of every word, as bools or packed 8 words a byte), true where
+    every even vertex has a neighbour revealed earlier: on the word of an
+    order, the order's inverse is weakly alternating.
 
-    return np.arange(1 << (n - 1), dtype=np.uint32)
-
-
-def every_even_vertex_has(codes: np.ndarray, letters: int) -> np.ndarray:
-    """True for the up/down words, given as codes of `letters` letters, in
-    which every even vertex j has a neighbour revealed earlier than j: on the
-    word of an order, the order's inverse is weakly alternating.
-
-    Letter j - 2 is up when j is revealed after j - 1, and letter j - 1 when
-    j + 1 is revealed after j, so the word fails at vertex j = i + 2, for
-    even i, when bit i is down and bit i + 1 up.  A last vertex that is even
-    has no letter after it, and fails when its bit i is down.  Two masks test
-    every even vertex at once: the even bits, and the last bit when it is even.
+    Letter i is up when vertex i + 2 is revealed after i + 1, so vertex
+    i + 2, for even i, has that neighbour when letter i is up or, unless it
+    is the last vertex, letter i + 1 down.  With no letter every word holds.
     """
     import numpy as np
 
-    codes = np.asarray(codes)
-    even = sum(1 << i for i in range(0, letters, 2))
-    last = 1 << (letters - 1) if letters % 2 else 0  # read as if an up letter followed
-    needs = codes >> 1  # bit i: letter i + 1 is up, so vertex i + 2 needs letter i up
-    needs |= last
-    needs &= even
-    return (needs & codes) == needs
+    letters = np.asarray(letters)
+    holds = ~np.zeros(letters.shape[1:], letters.dtype)
+    for i in range(0, len(letters), 2):
+        holds &= letters[i] if i + 1 == len(letters) else letters[i] | ~letters[i + 1]
+    return holds
 
 
 def word_census(n: int, *, force: bool = False) -> tuple[int, ...]:
@@ -364,8 +348,7 @@ def weakly_alternating_permutations(
     for _ in range(0, math.factorial(n), PERMUTATION_ROWS):
         block = np.fromiter(itertools.islice(entries, PERMUTATION_ROWS * n), np.uint8)
         block = block.reshape(-1, n)
-        codes = (block[:, 1:] > block[:, :-1]) @ (1 << np.arange(n - 1))
-        holds = every_even_vertex_has(codes, n - 1)
+        holds = every_even_vertex_has((block[:, 1:] > block[:, :-1]).T)
         found += map(tuple, block[holds].tolist())
     return found
 

@@ -309,7 +309,9 @@ def start_sample(config: SampleConfig) -> PendingSample:
         count = min(CHUNK_SIZE, config.samples - produced)
         jobs.append((config.n, config.seed, len(jobs), count))
         produced += count
-    workers = min(config.workers, len(jobs), os.cpu_count() or 1) if hasattr(os, "fork") else 1
+    # The CPUs this process may run on, where the platform can say.
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(config.workers, len(jobs), cores or 1) if hasattr(os, "fork") else 1
     if workers > 1:
         import numpy.random  # noqa: F401  -- loaded once here, not in each child
 

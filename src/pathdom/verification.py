@@ -12,8 +12,8 @@ routes split.  Sizes are fixed (exhaustive ranges are those of the
 reference tables) except for the Monte Carlo sample.  Each census, the
 expectation prefix, the pattern table, the count-recurrence table of each
 bound and the EGF table are computed once per process, each in one pass to
-its largest n.  The CLI `verify` subcommand
-runs these checks, as does the acceptance test suite.
+its largest n.  The CLI `verify` subcommand runs these checks, as does the
+acceptance test suite.
 """
 
 from __future__ import annotations
@@ -317,9 +317,10 @@ def check_inverse_bijection() -> CheckResult:
 
     The inverse of an order is its reveal times, so being worst-case and
     having a weakly alternating inverse both depend on the up/down word
-    only.  The bijection is thus an equality of word sets, tested by
-    extremal.every_even_vertex_has on every word of every odd n <= 19; the
-    word census counts the orders behind the worst-case words.
+    only.  The bijection is thus an equality of word sets, tested on every
+    word of every odd n <= 19 by extremal.every_even_vertex_has on the
+    letter rows that gamma_batch_path then overwrites; the word census
+    counts the orders behind the worst-case words.
     The weakly alternating counts also equal the odd-configuration EGF for
     n <= 60.
     """
@@ -331,10 +332,10 @@ def check_inverse_bijection() -> CheckResult:
 
     def cases() -> Iterator[Case]:
         for n in range(1, BIJECTION_WORD_MAX + 1, 2):
-            codes = extremal.up_down_words(n)
-            sizes = gamma_batch_path(n, PackedWords.every_word(n))
-            worst = sizes == max_dominating_size(n)
-            alternating = extremal.every_even_vertex_has(codes, n - 1)
+            words = PackedWords.every_word(n)
+            holds = extremal.every_even_vertex_has(words.table[1:])
+            worst = gamma_batch_path(n, words) == max_dominating_size(n)
+            alternating = np.unpackbits(holds, count=len(words))
             yield f"n={n}", {
                 "words: worst-case != inverse weakly alternating":
                     int(np.count_nonzero(worst != alternating)),
@@ -446,12 +447,9 @@ def run_verification(depth: str = "quick") -> list[CheckResult]:
     """Run every check; quick depth trims only the Monte Carlo sample.
 
     The sample is numpy work and the exact checks are pure Python, so the
-    sample is started on up to os.cpu_count() processes before the exact
-    checks and joined after them; leaving, on any path, reaps its children.
-    Only the inverse bijection runs before the sample starts: its word pass
-    and the numpy.random that start_sample loads would otherwise be resident
-    together, about 2.6 MB of RSS above the peak of either.  The results keep
-    the order of the checks in this module.
+    sample is started before every exact check, on up to as many processes
+    as this process has CPUs to run on, and joined after them; leaving, on
+    any path, reaps its children.  The results keep the checks' order.
     """
     if depth not in ("quick", "full"):
         raise ValueError("depth must be 'quick' or 'full'")
@@ -459,16 +457,9 @@ def run_verification(depth: str = "quick") -> list[CheckResult]:
     config = montecarlo.SampleConfig(
         n=n, samples=samples, seed=MONTE_CARLO_SEED, workers=os.cpu_count() or 1
     )
-    bijection = check_inverse_bijection()
+    exact = (check_worst_case_counts, check_best_case_counts, check_expectation_oracle,
+             check_asymptotic_constant, check_family_formulas, check_structural_sets,
+             check_inverse_bijection, check_convolution)
     with montecarlo.start_sample(config) as sample:
-        exact = [
-            check_worst_case_counts(),
-            check_best_case_counts(),
-            check_expectation_oracle(),
-            check_asymptotic_constant(),
-            check_family_formulas(),
-            check_structural_sets(),
-            bijection,
-            check_convolution(),
-        ]
-        return [*exact, check_montecarlo(n=n, samples=samples, sample=sample), check_caro_wei()]
+        results = [check() for check in exact]
+        return [*results, check_montecarlo(n=n, samples=samples, sample=sample), check_caro_wei()]

@@ -835,7 +835,7 @@ PUBLIC_NAMES = (
     "max_dominating_size maximal_independent_dominating_sets "
     "min_dominating_size normalize odd_configuration_counts_egf "
     "orders_with_size path path_census run_online_domination sample_gamma "
-    "set_first_order star up_down_words weakly_alternating_permutations wheel "
+    "set_first_order star weakly_alternating_permutations wheel "
     "word_census worst_case_count_recurrence worst_case_counts_egf"
 ).split()
 

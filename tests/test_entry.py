@@ -98,7 +98,7 @@ def test_pool_workers_are_gone_when_the_command_ends():
     commands = [  # argv, and a check of its output
         (["sample", "--n", "200", "--samples", "10000", "--seed", "5", "--workers", "2"],
          lambda out: sum(int(row.split(",")[1]) for row in out.split()[1:]) == 10000),
-        (["verify", "--depth", "full"],  # its sample runs on os.cpu_count() processes
+        (["verify", "--depth", "full"],  # its sample runs on forked processes
          lambda out: [line[:4] for line in out.splitlines()] == ["PASS"] * 10),
     ]
     for argv, holds in commands:

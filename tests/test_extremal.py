@@ -45,7 +45,6 @@ from pathdom import (
     path_census,
     run_online_domination,
     set_first_order,
-    up_down_words,
     weakly_alternating_permutations,
     word_census,
     worst_case_count_recurrence,
@@ -176,14 +175,6 @@ def _representative_order(word):
     return times
 
 
-def _codes(words):
-    """The integer code of each boolean word row: letter j is bit j."""
-    words = np.asarray(words, dtype=bool)
-    return (words.astype(np.uint32) << np.arange(words.shape[1], dtype=np.uint32)).sum(
-        axis=1, dtype=np.uint32
-    )
-
-
 def _rows(codes, letters):
     """The boolean word rows of codes of `letters` letters."""
     codes = np.asarray(codes, dtype=np.uint32)
@@ -191,8 +182,8 @@ def _rows(codes, letters):
 
 
 def _every_even_vertex_has_by_rows(words):
-    """The even-vertex predicate letter by letter on boolean rows, the
-    reference for the two masks of extremal.every_even_vertex_has."""
+    """The even-vertex predicate word by word on boolean word rows, shape
+    (k, letters), the reference for extremal.every_even_vertex_has."""
     words = np.asarray(words, dtype=bool)
     holds = np.ones(len(words), dtype=bool)
     for i in range(0, words.shape[1], 2):  # letters i and i + 1 flank vertex i + 2
@@ -218,12 +209,14 @@ def _orders_per_word_by_whole_tables(words):
     return ranks.sum(axis=1)
 
 
+def _every_code(n):
+    """Word i of the n-path as code i, letter j as bit j, for every word."""
+    return np.arange(1 << (n - 1), dtype=np.uint32)
+
+
 class TestWordCensus:
     def test_word_layout(self):
-        assert up_down_words(1).tolist() == [0]
-        codes = up_down_words(4)
-        assert codes.dtype == np.uint32
-        assert codes.tolist() == list(range(8))
+        codes = _every_code(4)
         assert _rows(codes, 3).tolist() == [
             [bool(i >> j & 1) for j in range(3)] for i in range(8)
         ]
@@ -237,8 +230,7 @@ class TestWordCensus:
     def test_batch_sizes_match_the_scalar_run_on_a_representative_of_each_word(
         self, n
     ):
-        codes = up_down_words(n)
-        words = _rows(codes, n - 1).tolist()
+        words = _rows(_every_code(n), n - 1).tolist()
         sizes = gamma_batch_path(n, PackedWords.every_word(n)).tolist()
         g = path(n)
         for word, size in zip(words, sizes):
@@ -253,7 +245,7 @@ class TestWordCensus:
             tuple(b > a for a, b in zip(times, times[1:]))
             for times in itertools.permutations(range(n))
         )
-        words = _rows(up_down_words(n), n - 1)
+        words = _rows(_every_code(n), n - 1)
         counts = _orders_per_word_by_whole_tables(words).tolist()
         assert dict(zip(map(tuple, words.tolist()), counts)) == dict(listed)
 
@@ -266,13 +258,18 @@ class TestWordCensus:
     @example((1, [0, 1]))
     @example((19, [0, 1 << 18, (1 << 19) - 1]))
     @example((24, [0xAAAAAA, 0x555555, 0xFFFFFF, 0]))
+    @example((5, list(range(13))))
     def test_code_routes_equal_the_boolean_row_forms(self, drawn):
+        # the predicate on bool letter rows and on the same rows packed 8
+        # words a byte, whose word count need not fill the last byte
         letters, codes = drawn
-        codes = np.array(codes, dtype=np.uint32)
         words = _rows(codes, letters)
-        assert _codes(words).tolist() == codes.tolist()
-        holds = extremal.every_even_vertex_has(codes, letters)
-        assert holds.tolist() == _every_even_vertex_has_by_rows(words).tolist()
+        reference = _every_even_vertex_has_by_rows(words).tolist()
+        rows = words.T
+        assert extremal.every_even_vertex_has(rows).tolist() == reference
+        packed = extremal.every_even_vertex_has(np.packbits(rows, axis=1))
+        assert packed.shape == (-(-len(codes) // 8),)
+        assert np.unpackbits(packed, count=len(codes)).tolist() == reference
 
     @pytest.mark.parametrize("n", range(1, 20))
     def test_orders_over_all_words_sum_to_n_factorial(self, n):
@@ -281,7 +278,7 @@ class TestWordCensus:
     @pytest.mark.parametrize("n", range(1, 17))
     def test_word_census_equals_the_evaluator_over_every_word(self, n):
         sizes = gamma_batch_path(n, PackedWords.every_word(n))
-        orders = _orders_per_word_by_whole_tables(_rows(up_down_words(n), n - 1))
+        orders = _orders_per_word_by_whole_tables(_rows(_every_code(n), n - 1))
         assert word_census(n) == tuple(
             int(orders[sizes == size].sum()) for size in range(max_dominating_size(n) + 1)
         )
@@ -471,8 +468,10 @@ def has_no_even_local_maxima(perm):
 
 
 def _word_of(perm):
-    """The code of the up/down word of a sequence, as a one-word code array."""
-    return np.array([sum(1 << j for j in range(len(perm) - 1) if perm[j + 1] > perm[j])])
+    """The letter rows of the up/down word of a sequence, one word: shape
+    (len(perm) - 1, 1)."""
+    ups = [perm[j + 1] > perm[j] for j in range(len(perm) - 1)]
+    return np.array(ups, dtype=bool).reshape(-1, 1)
 
 
 class TestPermutationPredicates:
@@ -493,6 +492,14 @@ class TestPermutationPredicates:
         assert set(weakly_alternating_permutations(3)) == {
             (1, 2, 3), (1, 3, 2), (2, 3, 1), (3, 2, 1),
         }
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_weakly_alternating_scan_equals_the_definition(self, n):
+        # each even position (index i odd) is not the least of its window
+        assert weakly_alternating_permutations(n) == [
+            p for p in itertools.permutations(range(1, n + 1))
+            if all(p[i] != min(p[i - 1:i + 2]) for i in range(1, n, 2))
+        ]
 
     @pytest.mark.parametrize("n,count", [(3, 4), (5, 56)])
     def test_no_even_maxima_counts(self, n, count):
@@ -573,14 +580,14 @@ class TestPermutationPredicates:
     @example([1, 2])
     @example([2, 1])
     def test_word_predicate_matches_the_permutation_forms(self, perm):
-        word, letters = _word_of(perm), len(perm) - 1
-        flipped = word ^ (1 << letters) - 1  # every letter reversed
-        holds = extremal.every_even_vertex_has(word, letters)
+        word = _word_of(perm)
+        flipped = ~word  # every letter reversed
+        holds = extremal.every_even_vertex_has(word)
         assert holds.tolist() == [is_weakly_alternating(perm)]
         assert _word_of(complement(perm)).tolist() == flipped.tolist()
         # the complement's word is the flipped word, whose flip is the word again
         assert holds.tolist() == [has_no_even_local_maxima(complement(perm))]
-        assert extremal.every_even_vertex_has(flipped, letters).tolist() == [
+        assert extremal.every_even_vertex_has(flipped).tolist() == [
             has_no_even_local_maxima(perm)
         ]
 

@@ -28,9 +28,6 @@ GUARDS = {
         domination, "WORD_LIST_CAP", 5,
         lambda n, force: domination.gamma_batch_path(
             n, domination.PackedWords.every_word(n, force=force)).tolist()),
-    "up_down_words": (
-        extremal, "WORD_LIST_CAP", 5,
-        lambda n, force: extremal.up_down_words(n, force=force).tolist()),
     "extremal_permutations": (
         domination, "DEFAULT_BRUTE_CAP", 5,
         lambda n, force: extremal.extremal_permutations(n, "worst", force=force)),

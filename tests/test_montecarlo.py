@@ -75,17 +75,33 @@ def _reaped(pid):
     return False
 
 
+def _set_cores(monkeypatch, cpus, affinity=None):
+    """A machine of `cpus` CPUs on which this process may run on `affinity`,
+    all of them if None; "none" takes the platform's affinity call away."""
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    if affinity == "none":
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        allowed = set(range(cpus)) if affinity is None else affinity
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: allowed, raising=False)
+
+
 def test_pool_never_exceeds_the_jobs_or_the_cores(monkeypatch):
     # 9000 samples make 3 chunks; the caller takes chunks too, so K workers
-    # fork min(K, chunks, cores) - 1 children.
+    # fork min(K, chunks, cores) - 1 children, cores counted by affinity
+    # where the platform has the call.
     pids = _counting_forks(monkeypatch)
     base = sample_gamma(SampleConfig(n=20, samples=9000, seed=5))
-    for workers, cores, children in [(10_000, 8, 2), (2, 8, 1), (10_000, 1, 0), (1, 8, 0)]:
-        monkeypatch.setattr(os, "cpu_count", lambda cores=cores: cores)
+    for workers, cpus, affinity, children in [
+        (10_000, 8, None, 2), (2, 8, None, 1), (10_000, 1, None, 0), (1, 8, None, 0),
+        (10_000, 8, {0}, 0), (10_000, 8, {3, 5}, 1),
+        (10_000, 8, "none", 2), (10_000, 1, "none", 0),
+    ]:
+        _set_cores(monkeypatch, cpus, affinity)
         del pids[:]
         pooled = sample_gamma(SampleConfig(n=20, samples=9000, seed=5, workers=workers))
         assert pooled == base
-        assert len(pids) == children, (workers, cores)
+        assert len(pids) == children, (workers, cpus, affinity)
         assert all(map(_reaped, pids))
 
 
@@ -100,7 +116,7 @@ def test_chunks_past_the_token_count_share_tokens(monkeypatch):
     # token, and every chunk is drawn exactly once whoever takes it.  The
     # tokens are one write that a pipe takes at once, however many chunks.
     monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 1)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    _set_cores(monkeypatch, 3)
     assert montecarlo.TOKENS_MAX * 4 <= select.PIPE_BUF < 3000 * 4
     calls = []
     evaluate = montecarlo.gamma_batch_path
@@ -140,7 +156,7 @@ def _break_chunks(monkeypatch, taken, in_child, in_caller=None):
         return chunk(job)
 
     pids = _counting_forks(monkeypatch)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _set_cores(monkeypatch, 2)
     monkeypatch.setattr(montecarlo, "_chunk_histogram", broken)
     return pids
 

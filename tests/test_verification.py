@@ -9,7 +9,7 @@ from pathdom import expectation, extremal, montecarlo, series
 from pathdom import verification as V
 from pathdom.errors import DEFAULT_BRUTE_CAP, WORD_CENSUS_CAP, WORD_LIST_CAP
 
-from test_montecarlo import _counting_forks, _reaped
+from test_montecarlo import _counting_forks, _reaped, _set_cores
 
 
 def test_passes_and_names_both_ranges():
@@ -59,10 +59,10 @@ def test_size_flipped_on_one_word_fails_at_its_n(monkeypatch):
 def test_predicate_flipped_on_one_word_fails_at_its_n(monkeypatch):
     real = extremal.every_even_vertex_has
 
-    def flipped(codes, letters):
-        holds = real(codes, letters)
-        if letters == 12:
-            holds[0] = not holds[0]
+    def flipped(letters):
+        holds = real(letters)
+        if len(letters) == 12:
+            holds[0] ^= 0x80  # the first word, in its packed byte
         return holds
 
     monkeypatch.setattr(extremal, "every_even_vertex_has", flipped)
@@ -192,7 +192,7 @@ def test_a_check_raising_while_the_sample_runs_reaps_its_children(monkeypatch, e
         raise exc("check broke")
 
     pids = _counting_forks(monkeypatch)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _set_cores(monkeypatch, 2)
     monkeypatch.setattr(V, "check_convolution", raises)
     with pytest.raises(exc, match="check broke"):
         V.run_verification("full")
