@@ -1,30 +1,25 @@
 """Counting EGFs for the extremal orders on the path, in integer arithmetic.
 
-Every exponential generating function here is held as its sequence of
-n!-scaled coefficients, so a count is read off directly and all
-arithmetic stays in integers.  With D(x) = cosh(x) - x sinh(x):
+Each EGF is held as its sequence of n!-scaled coefficients, so a count is
+read off directly and all arithmetic stays in integers.  With
+D = cosh x - x sinh x and u = sinh x / D:
 
-* odd_configuration_counts_egf: the number of orders whose final set is
-  exactly the odd vertices, with odd part sinh(x) / D(x) and even part
-  1 / D(x);
-* worst_case_counts_egf: the number of worst-case orders, whose EGF is
-  the odd part above plus the square of the even part.
+* odd_configuration_counts_egf: the orders whose final set is exactly the
+  odd vertices, O = (1 + sinh) / D, with odd part u and even part 1 / D;
+* worst_case_counts_egf: the worst-case orders, W = u + 1 / D^2.
 
-Scaled by k!, D has coefficient 1 - k at even k and 0 at odd k, and sinh
-has 1 at odd k.  The product of two EGFs is the binomial convolution of
-their sequences, c_k = sum_j C(k, j) a_j b_(k-j), so the three sequences
-solve integer recurrences, all computed in one pass over k:
-
-* the even part 1 / D: e_0 = 1, e_k = sum_(even j>=2) C(k, j) (j-1) e_(k-j);
-* the odd part sinh / D: sum_(odd j) C(k, j) e_(k-j);
-* the square of the even part: sum_j C(k, j) e_j e_(k-j).
-
-At even k the square is the paper's convolution of odd-configuration
-counts over where a worst-case order splits into two pieces.  The even
-part and the square are 0 at odd k and the odd part at even k, so no
-zero term is summed.  The counts are checked on the way out: an
-odd-configuration count must be nonnegative, and a worst-case count must
-lie in [0, n!] since it counts a subset of all n! orders.
+Scaled by k!, D has 1 - k at even k and 0 at odd k, and a product of EGFs
+is the binomial convolution of their sequences, so D O = 1 + sinh gives
+O_0 = 1 and O_k = [k odd] + sum_(even j>=2) C(k, j) (j-1) O_(k-j).  W is
+linear in O by the t = 1 Riccati identity: D' = -x cosh and cosh = D + x sinh,
+    u' = (cosh D + x sinh cosh) / D^2 = cosh^2 / D^2 = (1 + x u)^2,
+    u' - u^2 = (cosh^2 - sinh^2) / D^2 = 1 / D^2,
+    x^2 u^2 = u' - 1 - 2 x u,
+so W = u + u' - u^2.  As u' and u^2 are even, W_n = O_n at odd n, and
+    W_n = O_(n+1) - (O_(n+3) - 2(n+2) O_(n+1)) / ((n+1)(n+2))
+at even n, where 1 / D^2 is the paper's convolution of odd-configuration
+counts (check_convolution in verification sums it).  Each table is checked:
+the division leaves no remainder, O_n >= 0 and W_n lies in [0, n!].
 """
 
 from __future__ import annotations
@@ -51,37 +46,32 @@ def _check_counts(odd_config: Sequence[int], worst: Sequence[int]) -> None:
             )
 
 
+def _worst_from_odd_configuration(odd_config: Sequence[int]) -> list[int]:
+    """W_n for n <= len(odd_config) - 4, read off O by W = u + u' - u^2."""
+    worst = []
+    for n, (o_n, o_n1, o_n3) in enumerate(zip(odd_config, odd_config[1:], odd_config[3:])):
+        if n % 2:
+            worst.append(o_n)
+            continue
+        u_squared, remainder = divmod(o_n3 - 2 * (n + 2) * o_n1, (n + 1) * (n + 2))
+        if remainder:
+            raise ConsistencyError(f"worst-case EGF: the identity leaves a remainder at n={n}")
+        worst.append(o_n1 - u_squared)
+    return worst
+
+
 @functools.lru_cache(maxsize=1)
 def _egf_counts(order: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Odd-configuration and worst-case counts for n = 0..order, in one pass.
-
-    Row k of Pascal's triangle is built from row k - 1, and only the terms
-    of the parity that can be nonzero are summed.
-    """
-    even = [1]  # e_0, e_2, e_4, ...: the even part, which is 0 at odd k
-    odd_config, worst = [1], [1]
+    """O and W for n = 0..order, from O built to order + 3 a Pascal row at a time."""
+    odd_config = [1]
     row = [1]
-    for k in range(1, order + 1):
+    for k in range(1, order + 4):
         row = [1, *map(add, row, row[1:]), 1]
-        if k % 2:
-            # The odd part, sum over odd j of C(k, j) e_(k-j).
-            odd = sum(map(mul, row[1::2], reversed(even)))
-            odd_config.append(odd)
-            worst.append(odd)
-            continue
-        # e_k = sum over even j >= 2 of C(k, j) (j - 1) e_(k-j).
-        even.append(sum(map(mul, row[2::2], map(mul, range(1, k, 2), reversed(even)))))
-        # The square, sum over even j of C(k, j) e_j e_(k-j), whose terms at
-        # j and k - j are equal: twice those with j < k/2, plus the middle
-        # term j = k/2 when k/2 is even.
-        half = k // 2
-        square = 2 * sum(map(mul, row[:half:2], map(mul, even, reversed(even))))
-        if half % 2 == 0:
-            square += row[half] * even[half // 2] ** 2
-        odd_config.append(even[-1])
-        worst.append(square)
-    _check_counts(odd_config, worst)
-    return tuple(odd_config), tuple(worst)
+        terms = map(mul, range(1, k, 2), reversed(odd_config[k % 2::2]))  # (j-1) O_(k-j)
+        odd_config.append(k % 2 + sum(map(mul, row[2::2], terms)))
+    worst = _worst_from_odd_configuration(odd_config)
+    _check_counts(odd_config, worst)  # through n = order, where worst ends
+    return tuple(odd_config[:order + 1]), tuple(worst)
 
 
 def _counts_through(order: int, force: bool) -> tuple[tuple[int, ...], tuple[int, ...]]:

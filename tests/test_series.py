@@ -14,7 +14,7 @@ from pathdom import (
     worst_case_count_recurrence,
 )
 from pathdom.errors import EXACT_COUNT_CAP, ConsistencyError, ResourceLimitError
-from pathdom.series import _check_counts
+from pathdom.series import _check_counts, _worst_from_odd_configuration
 from pathdom.verification import WORST_CASE_COUNTS
 
 # Generic arithmetic on n!-scaled EGF sequences: binomial convolution and
@@ -193,6 +193,14 @@ class TestCounts:
             _check_counts([1, 1, 1], [1, 1, 3])
         with pytest.raises(ConsistencyError, match="n=1"):
             _check_counts([1, 1, 1], [1, -1, 1])
+
+    @pytest.mark.parametrize("k", [5, 11, 41, 63])
+    def test_identity_guard_fires_at_the_first_even_n_reading_an_odd_entry(self, k):
+        # O_k at odd k enters W_n first as O_(n+3), at n = k - 3, whose
+        # divisor (n+1)(n+2) >= 6 leaves a remainder of 1
+        odd_config = [c + (j == k) for j, c in enumerate(odd_configuration_counts_egf(63))]
+        with pytest.raises(ConsistencyError, match=rf"remainder at n={k - 3}$"):
+            _worst_from_odd_configuration(odd_config)
 
     def test_order_cap(self):
         with pytest.raises(ResourceLimitError, match="force"):

@@ -126,6 +126,13 @@ OFF_BY_ONE = [  # check, route's module and name, perturbation, start of the det
     pytest.param(V.check_convolution, series, "odd_configuration_counts_egf",
                  lambda counts, _: tuple(c + (k == 7) for k, c in enumerate(counts)),
                  "n=7:", id="odd-configuration EGF"),
+    pytest.param(V.check_convolution, series, "worst_case_counts_egf",
+                 _entry_off_by_one_at(40), "n=40:", id="worst-case EGF beside the convolution"),
+    pytest.param(V.check_convolution, series, "odd_configuration_counts_egf",
+                 _entry_off_by_one_at(10), "n=10:", id="odd-configuration EGF in the convolution"),
+    pytest.param(V.check_convolution, series, "odd_configuration_counts_egf",
+                 _entry_off_by_one_at(20), "n=20:",
+                 id="odd-configuration EGF in the convolution past brute"),
     pytest.param(V.check_family_formulas, expectation, "expected_gamma_cycle",
                  _off_by_one_at(5), "cycle n=5:", id="cycle formula"),
     pytest.param(V.check_caro_wei, expectation, "caro_wei_bound",
