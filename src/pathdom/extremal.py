@@ -4,7 +4,7 @@ A worst-case order drives the dominating set up to ceil(n/2) vertices, a
 best-case order down to ceil(n/3).  Both are counted by exhaustive
 simulation and by one recurrence on the first revealed vertex, the
 worst-case orders also by a generating function in the series module and
-the best-case orders by residue-class closed formulas where they apply;
+the best-case orders by one closed form per residue class at every n >= 2;
 every route cross-checks the others.
 
 The exhaustive census covers all n! orders through the state-merging
@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Iterable
 
 # domination and graphs are imported by the functions that run them, so the
 # count recurrence and the formulas load neither.
-from .errors import EXACT_COUNT_CAP, WORD_CENSUS_CAP, check_cap
+from .errors import EXACT_COUNT_CAP, WORD_CENSUS_CAP, ConsistencyError, check_cap
 
 if TYPE_CHECKING:
     import numpy as np
@@ -280,51 +280,31 @@ def worst_case_count_recurrence(n: int, bound_kind: str = "worst", *, force: boo
 
 
 def best_case_formula_applicable(n: int) -> bool:
-    if n < 1:
-        return False
-    residue = n % 3
-    return residue == 0 or (residue == 2 and n > 2) or (residue == 1 and n > 7)
+    return n >= 2
 
 
 def best_case_count_formula(n: int, *, force: bool = False) -> int:
-    """Number of best-case orders by the residue-class closed formulas.
-
-    Applicable for n % 3 == 0 with n >= 3, n % 3 == 2 with n > 2, and
-    n % 3 == 1 with n > 7; outside those ranges (n in {1, 2, 4, 7}) brute
-    force and the recurrence count.  The terms hold factorials of up to n, so
-    the count is guarded like the other big-integer routes.
+    """Number of best-case orders of P_n, n >= 2, by one closed form per
+    residue class: n!/3^k at n = 3k, n!(n + 3)/(5 * 3^k) at n = 3k + 2 and
+    n!(n + 3)(7n + 22)/(350 * 3^k) at n = 3k + 4.  They sum the paper's cases,
+    as multiples of n!/3^k:
+    n = 3k + 2: the block of five gives 3k/5, and the ends give 1.
+    n = 3k + 4: 3k/7 (adjacent pair) + 9 C(k, 2)/25 (split pairs) + 1/4 (both
+    ends) + 3/4 + 3k/5 (one end) = (63k^2 + 297k + 350)/350.  At n = 1 the
+    last form gives 348/350.  n! is guarded like the other big-integer routes.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
     if not best_case_formula_applicable(n):
         raise ValueError(
-            f"closed formula for n % 3 == {n % 3} requires n > {2 if n == 2 else 7}; "
+            "closed formula requires n >= 2; "
             f"use brute-force counting or the recurrence for n = {n}"
         )
     check_cap(n, EXACT_COUNT_CAP, force, "best-case count formula")
-    comb, fact = math.comb, math.factorial
-    residue = n % 3
-    if residue == 0:
-        # The unique best-case set is {2, 5, ..., n-1}; each of the n/3
-        # triples independently needs its middle vertex revealed first.
-        return fact(n) // 3 ** (n // 3)
-    if residue == 2:
-        block = 24 * comb(n, 5) * (fact(n - 5) // 3 ** ((n - 5) // 3)) * ((n - 2) // 3)
-        ends = 2 * comb(n, 2) * (fact(n - 2) // 3 ** ((n - 2) // 3))
-        return block + ends
-    k = (n - 4) // 3
-    adjacent_pair = 720 * comb(n, 7) * k * (fact(n - 7) // 3 ** ((n - 7) // 3))
-    split_pair = (
-        24 * 24 * comb(10, 5) * comb(n, 10) * comb(k, 2)
-        * (fact(n - 10) // 3 ** ((n - 10) // 3))
-    )
-    both_ends = 6 * comb(n, 4) * (fact(n - 4) // 3 ** ((n - 4) // 3))
-    one_end = 2 * (
-        9 * comb(n, 4) * (fact(n - 4) // 3 ** ((n - 4) // 3))
-        + 24 * comb(n, 2) * comb(n - 2, 5)
-        * (fact(n - 7) // 3 ** ((n - 7) // 3)) * k
-    )
-    return adjacent_pair + split_pair + both_ends + one_end
+    factor, divisor, k = {0: (1, 1, n // 3), 2: (n + 3, 5, (n - 2) // 3),
+                          1: ((n + 3) * (7 * n + 22), 350, (n - 4) // 3)}[n % 3]
+    count, rest = divmod(math.factorial(n) * factor, divisor * 3**k)
+    if rest:
+        raise ConsistencyError(f"best-case count formula leaves a remainder at n={n}")
+    return count
 
 
 # ---------------------------------------------------------------------------

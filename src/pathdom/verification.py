@@ -103,16 +103,16 @@ def _census_routes(n: int, read: Callable[[tuple[int, ...]], object]) -> dict:
 
 
 def _count_rows(kind: str, references: dict[int, int], own: dict[int, dict]) -> Iterator[Case]:
-    """One case per n of `references`: the orders at the `kind` bound by each
-    census, by the recurrence and by the bound's own routes own[n], if any,
-    and the reference count."""
+    """One case per n of `references` or of `own`, in order: the orders at the
+    `kind` bound by each census, by the recurrence, by the bound's own routes
+    own[n] and by the reference table, each where it reaches n."""
     recurrence = _tally(extremal.extremal_counts, COUNT_TABLE_MAX, kind)
-    for n, reference in references.items():
+    for n in sorted(references.keys() | own.keys()):
         yield f"n={n}", {
             **_census_routes(n, operator.itemgetter(extremal.extremal_size(n, kind))),
             "recurrence": recurrence[n],
             **own.get(n, {}),
-            "reference": reference,
+            **({"reference": references[n]} if n in references else {}),
         }
 
 
@@ -130,13 +130,14 @@ def check_worst_case_counts() -> CheckResult:
 
 def check_best_case_counts() -> CheckResult:
     """Word census == recurrence == reference for n <= 16, the exhaustive
-    count through n = 11, and closed formulas where applicable."""
-    formula_ns = [n for n in BEST_CASE_COUNTS if extremal.best_case_formula_applicable(n)]
-    formulas = {n: {"formula": extremal.best_case_count_formula(n)} for n in formula_ns}
+    count through n = 11, and the residue-class closed form == recurrence at
+    every 2 <= n <= COUNT_TABLE_MAX."""
+    formulas = {n: {"formula": extremal.best_case_count_formula(n)}
+                for n in range(2, COUNT_TABLE_MAX + 1)}
     return _agree(
         "best-case-counts", _count_rows("best", BEST_CASE_COUNTS, formulas),
         f"brute(n<={BRUTE_MAX}) = words = recurrence = reference "
-        f"(n<={WORD_COUNT_MAX}); formula agrees on n in {formula_ns}",
+        f"(n<={WORD_COUNT_MAX}); formula = recurrence for n in [2, {COUNT_TABLE_MAX}]",
     )
 
 

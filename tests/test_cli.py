@@ -219,38 +219,47 @@ class TestExtremal:
                                               (7, 3, 3408)])
     def test_all_skips_the_formula_where_it_does_not_apply(self, capsys, n, size,
                                                            count):
+        # The formula holds at every n >= 2, so only n = 1 goes without it.
+        methods = ("brute_force", "recurrence", "formula")[: 2 if n == 1 else 3]
         code, out, err = run(
             capsys, "extremal", "--n", str(n), "--bound", "best", "--method", "all"
         )
         assert (code, err) == (0, "")
         assert out == "".join(
             f"{method}: {count} orders of length {n} hit the best-case size {size}\n"
-            for method in ("brute_force", "recurrence")
+            for method in methods
         )
         code, out, err = run(
             capsys, "extremal", "--n", str(n), "--bound", "best", "--method", "formula"
         )
-        assert (code, out) == (1, "")
-        assert err.startswith("error: closed formula for n % 3 == ")
+        if n == 1:
+            assert (code, out) == (1, "")
+            assert err == ("error: closed formula requires n >= 2; use brute-force "
+                           "counting or the recurrence for n = 1\n")
+        else:
+            assert (code, err) == (0, "")
+            assert out == f"formula: {count} orders of length {n} hit the best-case size {size}\n"
 
     @pytest.mark.parametrize("n", [1, 2, 4, 7])
     def test_all_writes_a_json_list_where_one_route_applies(self, capsys, n):
-        # No formula applies here, so brute force and the recurrence are the routes.
+        # Brute force and the recurrence apply at every n, the formula from n = 2.
         code, out, err = run(
             capsys, "extremal", "--n", str(n), "--bound", "best", "--method", "all",
             "--format", "json",
         )
         assert (code, err) == (0, "")
+        methods = ("brute", "recurrence", "formula")[: 2 if n == 1 else 3]
         singles = []
-        for method in ("brute", "recurrence"):
+        for method in methods:
             _, single, _ = run(
                 capsys, "extremal", "--n", str(n), "--bound", "best", "--method", method,
                 "--format", "json",
             )
             singles.append(json.loads(single))
         assert json.loads(out) == singles
-        assert [doc["method"] for doc in singles] == ["brute_force", "recurrence"]
-        assert singles[0]["count"] == singles[1]["count"]
+        assert [doc["method"] for doc in singles] == [
+            "brute_force", "recurrence", "formula"][: len(methods)]
+        assert len({doc["count"] for doc in singles}) == 1
 
     def test_best_recurrence_prints_the_formulas_count_at_400(self, capsys):
         counts = set()
@@ -651,7 +660,7 @@ class TestVerify:
             "inverse-bijection", "convolution-identity", "monte-carlo", "caro-wei",
         ]
         assert all(len(row) == 3 and row[1] == "1" for row in rows[1:])
-        assert "formula agrees on n in [3, 5," in rows[2][2]  # a detail with commas
+        assert "formula = recurrence for n in [2, 60]" in rows[2][2]  # a detail with a comma
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])

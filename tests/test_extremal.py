@@ -8,6 +8,7 @@ recurrence, the EGF and the closed formulas):
 """
 
 import collections
+import functools
 import inspect
 import itertools
 import json
@@ -50,7 +51,7 @@ from pathdom import (
     worst_case_count_recurrence,
 )
 from pathdom.domination import PackedWords
-from pathdom.errors import EXACT_COUNT_CAP, ResourceLimitError
+from pathdom.errors import EXACT_COUNT_CAP, ConsistencyError, ResourceLimitError
 from pathdom.extremal import PERMUTATION_SCAN_CAP, extremal_counts
 from pathdom.series import odd_configuration_counts_egf
 from pathdom.verification import BEST_CASE_COUNTS, WORST_CASE_COUNTS
@@ -384,13 +385,13 @@ class TestRecurrence:
 
     def test_best_bound_matches_the_formula(self):
         applicable = [n for n in range(1, 201) if best_case_formula_applicable(n)]
-        assert len(applicable) == 196
+        assert len(applicable) == 199
         for n in applicable:
             assert worst_case_count_recurrence(n, "best") == best_case_count_formula(n), n
 
     def test_best_bound_counts_where_no_formula_applies(self):
-        assert [worst_case_count_recurrence(n, "best") for n in (1, 2, 4, 7)] == [
-            1, 2, 24, 3408]
+        assert not best_case_formula_applicable(1)
+        assert worst_case_count_recurrence(1, "best") == 1
 
     def test_rejects_an_unknown_bound(self):
         with pytest.raises(ValueError, match="bound_kind"):
@@ -401,30 +402,39 @@ class TestRecurrence:
             worst_case_count_recurrence(EXACT_COUNT_CAP + 1)
 
 
+@functools.cache
+def _best_counts_to_300():
+    return extremal_counts(300, "best")
+
+
 class TestBestCaseFormula:
     @pytest.mark.parametrize(
-        "n,expected", [(3, 2), (5, 64), (6, 80), (8, 9856), (9, 13440),
-                       (10, 1377792), (11, 4139520)]
+        "n,expected", [(2, 2), (3, 2), (4, 24), (5, 64), (6, 80), (7, 3408), (8, 9856),
+                       (9, 13440), (10, 1377792), (11, 4139520)]
     )
     def test_values(self, n, expected):
         assert best_case_count_formula(n) == expected
 
-    @pytest.mark.parametrize("n", [1, 2, 4, 7])
+    @pytest.mark.parametrize("n", [1])
     def test_out_of_range_refused(self, n):
-        if n == 1:
-            # n % 3 == 1 and n <= 7
-            with pytest.raises(ValueError, match="n > 7"):
-                best_case_count_formula(n)
-        elif n == 2:
-            with pytest.raises(ValueError, match="n > 2"):
-                best_case_count_formula(n)
-        else:
-            with pytest.raises(ValueError, match="brute"):
-                best_case_count_formula(n)
+        # (n + 3)(7n + 22)/350 would give 348/350 orders at n = 1
+        with pytest.raises(ValueError, match=r"^closed formula requires n >= 2; .* n = 1$"):
+            best_case_count_formula(n)
 
     def test_applicability_predicate(self):
-        applicable = [n for n in range(1, 12) if best_case_formula_applicable(n)]
-        assert applicable == [3, 5, 6, 8, 9, 10, 11]
+        applicable = [n for n in range(-2, 12) if best_case_formula_applicable(n)]
+        assert applicable == list(range(2, 12))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 300))
+    def test_equals_the_split_recurrence(self, n):
+        assert best_case_count_formula(n) == _best_counts_to_300()[n]
+
+    def test_a_remainder_is_reported_with_its_n(self, monkeypatch):
+        # with n! taken as 1, 8/(5 * 3) leaves a remainder at n = 5
+        monkeypatch.setattr(math, "factorial", lambda n: 1)
+        with pytest.raises(ConsistencyError, match=r"remainder at n=5$"):
+            best_case_count_formula(5)
 
 
 # The permutation forms of the even-position pattern, kept as references for

@@ -100,8 +100,11 @@ OFF_BY_ONE = [  # check, route's module and name, perturbation, start of the det
     pytest.param(V.check_best_case_counts, extremal, "best_case_count_formula",
                  _off_by_one_at(16), "n=16:", id="best-case formula past brute"),
     pytest.param(V.check_best_case_counts, extremal, "extremal_counts",
-                 _entry_off_by_one_at(7), "n=7:",
-                 id="best-case recurrence where no formula applies"),
+                 _entry_off_by_one_at(7), "n=7:", id="best-case recurrence with formula"),
+    pytest.param(V.check_best_case_counts, extremal, "best_case_count_formula",
+                 _off_by_one_at(4), "n=4:", id="best-case formula at n=4"),
+    pytest.param(V.check_best_case_counts, extremal, "best_case_count_formula",
+                 _off_by_one_at(40), "n=40:", id="best-case formula past the table"),
     pytest.param(V.check_worst_case_counts, extremal, "word_census",
                  lambda sizes, n: sizes[:-1] + (sizes[-1] + (n == 8),), "n=8:",
                  id="word census beside brute"),
