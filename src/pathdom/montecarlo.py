@@ -28,7 +28,6 @@ import pickle
 import signal
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator
 
 from .domination import PackedWords, gamma_batch_path, max_dominating_size, min_dominating_size
 from .errors import ConsistencyError, check_cap
@@ -150,14 +149,15 @@ def _chunk_words(rng, n: int, count: int) -> PackedWords:
     return words
 
 
-def _chunk_histogram(args: tuple[int, int, int, int]) -> Counter:
+def _chunk_histogram(config: SampleConfig, index: int) -> Counter:
+    """Sizes of chunk `index`: CHUNK_SIZE samples, the last chunk fewer."""
     import numpy as np
 
-    n, seed, chunk_index, count = args
+    count = min(CHUNK_SIZE, config.samples - index * CHUNK_SIZE)
     rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,))
+        np.random.SeedSequence(entropy=config.seed, spawn_key=(index,))
     )
-    sizes = gamma_batch_path(n, _chunk_words(rng, n, count))
+    sizes = gamma_batch_path(config.n, _chunk_words(rng, config.n, count))
     # Counted over the chunk's spread of sizes, not over 0 .. max(sizes).
     low = int(sizes.min())
     counts = np.bincount(sizes - low).tolist()
@@ -167,29 +167,26 @@ def _chunk_histogram(args: tuple[int, int, int, int]) -> Counter:
 class PendingSample:
     """A sample whose chunks are being drawn: start_sample returns one.
 
-    With K = min(workers, chunks, cores) > 1 and os.fork available, the
-    chunk tokens are written into one pipe and its write end is closed
-    before K - 1 children are forked.  Each child takes tokens until the
-    pipe is empty, sends its merged Counter (or the exception a chunk
-    raised) back on its own pipe, and leaves by os._exit, so it never
-    returns into the caller's frames and flushes nothing it inherited.  The
-    caller joins the queue in histogram(), adds the parts and reaps the
-    children; bins are sums of the same chunk histograms for every K.  With
-    K = 1 nothing is forked and histogram() takes every chunk.  close(),
-    which histogram() and leaving a with block also call, stops and reaps
-    any child not yet collected.
+    The chunk tokens are written into one pipe and its write end is closed
+    before K - 1 children are forked, K = min(workers, chunks, cores) where
+    os.fork exists and 1 elsewhere.  Each child takes tokens until the pipe
+    is empty, sends its merged Counter (or the exception a chunk raised)
+    back on its own pipe, and leaves by os._exit, so it never returns into
+    the caller's frames and flushes nothing it inherited.  The caller joins
+    the queue in histogram(), adds the parts and reaps the children; bins
+    are sums of the same chunk histograms for every K.  With K = 1 nothing
+    is forked and histogram() takes every token.  close(), which histogram()
+    and leaving a with block also call, stops and reaps any child not yet
+    collected and closes the queue: a sample is joined once.
     """
 
-    def __init__(self, config: SampleConfig, jobs: list[tuple[int, int, int, int]], workers: int):
+    def __init__(self, config: SampleConfig, chunks: int, workers: int):
         self.config = config
-        self._jobs = jobs
-        self._tokens = min(len(jobs), TOKENS_MAX)
-        self._queue: int | None = None  # read end of the token pipe
+        self._chunk_count = chunks
+        self._tokens = min(chunks, TOKENS_MAX)
         self._children: dict[int, int] = {}  # pid -> read end of its result pipe
-        if workers == 1:
-            return
         read, write = os.pipe()
-        self._queue = read
+        self._queue: int | None = read  # read end of the token pipe
         try:
             # One write of at most PIPE_BUF bytes into an empty pipe: never
             # split, and never blocked, before any reader exists.
@@ -226,23 +223,16 @@ class PendingSample:
         os.close(write)
         self._children[pid] = read
 
-    def _chunks(self) -> Iterator[int]:
-        """Every chunk index without a queue; else the chunks of each token
-        read from it.  Token t covers chunks t * C // T up to (t + 1) * C // T
-        of C chunks and T tokens, so consecutive chunks share a token past
-        TOKENS_MAX."""
-        chunks = len(self._jobs)
-        if self._queue is None:
-            yield from range(chunks)
-            return
+    def _take(self) -> Counter:
+        """Take tokens until the queue is empty and add up their chunks.
+        Token t covers chunks t * C // T up to (t + 1) * C // T of C chunks
+        and T tokens, so consecutive chunks share a token past TOKENS_MAX."""
+        merged: Counter = Counter()
+        chunks, tokens = self._chunk_count, self._tokens
         while token := os.read(self._queue, 4):
             t = int.from_bytes(token, "little")
-            yield from range(t * chunks // self._tokens, (t + 1) * chunks // self._tokens)
-
-    def _take(self) -> Counter:
-        merged: Counter = Counter()
-        for index in self._chunks():
-            merged.update(_chunk_histogram(self._jobs[index]))
+            for index in range(t * chunks // tokens, (t + 1) * chunks // tokens):
+                merged.update(_chunk_histogram(self.config, index))
         return merged
 
     def _reap(self, pid: int) -> int:
@@ -252,6 +242,8 @@ class PendingSample:
     def histogram(self) -> Histogram:
         """Join the queue, add every child's part to the caller's and reap
         the children; raise what a chunk raised, in this process or a child."""
+        if self._queue is None:
+            raise RuntimeError("this sample has already been joined or closed; start a new one")
         try:
             merged = self._take()
             for pid, read in list(self._children.items()):
@@ -303,19 +295,14 @@ def start_sample(config: SampleConfig) -> PendingSample:
         config.n * max(config.samples, CHUNK_SIZE), SAMPLE_BUDGET, config.force,
         "sampling budget", measure=f"n * max(samples, {CHUNK_SIZE})",
     )
-    jobs = []
-    produced = 0
-    while produced < config.samples:
-        count = min(CHUNK_SIZE, config.samples - produced)
-        jobs.append((config.n, config.seed, len(jobs), count))
-        produced += count
+    chunks = -(-config.samples // CHUNK_SIZE)
     # The CPUs this process may run on, where the platform can say.
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(config.workers, len(jobs), cores or 1) if hasattr(os, "fork") else 1
+    workers = min(config.workers, chunks, cores or 1) if hasattr(os, "fork") else 1
     if workers > 1:
         import numpy.random  # noqa: F401  -- loaded once here, not in each child
 
-    return PendingSample(config, jobs, workers)
+    return PendingSample(config, chunks, workers)
 
 
 def sample_gamma(config: SampleConfig) -> Histogram:

@@ -397,18 +397,12 @@ def check_convolution() -> CheckResult:
     )
 
 
-def check_montecarlo(
-    n: int = 2000, samples: int = 40_000, sample: montecarlo.PendingSample | None = None
-) -> CheckResult:
-    """Mean convergence; the sampler itself refuses a size outside the
-    provable support, so a returned histogram lies inside it.  `sample` is
-    this draw already started, as run_verification starts it; without it
-    the draw runs here, in this process."""
+def check_montecarlo(sample: montecarlo.PendingSample) -> CheckResult:
+    """Mean convergence of a started sample, joined here; the sampler itself
+    refuses a size outside the provable support, so a returned histogram
+    lies inside it."""
     name = "monte-carlo"
-    if sample is None:
-        sample = montecarlo.start_sample(
-            montecarlo.SampleConfig(n=n, samples=samples, seed=MONTE_CARLO_SEED)
-        )
+    n, samples = sample.config.n, sample.config.samples
     hist = sample.histogram()
     lo, hi = min_dominating_size(n), max_dominating_size(n)
     bound = 5 * hist.std_dev / math.sqrt(samples)
@@ -453,8 +447,9 @@ def run_verification(depth: str = "quick") -> list[CheckResult]:
 
     The sample is numpy work and the exact checks are pure Python, so the
     sample is started before every exact check, on up to as many processes
-    as this process has CPUs to run on, and joined after them; leaving, on
-    any path, reaps its children.  The results keep the checks' order.
+    as this process has CPUs to run on, and check_montecarlo joins it after
+    them; leaving, on any path, reaps its children.  The results keep the
+    checks' order.
     """
     if depth not in ("quick", "full"):
         raise ValueError("depth must be 'quick' or 'full'")
@@ -467,4 +462,4 @@ def run_verification(depth: str = "quick") -> list[CheckResult]:
              check_inverse_bijection, check_convolution)
     with montecarlo.start_sample(config) as sample:
         results = [check() for check in exact]
-        return [*results, check_montecarlo(n=n, samples=samples, sample=sample), check_caro_wei()]
+        return [*results, check_montecarlo(sample), check_caro_wei()]

@@ -9,7 +9,7 @@ through n = 16.
 
 import itertools
 
-from pathdom import extremal
+from pathdom import extremal, montecarlo
 from pathdom import verification as V
 
 
@@ -57,7 +57,8 @@ def test_criterion_08_convolution_identity():
 
 
 def test_criterion_09_monte_carlo():
-    _report(V.check_montecarlo(n=2000, samples=40_000))
+    config = montecarlo.SampleConfig(n=2000, samples=40_000, seed=V.MONTE_CARLO_SEED)
+    _report(V.check_montecarlo(montecarlo.start_sample(config)))
 
 
 def test_criterion_10_caro_wei_bound():

@@ -215,40 +215,46 @@ class TestExtremal:
         assert int(doc["count"]) == 640
         assert len(doc["witnesses"]) == 3
 
-    @pytest.mark.parametrize("n,size,count", [(1, 1, 1), (2, 1, 2), (4, 2, 24),
-                                              (7, 3, 3408)])
-    def test_all_skips_the_formula_where_it_does_not_apply(self, capsys, n, size,
-                                                           count):
+    def test_all_skips_the_formula_at_one_vertex(self, capsys):
         # The formula holds at every n >= 2, so only n = 1 goes without it.
-        methods = ("brute_force", "recurrence", "formula")[: 2 if n == 1 else 3]
+        code, out, err = run(
+            capsys, "extremal", "--n", "1", "--bound", "best", "--method", "all"
+        )
+        assert (code, err) == (0, "")
+        assert out == "".join(
+            f"{method}: 1 orders of length 1 hit the best-case size 1\n"
+            for method in ("brute_force", "recurrence")
+        )
+        code, out, err = run(
+            capsys, "extremal", "--n", "1", "--bound", "best", "--method", "formula"
+        )
+        assert (code, out) == (1, "")
+        assert err == ("error: closed formula requires n >= 2; use brute-force "
+                       "counting or the recurrence for n = 1\n")
+
+    @pytest.mark.parametrize("n,size,count", [(2, 1, 2), (4, 2, 24), (7, 3, 3408)])
+    def test_all_lists_the_formula_from_two_vertices(self, capsys, n, size, count):
         code, out, err = run(
             capsys, "extremal", "--n", str(n), "--bound", "best", "--method", "all"
         )
         assert (code, err) == (0, "")
         assert out == "".join(
             f"{method}: {count} orders of length {n} hit the best-case size {size}\n"
-            for method in methods
+            for method in ("brute_force", "recurrence", "formula")
         )
         code, out, err = run(
             capsys, "extremal", "--n", str(n), "--bound", "best", "--method", "formula"
         )
-        if n == 1:
-            assert (code, out) == (1, "")
-            assert err == ("error: closed formula requires n >= 2; use brute-force "
-                           "counting or the recurrence for n = 1\n")
-        else:
-            assert (code, err) == (0, "")
-            assert out == f"formula: {count} orders of length {n} hit the best-case size {size}\n"
+        assert (code, err) == (0, "")
+        assert out == f"formula: {count} orders of length {n} hit the best-case size {size}\n"
 
-    @pytest.mark.parametrize("n", [1, 2, 4, 7])
-    def test_all_writes_a_json_list_where_one_route_applies(self, capsys, n):
-        # Brute force and the recurrence apply at every n, the formula from n = 2.
+    def _json_routes(self, capsys, n, methods):
+        """`--method all` as json equals the single-method documents of `methods`."""
         code, out, err = run(
             capsys, "extremal", "--n", str(n), "--bound", "best", "--method", "all",
             "--format", "json",
         )
         assert (code, err) == (0, "")
-        methods = ("brute", "recurrence", "formula")[: 2 if n == 1 else 3]
         singles = []
         for method in methods:
             _, single, _ = run(
@@ -260,6 +266,14 @@ class TestExtremal:
         assert [doc["method"] for doc in singles] == [
             "brute_force", "recurrence", "formula"][: len(methods)]
         assert len({doc["count"] for doc in singles}) == 1
+
+    def test_all_writes_a_json_list_of_two_routes_at_one_vertex(self, capsys):
+        # Brute force and the recurrence apply at every n, the formula from n = 2.
+        self._json_routes(capsys, 1, ("brute", "recurrence"))
+
+    @pytest.mark.parametrize("n", [2, 4, 7])
+    def test_all_writes_a_json_list_of_three_routes_from_two_vertices(self, capsys, n):
+        self._json_routes(capsys, n, ("brute", "recurrence", "formula"))
 
     def test_best_recurrence_prints_the_formulas_count_at_400(self, capsys):
         counts = set()

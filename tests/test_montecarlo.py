@@ -139,21 +139,22 @@ def taken():
 
 
 def _break_chunks(monkeypatch, taken, in_child, in_caller=None):
-    """Two workers on two chunks: the child runs in_child(job) on each chunk
-    it takes, the caller in_caller(job), if given, and else draws its chunk
-    once the child has taken the other one.  Returns the list of forked pids."""
+    """Two workers on two chunks: the child runs in_child(config, index) on
+    each chunk it takes, the caller in_caller(config, index), if given, and
+    else draws its chunk once the child has taken the other one.  Returns
+    the list of forked pids."""
     caller = os.getpid()
     chunk = montecarlo._chunk_histogram
     read, write = taken
 
-    def broken(job):
+    def broken(config, index):
         if os.getpid() != caller:
             os.write(write, b".")
-            return in_child(job)
+            return in_child(config, index)
         if in_caller is not None:
-            return in_caller(job)
+            return in_caller(config, index)
         assert select.select([read], [], [], 60)[0], "the child took no chunk"
-        return chunk(job)
+        return chunk(config, index)
 
     pids = _counting_forks(monkeypatch)
     _set_cores(monkeypatch, 2)
@@ -162,8 +163,8 @@ def _break_chunks(monkeypatch, taken, in_child, in_caller=None):
 
 
 def _raise(exc):
-    def chunk(job):
-        raise exc(f"chunk {job[2]} broke")
+    def chunk(config, index):
+        raise exc(f"chunk {index} broke")
     return chunk
 
 
@@ -190,7 +191,7 @@ def test_a_chunk_raising_in_a_child_is_one_cli_error_line(monkeypatch, capsys, t
 
 @pytest.mark.parametrize("exc", [ValueError, KeyboardInterrupt])
 def test_a_chunk_raising_in_the_caller_stops_the_children(monkeypatch, taken, exc):
-    def sleeps(job):  # would hold the test for a minute if it were waited for
+    def sleeps(config, index):  # would hold the test for a minute if it were waited for
         time.sleep(60)
 
     pids = _break_chunks(monkeypatch, taken, sleeps, _raise(exc))
@@ -202,10 +203,44 @@ def test_a_chunk_raising_in_the_caller_stops_the_children(monkeypatch, taken, ex
 
 
 def test_a_child_that_dies_without_its_chunks_is_an_error(monkeypatch, taken):
-    pids = _break_chunks(monkeypatch, taken, lambda job: os.kill(os.getpid(), signal.SIGKILL))
+    pids = _break_chunks(
+        monkeypatch, taken, lambda config, index: os.kill(os.getpid(), signal.SIGKILL)
+    )
     with pytest.raises(ChildProcessError, match="without its chunks"):
         sample_gamma(TWO_CHUNKS)
     assert len(pids) == 1 and _reaped(pids[0])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_joined_sample_is_not_drawn_again(monkeypatch, workers):
+    _set_cores(monkeypatch, 2)
+    calls = []
+    evaluate = montecarlo.gamma_batch_path
+    monkeypatch.setattr(montecarlo, "gamma_batch_path",
+                        lambda n, words: calls.append(n) or evaluate(n, words))
+    config = SampleConfig(n=20, samples=2 * CHUNK_SIZE, seed=5, workers=workers)
+    sample = montecarlo.start_sample(config)
+    assert sample.histogram() == sample_gamma(SampleConfig(n=20, samples=2 * CHUNK_SIZE, seed=5))
+    del calls[:]
+    with pytest.raises(RuntimeError, match="already been joined"):
+        sample.histogram()
+    assert calls == []
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd to list")
+def test_every_way_out_closes_the_token_pipe(monkeypatch, taken):
+    def descriptors():
+        return sorted(os.listdir("/proc/self/fd"))
+
+    before = descriptors()
+    _set_cores(monkeypatch, 2)
+    for workers in (1, 2):
+        sample_gamma(SampleConfig(n=20, samples=2 * CHUNK_SIZE, seed=5, workers=workers))
+        assert descriptors() == before, workers
+    _break_chunks(monkeypatch, taken, lambda config, index: time.sleep(60), _raise(ValueError))
+    with pytest.raises(ValueError, match="broke"):
+        sample_gamma(TWO_CHUNKS)
+    assert descriptors() == before
 
 
 def test_different_seeds_differ():
@@ -459,7 +494,7 @@ def test_chunk_histogram_counts_wide_sizes_over_their_spread(monkeypatch):
     values, counts = np.unique(sizes, return_counts=True)
     tracemalloc.start()
     try:
-        hist = montecarlo._chunk_histogram((5, 1, 0, 1))
+        hist = montecarlo._chunk_histogram(SampleConfig(n=5, samples=1, seed=1), 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -181,8 +181,8 @@ class _Undrawn:
 def test_depth_changes_only_the_sample(monkeypatch):
     sizes = []
 
-    def trimmed(n, samples, sample):  # the costly check only reports the draw it gets
-        sizes.append((n, samples, sample.config))
+    def trimmed(sample):  # the costly check only reports the draw it gets
+        sizes.append(sample.config)
         return V.CheckResult("trimmed", True, "")
 
     monkeypatch.setattr(V, "check_montecarlo", trimmed)
@@ -191,7 +191,7 @@ def test_depth_changes_only_the_sample(monkeypatch):
     assert [r.detail for r in quick] == [r.detail for r in full]
     workers = os.cpu_count() or 1
     assert sizes == [
-        (n, samples, montecarlo.SampleConfig(n, samples, V.MONTE_CARLO_SEED, workers))
+        montecarlo.SampleConfig(n, samples, V.MONTE_CARLO_SEED, workers)
         for n, samples in [(300, 5000), (2000, 40_000)]
     ]
 
