@@ -293,12 +293,11 @@ def gamma_batch_path(n: int, words: PackedWords) -> np.ndarray:
     w = -(-k // 8)
     if t.shape != (n, w):
         raise ValueError(f"expected a table of shape {(n, w)}, got {t.shape}")
-    if n > 1:
-        _scan(t[:0:-1])  # its row i is row n - 1 - i
-        np.invert(t[1:], out=t[1:])
-        _scan(t)
-        t[0] = t[-1]
-        np.invert(t[1:], out=t[1:])
+    _scan(t[:0:-1])  # its row i is row n - 1 - i
+    np.invert(t[1:], out=t[1:])
+    _scan(t)
+    t[0] = t[-1]
+    np.invert(t[1:], out=t[1:])
     dtype = np.uint16 if max_dominating_size(n) <= np.iinfo(np.uint16).max else np.uint32
     sizes = np.zeros(k, dtype=dtype)
     for left in range(0, w, SIZE_BYTES):

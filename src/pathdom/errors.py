@@ -8,9 +8,9 @@ from __future__ import annotations
 DEFAULT_BRUTE_CAP = 11
 
 # The big-integer exact routes are refused above these sizes unless forced.
-# On a 2-core Xeon, the worst-case count recurrence takes about 2.3 s at
-# n = 1000 and the integer EGFs about 1.5 s; the path closed form takes about
-# 0.5 s at n = 20000 and the recurrence about 0.8 s.
+# On a 2-core Xeon (medians of 3), the worst-case count recurrence takes about
+# 1.3 s at n = 1000 (1.1 s at the best bound) and the integer EGFs about 0.5 s;
+# the path closed form takes about 0.25 s at n = 20000 and the recurrence 0.4 s.
 EXACT_COUNT_CAP = 1000
 EXACT_PATH_CAP = 20000
 

@@ -69,20 +69,17 @@ def odd_vertex_set(n: int) -> frozenset[int]:
 def maximal_independent_dominating_sets(n: int) -> list[frozenset[int]]:
     """All size-maximal independent dominating sets of the n-path.
 
-    Odd n admits a single such set, the odd vertices.  Even n admits
-    n/2 + 1: the odd vertices, the even vertices, and the one-gap hybrids
-    {1, 3, ..., 2j-1, 2j+2, 2j+4, ..., n} for j = 1 .. n/2 - 1.
+    Odd n admits a single such set, the odd vertices.  Even n admits n/2 + 1,
+    one per gap j = 0 .. n/2: {1, 3, ..., 2j-1, 2j+2, 2j+4, ..., n}, the even
+    vertices at j = 0 and the odd vertices at j = n/2.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if n % 2:
         return [odd_vertex_set(n)]
-    sets = [odd_vertex_set(n), frozenset(range(2, n + 1, 2))]
-    for j in range(1, n // 2):
-        sets.append(
-            frozenset(itertools.chain(range(1, 2 * j, 2), range(2 * j + 2, n + 1, 2)))
-        )
-    return sets
+    return [
+        frozenset((*range(1, 2 * j, 2), *range(2 * j + 2, n + 1, 2))) for j in range(n // 2 + 1)
+    ]
 
 
 def independent_dominating_sets_bruteforce(
@@ -90,33 +87,21 @@ def independent_dominating_sets_bruteforce(
 ) -> list[frozenset[int]]:
     """Exhaustive 2^n subset search for independent dominating sets of the n-path.
 
-    With bit v-1 for vertex v, a subset is independent when each member's
-    closed-neighbourhood mask meets it in that member alone, and dominating
-    when the members' masks cover every vertex.
+    With bit v-1 for vertex v, a subset is independent when no bit has its
+    neighbour above it, bits & bits >> 1 == 0, and dominating when it and its
+    two shifts cover every vertex.  The sets come in ascending order of bits.
     """
     if n < 1:
         raise ValueError("n must be positive")
     check_cap(n, SUBSET_SEARCH_CAP, force, "exhaustive subset search")
-    from .graphs import path
-
-    graph = path(n)
-    closed = [sum(1 << (u - 1) for u in (v, *graph.adj[v])) for v in graph.vertices]
-    found = []
-    for bits in range(1, 1 << n):
-        if size is not None and bits.bit_count() != size:
-            continue
-        covered, rest = 0, bits
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            mask = closed[bit.bit_length() - 1]
-            if mask & bits != bit:
-                break  # a neighbour is a member too
-            covered |= mask
-        else:
-            if covered == (1 << n) - 1:
-                found.append(frozenset(v for v in graph.vertices if bits >> (v - 1) & 1))
-    return found
+    full = (1 << n) - 1
+    return [
+        frozenset(v for v in range(1, n + 1) if bits >> (v - 1) & 1)
+        for bits in range(1, 1 << n)
+        if (size is None or bits.bit_count() == size)
+        and not bits & bits >> 1
+        and (bits | bits << 1 | bits >> 1) & full == full
+    ]
 
 
 def set_first_order(vertex_set: Iterable[int], n: int) -> tuple[int, ...]:

@@ -117,6 +117,20 @@ class TestMaximalSets:
         with pytest.raises(ResourceLimitError):
             independent_dominating_sets_bruteforce(19)
 
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_subset_search_lists_the_final_sets_at_every_size(self, n):
+        g = path(n)
+        final_sets = set(final_set_counts(g))
+        listed = independent_dominating_sets_bruteforce(n)
+        assert set(listed) == final_sets
+        for k in range(n + 1):
+            assert set(independent_dominating_sets_bruteforce(n, size=k)) == {
+                s for s in final_sets if len(s) == k
+            }
+        masks = [sum(1 << (v - 1) for v in s) for s in listed]
+        assert masks == sorted(set(masks))
+        assert all(is_independent_dominating(g, s) for s in listed)
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_realized_worst_sets_match_construction(self, n):
         worst = max_dominating_size(n)
