@@ -229,7 +229,7 @@ def _scan(t: np.ndarray) -> None:
         run = ~segs[:, i]
         if i:
             run &= runs[-1]
-        if not run.any():
+        if not np.count_nonzero(run):  # a first run.any() maps 128-256 KiB of numpy
             break
         if len(runs) == RUN_ROWS:  # a run this long: scan the pass in order
             span, runs = 0, []

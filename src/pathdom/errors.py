@@ -16,8 +16,9 @@ EXACT_PATH_CAP = 20000
 
 # The up/down-word listing on the path holds all 2^(n-1) words as rows of
 # letters packed 8 words a byte and is refused above WORD_LIST_CAP (the
-# inverse-bijection pass over odd n through 21 peaks near 36 MB of RSS, 27 MB
-# of it numpy, on a 2-core Xeon).  The word census lists no word: its
+# inverse-bijection pass over odd n through 21, which holds the 2.6 MiB table
+# of n = 21 and evaluates it 2^15 words at a time, peaks near 32 MB of RSS,
+# 27 MB of it numpy, on a 2-core Xeon).  The word census lists no word: its
 # one pass over the letters keeps O(n^2) integers and takes O(n^3) big-integer
 # additions, 0.6 to 0.75 s at n = WORD_CENSUS_CAP on a 2-core Xeon.
 WORD_LIST_CAP = 21

@@ -13,12 +13,13 @@ reveal time, split from raw 64-bit generator words in a byte-order
 independent way.  A pair of neighbours with equal keys (probability 2^-16)
 is decided by fresh 64-bit digits of both vertices' reveal times, drawn one
 per vertex per round until they differ, so the word follows a uniform
-order exactly; a round numbers its distinct vertex-sample cells by a
-stable sort, not np.unique.  A chunk's keys are drawn and compared
-SLAB_ROWS (16) vertices at a time, 128 KiB of keys at 4096 samples, and
-the comparisons are packed 8 samples a byte straight into the table that
-gamma_batch_path scans in place: the chunk is one PackedWords, whose len()
-is its sample count, and no boolean word of the whole chunk is ever built.
+order exactly; the tied pairs, about 125 a chunk at n = 2000, are refined
+in a loop of Python that calls no numpy sort.  A chunk's keys are drawn
+and compared SLAB_ROWS (16) vertices at a time, 128 KiB of keys at 4096
+samples, and the comparisons are packed 8 samples a byte straight into the
+table that gamma_batch_path scans in place: the chunk is one PackedWords,
+whose len() is its sample count, and no boolean word of the whole chunk is
+ever built.
 """
 
 from __future__ import annotations
@@ -93,28 +94,27 @@ def _chunk_words(rng, n: int, count: int) -> PackedWords:
     SIZE_ROWS unpacked rows as it counts.  At n = 2000 and 4096 samples
     that is a 0.98 MiB table, a 128 KiB slab of 16 vertices, 64 KiB of later
     and a 128 KiB count block, and a chunk's tracemalloc peak is the table
-    plus 231 KiB.
+    plus 220 KiB.
 
     Keys are the leading digits of i.i.d. uniform reals; a pair with equal
     keys draws the next 64-bit digit of both vertices (once for a vertex in
     two such pairs) and repeats until they differ.  A pair still tied at a
     round was tied at every earlier round, so each vertex's digits come in
     sequence and the comparison is exact.  Ties are refined after the last
-    key, each round drawing its digits in ascending order of (vertex, sample):
-    a stable argsort of the round's cells, the starts of its runs of equal
-    cells and their running sum give each cell its rank among the distinct
-    ones.  np.unique would give the same ranks, but its first call maps
-    about 0.37 MB more of numpy's code and tables than the stable sort
-    does.  A tied pair's bit starts clear and is set once, in the round
-    that finds the right vertex later; 8 samples share a byte, so the bits
-    are set unbuffered.
+    key, each round drawing one digit per distinct (vertex, sample) cell of
+    its tied pairs, in ascending order of cell.  At n = 2000 a chunk ties
+    in about 125 pairs (1999 * 4096 / 2^16), so the rounds are a loop of
+    Python over the tied cells, which maps none of numpy's sort, running-sum
+    or ufunc.at code: no other step of a sample runs it.  A tied pair's bit
+    starts clear and is set once, in the round that finds the right vertex
+    later.
     """
     import numpy as np
 
     words = PackedWords.empty(n, count)
     later = np.empty((min(SLAB_ROWS, n), count), dtype=bool)  # a slab's letters, then ties
     last = np.zeros(count, dtype="<u2")  # the previous slab's last row of keys
-    ties = []
+    tied = []  # cell p * count + j of each pair p of vertices p, p + 1 tied in sample j
     for top in range(0, n, SLAB_ROWS):
         rows = min(SLAB_ROWS, n - top)
         raw = rng.bit_generator.random_raw(-(-rows * count // 4))
@@ -127,25 +127,22 @@ def _chunk_words(rng, n: int, count: int) -> PackedWords:
         words.table[top + first : top + rows] = np.packbits(later[first:rows], axis=1)
         np.equal(keys[0], last, out=later[0])  # the letters are packed: now the ties
         np.equal(keys[1:], keys[:-1], out=later[1:rows])
-        ties.append(np.flatnonzero(later[first:rows]) + (top + first - 1) * count)
+        tied += (np.flatnonzero(later[first:rows]) + (top + first - 1) * count).tolist()
         last[:] = keys[-1]
         del raw, keys  # the next slab is drawn with this one released
-    pairs, samples = np.divmod(np.concatenate(ties), count)
-    while pairs.size:
-        cells = np.concatenate([pairs, pairs + 1]) * count + np.tile(samples, 2)
-        # where[i] is cell i's rank among the round's distinct cells.  Any
-        # sort gives the ranks; the stable one maps less code on first use.
-        order = np.argsort(cells, kind="stable")
-        ranked = cells[order]
-        where = np.empty_like(order)
-        where[order] = np.cumsum(np.concatenate(([0], ranked[1:] != ranked[:-1])))
-        digits = rng.bit_generator.random_raw(int(where[order[-1]]) + 1)[where]
-        left, right = digits[: pairs.size], digits[pairs.size :]
-        up = right > left
-        bits = (0x80 >> (samples[up] & 7)).astype(np.uint8)
-        np.bitwise_or.at(words.table, (pairs[up] + 1, samples[up] >> 3), bits)
-        tied = right == left
-        pairs, samples = pairs[tied], samples[tied]
+    while tied:
+        # A pair's left vertex is its own cell, its right one count cells on.
+        cells = sorted({*tied, *(cell + count for cell in tied)})
+        digits = dict(zip(cells, rng.bit_generator.random_raw(len(cells)).tolist()))
+        still = []
+        for cell in tied:
+            left, right = digits[cell], digits[cell + count]
+            if right > left:
+                pair, sample = divmod(cell, count)
+                words.table[pair + 1, sample >> 3] |= 0x80 >> (sample & 7)
+            elif right == left:
+                still.append(cell)
+        tied = still
     return words
 
 

@@ -462,17 +462,19 @@ def test_a_chunk_shorter_than_a_slab_holds_comparisons_of_its_own_height():
 
 
 def test_sampling_never_calls_np_unique(monkeypatch):
-    # The first np.unique of a process maps about 0.37 MB more of numpy's
-    # code and tables than the sampler's stable sort.  Binary keys tie
+    # The first np.unique of a process maps about 0.37 MB of numpy's code
+    # and tables, and the tie rounds need no sort or running sum of numpy
+    # either: they draw their cells in a loop of Python.  Binary keys tie
     # in about half of all pairs, so most tie cells are drawn for two pairs.
     n, count = 2 * SLAB_ROWS + 3, CHUNK_SIZE
     reference_rng = _BinaryKeys(n)
     reference = _up_down_word(_reveal_keys(reference_rng, n, count), reference_rng)
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("np.unique was called")
+    for name in ("unique", "argsort", "cumsum"):
+        def refuse(*args, name=name, **kwargs):
+            raise AssertionError(f"np.{name} was called")
 
-    monkeypatch.setattr(np, "unique", refuse)
+        monkeypatch.setattr(np, name, refuse)
     rng = _BinaryKeys(n)
     words = _chunk_words(rng, n, count)
     assert np.array_equal(words.table[1:], np.packbits(reference, axis=1))

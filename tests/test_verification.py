@@ -3,6 +3,7 @@
 import os
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from pathdom import expectation, extremal, montecarlo, series
@@ -69,6 +70,32 @@ def test_predicate_flipped_on_one_word_fails_at_its_n(monkeypatch):
     result = V.check_inverse_bijection()
     assert not result.passed
     assert result.detail.startswith("n=13:"), result.detail
+
+
+@pytest.mark.parametrize("astray", [
+    pytest.param(lambda sizes: 0 * sizes, id="dropped"),
+    pytest.param(lambda sizes: np.roll(sizes, 8), id="shifted by one byte"),
+])
+def test_a_word_block_dropped_or_shifted_fails_at_its_n(monkeypatch, astray):
+    # The pass at n = 19 evaluates its 2^18 words a column block at a time;
+    # the sizes of its second block go astray, the predicate's do not.
+    real = V.gamma_batch_path
+    blocks = []
+
+    def evaluated(n, words):
+        sizes = real(n, words)
+        if n == 19:
+            blocks.append(len(words))
+            if len(blocks) == 2:
+                return astray(sizes)
+        return sizes
+
+    monkeypatch.setattr(V, "gamma_batch_path", evaluated)
+    result = V.check_inverse_bijection()
+    assert sum(blocks) == 1 << 18 and len(blocks) > 2
+    assert not result.passed
+    assert result.detail.startswith("n=19: words: worst-case != inverse weakly alternating="), (
+        result.detail)
 
 
 def _off_by_one_at(n):
@@ -201,12 +228,16 @@ def test_a_check_raising_while_the_sample_runs_reaps_its_children(monkeypatch, e
     def raises():
         raise exc("check broke")
 
-    pids = _counting_forks(monkeypatch)
-    _set_cores(monkeypatch, 2)
-    monkeypatch.setattr(V, "check_convolution", raises)
-    with pytest.raises(exc, match="check broke"):
-        V.run_verification("full")
-    assert len(pids) == 1 and _reaped(pids[0])
+    # both run before check_montecarlo joins the sample; caro-wei runs last
+    for check in ("check_convolution", "check_caro_wei"):
+        with monkeypatch.context() as patched:
+            pids, joined = _counting_forks(patched), []
+            _set_cores(patched, 2)
+            patched.setattr(V, check, raises)
+            patched.setattr(V, "check_montecarlo", joined.append)
+            with pytest.raises(exc, match="check broke"):
+                V.run_verification("full")
+            assert not joined and len(pids) == 1 and _reaped(pids[0]), check
 
 
 def test_each_census_is_computed_once(monkeypatch):
