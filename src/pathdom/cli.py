@@ -187,13 +187,17 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--verbose", action="store_true", help="timing diagnostics on stderr"
     )
+    capped = argparse.ArgumentParser(add_help=False, parents=[common])
+    capped.add_argument("--force", action="store_true",
+                        help="override this command's resource caps; a refusal names its cap")
 
-    p = sub.add_parser("simulate", parents=[common], help="run one revelation order")
+    p = sub.add_parser("simulate", parents=[capped], help="run one revelation order")
+    p.set_defaults(handler=_cmd_simulate)
     _add_family_args(p)
     p.add_argument("--order", required=True, help="revelation order, e.g. 2,1,3")
-    p.add_argument("--force", action="store_true", help="override the graph-size cap")
 
-    p = sub.add_parser("expect", parents=[common], help="exact expected set size")
+    p = sub.add_parser("expect", parents=[capped], help="exact expected set size")
+    p.set_defaults(handler=_cmd_expect)
     _add_family_args(p)
     p.add_argument(
         "--method",
@@ -212,12 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit the degree-based lower bound for the graph instead",
     )
     p.add_argument("--float", dest="as_float", action="store_true")
-    p.add_argument(
-        "--force", action="store_true",
-        help="override the brute, path-size and graph-size caps",
-    )
 
-    p = sub.add_parser("extremal", parents=[common], help="count extremal orders")
+    p = sub.add_parser("extremal", parents=[capped], help="count extremal orders")
+    p.set_defaults(handler=_cmd_extremal)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--bound", choices=("worst", "best"), required=True)
     p.add_argument(
@@ -227,15 +228,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--witnesses", type=int, default=0, metavar="K",
                    help="include up to K witness orders (--method brute or all)")
-    p.add_argument(
-        "--force", action="store_true", help="override the brute and count caps"
-    )
 
-    p = sub.add_parser("series", parents=[common], help="EGF count table")
+    p = sub.add_parser("series", parents=[capped], help="EGF count table")
+    p.set_defaults(handler=_cmd_series)
     p.add_argument("--order", type=int)  # None: series.DEFAULT_ORDER
-    p.add_argument("--force", action="store_true", help="override the order cap")
 
-    p = sub.add_parser("sample", parents=[common], help="Monte Carlo sampling")
+    p = sub.add_parser("sample", parents=[capped], help="Monte Carlo sampling")
+    p.set_defaults(handler=_cmd_sample)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -246,15 +245,13 @@ def build_parser() -> argparse.ArgumentParser:
         default="none",
     )
     p.add_argument(
-        "--force", action="store_true", help="override the sampling budget"
-    )
-    p.add_argument(
         "--plot-data",
         action="store_true",
         help="two-column 'x weight' output, gnuplot-friendly",
     )
 
     p = sub.add_parser("verify", parents=[common], help="cross-validation suite")
+    p.set_defaults(handler=_cmd_verify)
     p.add_argument("--depth", choices=("quick", "full"), default="quick")
 
     return parser
@@ -464,24 +461,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_HANDLERS = {
-    "simulate": _cmd_simulate,
-    "expect": _cmd_expect,
-    "extremal": _cmd_extremal,
-    "series": _cmd_series,
-    "sample": _cmd_sample,
-    "verify": _cmd_verify,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 for --help/--version
-        code = exc.code if isinstance(exc.code, int) else EXIT_INVALID
-        return EXIT_OK if code == 0 else EXIT_INVALID
+        return EXIT_OK if exc.code == 0 else EXIT_INVALID
     except OSError as exc:  # the help, version or usage text could not be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -494,8 +480,8 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         started = time.perf_counter()
-        code = _HANDLERS[args.command](args)
-        if getattr(args, "verbose", False):
+        code = args.handler(args)
+        if args.verbose:
             print(
                 f"{args.command} finished in {time.perf_counter() - started:.2f}s",
                 file=sys.stderr,

@@ -213,15 +213,12 @@ def _scan(t: np.ndarray) -> None:
     before every segment are then final, and each other row of P is fixed
     into all segments in one call, in place, so P is never copied.  A run
     that outlives RUN_ROWS rows of P drops P, which never wrote t, and the
-    pass runs in order, as it does when L is below 2 (len(t) < 2 * SEGMENTS
-    + 1), where a segment would be no more than its own fix-up.  The rows
-    past SEGMENTS * L take one call each.
+    pass runs in order, as it does when L is 0 (len(t) < SEGMENTS + 1).  The
+    rows past SEGMENTS * L take one call each.
     """
     import numpy as np
 
-    span = (len(t) - 1) // SEGMENTS
-    if span < 2:
-        span = 0
+    span = max((len(t) - 1) // SEGMENTS, 0)
     # segs[j, i] is row j * span + 1 + i.
     segs = t[1 : 1 + SEGMENTS * span].reshape(SEGMENTS, span, t.shape[1])
     runs = []  # P: the AND of each segment's ~s through row i, while nonzero

@@ -197,23 +197,20 @@ def check_asymptotic_constant() -> CheckResult:
                            f"off ((n+1) - (n+3)e^-2)/2, tolerance {tol}")
     K = 210
     prefix = _tally(expectation.expected_gamma_path_prefix, EXPECTATION_MAX)
-    scale = math.factorial(K + 1)  # L, U and every bound below are over this
-    low = 1  # sum_{k<=m} (-2)^k m!/k!, by Horner's rule, to m = K
-    for m in range(1, K + 1):
-        low = m * low + (-2) ** m
-    low *= K + 1
-    width = (-2) ** (K + 1)  # U - L, times scale
+    # quot[k] = (K+1)!/k!, built by products; L, U and each bound are over quot[0]
+    quot = list(itertools.accumulate(range(K + 1, 0, -1), operator.mul, initial=1))[::-1]
+    scale = quot[0]
+    low = sum((-2) ** k * quot[k] for k in range(K + 1))
+    high = low + (-2) ** (K + 1)
 
     def cases() -> Iterator[Case]:
-        spare = scale // 2  # scale / (n+2)! once divided at the top of step n
         for n in range(1, EXPECTATION_MAX + 1):
-            spare //= n + 2
             p, q = prefix[n].numerator, prefix[n].denominator
             # 2 q scale (E(n) - ((n+1) - (n+3)c)/2) at c = L and c = U,
             # against 2 q scale 2^(n+2)/(n+2)!
             at_low = (2 * p - (n + 1) * q) * scale + (n + 3) * q * low
-            at_high = at_low + (n + 3) * q * width
-            bound = q * spare << (n + 3)
+            at_high = (2 * p - (n + 1) * q) * scale + (n + 3) * q * high
+            bound = q * quot[n + 2] << (n + 3)
             held = abs(at_low) <= bound and abs(at_high) <= bound
             yield f"n={n}", {"within 2^(n+2)/(n+2)!": held, "expected": True}
 

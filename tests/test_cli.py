@@ -713,7 +713,7 @@ class TestUnexpectedErrors:
         def broken(args):
             raise RuntimeError("boom")
 
-        monkeypatch.setitem(cli._HANDLERS, "series", broken)
+        monkeypatch.setattr(cli, "_cmd_series", broken)
         code, out, err = run(capsys, "series", "--order", "5")
         assert code == 1
         assert out == ""
@@ -723,9 +723,47 @@ class TestUnexpectedErrors:
         def interrupted(args):
             raise KeyboardInterrupt
 
-        monkeypatch.setitem(cli._HANDLERS, "series", interrupted)
+        monkeypatch.setattr(cli, "_cmd_series", interrupted)
         with pytest.raises(KeyboardInterrupt):
             main(["series", "--order", "5"])
+
+
+MINIMAL_ARGV = {  # the least each subcommand parses; its handler is patched out
+    "simulate": ["simulate", "--n", "3", "--order", "1,2,3"],
+    "expect": ["expect", "--n", "3"],
+    "extremal": ["extremal", "--n", "3", "--bound", "worst"],
+    "series": ["series"],
+    "sample": ["sample", "--n", "3", "--samples", "8"],
+    "verify": ["verify"],
+}
+
+
+class TestDispatch:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Each handler replaced by one that records its command and --force."""
+        calls = []
+        for command in MINIMAL_ARGV:
+            def record(args, command=command):
+                calls.append((command, getattr(args, "force", None)))
+                return 0
+
+            monkeypatch.setattr(cli, f"_cmd_{command}", record)
+        return calls
+
+    @pytest.mark.parametrize("command", list(MINIMAL_ARGV))
+    def test_each_subcommand_reaches_its_own_handler(self, capsys, calls, command):
+        assert run(capsys, *MINIMAL_ARGV[command]) == (0, "", "")
+        assert calls == [(command, None if command == "verify" else False)]
+
+    @pytest.mark.parametrize("command", list(MINIMAL_ARGV))
+    def test_force_parses_for_the_capped_subcommands_only(self, capsys, calls, command):
+        code, out, err = run(capsys, *MINIMAL_ARGV[command], "--force")
+        if command == "verify":  # its checks have no cap to override
+            assert (code, out, calls) == (1, "", [])
+            assert err.endswith("error: unrecognized arguments: --force\n")
+        else:
+            assert (code, out, err, calls) == (0, "", "", [(command, True)])
 
 
 def test_exact_commands_leave_numpy_unloaded():

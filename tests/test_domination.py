@@ -343,9 +343,10 @@ class TestGammaBatch:
     @pytest.mark.parametrize(
         "n", [32, 33, 34, 35, 48, 49, 64, 65, 66, 97, 98, 296, 2000])
     def test_runs_longer_than_a_segment(self, n, mirrored):
-        # From n = 65, where a pass has 2 * SEGMENTS rows past its first, each
-        # scan runs SEGMENTS segments and fixes each up from the one before;
-        # below it the rows run in order.  A run of up or down letters crossing
+        # From n = 33, where the second pass has SEGMENTS rows past its first
+        # (the first pass from n = 34), each scan runs SEGMENTS segments, of
+        # one row up to n = 64, and fixes each up from the one before; below
+        # it the rows run in order.  A run of up or down letters crossing
         # whole segments carries a fix-up on, which random words almost never
         # do.  The mirrored words, reversed and complemented, are those of the
         # mirrored orders, so each run meets the two passes from the other end.
